@@ -22,7 +22,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .finring import Cyclic, FinRing, GaussMod, PolyQuotient, build_ring, nilradical, unit_set
+from .finring import Cyclic, FinRing, GaussMod, PolyQuotient, build_ring
 from .grading import (
     TRIVIAL_GROUP,
     Z2,
@@ -30,8 +30,6 @@ from .grading import (
     GradedRing,
     GradingGroup,
     attach_grading,
-    decompose,
-    homogeneous_elements,
     trivial_grading,
 )
 from .ideals import (

@@ -14,13 +14,14 @@ from .grading import GradedRing
 from .ideals import (
     IdealSet,
     graded_radical,
-    ideal_generated,
+    ideal_product,
     product_contained,
     proper_graded_ideals,
     require_graded,
 )
 
 Witness = Optional[tuple[int, ...]]
+Escape = Callable[[], frozenset[int]]  # computed only when the kernel runs
 
 FLAGS = (
     "graded_prime",
@@ -42,79 +43,62 @@ def radical_of(gr: GradedRing, p: IdealSet) -> IdealSet:
     return _cached(gr, ("grad", p.elements), lambda: graded_radical(gr, p))
 
 
-def is_graded_prime(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
-    """xy in P forces x in P or y in P, over homogeneous pairs."""
+def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple[bool, Witness]:
+    """xy in P forces x in P or y in escape(), over homogeneous pairs."""
     def compute():
         require_graded(gr, p, proper=True)
+        esc = escape()
         homog = sorted(gr.homogeneous())
         mul = gr.ring.mul
         for x in homog:
             if x in p.elements:
                 continue
             for y in homog:
-                if mul(x, y) in p.elements and y not in p.elements:
+                if mul(x, y) in p.elements and y not in esc:
                     return False, (x, y)
         return True, None
 
-    return _cached(gr, ("prime", p.elements), compute)
+    return _cached(gr, (key, p.elements), compute)
+
+
+def _triple_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple[bool, Witness]:
+    """xyz in P forces xy in P or z in escape(), over nonunit homogeneous triples."""
+    def compute():
+        require_graded(gr, p, proper=True)
+        esc = escape()
+        nonunits = gr.nonunit_homogeneous()
+        mul = gr.ring.mul
+        for x in nonunits:
+            for y in nonunits:
+                xy = mul(x, y)
+                if xy in p.elements:
+                    continue
+                for z in nonunits:
+                    if mul(xy, z) in p.elements and z not in esc:
+                        return False, (x, y, z)
+        return True, None
+
+    return _cached(gr, (key, p.elements), compute)
+
+
+def is_graded_prime(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
+    """xy in P forces x in P or y in P, over homogeneous pairs."""
+    return _pair_kernel(gr, p, "prime", lambda: p.elements)
 
 
 def is_graded_primary(gr: GradedRing, q: IdealSet) -> tuple[bool, Witness]:
     """xy in Q forces x in Q or y in Grad(Q), over homogeneous pairs."""
-    def compute():
-        require_graded(gr, q, proper=True)
-        rad = radical_of(gr, q).elements
-        homog = sorted(gr.homogeneous())
-        mul = gr.ring.mul
-        for x in homog:
-            if x in q.elements:
-                continue
-            for y in homog:
-                if mul(x, y) in q.elements and y not in rad:
-                    return False, (x, y)
-        return True, None
-
-    return _cached(gr, ("primary", q.elements), compute)
+    return _pair_kernel(gr, q, "primary", lambda: radical_of(gr, q).elements)
 
 
 def is_graded_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad(P), over nonunit homogeneous triples."""
-    def compute():
-        require_graded(gr, p, proper=True)
-        rad = radical_of(gr, p).elements
-        nonunits = gr.nonunit_homogeneous()
-        mul = gr.ring.mul
-        for x in nonunits:
-            for y in nonunits:
-                xy = mul(x, y)
-                if xy in p.elements:
-                    continue
-                for z in nonunits:
-                    if mul(xy, z) in p.elements and z not in rad:
-                        return False, (x, y, z)
-        return True, None
-
-    return _cached(gr, ("1abs", p.elements), compute)
+    return _triple_kernel(gr, p, "1abs", lambda: radical_of(gr, p).elements)
 
 
 def is_graded_strongly_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad({0}), over nonunit homogeneous triples."""
-    def compute():
-        require_graded(gr, p, proper=True)
-        grad_zero = gr.graded_nilradical()
-        nonunits = gr.nonunit_homogeneous()
-        mul = gr.ring.mul
-        for x in nonunits:
-            for y in nonunits:
-                xy = mul(x, y)
-                if xy in p.elements:
-                    continue
-                for z in nonunits:
-                    if mul(xy, z) in p.elements and z not in grad_zero:
-                        return False, (x, y, z)
-        return True, None
-
-    return _cached(gr, ("strongly", p.elements), compute)
+    return _triple_kernel(gr, p, "strongly", gr.graded_nilradical)
 
 
 def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
@@ -153,8 +137,6 @@ def strongly_1abs_ideal_form(
     require_graded(gr, p, proper=True)
     grad_zero = gr.graded_nilradical()
     lattice = proper_graded_ideals(gr)
-    from .ideals import ideal_product
-
     for i in lattice:
         for j in lattice:
             ij = ideal_product(i, j)
@@ -252,21 +234,12 @@ class ClassificationReport:
 def classify_ideal(gr: GradedRing, p: IdealSet) -> ClassificationReport:
     """All flags with witnesses plus Grad(P) for one proper graded ideal."""
     require_graded(gr, p, proper=True)
-    checks = {
-        "graded_prime": is_graded_prime,
-        "graded_primary": is_graded_primary,
-        "graded_1abs_primary": is_graded_1abs_primary,
-        "graded_2abs_primary": is_graded_2abs_primary,
-        "graded_strongly_1abs_primary": is_graded_strongly_1abs_primary,
-    }
     flags: dict[str, bool] = {}
     witnesses: dict[str, tuple[int, ...]] = {}
-    for flag, fn in checks.items():
-        ok, witness = fn(gr, p)
-        flags[flag] = ok
+    for flag in FLAGS:
+        flags[flag], witness = flag_value(gr, p, flag)
         if witness is not None:
             witnesses[flag] = witness
-    flags["graded_maximal"] = is_graded_maximal(gr, p)
     return ClassificationReport(
         ideal=p,
         flags=flags,
@@ -278,24 +251,15 @@ def classify_ideal(gr: GradedRing, p: IdealSet) -> ClassificationReport:
 
 def flag_value(gr: GradedRing, p: IdealSet, flag: str) -> tuple[bool, Witness]:
     """Evaluate one classification flag by name."""
+    # built per call so that rebinding a module-level kernel takes effect
     table = {
         "graded_prime": is_graded_prime,
         "graded_primary": is_graded_primary,
         "graded_1abs_primary": is_graded_1abs_primary,
         "graded_2abs_primary": is_graded_2abs_primary,
         "graded_strongly_1abs_primary": is_graded_strongly_1abs_primary,
+        "graded_maximal": lambda gr, p: (is_graded_maximal(gr, p), None),
     }
-    if flag == "graded_maximal":
-        return is_graded_maximal(gr, p), None
     if flag not in table:
         raise ValueError(f"unknown flag {flag!r}; choose from {FLAGS}")
     return table[flag](gr, p)
-
-
-def principal_homogeneous_ideals(gr: GradedRing) -> list[IdealSet]:
-    """Ra for homogeneous a, deduplicated, sorted."""
-    seen = {}
-    for a in sorted(gr.homogeneous()):
-        ideal = ideal_generated(gr.ring, (a,))
-        seen.setdefault(ideal.elements, ideal)
-    return sorted(seen.values(), key=lambda i: (len(i), i.sorted_elements()))

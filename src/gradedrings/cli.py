@@ -23,10 +23,9 @@ from .classify import (
     local_structure,
     ring_predicates,
 )
-from .errors import GradedRingError
-from .finring import nilradical, unit_set
+from .errors import GradedRingError, MalformedSpec
 from .ideals import IdealSet, proper_graded_ideals
-from .specdoc import load_spec, parse_spec, resolve_ideal
+from .specdoc import load_spec, parse_spec, read_json, resolve_ideal
 from .verifier import (
     ALL_STATEMENTS,
     CorpusEntry,
@@ -46,12 +45,12 @@ def _cmd_ring_describe(args) -> int:
     gr = spec.graded_ring
     ring = gr.ring
     ls = local_structure(gr)
-    nil = nilradical(ring)
+    nil = ring.nilradical()
     grad0 = gr.graded_nilradical()
     info = {
         "ring": gr.label,
         "carrier_size": ring.size,
-        "units": _names(gr, unit_set(ring)),
+        "units": _names(gr, ring.units()),
         "nilradical": _names(gr, nil),
         "grad_zero": _names(gr, grad0),
         "grad_zero_equals_nilradical": grad0 == nil,  # recorded, never asserted
@@ -104,9 +103,13 @@ def _cmd_ideal_classify(args) -> int:
 def _load_corpus(path: Optional[str]) -> list[CorpusEntry]:
     if path is None:
         return default_corpus()
-    docs = json.loads(open(path).read())
+    docs = read_json(path)
+    if not isinstance(docs, list):
+        raise MalformedSpec(f"{path}: corpus must be a JSON list of ring spec documents")
     entries = []
     for i, doc in enumerate(docs):
+        if not isinstance(doc, dict):
+            raise MalformedSpec(f"{path}[{i}]: expected a ring spec object, got {type(doc).__name__}")
         spec = parse_spec(doc, label=doc.get("label", f"corpus[{i}]"))
         entries.append(CorpusEntry(spec.graded_ring.label, spec.graded_ring))
     return entries
@@ -114,7 +117,10 @@ def _load_corpus(path: Optional[str]) -> list[CorpusEntry]:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise MalformedSpec(f"--range {text!r}: expected LO..HI, e.g. 2..64") from None
 
 
 def _cmd_verify(args) -> int:

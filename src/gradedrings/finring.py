@@ -108,7 +108,10 @@ class FinRing:
     def parse(self, text: str) -> int:
         if self._parse is None:
             raise MalformedSpec(f"ring {self.label} has no element parser")
-        return self._parse(text)
+        try:
+            return self._parse(text)
+        except ValueError:
+            raise MalformedSpec(f"cannot parse {text!r} as an element of {self.label}") from None
 
     def is_unit(self, x: int) -> bool:
         return x in self.units()
@@ -358,13 +361,3 @@ def build_ring(spec: RingSpec, check: bool = True) -> FinRing:
     if check:
         ring.check_axioms()
     return ring
-
-
-def unit_set(ring: FinRing) -> frozenset[int]:
-    """Elements with a multiplicative inverse."""
-    return ring.units()
-
-
-def nilradical(ring: FinRing) -> frozenset[int]:
-    """Elements with some power equal to zero."""
-    return ring.nilradical()

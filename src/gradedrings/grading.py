@@ -209,11 +209,3 @@ def attach_grading(
 def trivial_grading(ring: FinRing, group: GradingGroup = TRIVIAL_GROUP, label: str = "") -> GradedRing:
     """Everything in degree e; recovers ungraded ring theory."""
     return attach_grading(ring, group, {group.identity: frozenset(ring.elements())}, label=label)
-
-
-def homogeneous_elements(gr: GradedRing) -> frozenset[int]:
-    return gr.homogeneous()
-
-
-def decompose(gr: GradedRing, x: int) -> dict[Degree, int]:
-    return gr.decompose(x)

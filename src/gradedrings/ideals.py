@@ -197,6 +197,19 @@ def product_contained(i: IdealSet, j: IdealSet, p: IdealSet) -> bool:
     return True
 
 
+def _lattice_order(ideal: IdealSet) -> tuple:
+    return len(ideal), ideal.sorted_elements()
+
+
+def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
+    """Ra for homogeneous a, deduplicated (least generator kept), sorted."""
+    seen: dict[frozenset[int], IdealSet] = {}
+    for a in sorted(gr.homogeneous()):
+        ideal = ideal_generated(gr.ring, (a,))
+        seen.setdefault(ideal.elements, ideal)
+    return sorted(seen.values(), key=_lattice_order)
+
+
 def enumerate_graded_ideals(gr: GradedRing, cap: int = IDEAL_LATTICE_CAP) -> list[IdealSet]:
     """All graded ideals: principal ideals of homogeneous elements, closed under sum.
 
@@ -206,13 +219,8 @@ def enumerate_graded_ideals(gr: GradedRing, cap: int = IDEAL_LATTICE_CAP) -> lis
     key = ("graded_ideal_lattice", cap)
     if key in gr._cache:
         return gr._cache[key]
-    ring = gr.ring
-    seen: dict[frozenset[int], IdealSet] = {}
-    z = zero_ideal(ring)
-    seen[z.elements] = z
-    for h in sorted(gr.homogeneous()):
-        ideal = ideal_generated(ring, (h,))
-        seen.setdefault(ideal.elements, ideal)
+    # R0 = {0} is among the principal ideals, since 0 is homogeneous
+    seen = {ideal.elements: ideal for ideal in principal_graded_ideals(gr)}
     frontier = list(seen.values())
     while frontier:
         if len(seen) > cap:
@@ -223,7 +231,7 @@ def enumerate_graded_ideals(gr: GradedRing, cap: int = IDEAL_LATTICE_CAP) -> lis
             if s.elements not in seen:
                 seen[s.elements] = s
                 frontier.append(s)
-    result = sorted(seen.values(), key=lambda ideal: (len(ideal), ideal.sorted_elements()))
+    result = sorted(seen.values(), key=_lattice_order)
     gr._cache[key] = result
     return result
 

@@ -54,14 +54,18 @@ def _parse_degree(group: GradingGroup, key: str):
     return group.normalize(tuple(int(t) for t in key.split(",")) if key not in ("", "e") else ())
 
 
-def load_spec(path: str | Path) -> RingSpecDocument:
+def read_json(path: str | Path):
+    """The JSON document in the file at `path`; MalformedSpec if unreadable."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise MalformedSpec(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except OSError as exc:
         raise MalformedSpec(f"{path}: {exc}") from exc
-    return parse_spec(doc, label=Path(path).stem)
+
+
+def load_spec(path: str | Path) -> RingSpecDocument:
+    return parse_spec(read_json(path), label=Path(path).stem)
 
 
 def parse_spec(doc: dict, label: str = "") -> RingSpecDocument:

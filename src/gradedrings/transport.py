@@ -319,11 +319,6 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
     return sgr, inclusion
 
 
-def restrict_ideal(sub_hom: GradedHom, ideal: IdealSet) -> IdealSet:
-    """Pull an ideal of the big ring back along a subring inclusion."""
-    return hom_transport(sub_hom, ideal, "preimage")
-
-
 def enumerate_multiplicative_sets(gr: GradedRing, max_size: int = 8) -> list[MultiplicativeSet]:
     """All multiplicatively closed subsets of h(R)\\{0} with 1, of size <= max_size.
 

@@ -19,7 +19,7 @@ from .classify import (
     is_graded_strongly_1abs_primary,
     flag_value,
     local_structure,
-    principal_homogeneous_ideals,
+    radical_of,
     ring_predicates,
     strongly_1abs_ideal_form,
 )
@@ -29,8 +29,11 @@ from .grading import TRIVIAL_GROUP, Z2, GradedRing, attach_grading, trivial_grad
 from .ideals import (
     IdealSet,
     colon,
+    combine,
     enumerate_graded_ideals,
     ideal_generated,
+    is_graded_ideal,
+    principal_graded_ideals,
     product_contained,
     proper_graded_ideals,
     zero_ideal,
@@ -168,8 +171,33 @@ def _strongly_ideals(gr: GradedRing) -> list[IdealSet]:
     ]
 
 
-def _has_strongly(gr: GradedRing) -> bool:
-    return bool(_strongly_ideals(gr))
+def _expect_strongly(
+    rep: VerificationReport, counter: str, gr: GradedRing, ideal: IdealSet, /, **where
+) -> None:
+    """Count one instance of `counter`; fail with `where` and the witness
+    unless `ideal` is graded strongly 1-absorbing primary in `gr`."""
+    rep.bump(counter)
+    ok, witness = is_graded_strongly_1abs_primary(gr, ideal)
+    if not ok:
+        rep.fail(**where, witness=_elem_names(gr, witness))
+
+
+def _quotient_images(gr: GradedRing, ideals: list[IdealSet]):
+    """(K, P, R/K, P/K) for every proper graded K and every P in `ideals` containing K."""
+    for k in proper_graded_ideals(gr):
+        above = [p for p in ideals if k <= p]
+        if not above:
+            continue
+        qgr, proj = quotient(gr, k)
+        for p in above:
+            yield k, p, qgr, hom_transport(proj, p, "image")
+
+
+def _identity_preimages(gr: GradedRing, ideals: list[IdealSet]):
+    """(P, R_e, P cap R_e) for every P in `ideals`, pulled back along R_e -> R."""
+    sub, inc = identity_subring(gr)
+    for p in ideals:
+        yield p, sub, hom_transport(inc, p, "preimage")
 
 
 def _ideal_names(gr: GradedRing, ideal: IdealSet) -> list[str]:
@@ -187,8 +215,6 @@ def _thm_2_2(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("THM_2_2", label)
     grad_zero = _grad_zero_ideal(gr)
     ls = local_structure(gr)
-    from .classify import radical_of
-
     for p in proper_graded_ideals(gr):
         rep.bump("ideals")
         strongly = is_graded_strongly_1abs_primary(gr, p)[0]
@@ -234,8 +260,6 @@ def _cor_2_4(gr: GradedRing, label: str) -> VerificationReport:
 
 def _lemma_grad_prime(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("LEMMA_GRAD_PRIME", label)
-    from .classify import radical_of
-
     for p in proper_graded_ideals(gr):
         if not is_graded_1abs_primary(gr, p)[0]:
             continue
@@ -249,8 +273,6 @@ def _lemma_grad_prime(gr: GradedRing, label: str) -> VerificationReport:
 
 def _lemma_2(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("LEMMA_2", label)
-    from .ideals import is_graded_ideal
-
     lattice = enumerate_graded_ideals(gr)
     for p in lattice:
         for k in lattice:
@@ -268,7 +290,7 @@ def _lemma_2(gr: GradedRing, label: str) -> VerificationReport:
 
 def _thm_2_6(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("THM_2_6", label)
-    exists = _has_strongly(gr)
+    exists = bool(_strongly_ideals(gr))
     grad_zero = _grad_zero_ideal(gr)
     prime0 = grad_zero.is_proper() and is_graded_prime(gr, grad_zero)[0]
     local = local_structure(gr).is_graded_local
@@ -302,7 +324,7 @@ def _cor_2_7(lo: int, hi: int) -> VerificationReport:
     rep = VerificationReport("COR_2_7", f"Z/n, n={lo}..{hi}")
     for n in range(lo, hi + 1):
         gr = trivial_grading(build_ring(Cyclic(n), check=False), label=f"Z/{n}")
-        exists = _has_strongly(gr)
+        exists = bool(_strongly_ideals(gr))
         expected = _is_prime_power(n)
         rep.bump("rings")
         if exists:
@@ -360,19 +382,10 @@ def _prop_2_9(gr: GradedRing, label: str) -> VerificationReport:
 def _prop_2_10(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_10", label)
     strongly = _strongly_ideals(gr)
-    from .ideals import combine
-
     for p in strongly:
         for k in strongly:
-            rep.bump("pairs")
             inter = combine(p, k, "intersection")
-            ok, witness = is_graded_strongly_1abs_primary(gr, inter)
-            if not ok:
-                rep.fail(
-                    p=_ideal_names(gr, p),
-                    k=_ideal_names(gr, k),
-                    witness=_elem_names(gr, witness),
-                )
+            _expect_strongly(rep, "pairs", gr, inter, p=_ideal_names(gr, p), k=_ideal_names(gr, k))
     return rep.finish(["pairs"])
 
 
@@ -382,18 +395,11 @@ def _prop_2_11(gr: GradedRing, label: str) -> VerificationReport:
     if not profile.every_homogeneous_nilpotent_or_unit:
         rep.notes.append("hypothesis (homogeneous elements nilpotent or unit) not met")
         return rep.finish(["principal_instances"])
-    for ra in principal_homogeneous_ideals(gr):
-        if not ra.is_proper():
-            continue
-        rep.bump("principal_instances")
-        ok, witness = is_graded_strongly_1abs_primary(gr, ra)
-        if not ok:
-            rep.fail(ideal=_ideal_names(gr, ra), witness=_elem_names(gr, witness))
+    for ra in principal_graded_ideals(gr):
+        if ra.is_proper():
+            _expect_strongly(rep, "principal_instances", gr, ra, ideal=_ideal_names(gr, ra))
     for p in proper_graded_ideals(gr):
-        rep.bump("all_proper_instances")
-        ok, witness = is_graded_strongly_1abs_primary(gr, p)
-        if not ok:
-            rep.fail(ideal=_ideal_names(gr, p), witness=_elem_names(gr, witness))
+        _expect_strongly(rep, "all_proper_instances", gr, p, ideal=_ideal_names(gr, p))
     return rep.finish(["principal_instances", "all_proper_instances"])
 
 
@@ -422,8 +428,6 @@ def _prop_2_12(gr: GradedRing, label: str) -> VerificationReport:
 
 def _prop_2_14(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_14", label)
-    from .classify import radical_of
-
     grad_zero = _grad_zero_ideal(gr)
     primaries = [p for p in proper_graded_ideals(gr) if is_graded_primary(gr, p)[0]]
     lhs = all(is_graded_strongly_1abs_primary(gr, p)[0] for p in primaries)
@@ -500,8 +504,6 @@ def _lemma_2_18(gr: GradedRing, label: str) -> VerificationReport:
 
 def _prop_2_19(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_19", label)
-    from .classify import radical_of
-
     lattice = proper_graded_ideals(gr)
     for p in lattice:
         if not is_graded_strongly_1abs_primary(gr, p)[0]:
@@ -510,76 +512,38 @@ def _prop_2_19(gr: GradedRing, label: str) -> VerificationReport:
         for k in lattice:
             if k.elements <= rad.elements:
                 continue
-            rep.bump("instances")
             c = colon(gr.ring, p, k)
-            ok, witness = is_graded_strongly_1abs_primary(gr, c)
-            if not ok:
-                rep.fail(
-                    p=_ideal_names(gr, p),
-                    k=_ideal_names(gr, k),
-                    witness=_elem_names(gr, witness),
-                )
+            _expect_strongly(rep, "instances", gr, c, p=_ideal_names(gr, p), k=_ideal_names(gr, k))
     return rep.finish(["instances"])
 
 
 def _prop_3_1(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_3_1", label)
     strongly = _strongly_ideals(gr)
-    for k in proper_graded_ideals(gr):
-        hitting = [p for p in strongly if k <= p]
-        if not hitting:
-            continue
-        qgr, proj = quotient(gr, k)
-        for p in hitting:
-            rep.bump("epimorphism_instances")
-            image = hom_transport(proj, p, "image")
-            ok, witness = is_graded_strongly_1abs_primary(qgr, image)
-            if not ok:
-                rep.fail(
-                    kernel=_ideal_names(gr, k),
-                    ideal=_ideal_names(gr, p),
-                    witness=_elem_names(qgr, witness),
-                )
-    sub, inc = identity_subring(gr)
-    for p in strongly:
-        rep.bump("monomorphism_instances")
-        pre = hom_transport(inc, p, "preimage")
-        ok, witness = is_graded_strongly_1abs_primary(sub, pre)
-        if not ok:
-            rep.fail(ideal=_ideal_names(gr, p), witness=_elem_names(sub, witness))
+    for k, p, qgr, image in _quotient_images(gr, strongly):
+        _expect_strongly(
+            rep, "epimorphism_instances", qgr, image,
+            kernel=_ideal_names(gr, k), ideal=_ideal_names(gr, p),
+        )
+    for p, sub, pre in _identity_preimages(gr, strongly):
+        _expect_strongly(rep, "monomorphism_instances", sub, pre, ideal=_ideal_names(gr, p))
     return rep.finish(["epimorphism_instances", "monomorphism_instances"])
 
 
 def _cor_3_2(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("COR_3_2", label)
-    strongly = _strongly_ideals(gr)
-    for k in proper_graded_ideals(gr):
-        above = [p for p in strongly if k <= p]
-        if not above:
-            continue
-        qgr, proj = quotient(gr, k)
-        for p in above:
-            rep.bump("quotient_instances")
-            p_mod_k = IdealSet(qgr.ring, {proj(x) for x in p.elements})
-            ok, witness = is_graded_strongly_1abs_primary(qgr, p_mod_k)
-            if not ok:
-                rep.fail(
-                    kernel=_ideal_names(gr, k),
-                    ideal=_ideal_names(gr, p),
-                    witness=_elem_names(qgr, witness),
-                )
+    for k, p, qgr, image in _quotient_images(gr, _strongly_ideals(gr)):
+        _expect_strongly(
+            rep, "quotient_instances", qgr, image,
+            kernel=_ideal_names(gr, k), ideal=_ideal_names(gr, p),
+        )
     return rep.finish(["quotient_instances"])
 
 
 def _cor_re(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("COR_RE", label)
-    sub, inc = identity_subring(gr)
-    for p in _strongly_ideals(gr):
-        rep.bump("instances")
-        pe = hom_transport(inc, p, "preimage")
-        ok, witness = is_graded_strongly_1abs_primary(sub, pe)
-        if not ok:
-            rep.fail(ideal=_ideal_names(gr, p), witness=_elem_names(sub, witness))
+    for p, sub, pre in _identity_preimages(gr, _strongly_ideals(gr)):
+        _expect_strongly(rep, "instances", sub, pre, ideal=_ideal_names(gr, p))
     return rep.finish(["instances"])
 
 
@@ -598,18 +562,15 @@ def _prop_3_3(gr: GradedRing, label: str, max_set_size: int = 8) -> Verification
             if not lgr.ring.is_unit(canonical(t)):
                 rep.fail(note="canonical map fails to invert S", element=gr.ring.name(t))
         for p in disjoint:
-            rep.bump("instances")
             sp = ideal_generated(lgr.ring, tuple(canonical(x) for x in sorted(p.elements)))
-            if not sp.is_proper():
-                rep.fail(ideal=_ideal_names(gr, p), note="S^-1 P not proper")
-                continue
-            ok, witness = is_graded_strongly_1abs_primary(lgr, sp)
-            if not ok:
-                rep.fail(
-                    ideal=_ideal_names(gr, p),
-                    mult_set=_elem_names(gr, sorted(s.elements)),
-                    witness=_elem_names(lgr, witness),
+            if sp.is_proper():
+                _expect_strongly(
+                    rep, "instances", lgr, sp,
+                    ideal=_ideal_names(gr, p), mult_set=_elem_names(gr, sorted(s.elements)),
                 )
+            else:
+                rep.bump("instances")
+                rep.fail(ideal=_ideal_names(gr, p), note="S^-1 P not proper")
     return rep.finish(["instances"])
 
 
@@ -620,8 +581,6 @@ def prop_3_4_reduction(gr: GradedRing, label: str = "") -> VerificationReport:
     and explicitly labeled as not independently verified (R[X] is infinite).
     """
     rep = VerificationReport("PROP_3_4_REDUCTION", label or gr.label)
-    from .classify import radical_of
-
     grad_zero = _grad_zero_ideal(gr)
     prime0 = grad_zero.is_proper() and is_graded_prime(gr, grad_zero)[0]
     rep.bump("rings")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import oracles
 import pytest
 
+from gradedrings import classify
 from gradedrings.classify import (
     classify_ideal,
     is_graded_1abs_primary,
@@ -212,3 +214,19 @@ def test_maximality_agrees_with_lattice(small_corpus):
                 m.elements < other.elements for other in lattice
             )
             assert is_graded_maximal(gr, m) == by_lattice, (entry.label, m)
+
+
+def test_kernels_match_definitional_oracles(corpus):
+    cyclic = [trivial_grading(build_ring(Cyclic(n), check=False)) for n in range(2, 65)]
+    rings = [e.gr for e in corpus] + cyclic
+    for gr in rings:
+        for p in proper_graded_ideals(gr):
+            for name in (
+                "is_graded_prime",
+                "is_graded_primary",
+                "is_graded_1abs_primary",
+                "is_graded_strongly_1abs_primary",
+                "is_graded_2abs_primary",
+            ):
+                expected = getattr(oracles, name)(gr, p)
+                assert getattr(classify, name)(gr, p) == expected, (gr.label, p, name)

@@ -125,12 +125,42 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "verify")[0] == 2
 
 
-def test_spec_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"ring": {"kind": "cyclic"}}')
-    code, _, err = run(capsys, "ring", "describe", str(bad))
+CYCLIC_BAD_IDEAL = '{"ring": {"kind": "cyclic", "n": 4}, "ideals": {"I": ["abc"]}}'
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ('{"ring": {"kind": "cyclic"}}', ("ring", "describe", "{file}")),
+        (None, ("verify", "all", "--corpus", "{file}")),
+        ("{not json", ("verify", "all", "--corpus", "{file}")),
+        ("[1, 2]", ("verify", "all", "--corpus", "{file}")),
+        (None, ("verify", "COR_2_7", "--range", "abc")),
+        (f"[{CYCLIC_BAD_IDEAL}]", ("verify", "all", "--corpus", "{file}")),
+        (CYCLIC_BAD_IDEAL, ("ring", "describe", "{file}")),
+        (None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "xyz")),
+        (None, ("ideal", "classify", f"{SPECS}/gauss4-z2.json", "--ideal", "xyz")),
+    ],
+    ids=[
+        "ring-missing-n",
+        "corpus-missing-file",
+        "corpus-invalid-json",
+        "corpus-not-objects",
+        "range-not-integers",
+        "corpus-cyclic-bad-element",
+        "spec-cyclic-bad-element",
+        "ideal-cyclic-bad-element",
+        "ideal-gauss-bad-element",
+    ],
+)
+def test_spec_error_exit_code(tmp_path, capsys, content, argv):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code, _, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
     assert code == 2
-    assert "error:" in err
+    assert err.startswith("error: MalformedSpec: ")
+    assert "Traceback" not in err
 
 
 def test_unknown_statement_exit_code(capsys):
@@ -143,3 +173,10 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "--format", "json", "verify", "all", "--range", "2..16")
     second = run(capsys, "--format", "json", "verify", "all", "--range", "2..16")
     assert first == second
+
+
+def test_verify_all_json_matches_golden(capsys):
+    golden = (Path(__file__).resolve().parent.parent / "perfbench/golden/verify-all.out").read_bytes()
+    code, out, _ = run(capsys, "--format", "json", "verify", "all")
+    assert code == 0
+    assert out.encode() == golden

@@ -23,7 +23,6 @@ from gradedrings.transport import (
     localize,
     product,
     quotient,
-    restrict_ideal,
 )
 
 
@@ -227,5 +226,5 @@ def test_identity_subring():
     assert sub.ring.size == 4
     assert inclusion.is_injective()
     two_r = ideal_generated(g4.ring, (g4.ring.parse("2"), g4.ring.parse("2i")))
-    restricted = restrict_ideal(inclusion, two_r)
+    restricted = hom_transport(inclusion, two_r, "preimage")
     assert {sub.ring.name(x) for x in restricted.elements} == {"0", "2"}
