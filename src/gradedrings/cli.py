@@ -24,8 +24,9 @@ from .classify import (
     ring_predicates,
 )
 from .errors import GradedRingError, MalformedSpec
+from .finring import MAX_CARRIER
 from .ideals import IdealSet, proper_graded_ideals
-from .specdoc import load_spec, parse_spec, read_json, resolve_ideal
+from .specdoc import expect, load_spec, parse_spec, read_json, resolve_ideal
 from .verifier import (
     ALL_STATEMENTS,
     CorpusEntry,
@@ -103,14 +104,15 @@ def _cmd_ideal_classify(args) -> int:
 def _load_corpus(path: Optional[str]) -> list[CorpusEntry]:
     if path is None:
         return default_corpus()
-    docs = read_json(path)
-    if not isinstance(docs, list):
-        raise MalformedSpec(f"{path}: corpus must be a JSON list of ring spec documents")
+    docs = expect(read_json(path), list, "$")
+    if not docs:
+        raise MalformedSpec(f"{path}: the corpus is empty")
     entries = []
     for i, doc in enumerate(docs):
-        if not isinstance(doc, dict):
-            raise MalformedSpec(f"{path}[{i}]: expected a ring spec object, got {type(doc).__name__}")
-        spec = parse_spec(doc, label=doc.get("label", f"corpus[{i}]"))
+        where = f"$[{i}]"
+        doc = expect(doc, dict, where)
+        label = expect(doc.get("label", f"corpus[{i}]"), str, f"{where}.label")
+        spec = parse_spec(doc, label=label, where=where)
         entries.append(CorpusEntry(spec.graded_ring.label, spec.graded_ring))
     return entries
 
@@ -118,9 +120,12 @@ def _load_corpus(path: Optional[str]) -> list[CorpusEntry]:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise MalformedSpec(f"--range {text!r}: expected LO..HI, e.g. 2..64") from None
+    if not 2 <= lo <= hi <= MAX_CARRIER:
+        raise MalformedSpec(f"--range {text!r}: need 2 <= LO <= HI <= {MAX_CARRIER}")
+    return lo, hi
 
 
 def _cmd_verify(args) -> int:

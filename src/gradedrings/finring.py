@@ -2,7 +2,8 @@
 
 Elements are dense 0-based indices into the carrier.  Structured
 constructors (cyclic, Gaussian-integer quotients, polynomial quotients)
-define the arithmetic; operation tables are memoized for small carriers.
+define the arithmetic as functions; every ring evaluates them once into
+dense addition and multiplication tables.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import MalformedSpec
 
-MAX_CARRIER = 4096
-_TABLE_LIMIT = 256
+MAX_CARRIER = 1024
 _FULL_SCAN_LIMIT = 40
 _SAMPLE_TRIPLES = 2000
 
@@ -53,7 +53,6 @@ class FinRing:
         size: int,
         add: Callable[[int, int], int],
         mul: Callable[[int, int], int],
-        neg: Callable[[int], int],
         *,
         one: int,
         zero: int = 0,
@@ -61,10 +60,7 @@ class FinRing:
         names: Optional[Sequence[str]] = None,
         parse: Optional[Callable[[str], int]] = None,
     ):
-        if size < 2:
-            raise MalformedSpec(f"carrier size {size} < 2 (zero ring rejected)")
-        if size > MAX_CARRIER:
-            raise MalformedSpec(f"carrier size {size} exceeds cap {MAX_CARRIER}")
+        _check_carrier(size)
         if zero == one:
             raise MalformedSpec("zero == one (zero ring rejected)")
         self.size = size
@@ -73,17 +69,16 @@ class FinRing:
         self.label = label
         self._names = list(names) if names is not None else [str(i) for i in range(size)]
         self._parse = parse
-        if size <= _TABLE_LIMIT:
-            self._add_table = [[add(i, j) for j in range(size)] for i in range(size)]
-            self._mul_table = [[mul(i, j) for j in range(size)] for i in range(size)]
-            self._neg_table = [neg(i) for i in range(size)]
-            self.add = lambda i, j: self._add_table[i][j]
-            self.mul = lambda i, j: self._mul_table[i][j]
-            self.neg = lambda i: self._neg_table[i]
-        else:
-            self.add = add
-            self.mul = mul
-            self.neg = neg
+        self._add_table = [[add(i, j) for j in range(size)] for i in range(size)]
+        self._mul_table = [[mul(i, j) for j in range(size)] for i in range(size)]
+        self._neg_table = []
+        for i, row in enumerate(self._add_table):
+            if zero not in row:
+                raise MalformedSpec(f"{self._names[i]} has no additive inverse")
+            self._neg_table.append(row.index(zero))
+        self.add = lambda i, j: self._add_table[i][j]
+        self.mul = lambda i, j: self._mul_table[i][j]
+        self.neg = lambda i: self._neg_table[i]
         self._units: Optional[frozenset[int]] = None
         self._nilradical: Optional[frozenset[int]] = None
 
@@ -95,12 +90,6 @@ class FinRing:
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
-
-    def pow(self, x: int, k: int) -> int:
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
 
     def name(self, x: int) -> str:
         return self._names[x]
@@ -116,19 +105,12 @@ class FinRing:
     def is_unit(self, x: int) -> bool:
         return x in self.units()
 
-    def is_nilpotent(self, x: int) -> bool:
-        return x in self.nilradical()
-
     def units(self) -> frozenset[int]:
         """Exactly the x with xy = 1 for some y."""
         if self._units is None:
-            units = set()
-            for x in self.elements():
-                for y in self.elements():
-                    if self.mul(x, y) == self.one:
-                        units.add(x)
-                        break
-            self._units = frozenset(units)
+            self._units = frozenset(
+                x for x, row in enumerate(self._mul_table) if self.one in row
+            )
         return self._units
 
     def nilradical(self) -> frozenset[int]:
@@ -156,8 +138,6 @@ class FinRing:
         for i in self.elements():
             if self.add(i, self.zero) != i:
                 raise MalformedSpec(f"additive identity fails at {self.name(i)}")
-            if self.add(i, self.neg(i)) != self.zero:
-                raise MalformedSpec(f"additive inverse fails at {self.name(i)}")
             if self.mul(i, self.one) != i:
                 raise MalformedSpec(f"multiplicative identity fails at {self.name(i)}")
         for i in self.elements():
@@ -188,6 +168,13 @@ class FinRing:
                 raise MalformedSpec(f"distributivity fails at ({i},{j},{k})")
 
 
+def _check_carrier(size: int) -> None:
+    if size < 2:
+        raise MalformedSpec(f"carrier size {size} < 2 (zero ring rejected)")
+    if size > MAX_CARRIER:
+        raise MalformedSpec(f"carrier size {size} exceeds cap {MAX_CARRIER}")
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -206,7 +193,6 @@ def _cyclic_ring(n: int) -> FinRing:
         n,
         lambda i, j: (i + j) % n,
         lambda i, j: (i * j) % n,
-        lambda i: (-i) % n,
         one=1 % n,
         label=f"Z/{n}",
         parse=lambda s: int(s) % n,
@@ -229,6 +215,7 @@ def _gauss_ring(n: int) -> FinRing:
     if n < 2:
         raise MalformedSpec(f"GaussMod({n}): need n >= 2")
     size = n * n
+    _check_carrier(size)
     # index = a + b*n for a + b*i
 
     def add(x: int, y: int) -> int:
@@ -238,9 +225,6 @@ def _gauss_ring(n: int) -> FinRing:
         a, b = x % n, x // n
         c, d = y % n, y // n
         return (a * c - b * d) % n + (((a * d + b * c) % n) * n)
-
-    def neg(x: int) -> int:
-        return (-x % n) % n + (((-(x // n)) % n) * n)
 
     def parse(text: str) -> int:
         s = text.strip().replace(" ", "")
@@ -254,7 +238,7 @@ def _gauss_ring(n: int) -> FinRing:
         return a % n + (b % n) * n
 
     names = [_gauss_name(x % n, x // n) for x in range(size)]
-    return FinRing(size, add, mul, neg, one=1, label=f"Z/{n}[i]", names=names, parse=parse)
+    return FinRing(size, add, mul, one=1, label=f"Z/{n}[i]", names=names, parse=parse)
 
 
 def _poly_name(coeffs: Sequence[int]) -> str:
@@ -275,13 +259,14 @@ _POLY_TERM_RE = re.compile(r"^(\d*)\*?u(?:\^(\d+))?$")
 
 def _poly_ring(spec: PolyQuotient) -> FinRing:
     p = spec.base.n
-    if not _is_prime(p):
-        raise MalformedSpec(f"PolyQuotient base Z/{p}: {p} is not prime")
+    if not (p <= MAX_CARRIER and _is_prime(p)):
+        raise MalformedSpec(f"PolyQuotient base Z/{p}: {p} is not a prime <= {MAX_CARRIER}")
     mod = [c % p for c in spec.modulus]
     d = len(mod) - 1
     if d < 1 or mod[-1] != 1:
         raise MalformedSpec("PolyQuotient modulus must be monic of degree >= 1")
     size = p**d
+    _check_carrier(size)
 
     def to_coeffs(x: int) -> list[int]:
         cs = []
@@ -299,9 +284,6 @@ def _poly_ring(spec: PolyQuotient) -> FinRing:
     def add(x: int, y: int) -> int:
         a, b = to_coeffs(x), to_coeffs(y)
         return from_coeffs([(u + v) % p for u, v in zip(a, b)])
-
-    def neg(x: int) -> int:
-        return from_coeffs([(-c) % p for c in to_coeffs(x)])
 
     def mul(x: int, y: int) -> int:
         a, b = to_coeffs(x), to_coeffs(y)
@@ -344,7 +326,7 @@ def _poly_ring(spec: PolyQuotient) -> FinRing:
     names = [_poly_name(to_coeffs(x)) for x in range(size)]
     mod_name = _poly_name(mod[:-1]) + ("+" if any(mod[:-1]) else "") + (f"u^{d}" if d > 1 else "u")
     return FinRing(
-        size, add, mul, neg, one=1, label=f"Z/{p}[u]/({mod_name})", names=names, parse=parse
+        size, add, mul, one=1, label=f"Z/{p}[u]/({mod_name})", names=names, parse=parse
     )
 
 

@@ -37,30 +37,70 @@ class RingSpecDocument:
     ideals: dict[str, IdealSet] = field(default_factory=dict)
 
 
-def _build_group(doc: dict) -> GradingGroup:
-    kind = doc.get("kind", "trivial")
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def expect(value, kind: type, where: str):
+    """`value` if it is a JSON value of exactly `kind`, else MalformedSpec
+    naming the JSON path `where` (so a boolean is never an integer)."""
+    if type(value) is not kind:
+        got = _JSON_TYPES.get(type(value)) or json.dumps(value)
+        raise MalformedSpec(f"{where}: expected {_JSON_TYPES[kind]}, got {got}")
+    return value
+
+
+def _list_of(value, kind: type, where: str) -> list:
+    return [expect(v, kind, f"{where}[{i}]") for i, v in enumerate(expect(value, list, where))]
+
+
+def _field(doc: dict, key: str, kind: type, where: str):
+    if key not in doc:
+        raise MalformedSpec(f"{where}: missing {key!r}")
+    return expect(doc[key], kind, f"{where}.{key}")
+
+
+def _build_ring(rdoc: dict, where: str):
+    kind = rdoc.get("kind")
+    if kind == "cyclic":
+        spec = Cyclic(_field(rdoc, "n", int, where))
+    elif kind == "gauss_mod":
+        spec = GaussMod(_field(rdoc, "n", int, where))
+    elif kind == "poly_quotient":
+        modulus = _list_of(_field(rdoc, "modulus", list, where), int, f"{where}.modulus")
+        spec = PolyQuotient(Cyclic(_field(rdoc, "p", int, where)), tuple(modulus))
+    else:
+        raise MalformedSpec(f"{where}.kind: unknown ring kind {kind!r}")
+    return build_ring(spec)
+
+
+def _build_group(gdoc: dict, where: str) -> GradingGroup:
+    kind = gdoc.get("kind", "trivial")
     if kind == "trivial":
         return TRIVIAL_GROUP
     if kind == "finite_abelian":
-        return GradingGroup("finite_abelian", tuple(doc.get("factors", ())))
+        factors = _list_of(gdoc.get("factors", []), int, f"{where}.factors")
+        return GradingGroup("finite_abelian", tuple(factors))
     if kind == "integers":
         return GradingGroup("integers")
-    raise MalformedSpec(f"unknown group kind {kind!r}")
+    raise MalformedSpec(f"{where}.kind: unknown group kind {kind!r}")
 
 
-def _parse_degree(group: GradingGroup, key: str):
-    if group.kind == "integers":
-        return int(key)
-    return group.normalize(tuple(int(t) for t in key.split(",")) if key not in ("", "e") else ())
+def _parse_degree(group: GradingGroup, key: str, where: str):
+    try:
+        if group.kind == "integers":
+            return int(key)
+        return group.normalize(tuple(int(t) for t in key.split(",")) if key not in ("", "e") else ())
+    except ValueError:
+        raise MalformedSpec(f"{where}: degree {key!r} is not comma-separated integers") from None
 
 
 def read_json(path: str | Path):
     """The JSON document in the file at `path`; MalformedSpec if unreadable."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedSpec(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers text that is not UTF-8
         raise MalformedSpec(f"{path}: {exc}") from exc
 
 
@@ -68,36 +108,33 @@ def load_spec(path: str | Path) -> RingSpecDocument:
     return parse_spec(read_json(path), label=Path(path).stem)
 
 
-def parse_spec(doc: dict, label: str = "") -> RingSpecDocument:
-    if "ring" not in doc:
-        raise MalformedSpec("spec document missing 'ring'")
-    rdoc = doc["ring"]
-    kind = rdoc.get("kind")
-    try:
-        if kind == "cyclic":
-            spec = Cyclic(int(rdoc["n"]))
-        elif kind == "gauss_mod":
-            spec = GaussMod(int(rdoc["n"]))
-        elif kind == "poly_quotient":
-            spec = PolyQuotient(Cyclic(int(rdoc["p"])), tuple(int(c) for c in rdoc["modulus"]))
-        else:
-            raise MalformedSpec(f"unknown ring kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedSpec(f"ring spec {rdoc!r}: {exc!r}") from exc
-    ring = build_ring(spec)
-    group = _build_group(doc.get("group", {}))
+def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument:
+    """The document `doc`; MalformedSpec names the JSON path of any fault,
+    rooted at `where`."""
+    expect(doc, dict, where)
+    ring = _build_ring(_field(doc, "ring", dict, where), f"{where}.ring")
+    group = _build_group(expect(doc.get("group", {}), dict, f"{where}.group"), f"{where}.group")
+
+    def parse_elements(value, at: str) -> list[int]:
+        return [ring.parse(e) for e in _list_of(value, str, at)]
+
+    label = label or ring.label
     components = doc.get("components")
     if components is None:
-        gr = trivial_grading(ring, group, label=label or ring.label)
+        gr = trivial_grading(ring, group, label=label)
     else:
+        at = f"{where}.components"
         comps = {
-            _parse_degree(group, key): frozenset(ring.parse(e) for e in exprs)
-            for key, exprs in components.items()
+            _parse_degree(group, key, f"{at}[{key!r}]"): frozenset(
+                parse_elements(exprs, f"{at}[{key!r}]")
+            )
+            for key, exprs in expect(components, dict, at).items()
         }
-        gr = attach_grading(ring, group, comps, label=label or ring.label)
+        gr = attach_grading(ring, group, comps, label=label)
+    at = f"{where}.ideals"
     ideals = {
-        name: ideal_generated(ring, tuple(ring.parse(e) for e in gens))
-        for name, gens in doc.get("ideals", {}).items()
+        name: ideal_generated(ring, tuple(parse_elements(gens, f"{at}[{name!r}]")))
+        for name, gens in expect(doc.get("ideals", {}), dict, at).items()
     }
     return RingSpecDocument(graded_ring=gr, ideals=ideals)
 

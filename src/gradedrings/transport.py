@@ -128,39 +128,33 @@ def hom_transport(
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
-    """R/K with (R/K)_g = (R_g + K)/K, plus the validated projection."""
-    require_graded(gr, k, proper=True)
-    ring = gr.ring
+def _cosets(ring: FinRing, k: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The coset index of every element modulo the additive subgroup `k`,
+    and the least element of each coset, numbered in element order."""
     coset_of: list[Optional[int]] = [None] * ring.size
     reps: list[int] = []
     for x in ring.elements():
         if coset_of[x] is None:
             idx = len(reps)
             reps.append(x)
-            for d in k.elements:
+            for d in k:
                 coset_of[ring.add(x, d)] = idx
-    size = len(reps)
+    return coset_of, reps
 
-    def add(i: int, j: int) -> int:
-        return coset_of[ring.add(reps[i], reps[j])]
 
-    def mul(i: int, j: int) -> int:
-        return coset_of[ring.mul(reps[i], reps[j])]
-
-    def neg(i: int) -> int:
-        return coset_of[ring.neg(reps[i])]
-
-    names = [f"[{ring.name(r)}]" for r in reps]
+def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
+    """R/K with (R/K)_g = (R_g + K)/K, plus the validated projection."""
+    require_graded(gr, k, proper=True)
+    ring = gr.ring
+    coset_of, reps = _cosets(ring, k.elements)
     qring = FinRing(
-        size,
-        add,
-        mul,
-        neg,
+        len(reps),
+        lambda i, j: coset_of[ring.add(reps[i], reps[j])],
+        lambda i, j: coset_of[ring.mul(reps[i], reps[j])],
         one=coset_of[ring.one],
         zero=coset_of[ring.zero],
         label=f"{gr.label}/{k.describe()}",
-        names=names,
+        names=[f"[{ring.name(r)}]" for r in reps],
     )
     components = {
         g: frozenset(coset_of[x] for x in gr.component(g)) for g in gr.support
@@ -184,15 +178,11 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
     def mul(x: int, y: int) -> int:
         return r1.mul(x // n2, y // n2) * n2 + r2.mul(x % n2, y % n2)
 
-    def neg(x: int) -> int:
-        return r1.neg(x // n2) * n2 + r2.neg(x % n2)
-
     names = [f"({r1.name(x // n2)},{r2.name(x % n2)})" for x in range(size)]
     pring = FinRing(
         size,
         add,
         mul,
-        neg,
         one=r1.one * n2 + r2.one,
         zero=r1.zero * n2 + r2.zero,
         label=f"{gr.label} x {gs.label}",
@@ -209,42 +199,37 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
 
 
 def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHom]:
-    """S^-1 R by explicit equivalence classes of pairs (a, s).
+    """S^-1 R by explicit equivalence classes of pairs (a, t).
 
-    (a,s) ~ (b,t) iff u(at - bs) = 0 for some u in S.  The grading places
-    a/s in degree h*g(s)^-1 where a is homogeneous of degree h.
+    (a,t) ~ (b,u) iff v(au - bt) = 0 for some v in S, i.e. iff au - bt lies
+    in K = {d : vd = 0 for some v in S}, the kernel of R -> S^-1 R.  As R is
+    finite, every t in S is a unit modulo K, so the class of (a,t) is keyed
+    by the coset of a*t^-1 mod K.  Classes are numbered by their least pair
+    in (a, t) order, which is also their representative.  The grading
+    places a/t in degree h*g(t)^-1 where a is homogeneous of degree h.
     """
     ring = gr.ring
     slist = sorted(s.elements)
-    pairs = [(a, t) for a in ring.elements() for t in slist]
-    index = {pair: i for i, pair in enumerate(pairs)}
-
-    # (a,t1) ~ (b,t2) iff a*t2 - b*t1 is killed by some u in S
-    killed = frozenset(
-        d
-        for d in ring.elements()
-        if any(ring.mul(u, d) == ring.zero for u in slist)
-    )
-
-    def related(p1: tuple[int, int], p2: tuple[int, int]) -> bool:
-        a, t1 = p1
-        b, t2 = p2
-        return ring.sub(ring.mul(a, t2), ring.mul(b, t1)) in killed
-
-    cls_of: list[Optional[int]] = [None] * len(pairs)
+    killed = [
+        d for d in ring.elements() if any(ring.mul(v, d) == ring.zero for v in slist)
+    ]
+    coset_of, coset_reps = _cosets(ring, killed)
+    one_coset = coset_of[ring.one]
+    inverse = {
+        t: next(v for v in ring.elements() if coset_of[ring.mul(t, v)] == one_coset)
+        for t in slist
+    }
+    class_of: list[Optional[int]] = [None] * len(coset_reps)
     reps: list[tuple[int, int]] = []
-    for i, p in enumerate(pairs):
-        if cls_of[i] is not None:
-            continue
-        idx = len(reps)
-        reps.append(p)
-        for j in range(i, len(pairs)):
-            if cls_of[j] is None and related(p, pairs[j]):
-                cls_of[j] = idx
-    size = len(reps)
+    for a in ring.elements():
+        for t in slist:
+            key = coset_of[ring.mul(a, inverse[t])]
+            if class_of[key] is None:
+                class_of[key] = len(reps)
+                reps.append((a, t))
 
     def cls(a: int, t: int) -> int:
-        return cls_of[index[(a, t)]]
+        return class_of[coset_of[ring.mul(a, inverse[t])]]
 
     def add(i: int, j: int) -> int:
         a, t1 = reps[i]
@@ -256,19 +241,14 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
         b, t2 = reps[j]
         return cls(ring.mul(a, b), ring.mul(t1, t2))
 
-    def neg(i: int) -> int:
-        a, t = reps[i]
-        return cls(ring.neg(a), t)
-
     names = [
         ring.name(a) if t == ring.one else f"{ring.name(a)}/{ring.name(t)}"
         for a, t in reps
     ]
     lring = FinRing(
-        size,
+        len(reps),
         add,
         mul,
-        neg,
         one=cls(ring.one, ring.one),
         zero=cls(ring.zero, ring.one),
         label=f"Localize({gr.label}, {{{','.join(ring.name(t) for t in slist)}}})",
@@ -294,21 +274,10 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
     e = gr.group.identity
     carrier = sorted(gr.component(e))
     back = {x: i for i, x in enumerate(carrier)}
-
-    def add(i: int, j: int) -> int:
-        return back[ring.add(carrier[i], carrier[j])]
-
-    def mul(i: int, j: int) -> int:
-        return back[ring.mul(carrier[i], carrier[j])]
-
-    def neg(i: int) -> int:
-        return back[ring.neg(carrier[i])]
-
     sring = FinRing(
         len(carrier),
-        add,
-        mul,
-        neg,
+        lambda i, j: back[ring.add(carrier[i], carrier[j])],
+        lambda i, j: back[ring.mul(carrier[i], carrier[j])],
         one=back[ring.one],
         zero=back[ring.zero],
         label=f"({gr.label})_e",

@@ -126,40 +126,78 @@ def test_usage_error_exit_code(capsys):
 
 
 CYCLIC_BAD_IDEAL = '{"ring": {"kind": "cyclic", "n": 4}, "ideals": {"I": ["abc"]}}'
+CYCLIC4 = '"ring": {"kind": "cyclic", "n": 4}'
+Z2_GROUP = '"group": {"kind": "finite_abelian", "factors": [2]}'
+DESCRIBE = ("ring", "describe", "{file}")
+CORPUS = ("verify", "all", "--corpus", "{file}")
 
 
 @pytest.mark.parametrize(
-    "content, argv",
+    "content, argv, where",
     [
-        ('{"ring": {"kind": "cyclic"}}', ("ring", "describe", "{file}")),
-        (None, ("verify", "all", "--corpus", "{file}")),
-        ("{not json", ("verify", "all", "--corpus", "{file}")),
-        ("[1, 2]", ("verify", "all", "--corpus", "{file}")),
-        (None, ("verify", "COR_2_7", "--range", "abc")),
-        (f"[{CYCLIC_BAD_IDEAL}]", ("verify", "all", "--corpus", "{file}")),
-        (CYCLIC_BAD_IDEAL, ("ring", "describe", "{file}")),
-        (None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "xyz")),
-        (None, ("ideal", "classify", f"{SPECS}/gauss4-z2.json", "--ideal", "xyz")),
-    ],
-    ids=[
-        "ring-missing-n",
-        "corpus-missing-file",
-        "corpus-invalid-json",
-        "corpus-not-objects",
-        "range-not-integers",
-        "corpus-cyclic-bad-element",
-        "spec-cyclic-bad-element",
-        "ideal-cyclic-bad-element",
-        "ideal-gauss-bad-element",
+        pytest.param('{"ring": {"kind": "cyclic"}}', DESCRIBE, "$.ring: missing 'n'", id="ring-missing-n"),
+        pytest.param(None, CORPUS, "input.json", id="corpus-missing-file"),
+        pytest.param("{not json", CORPUS, "invalid JSON", id="corpus-invalid-json"),
+        pytest.param("[1, 2]", CORPUS, "$[0]: expected an object", id="corpus-not-objects"),
+        pytest.param(None, ("verify", "COR_2_7", "--range", "abc"), "--range 'abc'", id="range-not-integers"),
+        pytest.param(f"[{CYCLIC_BAD_IDEAL}]", CORPUS, "'abc'", id="corpus-cyclic-bad-element"),
+        pytest.param(CYCLIC_BAD_IDEAL, DESCRIBE, "'abc'", id="spec-cyclic-bad-element"),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "xyz"), "'xyz'",
+            id="ideal-cyclic-bad-element",
+        ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/gauss4-z2.json", "--ideal", "xyz"), "'xyz'",
+            id="ideal-gauss-bad-element",
+        ),
+        pytest.param('{"ring": 5}', DESCRIBE, "$.ring: expected an object", id="ring-not-object"),
+        pytest.param("5", DESCRIBE, "$: expected an object", id="spec-not-object"),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": "z2"}}', DESCRIBE, "$.group: expected an object",
+            id="group-not-object",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "components": [["0"]]}}', DESCRIBE, "$.components: expected an object",
+            id="components-list",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "ideals": [["2"]]}}', DESCRIBE, "$.ideals: expected an object",
+            id="ideals-list",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, {Z2_GROUP}, "components": {{"x": ["0"]}}}}', DESCRIBE,
+            "$.components['x']: degree 'x'", id="degree-not-integer",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"kind": "finite_abelian", "factors": "2"}}}}', DESCRIBE,
+            "$.group.factors: expected a list", id="factors-string",
+        ),
+        pytest.param(b'{"ring": "\xff"}', DESCRIBE, "'utf-8' codec", id="spec-not-utf8"),
+        pytest.param(
+            '{"ring": {"kind": "cyclic", "n": 9}, "ideals": {"I": "36"}}', DESCRIBE,
+            "$.ideals['I']: expected a list", id="ideal-generators-string",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "poly_quotient", "p": 3, "modulus": "201"}}', DESCRIBE,
+            "$.ring.modulus: expected a list", id="modulus-string",
+        ),
+        pytest.param(None, ("verify", "COR_2_7", "--range", "1..10"), "--range '1..10'", id="range-below-2"),
+        pytest.param(None, ("verify", "COR_2_7", "--range", "64..2"), "--range '64..2'", id="range-reversed"),
+        pytest.param(
+            None, ("verify", "COR_2_7", "--range", "2..1025"), "--range '2..1025'",
+            id="range-above-cap",
+        ),
+        pytest.param("[]", CORPUS, "corpus is empty", id="corpus-empty"),
     ],
 )
-def test_spec_error_exit_code(tmp_path, capsys, content, argv):
+def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):
     path = tmp_path / "input.json"
     if content is not None:
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
     code, _, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
     assert code == 2
     assert err.startswith("error: MalformedSpec: ")
+    assert where in err
     assert "Traceback" not in err
 
 
@@ -175,8 +213,21 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_verify_all_json_matches_golden(capsys):
-    golden = (Path(__file__).resolve().parent.parent / "perfbench/golden/verify-all.out").read_bytes()
-    code, out, _ = run(capsys, "--format", "json", "verify", "all")
+GOLDEN_ARGV = {
+    "verify-all": ("verify", "all"),
+    "describe-z256": ("ring", "describe", "{z256}"),
+    "classify-z256-2": ("ideal", "classify", "{z256}", "--ideal", "2"),
+    "classify-z256-16": ("ideal", "classify", "{z256}", "--ideal", "16"),
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN_ARGV)
+def test_json_output_matches_golden(tmp_path, capsys, golden):
+    # the spec's file stem is the ring label, which the golden outputs print
+    z256 = tmp_path / "z256.json"
+    z256.write_text('{"ring": {"kind": "cyclic", "n": 256}, "group": {"kind": "trivial"}}')
+    expected = (Path(__file__).resolve().parent.parent / f"perfbench/golden/{golden}.out").read_bytes()
+    argv = (a.replace("{z256}", str(z256)) for a in GOLDEN_ARGV[golden])
+    code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
-    assert out.encode() == golden
+    assert out.encode() == expected

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gradedrings.errors import MalformedSpec
 from gradedrings.finring import (
     Cyclic,
+    FinRing,
     GaussMod,
     PolyQuotient,
     build_ring,
@@ -77,6 +78,35 @@ def test_nilradicals():
         r = build_ring(Cyclic(n))
         assert r.nilradical() == frozenset(brute_force_nilradical(r))
         assert r.nilradical() == expected
+
+
+@pytest.mark.parametrize(
+    "spec", [Cyclic(257), PolyQuotient(Cyclic(17), (16, 0, 1))], ids=["z257", "f17-u2-1"]
+)
+def test_rings_above_256_elements(spec):
+    # Z/257 and F17[u]/(u^2-1): carriers above 256 elements are tables too
+    ring = build_ring(spec)
+    assert ring.size in (257, 289)
+    assert ring.units() == frozenset(brute_force_units(ring))
+    assert ring.nilradical() == frozenset(brute_force_nilradical(ring))
+    ring.check_axioms()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Cyclic(1031), GaussMod(33), GaussMod(10**6), PolyQuotient(Cyclic(2), (1,) * 41)],
+    ids=["z1031", "gauss33", "gauss-huge", "poly-2^40"],
+)
+def test_carrier_cap(spec):
+    # rejected before any per-element work, however large the carrier
+    with pytest.raises(MalformedSpec, match="exceeds cap 1024"):
+        build_ring(spec)
+
+
+def test_add_table_without_inverse_rejected():
+    # max(i, j) has 0 as identity, but nothing adds to 0 with 1
+    with pytest.raises(MalformedSpec, match="additive inverse"):
+        FinRing(3, max, lambda i, j: (i * j) % 3, one=1)
 
 
 @pytest.mark.parametrize(

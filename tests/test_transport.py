@@ -41,7 +41,8 @@ def gauss_z2(n):
 
 def oracle_localization_classes(ring, s_elems):
     """Union-find over all pairs (a, s); never assumes the relation is
-    transitive, unlike the construction under test."""
+    transitive, unlike the construction under test.  The classes are
+    lists of pairs in (a, s) order, sorted by their least pair."""
     pairs = [(a, t) for a in ring.elements() for t in sorted(s_elems)]
     parent = list(range(len(pairs)))
 
@@ -51,14 +52,16 @@ def oracle_localization_classes(ring, s_elems):
             i = parent[i]
         return i
 
-    def related(p, q):
-        diff = ring.sub(ring.mul(p[0], q[1]), ring.mul(q[0], p[1]))
-        return any(ring.mul(u, diff) == ring.zero for u in s_elems)
-
-    for i, j in combinations(range(len(pairs)), 2):
-        if related(pairs[i], pairs[j]):
-            parent[find(i)] = find(j)
-    return len({find(i) for i in range(len(pairs))})
+    killed = {d for d in ring.elements() if any(ring.mul(u, d) == ring.zero for u in s_elems)}
+    for i, (a, t) in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            b, u = pairs[j]
+            if ring.sub(ring.mul(a, u), ring.mul(b, t)) in killed:
+                parent[find(i)] = find(j)
+    classes = {}
+    for i, pair in enumerate(pairs):
+        classes.setdefault(find(i), []).append(pair)
+    return sorted(classes.values())
 
 
 # ---------------------------------------------------------------- quotients
@@ -134,11 +137,28 @@ def test_localize_cyclic_class_counts(n, s_elems, expected):
     s = MultiplicativeSet.create(gr, s_elems)
     lgr, canonical = localize(gr, s)
     assert lgr.ring.size == expected
-    assert lgr.ring.size == oracle_localization_classes(gr.ring, s.elements)
+    assert lgr.ring.size == len(oracle_localization_classes(gr.ring, s.elements))
     lgr.ring.check_axioms(thorough=True)
     # the canonical map sends every s in S to a unit
     units = lgr.ring.units()
     assert all(canonical(t) in units for t in s.elements)
+
+
+def test_localize_classes_match_union_find(corpus):
+    # element i of S^-1 R is the i-th class by least pair, named after that
+    # pair, and equals b/u for every pair (b, u) of the class
+    for entry in corpus:
+        ring = entry.gr.ring
+        for s in enumerate_multiplicative_sets(entry.gr):
+            lgr, canonical = localize(entry.gr, s)
+            classes = oracle_localization_classes(ring, s.elements)
+            assert lgr.ring.size == len(classes), (entry.label, s)
+            for idx, cls in enumerate(classes):
+                a, t = cls[0]
+                rep = ring.name(a) if t == ring.one else f"{ring.name(a)}/{ring.name(t)}"
+                assert lgr.ring.name(idx) == rep, (entry.label, s, cls)
+                for b, u in cls:
+                    assert lgr.ring.mul(idx, canonical(u)) == canonical(b), (entry.label, s, b, u)
 
 
 def test_localize_graded_ring():
