@@ -13,8 +13,8 @@ from typing import Callable, Optional
 from .grading import GradedRing
 from .ideals import (
     IdealSet,
+    combine,
     graded_radical,
-    ideal_product,
     product_contained,
     proper_graded_ideals,
     require_graded,
@@ -139,7 +139,7 @@ def strongly_1abs_ideal_form(
     lattice = proper_graded_ideals(gr)
     for i in lattice:
         for j in lattice:
-            ij = ideal_product(i, j)
+            ij = combine(i, j, "product")
             if ij <= p:
                 continue
             for k in lattice:

@@ -208,7 +208,31 @@ def _gauss_name(a: int, b: int) -> str:
     return f"{a}+{imag}"
 
 
-_GAUSS_RE = re.compile(r"^\s*(?:(\d+)\s*\+\s*)?(?:(\d*)\s*\*?\s*i)?\s*$")
+def _parse_poly(text: str, var: str, p: int, d: int) -> int:
+    """Index sum(c_k * p^k) of a signed sum of terms c, c*var, c*var^k with k < d.
+
+    A Gaussian element a+bi is the polynomial a + b*i, index a + b*p.
+    """
+    s = text.strip().replace(" ", "").replace("-", "+-")
+    if s.startswith("+"):
+        s = s[1:]
+    coeffs = [0] * d
+    for term in s.split("+"):
+        sign = 1
+        if term.startswith("-"):
+            sign, term = -1, term[1:]
+        m = re.fullmatch(rf"(\d*)\*?{var}(?:\^(\d+))?", term)
+        if m:
+            c = int(m.group(1)) if m.group(1) else 1
+            k = int(m.group(2)) if m.group(2) else 1
+        elif term.isdigit():
+            c, k = int(term), 0
+        else:
+            raise MalformedSpec(f"cannot parse {text!r} as a polynomial in {var}")
+        if k >= d:
+            raise MalformedSpec(f"term {term!r}: degree >= {d}")
+        coeffs[k] = (coeffs[k] + sign * c) % p
+    return sum(c * p**k for k, c in enumerate(coeffs))
 
 
 def _gauss_ring(n: int) -> FinRing:
@@ -226,19 +250,11 @@ def _gauss_ring(n: int) -> FinRing:
         c, d = y % n, y // n
         return (a * c - b * d) % n + (((a * d + b * c) % n) * n)
 
-    def parse(text: str) -> int:
-        s = text.strip().replace(" ", "")
-        if "i" not in s:
-            return int(s) % n
-        m = _GAUSS_RE.match(s)
-        if not m:
-            raise MalformedSpec(f"cannot parse {text!r} as a+b*i")
-        a = int(m.group(1) or 0)
-        b = int(m.group(2)) if m.group(2) else 1
-        return a % n + (b % n) * n
-
     names = [_gauss_name(x % n, x // n) for x in range(size)]
-    return FinRing(size, add, mul, one=1, label=f"Z/{n}[i]", names=names, parse=parse)
+    return FinRing(
+        size, add, mul, one=1, label=f"Z/{n}[i]", names=names,
+        parse=lambda text: _parse_poly(text, "i", n, 2),
+    )
 
 
 def _poly_name(coeffs: Sequence[int]) -> str:
@@ -252,9 +268,6 @@ def _poly_name(coeffs: Sequence[int]) -> str:
             var = "u" if k == 1 else f"u^{k}"
             terms.append(var if c == 1 else f"{c}{var}")
     return "+".join(terms) if terms else "0"
-
-
-_POLY_TERM_RE = re.compile(r"^(\d*)\*?u(?:\^(\d+))?$")
 
 
 def _poly_ring(spec: PolyQuotient) -> FinRing:
@@ -301,32 +314,11 @@ def _poly_ring(spec: PolyQuotient) -> FinRing:
                     prod[k - d + j] = (prod[k - d + j] - c * mod[j]) % p
         return from_coeffs(prod[:d])
 
-    def parse(text: str) -> int:
-        s = text.strip().replace(" ", "").replace("-", "+-")
-        if s.startswith("+"):
-            s = s[1:]
-        coeffs = [0] * d
-        for term in filter(None, s.split("+")):
-            sign = 1
-            if term.startswith("-"):
-                sign, term = -1, term[1:]
-            m = _POLY_TERM_RE.match(term)
-            if m:
-                c = int(m.group(1)) if m.group(1) else 1
-                k = int(m.group(2)) if m.group(2) else 1
-            elif term.isdigit():
-                c, k = int(term), 0
-            else:
-                raise MalformedSpec(f"cannot parse {text!r} as a polynomial in u")
-            if k >= d:
-                raise MalformedSpec(f"term {term!r}: degree >= {d}")
-            coeffs[k] = (coeffs[k] + sign * c) % p
-        return from_coeffs(coeffs)
-
     names = [_poly_name(to_coeffs(x)) for x in range(size)]
     mod_name = _poly_name(mod[:-1]) + ("+" if any(mod[:-1]) else "") + (f"u^{d}" if d > 1 else "u")
     return FinRing(
-        size, add, mul, one=1, label=f"Z/{p}[u]/({mod_name})", names=names, parse=parse
+        size, add, mul, one=1, label=f"Z/{p}[u]/({mod_name})", names=names,
+        parse=lambda text: _parse_poly(text, "u", p, d),
     )
 
 

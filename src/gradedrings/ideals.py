@@ -74,16 +74,22 @@ def validate_ideal(ring: FinRing, elements: frozenset[int]) -> None:
 
 
 def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
-    out = set(seed)
-    out.add(ring.zero)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            s = ring.add(x, y)
-            if s not in out:
-                out.add(s)
-                frontier.append(s)
+    """The additive subgroup generated by `seed`, as a sum of cyclic subgroups.
+
+    Each seed element s outside the span so far contributes its multiples
+    s, 2s, ... up to the first one that lies in the span; the new span is
+    the union of the old span's translates by those multiples.
+    """
+    out = {ring.zero}
+    for s in seed:
+        if s in out:
+            continue
+        multiples = [ring.zero]
+        c = s
+        while c not in out:
+            multiples.append(c)
+            c = ring.add(c, s)
+        out = {ring.add(a, m) for a in out for m in multiples}
     return frozenset(out)
 
 
@@ -183,10 +189,6 @@ def combine(i: IdealSet, j: IdealSet, op: CombineOp) -> IdealSet:
     raise ValueError(f"unknown combine op {op!r}")
 
 
-def ideal_product(i: IdealSet, j: IdealSet) -> IdealSet:
-    return combine(i, j, "product")
-
-
 def product_contained(i: IdealSet, j: IdealSet, p: IdealSet) -> bool:
     """IJ subset of P, decided on generators (valid since P is an ideal)."""
     ring = i.ring
@@ -210,24 +212,27 @@ def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
     return sorted(seen.values(), key=_lattice_order)
 
 
-def enumerate_graded_ideals(gr: GradedRing, cap: int = IDEAL_LATTICE_CAP) -> list[IdealSet]:
-    """All graded ideals: principal ideals of homogeneous elements, closed under sum.
+def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
+    """All graded ideals: the principal ideals Ra (a homogeneous), closed
+    under adding one more principal ideal.
 
-    Correct because a graded ideal is generated by its homogeneous elements.
-    Results are cached on the graded ring and sorted for determinism.
+    Complete because a graded ideal is generated by its homogeneous
+    elements, so it is a sum of such Ra.  Results are cached on the graded
+    ring and sorted for determinism.
     """
-    key = ("graded_ideal_lattice", cap)
+    key = "graded_ideal_lattice"
     if key in gr._cache:
         return gr._cache[key]
     # R0 = {0} is among the principal ideals, since 0 is homogeneous
-    seen = {ideal.elements: ideal for ideal in principal_graded_ideals(gr)}
-    frontier = list(seen.values())
+    principals = principal_graded_ideals(gr)
+    seen = {ideal.elements: ideal for ideal in principals}
+    frontier = list(principals)
     while frontier:
-        if len(seen) > cap:
-            raise BudgetExceeded(f"graded ideal lattice exceeds cap {cap}")
+        if len(seen) > IDEAL_LATTICE_CAP:
+            raise BudgetExceeded(f"graded ideal lattice exceeds cap {IDEAL_LATTICE_CAP}")
         current = frontier.pop()
-        for other in list(seen.values()):
-            s = combine(current, other, "sum")
+        for principal in principals:
+            s = combine(current, principal, "sum")
             if s.elements not in seen:
                 seen[s.elements] = s
                 frontier.append(s)

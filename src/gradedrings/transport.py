@@ -25,6 +25,8 @@ from .finring import FinRing
 from .grading import GradedRing, attach_grading
 from .ideals import IdealSet, require_graded
 
+MAX_MULT_SET_SIZE = 8
+
 
 @dataclass(frozen=True)
 class MultiplicativeSet:
@@ -288,8 +290,8 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
     return sgr, inclusion
 
 
-def enumerate_multiplicative_sets(gr: GradedRing, max_size: int = 8) -> list[MultiplicativeSet]:
-    """All multiplicatively closed subsets of h(R)\\{0} with 1, of size <= max_size.
+def enumerate_multiplicative_sets(gr: GradedRing) -> list[MultiplicativeSet]:
+    """All multiplicatively closed subsets of h(R)\\{0} with 1, of size <= MAX_MULT_SET_SIZE.
 
     Complete because any such set is a union of the closures of its own
     elements, reachable by the union-and-close fixpoint below.
@@ -307,7 +309,7 @@ def enumerate_multiplicative_sets(gr: GradedRing, max_size: int = 8) -> list[Mul
                 if p == ring.zero:
                     return None
                 if p not in out:
-                    if len(out) >= max_size:
+                    if len(out) >= MAX_MULT_SET_SIZE:
                         return None
                     out.add(p)
                     frontier.append(p)
@@ -319,14 +321,14 @@ def enumerate_multiplicative_sets(gr: GradedRing, max_size: int = 8) -> list[Mul
         found.add(base)
     for a in homog:
         c = closure(frozenset({a}))
-        if c is not None and len(c) <= max_size:
+        if c is not None and len(c) <= MAX_MULT_SET_SIZE:
             found.add(c)
     changed = True
     while changed:
         changed = False
         for s1, s2 in itertools.combinations(sorted(found, key=sorted), 2):
             c = closure(s1 | s2)
-            if c is not None and len(c) <= max_size and c not in found:
+            if c is not None and len(c) <= MAX_MULT_SET_SIZE and c not in found:
                 found.add(c)
                 changed = True
     return [MultiplicativeSet(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]

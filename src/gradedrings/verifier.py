@@ -547,13 +547,13 @@ def _cor_re(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["instances"])
 
 
-def _prop_3_3(gr: GradedRing, label: str, max_set_size: int = 8) -> VerificationReport:
+def _prop_3_3(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_3_3", label)
     strongly = _strongly_ideals(gr)
     if not strongly:
         rep.notes.append("no graded strongly 1-absorbing primary ideals in this ring")
         return rep.finish(["instances"])
-    for s in enumerate_multiplicative_sets(gr, max_set_size):
+    for s in enumerate_multiplicative_sets(gr):
         disjoint = [p for p in strongly if not (p.elements & s.elements)]
         if not disjoint:
             continue

@@ -1,14 +1,65 @@
-"""Definitional predicate loops: the reference the library kernels must match.
+"""Definitional loops: the reference the library's fast paths must match.
 
-Each function scans its quantifier domain in lexicographic order and
-returns the first violating tuple, exactly as the predicates did before
-they were merged into shared kernels.  Nothing here is memoized, so a
-comparison never reads back a value the library cached.
+The ideal algebra is the frontier-search additive closure and the lattice
+closed under sums of every pair of ideals found so far.  Each predicate
+scans its quantifier domain in lexicographic order and returns the first
+violating tuple, exactly as the predicates did before they were merged
+into shared kernels.  Nothing here is memoized, so a comparison never
+reads back a value the library cached.
 """
 
 from __future__ import annotations
 
-from gradedrings.ideals import graded_radical, require_graded
+from gradedrings.ideals import IdealSet, graded_radical, require_graded
+
+
+def additive_closure(ring, seed):
+    out = set(seed)
+    out.add(ring.zero)
+    frontier = list(out)
+    while frontier:
+        x = frontier.pop()
+        for y in list(out):
+            s = ring.add(x, y)
+            if s not in out:
+                out.add(s)
+                frontier.append(s)
+    return frozenset(out)
+
+
+def ideal_generated(ring, gens):
+    gens = tuple(gens)
+    multiples = {ring.zero} | {ring.mul(r, g) for g in gens for r in ring.elements()}
+    return IdealSet(ring, additive_closure(ring, multiples), generators=gens)
+
+
+def combine(i, j, op):
+    ring = i.ring
+    if op == "sum":
+        return IdealSet(ring, additive_closure(ring, i.elements | j.elements))
+    if op == "product":
+        prods = {ring.mul(x, y) for x in i.elements for y in j.elements}
+        return IdealSet(ring, additive_closure(ring, prods))
+    assert op == "intersection"
+    return IdealSet(ring, i.elements & j.elements)
+
+
+def enumerate_graded_ideals(gr):
+    """Principal ideals of homogeneous elements (least generator kept),
+    closed under the sum of every pair of ideals found so far."""
+    seen = {}
+    for a in sorted(gr.homogeneous()):
+        ideal = ideal_generated(gr.ring, (a,))
+        seen.setdefault(ideal.elements, ideal)
+    frontier = list(seen.values())
+    while frontier:
+        current = frontier.pop()
+        for other in list(seen.values()):
+            s = combine(current, other, "sum")
+            if s.elements not in seen:
+                seen[s.elements] = s
+                frontier.append(s)
+    return sorted(seen.values(), key=lambda ideal: (len(ideal), ideal.sorted_elements()))
 
 
 def is_graded_prime(gr, p):

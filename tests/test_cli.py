@@ -150,6 +150,18 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             None, ("ideal", "classify", f"{SPECS}/gauss4-z2.json", "--ideal", "xyz"), "'xyz'",
             id="ideal-gauss-bad-element",
         ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/graded-field-f3.json", "--ideal", "u-"), "'u-'",
+            id="ideal-poly-trailing-minus",
+        ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/graded-field-f3.json", "--ideal", "1--u"), "'1--u'",
+            id="ideal-poly-double-minus",
+        ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/gauss4-z2.json", "--ideal", "2j"), "'2j'",
+            id="ideal-gauss-wrong-variable",
+        ),
         pytest.param('{"ring": 5}', DESCRIBE, "$.ring: expected an object", id="ring-not-object"),
         pytest.param("5", DESCRIBE, "$: expected an object", id="spec-not-object"),
         pytest.param(

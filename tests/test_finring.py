@@ -56,6 +56,29 @@ def test_poly_quotient_zero_divisors():
     assert r.mul(r.parse("1+u"), r.parse("1-u")) == r.zero
 
 
+F3_U2_MINUS_1 = PolyQuotient(Cyclic(3), (2, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "spec, text, name",
+    [
+        (GaussMod(5), "1-i", "1+4i"),
+        (GaussMod(5), "-i", "4i"),
+        (GaussMod(5), "4+4i", "4+4i"),
+        (GaussMod(5), "-1-i", "4+4i"),
+        (GaussMod(5), "-1", "4"),
+        (GaussMod(5), " 3 + 2*i ", "3+2i"),
+        (GaussMod(5), "7i", "2i"),
+        (F3_U2_MINUS_1, "1-u", "1+2u"),
+        (F3_U2_MINUS_1, "-u+2", "2+2u"),
+        (F3_U2_MINUS_1, "4*u^1", "u"),
+    ],
+)
+def test_signed_element_parser(spec, text, name):
+    r = build_ring(spec)
+    assert r.name(r.parse(text)) == name
+
+
 @pytest.mark.parametrize(
     "spec",
     [Cyclic(1), GaussMod(1), PolyQuotient(Cyclic(4), (1, 1)), PolyQuotient(Cyclic(3), (1, 2))],

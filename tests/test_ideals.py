@@ -2,13 +2,17 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedrings.errors import NotGraded
-from gradedrings.finring import Cyclic, GaussMod, build_ring
+from gradedrings.errors import NotAnIdeal, NotGraded
+from gradedrings.finring import MAX_CARRIER, Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import Z2, attach_grading, trivial_grading
 from gradedrings.ideals import (
     IdealSet,
+    additive_closure,
     colon,
     combine,
     enumerate_graded_ideals,
@@ -33,20 +37,6 @@ def gauss_z2(n):
 # ------------------------------------------------------------ oracle helpers
 
 
-def oracle_closure(ring, gens):
-    out = {ring.zero, *gens}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(out):
-            for y in list(out):
-                s = ring.add(x, y)
-                if s not in out:
-                    out.add(s)
-                    changed = True
-    return frozenset(out)
-
-
 def oracle_is_ideal(ring, s):
     return all(ring.mul(r, x) in s for x in s for r in ring.elements())
 
@@ -64,7 +54,7 @@ def brute_force_graded_ideals(gr):
     elems = list(ring.elements())
     for k in range(5):
         for gens in combinations(elems, k):
-            subgroups.add(oracle_closure(ring, gens))
+            subgroups.add(oracles.additive_closure(ring, gens))
     return {
         s for s in subgroups if oracle_is_ideal(ring, s) and oracle_is_graded(gr, s)
     }
@@ -100,6 +90,24 @@ def test_is_graded_ideal():
     ok, witness = is_graded_ideal(gr, ideal_generated(gr.ring, (one_plus_i,)))
     assert not ok
     assert witness == one_plus_i
+
+
+@pytest.mark.parametrize(
+    "make_graded, elements, message",
+    [
+        pytest.param(lambda: trivial_grading(build_ring(Cyclic(8))), {2, 4}, "missing 0", id="no-zero"),
+        pytest.param(
+            lambda: trivial_grading(build_ring(Cyclic(8))), {0, 2, 4}, "not closed under addition",
+            id="not-additively-closed",
+        ),
+        # the reals {0,1,2} of Z/3[i]: an additive subgroup with i*1 = i outside it
+        pytest.param(lambda: gauss_z2(3), {0, 1, 2}, "not absorbing", id="not-absorbing"),
+    ],
+)
+def test_is_graded_ideal_rejects_non_ideals(make_graded, elements, message):
+    gr = make_graded()
+    with pytest.raises(NotAnIdeal, match=message):
+        is_graded_ideal(gr, IdealSet(gr.ring, elements))
 
 
 def test_graded_radical_examples():
@@ -175,9 +183,13 @@ def test_colon_and_combine_stay_graded_on_corpus(corpus):
 
 
 def test_enumerate_matches_divisor_lattice():
-    triv = trivial_grading(build_ring(Cyclic(12)))
-    lattice = enumerate_graded_ideals(triv)
-    assert len(lattice) == 6  # one ideal per divisor of 12
+    # one ideal dZ/n per divisor d of n: 6 for Z/12, 30 for Z/720, 11 at the carrier cap
+    for n in (12, 720, MAX_CARRIER):
+        triv = trivial_grading(build_ring(Cyclic(n)))
+        lattice = enumerate_graded_ideals(triv)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert len(lattice) == len(divisors)
+        assert {i.elements for i in lattice} == {frozenset(range(0, n, d)) for d in divisors}
 
 
 def test_enumerate_graded_field():
@@ -192,3 +204,52 @@ def test_enumerate_matches_brute_force(small_corpus):
         gr = entry.gr
         got = {i.elements for i in enumerate_graded_ideals(gr)}
         assert got == brute_force_graded_ideals(gr), entry.label
+
+
+def _snapshot(ideal):
+    return ideal.elements, ideal.generators
+
+
+def test_ideal_algebra_matches_oracle(corpus):
+    cyclic = [trivial_grading(build_ring(Cyclic(n), check=False)) for n in range(2, 65)]
+    for gr in [e.gr for e in corpus] + cyclic:
+        ring = gr.ring
+        lattice = enumerate_graded_ideals(gr)
+        expected = oracles.enumerate_graded_ideals(gr)
+        assert list(map(_snapshot, lattice)) == list(map(_snapshot, expected)), gr.label
+        for x in ring.elements():
+            got, want = ideal_generated(ring, (x,)), oracles.ideal_generated(ring, (x,))
+            assert _snapshot(got) == _snapshot(want), (gr.label, x)
+        for i in lattice:
+            for j in lattice:
+                gens = i.sorted_elements() + j.sorted_elements()
+                got, want = ideal_generated(ring, gens), oracles.ideal_generated(ring, gens)
+                assert _snapshot(got) == _snapshot(want), (gr.label, i, j)
+                for op in ("sum", "product", "intersection"):
+                    got, want = combine(i, j, op), oracles.combine(i, j, op)
+                    assert _snapshot(got) == _snapshot(want), (gr.label, i, j, op)
+
+
+def _poly_specs(p):
+    # monic moduli of every degree d with p^d <= 64
+    degrees = st.integers(1, max(d for d in range(1, 7) if p**d <= 64))
+    return degrees.flatmap(
+        lambda d: st.lists(st.integers(0, p - 1), min_size=d, max_size=d).map(
+            lambda low: PolyQuotient(Cyclic(p), (*low, 1))
+        )
+    )
+
+
+SMALL_RING_SPECS = st.one_of(
+    st.builds(Cyclic, st.integers(2, 64)),
+    st.builds(GaussMod, st.integers(2, 8)),
+    st.sampled_from((2, 3, 5, 7)).flatmap(_poly_specs),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=SMALL_RING_SPECS, data=st.data())
+def test_additive_closure_matches_oracle(spec, data):
+    ring = build_ring(spec, check=False)
+    seed = data.draw(st.lists(st.integers(0, ring.size - 1), max_size=6))
+    assert additive_closure(ring, seed) == oracles.additive_closure(ring, seed)
