@@ -1,0 +1,122 @@
+"""Cold in-process timings of the predicate kernels, before and after a change.
+
+    python3 bench/colon_kernels.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
+        --out BENCH_colon_kernels.json
+
+Each side runs in its own child process with `PYTHONPATH=<checkout>/src`.
+Cold means a fresh graded ring for every sample: building the ring, its
+grading, the ideal and (for the Z/1024 row) the lattice is not timed, but
+everything the kernel computes itself (graded check, radical, masks) is.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+REPEAT = 3  # samples per timing; the median is reported
+KERNELS = (
+    "is_graded_prime",
+    "is_graded_primary",
+    "is_graded_1abs_primary",
+    "is_graded_strongly_1abs_primary",
+    "is_graded_2abs_primary",
+)
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def measure() -> dict:
+    from gradedrings import classify
+    from gradedrings.finring import Cyclic, build_ring
+    from gradedrings.grading import trivial_grading
+    from gradedrings.ideals import ideal_generated, proper_graded_ideals
+    from gradedrings.verifier import _cor_2_7
+
+    def fresh(n):
+        return trivial_grading(build_ring(Cyclic(n), check=False))
+
+    def kernel_sample(name, generator):
+        gr = fresh(256)
+        ideal = ideal_generated(gr.ring, (generator,))
+        return _timed(lambda: getattr(classify, name)(gr, ideal))
+
+    def strongly_z1024_sample():
+        gr = fresh(1024)
+        lattice = proper_graded_ideals(gr)
+        return _timed(lambda: [classify.is_graded_strongly_1abs_primary(gr, p) for p in lattice])
+
+    rows = {}
+    for generator in (2, 16):
+        for name in KERNELS:
+            samples = [kernel_sample(name, generator) for _ in range(REPEAT)]
+            rows[f"Z/256 ({generator}) {name}"] = samples
+    rows["Z/1024 strongly on every proper ideal"] = [strongly_z1024_sample() for _ in range(REPEAT)]
+    rows["verifier._cor_2_7(2, 128)"] = [_timed(lambda: _cor_2_7(2, 128)) for _ in range(REPEAT)]
+    return {key: {"median_s": statistics.median(s), "samples_s": s} for key, s in rows.items()}
+
+
+def _commit(root: str) -> str:
+    out = subprocess.run(
+        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
+    )
+    return out.stdout.strip() or "unknown"
+
+
+def _side(root: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    out = subprocess.run(
+        [sys.executable, __file__, "--measure"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return {"commit": _commit(root), "timings": json.loads(out.stdout)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", help="checkout measured as the parent")
+    parser.add_argument("--after", help="checkout measured as the change")
+    parser.add_argument("--out", default="BENCH_colon_kernels.json")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure:
+        json.dump(measure(), sys.stdout)
+        return
+    if not (args.before and args.after):
+        parser.error("--before and --after are required")
+    before = _side(args.before)
+    after = _side(args.after)
+    doc = {
+        "what": "cold in-process kernel timings, perf_counter, one process per side",
+        "machine": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "repeat": REPEAT,
+        "before": before,
+        "after": after,
+        "speedup": {
+            key: round(before["timings"][key]["median_s"] / after["timings"][key]["median_s"], 1)
+            for key in before["timings"]
+        },
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,8 +8,9 @@ ring and ideal element set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
+from .finring import FinRing
 from .grading import GradedRing
 from .ideals import (
     IdealSet,
@@ -22,6 +23,7 @@ from .ideals import (
 
 Witness = Optional[tuple[int, ...]]
 Escape = Callable[[], frozenset[int]]  # computed only when the kernel runs
+EscapeMasks = Callable[[], dict[int, int]]  # likewise; one mask per domain element
 
 FLAGS = (
     "graded_prime",
@@ -43,39 +45,68 @@ def radical_of(gr: GradedRing, p: IdealSet) -> IdealSet:
     return _cached(gr, ("grad", p.elements), lambda: graded_radical(gr, p))
 
 
+def _colon_of(ring: FinRing, members: Iterable[int]) -> Callable[[Sequence[int]], int]:
+    """Masks into T = members: row -> the int with bit z set when row[z] is in T,
+    which on the multiplication row of w is the colon (T : w) = {z : wz in T}."""
+    digits = ["0"] * ring.size
+    for v in members:
+        digits[v] = "1"
+    return lambda row: int("".join(map(digits.__getitem__, reversed(row))), 2)
+
+
+def _mask(ring: FinRing, members: Iterable[int]) -> int:
+    """The set itself as a mask: its colon mask on the identity row."""
+    return _colon_of(ring, members)(ring.elements())
+
+
+def _least(mask: int) -> int:
+    """The least element of a nonempty mask: its lowest set bit."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple[bool, Witness]:
     """xy in P forces x in P or y in escape(), over homogeneous pairs."""
     def compute():
         require_graded(gr, p, proper=True)
-        esc = escape()
-        homog = sorted(gr.homogeneous())
-        mul = gr.ring.mul
-        for x in homog:
-            if x in p.elements:
-                continue
-            for y in homog:
-                if mul(x, y) in p.elements and y not in esc:
-                    return False, (x, y)
+        ring, homog = gr.ring, gr.homogeneous()
+        into_p = _colon_of(ring, p.elements)
+        allowed = _mask(ring, homog) & ~_mask(ring, escape())
+        for x in sorted(homog - p.elements):
+            bad = into_p(ring.mul_rows[x]) & allowed
+            if bad:
+                return False, (x, _least(bad))
         return True, None
 
     return _cached(gr, (key, p.elements), compute)
 
 
-def _triple_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple[bool, Witness]:
-    """xyz in P forces xy in P or z in escape(), over nonunit homogeneous triples."""
+def _triple_kernel(
+    gr: GradedRing, p: IdealSet, key: str, domain: Iterable[int], escape: EscapeMasks
+) -> tuple[bool, Witness]:
+    """xyz in P forces xy in P or z in escape()[x] | escape()[y], over domain triples.
+
+    The bad z of a pair: the colon mask (P : xy) on the domain, built once per
+    product, minus the escape all pairs share, then minus the pair's own."""
     def compute():
         require_graded(gr, p, proper=True)
-        esc = escape()
-        nonunits = gr.nonunit_homogeneous()
-        mul = gr.ring.mul
-        for x in nonunits:
-            for y in nonunits:
-                xy = mul(x, y)
+        ring, dom, esc = gr.ring, sorted(domain), escape()
+        into_p = _colon_of(ring, p.elements)
+        shared = -1  # every bit set
+        for x in dom:
+            shared &= esc[x]
+        kept = _mask(ring, dom) & ~shared
+        colon: dict[int, int] = {}
+        for x in dom:
+            row, esc_x = ring.mul_rows[x], esc[x]
+            for y in dom:
+                xy = row[y]
                 if xy in p.elements:
                     continue
-                for z in nonunits:
-                    if mul(xy, z) in p.elements and z not in esc:
-                        return False, (x, y, z)
+                bad = colon.get(xy)
+                if bad is None:
+                    bad = colon[xy] = into_p(ring.mul_rows[xy]) & kept
+                if bad and bad & ~(esc_x | esc[y]):
+                    return False, (x, y, _least(bad & ~(esc_x | esc[y])))
         return True, None
 
     return _cached(gr, (key, p.elements), compute)
@@ -91,14 +122,22 @@ def is_graded_primary(gr: GradedRing, q: IdealSet) -> tuple[bool, Witness]:
     return _pair_kernel(gr, q, "primary", lambda: radical_of(gr, q).elements)
 
 
+def _everywhere(gr: GradedRing, escape: frozenset[int]) -> dict[int, int]:
+    return dict.fromkeys(gr.homogeneous(), _mask(gr.ring, escape))
+
+
 def is_graded_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad(P), over nonunit homogeneous triples."""
-    return _triple_kernel(gr, p, "1abs", lambda: radical_of(gr, p).elements)
+    return _triple_kernel(
+        gr, p, "1abs", gr.nonunit_homogeneous(), lambda: _everywhere(gr, radical_of(gr, p).elements)
+    )
 
 
 def is_graded_strongly_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad({0}), over nonunit homogeneous triples."""
-    return _triple_kernel(gr, p, "strongly", gr.graded_nilradical)
+    return _triple_kernel(
+        gr, p, "strongly", gr.nonunit_homogeneous(), lambda: _everywhere(gr, gr.graded_nilradical())
+    )
 
 
 def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
@@ -107,26 +146,11 @@ def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
     Quantifies over all homogeneous triples, units included, matching the
     definition exactly; unit cases are vacuous anyway.
     """
-    def compute():
-        require_graded(gr, i, proper=True)
-        rad = radical_of(gr, i).elements
-        homog = sorted(gr.homogeneous())
-        mul = gr.ring.mul
-        for x in homog:
-            for y in homog:
-                xy = mul(x, y)
-                if xy in i.elements:
-                    continue
-                for z in homog:
-                    if (
-                        mul(xy, z) in i.elements
-                        and mul(x, z) not in rad
-                        and mul(y, z) not in rad
-                    ):
-                        return False, (x, y, z)
-        return True, None
+    def rad_colons() -> dict[int, int]:  # xz in Grad(I) iff z is in (Grad(I) : x)
+        into_rad = _colon_of(gr.ring, radical_of(gr, i).elements)
+        return {x: into_rad(gr.ring.mul_rows[x]) for x in gr.homogeneous()}
 
-    return _cached(gr, ("2abs", i.elements), compute)
+    return _triple_kernel(gr, i, "2abs", gr.homogeneous(), rad_colons)
 
 
 def strongly_1abs_ideal_form(
@@ -143,9 +167,7 @@ def strongly_1abs_ideal_form(
             if ij <= p:
                 continue
             for k in lattice:
-                if k.elements <= grad_zero:
-                    continue
-                if product_contained(ij, k, p):
+                if not k.elements <= grad_zero and product_contained(ij, k, p):
                     return False, (i, j, k)
     return True, None
 
@@ -156,12 +178,9 @@ def is_graded_maximal(gr: GradedRing, m: IdealSet) -> bool:
     def compute():
         require_graded(gr, m, proper=True)
         ring = gr.ring
-        for a in gr.homogeneous():
-            if a in m.elements:
-                continue
-            if not any(ring.sub(ring.one, ring.mul(r, a)) in m.elements for r in ring.elements()):
-                return False
-        return True
+        one_plus_m = {ring.add(ring.one, x) for x in m.elements}  # 1 - ra in M iff ra in 1 + M
+        outside = gr.homogeneous() - m.elements
+        return all(not one_plus_m.isdisjoint(ring.mul_rows[a]) for a in outside)
 
     return _cached(gr, ("maximal", m.elements), compute)
 

@@ -88,6 +88,11 @@ class FinRing:
     def elements(self) -> range:
         return range(self.size)
 
+    @property
+    def mul_rows(self) -> Sequence[Sequence[int]]:
+        """The multiplication table: row x holds x*y at index y.  Read only."""
+        return self._mul_table
+
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
 
@@ -102,9 +107,6 @@ class FinRing:
         except ValueError:
             raise MalformedSpec(f"cannot parse {text!r} as an element of {self.label}") from None
 
-    def is_unit(self, x: int) -> bool:
-        return x in self.units()
-
     def units(self) -> frozenset[int]:
         """Exactly the x with xy = 1 for some y."""
         if self._units is None:
@@ -113,18 +115,18 @@ class FinRing:
             )
         return self._units
 
+    def high_power(self, x: int) -> int:
+        """x^(2^m) with 2^m > size.  An ideal holds it exactly when it holds some
+        power of x, because the least such power has exponent at most size."""
+        for _ in range(self.size.bit_length()):
+            x = self._mul_table[x][x]
+        return x
+
     def nilradical(self) -> frozenset[int]:
-        """The x with x^k = 0 for some 1 <= k <= size (pigeonhole bound)."""
+        """The x with x^k = 0 for some k >= 1."""
         if self._nilradical is None:
-            nil = set()
-            for x in self.elements():
-                p = x
-                for _ in range(self.size):
-                    if p == self.zero:
-                        nil.add(x)
-                        break
-                    p = self.mul(p, x)
-            self._nilradical = frozenset(nil)
+            zero = self.zero
+            self._nilradical = frozenset(x for x in range(self.size) if self.high_power(x) == zero)
         return self._nilradical
 
     def check_axioms(self, thorough: bool = False) -> None:

@@ -120,9 +120,6 @@ class GradedRing:
                 return g
         return None
 
-    def is_homogeneous(self, x: int) -> bool:
-        return x in self.homogeneous()
-
     def nonunit_homogeneous(self) -> tuple[int, ...]:
         """Nonunit elements of h(R), sorted (includes 0)."""
         if "nonunit_homog" not in self._cache:
@@ -137,9 +134,7 @@ class GradedRing:
         if "grad_zero" not in self._cache:
             nil = self.ring.nilradical()
             self._cache["grad_zero"] = frozenset(
-                x
-                for x in self.ring.elements()
-                if all(part in nil for part in self._decomposition[x].values())
+                x for x in self.ring.elements() if nil.issuperset(self._decomposition[x].values())
             )
         return self._cache["grad_zero"]
 
@@ -207,5 +202,7 @@ def attach_grading(
 
 
 def trivial_grading(ring: FinRing, group: GradingGroup = TRIVIAL_GROUP, label: str = "") -> GradedRing:
-    """Everything in degree e; recovers ungraded ring theory."""
-    return attach_grading(ring, group, {group.identity: frozenset(ring.elements())}, label=label)
+    """Everything in degree e; recovers ungraded ring theory.  Needs no `attach_grading` checks."""
+    e = group.identity
+    decomposition = [{e: x} for x in ring.elements()]
+    return GradedRing(ring, group, {e: frozenset(ring.elements())}, decomposition, label=label)

@@ -96,10 +96,7 @@ def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
 def ideal_generated(ring: FinRing, gens: Iterable[int]) -> IdealSet:
     """Least ideal containing the generators: additive closure of all multiples."""
     gens = tuple(gens)
-    multiples: set[int] = {ring.zero}
-    for g in gens:
-        for r in ring.elements():
-            multiples.add(ring.mul(r, g))
+    multiples = {ring.zero}.union(*(ring.mul_rows[g] for g in gens))
     return IdealSet(ring, additive_closure(ring, multiples), generators=gens)
 
 
@@ -114,16 +111,19 @@ def unit_ideal(ring: FinRing) -> IdealSet:
 def is_graded_ideal(gr: GradedRing, ideal: IdealSet) -> tuple[bool, Optional[int]]:
     """True iff every homogeneous component of every member lies in the ideal.
 
-    On failure returns the least violating element as witness.
+    On failure returns the least violating element as witness.  Memoized per
+    element set; a set that is not an ideal raises NotAnIdeal on every call.
     """
     if ideal.ring is not gr.ring:
         raise RingMismatch("ideal belongs to a different ring")
-    validate_ideal(gr.ring, ideal.elements)
-    for x in sorted(ideal.elements):
-        for part in gr.decompose(x).values():
-            if part not in ideal.elements:
-                return False, x
-    return True, None
+    key = ("graded", ideal.elements)
+    if key not in gr._cache:
+        members = ideal.elements
+        validate_ideal(gr.ring, members)
+        ungraded = (x for x in members if not members.issuperset(gr.decompose(x).values()))
+        witness = min(ungraded, default=None)
+        gr._cache[key] = (witness is None, witness)
+    return gr._cache[key]
 
 
 def require_graded(gr: GradedRing, ideal: IdealSet, proper: bool = False) -> None:
@@ -143,32 +143,17 @@ def graded_radical(gr: GradedRing, ideal: IdealSet) -> IdealSet:
     if not ideal.is_proper():
         return unit_ideal(ring)
     require_graded(gr, ideal)
-    bound = ring.size
-    in_radical: set[int] = set()
-
-    def part_ok(part: int) -> bool:
-        p = part
-        for _ in range(bound):
-            if p in ideal.elements:
-                return True
-            p = ring.mul(p, part)
-        return False
-
-    for x in ring.elements():
-        if all(part_ok(part) for part in gr.decompose(x).values()):
-            in_radical.add(x)
-    return IdealSet(ring, in_radical)
+    rooted = {h for h in gr.homogeneous() if ring.high_power(h) in ideal.elements}
+    radical = [x for x in ring.elements() if rooted.issuperset(gr.decompose(x).values())]
+    return IdealSet(ring, radical)
 
 
 def colon(ring: FinRing, p: IdealSet, k: IdealSet) -> IdealSet:
     """(P : K) = {r : rK subset of P}."""
     if p.ring is not ring or k.ring is not ring:
         raise RingMismatch("colon operands from different rings")
-    out = {
-        r
-        for r in ring.elements()
-        if all(ring.mul(r, x) in p.elements for x in k.elements)
-    }
+    rows = ring.mul_rows
+    out = [r for r in ring.elements() if {rows[r][x] for x in k.elements} <= p.elements]
     return IdealSet(ring, out)
 
 
@@ -191,12 +176,8 @@ def combine(i: IdealSet, j: IdealSet, op: CombineOp) -> IdealSet:
 
 def product_contained(i: IdealSet, j: IdealSet, p: IdealSet) -> bool:
     """IJ subset of P, decided on generators (valid since P is an ideal)."""
-    ring = i.ring
-    for x in i.elements:
-        for y in j.elements:
-            if ring.mul(x, y) not in p.elements:
-                return False
-    return True
+    rows = i.ring.mul_rows
+    return all(p.elements.issuperset(map(rows[x].__getitem__, j.elements)) for x in i.elements)
 
 
 def _lattice_order(ideal: IdealSet) -> tuple:
@@ -207,7 +188,7 @@ def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
     """Ra for homogeneous a, deduplicated (least generator kept), sorted."""
     seen: dict[frozenset[int], IdealSet] = {}
     for a in sorted(gr.homogeneous()):
-        ideal = ideal_generated(gr.ring, (a,))
+        ideal = IdealSet(gr.ring, gr.ring.mul_rows[a], generators=(a,))  # row a is Ra, an ideal
         seen.setdefault(ideal.elements, ideal)
     return sorted(seen.values(), key=_lattice_order)
 

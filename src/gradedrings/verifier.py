@@ -559,7 +559,7 @@ def _prop_3_3(gr: GradedRing, label: str) -> VerificationReport:
             continue
         lgr, canonical = localize(gr, s)
         for t in s.elements:
-            if not lgr.ring.is_unit(canonical(t)):
+            if canonical(t) not in lgr.ring.units():
                 rep.fail(note="canonical map fails to invert S", element=gr.ring.name(t))
         for p in disjoint:
             sp = ideal_generated(lgr.ring, tuple(canonical(x) for x in sorted(p.elements)))

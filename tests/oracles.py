@@ -1,16 +1,17 @@
 """Definitional loops: the reference the library's fast paths must match.
 
-The ideal algebra is the frontier-search additive closure and the lattice
-closed under sums of every pair of ideals found so far.  Each predicate
-scans its quantifier domain in lexicographic order and returns the first
-violating tuple, exactly as the predicates did before they were merged
-into shared kernels.  Nothing here is memoized, so a comparison never
-reads back a value the library cached.
+The ideal algebra is the frontier-search additive closure and the
+lattice closed under sums of every pair of ideals found so far; radicals
+search the powers x, x^2, ..., x^|R| one by one; colons test every
+product. Each predicate scans its quantifier domain in lexicographic
+order and returns the first violating tuple, exactly as the predicates
+did before they were merged into shared kernels. Nothing here is
+memoized, so a comparison never reads back a value the library cached.
 """
 
 from __future__ import annotations
 
-from gradedrings.ideals import IdealSet, graded_radical, require_graded
+from gradedrings.ideals import IdealSet, require_graded
 
 
 def additive_closure(ring, seed):
@@ -42,6 +43,36 @@ def combine(i, j, op):
         return IdealSet(ring, additive_closure(ring, prods))
     assert op == "intersection"
     return IdealSet(ring, i.elements & j.elements)
+
+
+def nilradical(ring):
+    return frozenset(x for x in ring.elements() if has_power_in(ring, x, {ring.zero}))
+
+
+def has_power_in(ring, x, target):
+    """Some x^k, 1 <= k <= |R|, lies in target (a longer search finds nothing new)."""
+    p = x
+    for _ in range(ring.size):
+        if p in target:
+            return True
+        p = ring.mul(p, x)
+    return False
+
+
+def graded_radical(gr, ideal):
+    ring = gr.ring
+    if not ideal.is_proper():
+        return IdealSet(ring, ring.elements())
+    return IdealSet(ring, {
+        x for x in ring.elements()
+        if all(has_power_in(ring, part, ideal.elements) for part in gr.decompose(x).values())
+    })
+
+
+def colon(ring, p, k):
+    return IdealSet(ring, {
+        r for r in ring.elements() if all(ring.mul(r, x) in p.elements for x in k.elements)
+    })
 
 
 def enumerate_graded_ideals(gr):

@@ -133,3 +133,15 @@ def test_integer_grading_out_of_support_products_must_vanish():
     ring2 = build_ring(PolyQuotient(Cyclic(2), (1, 0, 1)))
     with pytest.raises(NotMultiplicative):
         attach_grading(ring2, Z_GRADING, {0: {0, 1}, 1: {0, ring2.parse("u")}})
+
+
+def test_trivial_grading_matches_attach_grading(corpus):
+    rings = [e.gr.ring for e in corpus] + [build_ring(Cyclic(n), check=False) for n in range(2, 65)]
+    for ring in rings:
+        for group in (TRIVIAL_GROUP, Z2, Z_GRADING):
+            direct = trivial_grading(ring, group)
+            checked = attach_grading(ring, group, {group.identity: frozenset(ring.elements())})
+            assert direct.components == checked.components, (ring.label, group)
+            assert direct.support == checked.support, (ring.label, group)
+            for x in ring.elements():
+                assert direct.decompose(x) == checked.decompose(x), (ring.label, group, x)

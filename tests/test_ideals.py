@@ -253,3 +253,15 @@ def test_additive_closure_matches_oracle(spec, data):
     ring = build_ring(spec, check=False)
     seed = data.draw(st.lists(st.integers(0, ring.size - 1), max_size=6))
     assert additive_closure(ring, seed) == oracles.additive_closure(ring, seed)
+
+
+def test_radical_and_colon_match_oracle(corpus):
+    cyclic = [trivial_grading(build_ring(Cyclic(n), check=False)) for n in range(2, 65)]
+    for gr in [e.gr for e in corpus] + cyclic:
+        ring = gr.ring
+        assert ring.nilradical() == oracles.nilradical(ring), gr.label
+        lattice = enumerate_graded_ideals(gr)
+        for i in lattice:
+            assert graded_radical(gr, i) == oracles.graded_radical(gr, i), (gr.label, i)
+            for j in lattice:
+                assert colon(ring, i, j) == oracles.colon(ring, i, j), (gr.label, i, j)
