@@ -1,0 +1,171 @@
+"""Ring build, axiom check and CLI timings, before and after a change.
+
+    python3 bench/table_core.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
+        --out BENCH_table_core.json
+
+In process, one child per side with `PYTHONPATH=<checkout>/src`: building
+Z/256, Z/1024 and GaussMod(32) (unchecked) followed by `check_axioms`,
+`default_corpus()`, and `run_suite()` on that corpus.  Cold is the first
+sample in the child; warm is the median of the next REPEAT samples in the
+same child.  For `run_suite()` warm means on the same corpus, whose memos
+the cold run filled.
+
+Fresh process: wall time, CPU time (user + system, from `wait4`) and peak
+RSS of one `python3 -m gradedrings.cli` per sample, with its exit status.
+Every fresh process is cold.  `verify COR_2_7 --range 2..1024` runs once,
+because on the old code it takes minutes.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+REPEAT = 3  # warm in-process samples, and fresh-process samples of the short commands
+Z1024_SPEC = {"ring": {"kind": "cyclic", "n": 1024}, "group": {"kind": "trivial"}}
+CLI_CASES = (  # (name, argv with {spec} for the Z/1024 spec file, samples)
+    ("verify all", ("verify", "all"), REPEAT),
+    ("ring describe Z/1024", ("ring", "describe", "{spec}"), REPEAT),
+    ("ideal classify (16) Z/1024", ("ideal", "classify", "{spec}", "--ideal", "16"), REPEAT),
+    ("verify COR_2_7 --range 2..256", ("verify", "COR_2_7", "--range", "2..256"), REPEAT),
+    ("verify COR_2_7 --range 2..512", ("verify", "COR_2_7", "--range", "2..512"), 1),
+    ("verify COR_2_7 --range 2..1024", ("verify", "COR_2_7", "--range", "2..1024"), 1),
+)
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _cold_warm(fn) -> dict:
+    cold = _timed(fn)
+    warm = [_timed(fn) for _ in range(REPEAT)]
+    return {"cold_s": cold, "warm_median_s": statistics.median(warm), "warm_samples_s": warm}
+
+
+def measure() -> dict:
+    from gradedrings.finring import Cyclic, GaussMod, build_ring
+    from gradedrings.verifier import default_corpus, run_suite
+
+    rows = {}
+    for spec in (Cyclic(256), Cyclic(1024), GaussMod(32)):
+        rows[f"build + check_axioms {spec}"] = _cold_warm(
+            lambda spec=spec: build_ring(spec, check=False).check_axioms()
+        )
+    rows["default_corpus()"] = _cold_warm(default_corpus)
+    corpus = default_corpus()
+    rows["run_suite()"] = _cold_warm(lambda: run_suite(corpus=corpus))
+    return rows
+
+
+def _run_cli(root: str, argv: list[str]) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradedrings.cli", *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    return {
+        "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_rss_mb": usage.ru_maxrss / 1024,
+        "exit": os.waitstatus_to_exitcode(status),
+    }
+
+
+def _cli_side(root: str) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        spec = os.path.join(work, "z1024.json")
+        with open(spec, "w") as fh:
+            json.dump(Z1024_SPEC, fh)
+        for name, argv, samples in CLI_CASES:
+            args = [a.replace("{spec}", spec) for a in argv]
+            runs = [_run_cli(root, args) for _ in range(samples)]
+            medians = {
+                f"median_{k}": statistics.median(r[k] for r in runs)
+                for k in ("wall_s", "cpu_s", "peak_rss_mb")
+            }
+            out[name] = {
+                **medians,
+                "exit": sorted({r["exit"] for r in runs}),
+                "samples": runs,
+            }
+    return out
+
+
+def _commit(root: str) -> str:
+    out = subprocess.run(
+        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
+    )
+    return out.stdout.strip() or "unknown"
+
+
+def _side(root: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    out = subprocess.run(
+        [sys.executable, __file__, "--measure"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return {
+        "commit": _commit(root),
+        "in_process": json.loads(out.stdout),
+        "fresh_process": _cli_side(root),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", help="checkout measured as the parent")
+    parser.add_argument("--after", help="checkout measured as the change")
+    parser.add_argument("--out", default="BENCH_table_core.json")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure:
+        json.dump(measure(), sys.stdout)
+        return
+    if not (args.before and args.after):
+        parser.error("--before and --after are required")
+    before = _side(args.before)
+    after = _side(args.after)
+    doc = {
+        "what": "in-process cold/warm timings (perf_counter) and fresh CLI processes (wait4)",
+        "machine": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "repeat": REPEAT,
+        "before": before,
+        "after": after,
+        "speedup": {
+            "in_process_warm": {
+                key: round(row["warm_median_s"] / after["in_process"][key]["warm_median_s"], 1)
+                for key, row in before["in_process"].items()
+            },
+            "fresh_process_cpu": {  # only where both sides exit alike
+                key: round(row["median_cpu_s"] / after["fresh_process"][key]["median_cpu_s"], 1)
+                for key, row in before["fresh_process"].items()
+                if row["exit"] == after["fresh_process"][key]["exit"]
+            },
+        },
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -143,14 +143,16 @@ def is_graded_strongly_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, 
 def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
     """xyz in I forces xy in I or xz in Grad(I) or yz in Grad(I).
 
-    Quantifies over all homogeneous triples, units included, matching the
-    definition exactly; unit cases are vacuous anyway.
+    Quantifies over nonunit homogeneous triples only: a triple with a unit
+    never violates the condition, since xyz in I gives yz = x^-1 xyz in I
+    when x is a unit, xz in I when y is, and xy in I when z is.  So the
+    violating triples, and the least of them, are those over all of h(R).
     """
     def rad_colons() -> dict[int, int]:  # xz in Grad(I) iff z is in (Grad(I) : x)
         into_rad = _colon_of(gr.ring, radical_of(gr, i).elements)
-        return {x: into_rad(gr.ring.mul_rows[x]) for x in gr.homogeneous()}
+        return {x: into_rad(gr.ring.mul_rows[x]) for x in gr.nonunit_homogeneous()}
 
-    return _triple_kernel(gr, i, "2abs", gr.homogeneous(), rad_colons)
+    return _triple_kernel(gr, i, "2abs", gr.nonunit_homogeneous(), rad_colons)
 
 
 def strongly_1abs_ideal_form(
@@ -220,7 +222,7 @@ def ring_predicates(gr: GradedRing) -> RingProfile:
         nonzero = [x for x in homog if x != ring.zero]
         graded_field = all(x in units for x in nonzero)
         graded_domain = not any(
-            ring.mul(x, y) == ring.zero for x in nonzero for y in nonzero
+            ring.zero in map(ring.mul_rows[x].__getitem__, nonzero) for x in nonzero
         )
         nil_or_unit = all(x in units or x in nil for x in homog)
         return RingProfile(graded_field, graded_domain, nil_or_unit)

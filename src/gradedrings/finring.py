@@ -1,9 +1,9 @@
 """Exact arithmetic for finite commutative rings with nonzero identity.
 
-Elements are dense 0-based indices into the carrier.  Structured
-constructors (cyclic, Gaussian-integer quotients, polynomial quotients)
-define the arithmetic as functions; every ring evaluates them once into
-dense addition and multiplication tables.
+Elements are dense 0-based indices into the carrier.  A ring is its dense
+addition and multiplication tables; the structured constructors (cyclic,
+Gaussian-integer quotients, polynomial quotients) build those rows from
+index arithmetic, without a function call per cell.
 """
 
 from __future__ import annotations
@@ -46,13 +46,17 @@ RingSpec = Cyclic | GaussMod | PolyQuotient
 
 
 class FinRing:
-    """Immutable finite commutative ring; all operations are pure."""
+    """Immutable finite commutative ring; all operations are pure.
+
+    The ring owns the addition and multiplication rows it is given: row x
+    holds x+y (resp. x*y) at index y.
+    """
 
     def __init__(
         self,
         size: int,
-        add: Callable[[int, int], int],
-        mul: Callable[[int, int], int],
+        add_rows: list[list[int]],
+        mul_rows: list[list[int]],
         *,
         one: int,
         zero: int = 0,
@@ -63,14 +67,18 @@ class FinRing:
         _check_carrier(size)
         if zero == one:
             raise MalformedSpec("zero == one (zero ring rejected)")
+        if not all(type(v) is int and 0 <= v < size for v in (zero, one)):
+            raise MalformedSpec(f"zero {zero!r} or one {one!r} is not in range({size})")
+        _check_rows(size, add_rows, "addition")
+        _check_rows(size, mul_rows, "multiplication")
         self.size = size
         self.zero = zero
         self.one = one
         self.label = label
         self._names = list(names) if names is not None else [str(i) for i in range(size)]
         self._parse = parse
-        self._add_table = [[add(i, j) for j in range(size)] for i in range(size)]
-        self._mul_table = [[mul(i, j) for j in range(size)] for i in range(size)]
+        self._add_table = add_rows
+        self._mul_table = mul_rows
         self._neg_table = []
         for i, row in enumerate(self._add_table):
             if zero not in row:
@@ -87,6 +95,11 @@ class FinRing:
 
     def elements(self) -> range:
         return range(self.size)
+
+    @property
+    def add_rows(self) -> Sequence[Sequence[int]]:
+        """The addition table: row x holds x+y at index y.  Read only."""
+        return self._add_table
 
     @property
     def mul_rows(self) -> Sequence[Sequence[int]]:
@@ -130,44 +143,73 @@ class FinRing:
         return self._nilradical
 
     def check_axioms(self, thorough: bool = False) -> None:
-        """Verify the commutative-ring axioms by scan.
+        """Verify the commutative-ring axioms on the tables.
 
-        Pairwise laws are always scanned in full; the O(n^3) laws
-        (associativity, distributivity) are scanned in full for small
-        carriers or when `thorough`, otherwise on a seeded sample.
+        The identities and commutativity are always checked in full; the
+        three-variable laws (associativity, distributivity) in full for
+        small carriers or when `thorough`, otherwise on a seeded sample of
+        triples.  The full checks compare whole rows and columns; a failing
+        row is then scanned cell by cell, so the message names the first
+        failing element, pair or triple in (i, j, k) order.
         """
-        n = self.size
-        for i in self.elements():
-            if self.add(i, self.zero) != i:
-                raise MalformedSpec(f"additive identity fails at {self.name(i)}")
-            if self.mul(i, self.one) != i:
-                raise MalformedSpec(f"multiplicative identity fails at {self.name(i)}")
-        for i in self.elements():
-            for j in self.elements():
-                if self.add(i, j) != self.add(j, i):
-                    raise MalformedSpec(f"addition not commutative at ({i},{j})")
-                if self.mul(i, j) != self.mul(j, i):
-                    raise MalformedSpec(f"multiplication not commutative at ({i},{j})")
+        n, add, mul = self.size, self._add_table, self._mul_table
+        ids = list(range(n))
+        if [row[self.zero] for row in add] != ids or [row[self.one] for row in mul] != ids:
+            i = next(i for i in ids if add[i][self.zero] != i or mul[i][self.one] != i)
+            which = "additive" if add[i][self.zero] != i else "multiplicative"
+            raise MalformedSpec(f"{which} identity fails at {self.name(i)}")
+        # each row against its column, read lazily: no transposed copy is built
+        for i, (a_row, a_col, m_row, m_col) in enumerate(zip(add, zip(*add), mul, zip(*mul))):
+            if tuple(a_row) != a_col or tuple(m_row) != m_col:
+                j = next(j for j in ids if a_row[j] != a_col[j] or m_row[j] != m_col[j])
+                which = "addition" if a_row[j] != a_col[j] else "multiplication"
+                raise MalformedSpec(f"{which} not commutative at ({i},{j})")
         if thorough or n <= _FULL_SCAN_LIMIT:
-            triples = (
-                (i, j, k)
-                for i in self.elements()
-                for j in self.elements()
-                for k in self.elements()
-            )
+            # over k at once: (i+j)+k = i+(j+k), (ij)k = i(jk), i(j+k) = ij+ik
+            for i in ids:
+                plus_i, times_i = add[i].__getitem__, mul[i].__getitem__
+                for j in ids:
+                    ij = mul[i][j]
+                    if (
+                        add[add[i][j]] != list(map(plus_i, add[j]))
+                        or mul[ij] != list(map(times_i, mul[j]))
+                        or list(map(times_i, add[j])) != list(map(add[ij].__getitem__, mul[i]))
+                    ):
+                        k = next(k for k in ids if _triple_law(add, mul, i, j, k))
+                        raise MalformedSpec(f"{_triple_law(add, mul, i, j, k)} at ({i},{j},{k})")
         else:
             rng = random.Random(n)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_SAMPLE_TRIPLES)
-            )
-        for i, j, k in triples:
-            if self.add(self.add(i, j), k) != self.add(i, self.add(j, k)):
-                raise MalformedSpec(f"addition not associative at ({i},{j},{k})")
-            if self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)):
-                raise MalformedSpec(f"multiplication not associative at ({i},{j},{k})")
-            if self.mul(i, self.add(j, k)) != self.add(self.mul(i, j), self.mul(i, k)):
-                raise MalformedSpec(f"distributivity fails at ({i},{j},{k})")
+            for _ in range(_SAMPLE_TRIPLES):
+                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                law = _triple_law(add, mul, i, j, k)
+                if law:
+                    raise MalformedSpec(f"{law} at ({i},{j},{k})")
+
+
+def _triple_law(add: list[list[int]], mul: list[list[int]], i: int, j: int, k: int) -> str:
+    """The first three-variable law that fails at (i, j, k), or ''."""
+    if add[add[i][j]][k] != add[i][add[j][k]]:
+        return "addition not associative"
+    if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
+        return "multiplication not associative"
+    if mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]:
+        return "distributivity fails"
+    return ""
+
+
+def _check_rows(size: int, rows, what: str) -> None:
+    """Reject anything but `size` lists of `size` ints in range(size)."""
+    if not (
+        isinstance(rows, list)
+        and len(rows) == size
+        and all(isinstance(row, list) and len(row) == size for row in rows)
+    ):
+        raise MalformedSpec(f"{what} table is not {size} lists of {size} entries")
+    values = frozenset(range(size))
+    # 1.0, Fraction(1) or Decimal(1) would pass the membership test, as they
+    # equal an int in range; any of them makes the sum something else than an int
+    if not all(map(values.issuperset, rows)) or type(sum(map(sum, rows))) is not int:
+        raise MalformedSpec(f"{what} table has an entry that is not an int in range({size})")
 
 
 def _check_carrier(size: int) -> None:
@@ -188,13 +230,73 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _digit_add_rows(m: int, d: int) -> list[list[int]]:
+    """Addition rows of (Z/m)^d, the element with digits c_k at index sum c_k m^k.
+
+    For d = 1 row i is range(m) rotated by i.  Otherwise x = low + top*L
+    (L = m^(d-1)): its row is the row of `low` in (Z/m)^(d-1), copied into
+    the blocks of top digit (top + t) % m for t = 0, 1, ..., m-1.
+    """
+    base = list(range(m**d))
+    if d == 1:
+        return [base[i:] + base[:i] for i in base]
+    low_rows = _digit_add_rows(m, d - 1)
+    span = len(low_rows)
+    blocks = [base[t * span:(t + 1) * span] for t in range(m)]
+    rows = []
+    for top in range(m):
+        order = blocks[top:] + blocks[:top]
+        for low_row in low_rows:
+            row: list[int] = []
+            for block in order:
+                row += map(block.__getitem__, low_row)
+            rows.append(row)
+    return rows
+
+
+def _cyclic_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    base = list(range(n))
+    return _digit_add_rows(n, 1), [[base[i * j % n] for j in base] for i in base]
+
+
+def _poly_rows(m: int, mod: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication rows of (Z/m)[u] / (mod), mod monic of
+    degree d, the element sum c_k u^k at index sum c_k m^k.
+
+    Multiplying by x is additive, so x*y = sum_k y_k (x u^k): row x is built
+    digit by digit from the d products x u^k, each the previous one times u.
+    For d = 1 every element is a constant and the rows are those of Z/m.
+    """
+    d = len(mod) - 1
+    if d == 1:
+        return _cyclic_rows(m)
+    add = _digit_add_rows(m, d)
+    span = m ** (d - 1)
+    # x = low + top*u^(d-1), so x*u = low*u - top*(mod_0 + ... + mod_(d-1) u^(d-1))
+    reduced = [sum((-top * c) % m * m**k for k, c in enumerate(mod[:-1])) for top in range(m)]
+    times_u = [add[low * m][reduced[top]] for top in range(m) for low in range(span)]
+    mul = []
+    for x in range(m**d):
+        row, xu = [0], x  # row: x*y over y < m^k; xu = x*u^k
+        for _ in range(d):
+            multiples = [0]  # c * xu for c = 0 .. m-1
+            for _ in range(m - 1):
+                multiples.append(add[multiples[-1]][xu])
+            longer: list[int] = []
+            for cxu in multiples:
+                longer += map(add[cxu].__getitem__, row)
+            row, xu = longer, times_u[xu]
+        mul.append(row)
+    return add, mul
+
+
 def _cyclic_ring(n: int) -> FinRing:
     if n < 2:
         raise MalformedSpec(f"Cyclic({n}): need n >= 2")
+    _check_carrier(n)
     return FinRing(
         n,
-        lambda i, j: (i + j) % n,
-        lambda i, j: (i * j) % n,
+        *_cyclic_rows(n),
         one=1 % n,
         label=f"Z/{n}",
         parse=lambda s: int(s) % n,
@@ -242,19 +344,10 @@ def _gauss_ring(n: int) -> FinRing:
         raise MalformedSpec(f"GaussMod({n}): need n >= 2")
     size = n * n
     _check_carrier(size)
-    # index = a + b*n for a + b*i
-
-    def add(x: int, y: int) -> int:
-        return (x % n + y % n) % n + (((x // n + y // n) % n) * n)
-
-    def mul(x: int, y: int) -> int:
-        a, b = x % n, x // n
-        c, d = y % n, y // n
-        return (a * c - b * d) % n + (((a * d + b * c) % n) * n)
-
+    # a + b*i is the polynomial a + b*u modulo u^2 + 1, at index a + b*n
     names = [_gauss_name(x % n, x // n) for x in range(size)]
     return FinRing(
-        size, add, mul, one=1, label=f"Z/{n}[i]", names=names,
+        size, *_poly_rows(n, (1, 0, 1)), one=1, label=f"Z/{n}[i]", names=names,
         parse=lambda text: _parse_poly(text, "i", n, 2),
     )
 
@@ -290,36 +383,11 @@ def _poly_ring(spec: PolyQuotient) -> FinRing:
             x //= p
         return cs
 
-    def from_coeffs(cs: Sequence[int]) -> int:
-        x = 0
-        for c in reversed(cs):
-            x = x * p + c % p
-        return x
-
-    def add(x: int, y: int) -> int:
-        a, b = to_coeffs(x), to_coeffs(y)
-        return from_coeffs([(u + v) % p for u, v in zip(a, b)])
-
-    def mul(x: int, y: int) -> int:
-        a, b = to_coeffs(x), to_coeffs(y)
-        prod = [0] * (2 * d - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    prod[i + j] = (prod[i + j] + u * v) % p
-        # reduce: u^d = -(mod[0] + ... + mod[d-1] u^{d-1})
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(d):
-                    prod[k - d + j] = (prod[k - d + j] - c * mod[j]) % p
-        return from_coeffs(prod[:d])
-
     names = [_poly_name(to_coeffs(x)) for x in range(size)]
-    mod_name = _poly_name(mod[:-1]) + ("+" if any(mod[:-1]) else "") + (f"u^{d}" if d > 1 else "u")
+    lower = _poly_name(mod[:-1]) + "+" if any(mod[:-1]) else ""
+    mod_name = lower + (f"u^{d}" if d > 1 else "u")
     return FinRing(
-        size, add, mul, one=1, label=f"Z/{p}[u]/({mod_name})", names=names,
+        size, *_poly_rows(p, mod), one=1, label=f"Z/{p}[u]/({mod_name})", names=names,
         parse=lambda text: _parse_poly(text, "u", p, d),
     )
 

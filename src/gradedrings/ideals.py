@@ -61,16 +61,21 @@ class IdealSet:
 
 
 def validate_ideal(ring: FinRing, elements: frozenset[int]) -> None:
-    """Raise NotAnIdeal unless the set satisfies the ideal axioms."""
+    """Raise NotAnIdeal unless the set satisfies the ideal axioms.
+
+    Reads whole rows: x + I and Rx (row x of the commutative multiplication
+    table) must lie in the set; the first failing partner is then named.
+    """
     if ring.zero not in elements:
         raise NotAnIdeal("missing 0")
     for x in elements:
-        for y in elements:
-            if ring.add(x, y) not in elements:
-                raise NotAnIdeal(f"not closed under addition at {ring.name(x)}+{ring.name(y)}")
-        for r in ring.elements():
-            if ring.mul(r, x) not in elements:
-                raise NotAnIdeal(f"not absorbing at {ring.name(r)}*{ring.name(x)}")
+        sums, products = ring.add_rows[x], ring.mul_rows[x]
+        if not elements.issuperset(map(sums.__getitem__, elements)):
+            y = next(y for y in elements if sums[y] not in elements)
+            raise NotAnIdeal(f"not closed under addition at {ring.name(x)}+{ring.name(y)}")
+        if not elements.issuperset(products):
+            r = next(r for r in ring.elements() if products[r] not in elements)
+            raise NotAnIdeal(f"not absorbing at {ring.name(r)}*{ring.name(x)}")
 
 
 def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
@@ -80,16 +85,17 @@ def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
     s, 2s, ... up to the first one that lies in the span; the new span is
     the union of the old span's translates by those multiples.
     """
+    rows = ring.add_rows
     out = {ring.zero}
     for s in seed:
         if s in out:
             continue
         multiples = [ring.zero]
-        c = s
+        plus_s, c = rows[s], s
         while c not in out:
             multiples.append(c)
-            c = ring.add(c, s)
-        out = {ring.add(a, m) for a in out for m in multiples}
+            c = plus_s[c]
+        out = out.union(*(map(rows[m].__getitem__, out) for m in multiples))
     return frozenset(out)
 
 
@@ -167,7 +173,8 @@ def combine(i: IdealSet, j: IdealSet, op: CombineOp) -> IdealSet:
     if op == "sum":
         return IdealSet(ring, additive_closure(ring, i.elements | j.elements))
     if op == "product":
-        prods = {ring.mul(x, y) for x in i.elements for y in j.elements}
+        rows = ring.mul_rows
+        prods = set().union(*(map(rows[x].__getitem__, j.elements) for x in i.elements))
         return IdealSet(ring, additive_closure(ring, prods))
     if op == "intersection":
         return IdealSet(ring, i.elements & j.elements)

@@ -85,7 +85,14 @@ def hom_build(source: GradedRing, target: GradedRing, mapping: Iterable[int]) ->
         raise NotAdditive("mapping is not total on the source carrier", None)
     if f[rs.one] != rt.one:
         raise UnitNotPreserved(f"f(1) = {rt.name(f[rs.one])} != 1", (rs.one,))
+    # f(x+y) = f(x)+f(y) for all y at once: f o add_s[x] against add_t[f(x)] o f,
+    # likewise for products; only a failing x is scanned pair by pair
     for x in rs.elements():
+        if all(
+            list(map(f.__getitem__, source_rows[x])) == list(map(target_rows[f[x]].__getitem__, f))
+            for source_rows, target_rows in ((rs.add_rows, rt.add_rows), (rs.mul_rows, rt.mul_rows))
+        ):
+            continue
         for y in rs.elements():
             if f[rs.add(x, y)] != rt.add(f[x], f[y]):
                 raise NotAdditive(
@@ -139,9 +146,16 @@ def _cosets(ring: FinRing, k: Iterable[int]) -> tuple[list[int], list[int]]:
         if coset_of[x] is None:
             idx = len(reps)
             reps.append(x)
+            row = ring.add_rows[x]
             for d in k:
-                coset_of[ring.add(x, d)] = idx
+                coset_of[row[d]] = idx
     return coset_of, reps
+
+
+def _rows_through(rows, carrier: list[int], index_of) -> list[list[int]]:
+    """The table on `carrier` (elements of the parent) that `rows` induce,
+    each product renumbered by `index_of`: row i holds index_of[c_i op c_j]."""
+    return [list(map(index_of.__getitem__, map(rows[c].__getitem__, carrier))) for c in carrier]
 
 
 def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
@@ -151,8 +165,8 @@ def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
     coset_of, reps = _cosets(ring, k.elements)
     qring = FinRing(
         len(reps),
-        lambda i, j: coset_of[ring.add(reps[i], reps[j])],
-        lambda i, j: coset_of[ring.mul(reps[i], reps[j])],
+        _rows_through(ring.add_rows, reps, coset_of),
+        _rows_through(ring.mul_rows, reps, coset_of),
         one=coset_of[ring.one],
         zero=coset_of[ring.zero],
         label=f"{gr.label}/{k.describe()}",
@@ -174,17 +188,24 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
     n2 = r2.size
     size = r1.size * n2
 
-    def add(x: int, y: int) -> int:
-        return r1.add(x // n2, y // n2) * n2 + r2.add(x % n2, y % n2)
+    base = list(range(size))
+    blocks = [base[a * n2:(a + 1) * n2] for a in range(r1.size)]  # the pairs (a, *)
 
-    def mul(x: int, y: int) -> int:
-        return r1.mul(x // n2, y // n2) * n2 + r2.mul(x % n2, y % n2)
+    def rows(rows1, rows2):  # (a,b) op (c,d) = (a op c, b op d), with d fastest
+        out = []
+        for row1 in rows1:
+            for row2 in rows2:
+                row: list[int] = []
+                for block in map(blocks.__getitem__, row1):
+                    row += map(block.__getitem__, row2)
+                out.append(row)
+        return out
 
     names = [f"({r1.name(x // n2)},{r2.name(x % n2)})" for x in range(size)]
     pring = FinRing(
         size,
-        add,
-        mul,
+        rows(r1.add_rows, r2.add_rows),
+        rows(r1.mul_rows, r2.mul_rows),
         one=r1.one * n2 + r2.one,
         zero=r1.zero * n2 + r2.zero,
         label=f"{gr.label} x {gs.label}",
@@ -233,24 +254,18 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
     def cls(a: int, t: int) -> int:
         return class_of[coset_of[ring.mul(a, inverse[t])]]
 
-    def add(i: int, j: int) -> int:
-        a, t1 = reps[i]
-        b, t2 = reps[j]
-        return cls(ring.add(ring.mul(a, t2), ring.mul(b, t1)), ring.mul(t1, t2))
-
-    def mul(i: int, j: int) -> int:
-        a, t1 = reps[i]
-        b, t2 = reps[j]
-        return cls(ring.mul(a, b), ring.mul(t1, t2))
-
     names = [
         ring.name(a) if t == ring.one else f"{ring.name(a)}/{ring.name(t)}"
         for a, t in reps
     ]
+    # a/t + b/u and (a/t)(b/u) lie in the classes of a t^-1 + b u^-1 and
+    # a t^-1 * b u^-1, so the parent's rows at those elements give both tables
+    class_index = [class_of[c] for c in coset_of]
+    values = [ring.mul(a, inverse[t]) for a, t in reps]
     lring = FinRing(
         len(reps),
-        add,
-        mul,
+        _rows_through(ring.add_rows, values, class_index),
+        _rows_through(ring.mul_rows, values, class_index),
         one=cls(ring.one, ring.one),
         zero=cls(ring.zero, ring.one),
         label=f"Localize({gr.label}, {{{','.join(ring.name(t) for t in slist)}}})",
@@ -278,8 +293,8 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
     back = {x: i for i, x in enumerate(carrier)}
     sring = FinRing(
         len(carrier),
-        lambda i, j: back[ring.add(carrier[i], carrier[j])],
-        lambda i, j: back[ring.mul(carrier[i], carrier[j])],
+        _rows_through(ring.add_rows, carrier, back),
+        _rows_through(ring.mul_rows, carrier, back),
         one=back[ring.one],
         zero=back[ring.zero],
         label=f"({gr.label})_e",

@@ -1,17 +1,242 @@
 """Definitional loops: the reference the library's fast paths must match.
 
-The ideal algebra is the frontier-search additive closure and the
-lattice closed under sums of every pair of ideals found so far; radicals
-search the powers x, x^2, ..., x^|R| one by one; colons test every
-product. Each predicate scans its quantifier domain in lexicographic
-order and returns the first violating tuple, exactly as the predicates
-did before they were merged into shared kernels. Nothing here is
-memoized, so a comparison never reads back a value the library cached.
+Ring arithmetic is one function call per table cell: the constructors'
+coefficient formulas, the closures of the derived rings (quotient,
+product, localization, identity subring), and the axiom, ideal and
+homomorphism checks through `ring.add` / `ring.mul`, each raising the
+first failure in scan order. The ideal algebra is the frontier-search
+additive closure and the lattice closed under sums of every pair of
+ideals found so far; radicals search the powers x, x^2, ..., x^|R| one by
+one; colons test every product. Each predicate scans its quantifier
+domain in lexicographic order and returns the first violating tuple,
+exactly as the predicates did before they were merged into shared
+kernels. Nothing here is memoized, so a comparison never reads back a
+value the library cached.
 """
 
 from __future__ import annotations
 
+import random
+
+from gradedrings.errors import (
+    GroupMismatch,
+    MalformedSpec,
+    NotAdditive,
+    NotAnIdeal,
+    NotDegreePreserving,
+    NotMultiplicativeMap,
+    UnitNotPreserved,
+)
+from gradedrings.finring import Cyclic, GaussMod, PolyQuotient
 from gradedrings.ideals import IdealSet, require_graded
+
+
+def tables(size, add, mul):
+    """The addition and multiplication rows of two cell functions."""
+    cells = range(size)
+    return [[add(i, j) for j in cells] for i in cells], [[mul(i, j) for j in cells] for i in cells]
+
+
+def spec_tables(spec):
+    """The rows of a ring spec from the coefficient formulas, cell by cell."""
+    if isinstance(spec, Cyclic):
+        n = spec.n
+        return tables(n, lambda i, j: (i + j) % n, lambda i, j: (i * j) % n)
+    if isinstance(spec, GaussMod):
+        n = spec.n  # index a + b*n for a + b*i
+
+        def add(x, y):
+            return (x % n + y % n) % n + (((x // n + y // n) % n) * n)
+
+        def mul(x, y):
+            a, b = x % n, x // n
+            c, d = y % n, y // n
+            return (a * c - b * d) % n + (((a * d + b * c) % n) * n)
+
+        return tables(n * n, add, mul)
+    assert isinstance(spec, PolyQuotient)
+    p = spec.base.n
+    mod = [c % p for c in spec.modulus]
+    d = len(mod) - 1
+
+    def to_coeffs(x):
+        cs = []
+        for _ in range(d):
+            cs.append(x % p)
+            x //= p
+        return cs
+
+    def from_coeffs(cs):
+        x = 0
+        for c in reversed(cs):
+            x = x * p + c % p
+        return x
+
+    def add(x, y):
+        return from_coeffs([(u + v) % p for u, v in zip(to_coeffs(x), to_coeffs(y))])
+
+    def mul(x, y):
+        a, b = to_coeffs(x), to_coeffs(y)
+        prod = [0] * (2 * d - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                prod[i + j] = (prod[i + j] + u * v) % p
+        for k in range(len(prod) - 1, d - 1, -1):  # u^d = -(mod_0 + ... + mod_(d-1) u^(d-1))
+            c, prod[k] = prod[k], 0
+            for j in range(d):
+                prod[k - d + j] = (prod[k - d + j] - c * mod[j]) % p
+        return from_coeffs(prod[:d])
+
+    return tables(p**d, add, mul)
+
+
+def check_axioms(ring, thorough=False, full_scan_limit=40, sample_triples=2000):
+    """Scan the commutative-ring axioms cell by cell, in (i, j, k) order."""
+    n = ring.size
+    for i in ring.elements():
+        if ring.add(i, ring.zero) != i:
+            raise MalformedSpec(f"additive identity fails at {ring.name(i)}")
+        if ring.mul(i, ring.one) != i:
+            raise MalformedSpec(f"multiplicative identity fails at {ring.name(i)}")
+    for i in ring.elements():
+        for j in ring.elements():
+            if ring.add(i, j) != ring.add(j, i):
+                raise MalformedSpec(f"addition not commutative at ({i},{j})")
+            if ring.mul(i, j) != ring.mul(j, i):
+                raise MalformedSpec(f"multiplication not commutative at ({i},{j})")
+    if thorough or n <= full_scan_limit:
+        triples = (
+            (i, j, k) for i in ring.elements() for j in ring.elements() for k in ring.elements()
+        )
+    else:
+        rng = random.Random(n)
+        triples = (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(sample_triples)
+        )
+    add, mul = ring.add, ring.mul
+    for i, j, k in triples:
+        if add(add(i, j), k) != add(i, add(j, k)):
+            raise MalformedSpec(f"addition not associative at ({i},{j},{k})")
+        if mul(mul(i, j), k) != mul(i, mul(j, k)):
+            raise MalformedSpec(f"multiplication not associative at ({i},{j},{k})")
+        if mul(i, add(j, k)) != add(mul(i, j), mul(i, k)):
+            raise MalformedSpec(f"distributivity fails at ({i},{j},{k})")
+
+
+def cosets(ring, k):
+    """Coset index of every element modulo `k`, and the least element of each coset."""
+    coset_of = [None] * ring.size
+    reps = []
+    for x in ring.elements():
+        if coset_of[x] is None:
+            reps.append(x)
+            for d in k:
+                coset_of[ring.add(x, d)] = len(reps) - 1
+    return coset_of, reps
+
+
+def quotient_tables(gr, k):
+    ring = gr.ring
+    coset_of, reps = cosets(ring, k.elements)
+    return tables(
+        len(reps),
+        lambda i, j: coset_of[ring.add(reps[i], reps[j])],
+        lambda i, j: coset_of[ring.mul(reps[i], reps[j])],
+    )
+
+
+def product_tables(gr, gs):
+    r1, r2 = gr.ring, gs.ring
+    n2 = r2.size
+    return tables(
+        r1.size * n2,
+        lambda x, y: r1.add(x // n2, y // n2) * n2 + r2.add(x % n2, y % n2),
+        lambda x, y: r1.mul(x // n2, y // n2) * n2 + r2.mul(x % n2, y % n2),
+    )
+
+
+def localize_tables(gr, s):
+    """Classes of pairs (a, t), numbered by their least pair; sums and
+    products from the fraction formulas."""
+    ring = gr.ring
+    slist = sorted(s.elements)
+    killed = [d for d in ring.elements() if any(ring.mul(v, d) == ring.zero for v in slist)]
+    coset_of, _ = cosets(ring, killed)
+    one_coset = coset_of[ring.one]
+    inverse = {
+        t: next(v for v in ring.elements() if coset_of[ring.mul(t, v)] == one_coset) for t in slist
+    }
+    class_of, reps = {}, []
+    for a in ring.elements():
+        for t in slist:
+            key = coset_of[ring.mul(a, inverse[t])]
+            if key not in class_of:
+                class_of[key] = len(reps)
+                reps.append((a, t))
+
+    def cls(a, t):
+        return class_of[coset_of[ring.mul(a, inverse[t])]]
+
+    def add(i, j):
+        (a, t1), (b, t2) = reps[i], reps[j]
+        return cls(ring.add(ring.mul(a, t2), ring.mul(b, t1)), ring.mul(t1, t2))
+
+    def mul(i, j):
+        (a, t1), (b, t2) = reps[i], reps[j]
+        return cls(ring.mul(a, b), ring.mul(t1, t2))
+
+    return tables(len(reps), add, mul)
+
+
+def identity_subring_tables(gr):
+    ring = gr.ring
+    carrier = sorted(gr.component(gr.group.identity))
+    back = {x: i for i, x in enumerate(carrier)}
+    return tables(
+        len(carrier),
+        lambda i, j: back[ring.add(carrier[i], carrier[j])],
+        lambda i, j: back[ring.mul(carrier[i], carrier[j])],
+    )
+
+
+def validate_ideal(ring, elements):
+    if ring.zero not in elements:
+        raise NotAnIdeal("missing 0")
+    for x in elements:
+        for y in elements:
+            if ring.add(x, y) not in elements:
+                raise NotAnIdeal(f"not closed under addition at {ring.name(x)}+{ring.name(y)}")
+        for r in ring.elements():
+            if ring.mul(r, x) not in elements:
+                raise NotAnIdeal(f"not absorbing at {ring.name(r)}*{ring.name(x)}")
+
+
+def hom_check(source, target, mapping):
+    """The checks of hom_build, every pair (x, y) in turn."""
+    if source.group != target.group:
+        raise GroupMismatch("graded homomorphism requires a shared grading group")
+    f = tuple(mapping)
+    rs, rt = source.ring, target.ring
+    if len(f) != rs.size or any(not (0 <= v < rt.size) for v in f):
+        raise NotAdditive("mapping is not total on the source carrier", None)
+    if f[rs.one] != rt.one:
+        raise UnitNotPreserved(f"f(1) = {rt.name(f[rs.one])} != 1", (rs.one,))
+    for x in rs.elements():
+        for y in rs.elements():
+            if f[rs.add(x, y)] != rt.add(f[x], f[y]):
+                raise NotAdditive(
+                    f"f({rs.name(x)}+{rs.name(y)}) != f({rs.name(x)})+f({rs.name(y)})", (x, y)
+                )
+            if f[rs.mul(x, y)] != rt.mul(f[x], f[y]):
+                raise NotMultiplicativeMap(
+                    f"f({rs.name(x)}*{rs.name(y)}) != f({rs.name(x)})*f({rs.name(y)})", (x, y)
+                )
+    for g in source.support:
+        for x in source.component(g):
+            if f[x] not in target.component(g):
+                raise NotDegreePreserving(
+                    f"f({rs.name(x)}) leaves degree {source.group.describe(g)}", (x,)
+                )
 
 
 def additive_closure(ring, seed):

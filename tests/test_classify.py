@@ -3,7 +3,6 @@ from __future__ import annotations
 import oracles
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gradedrings import classify
 from gradedrings.classify import (
@@ -19,11 +18,12 @@ from gradedrings.classify import (
     strongly_1abs_ideal_form,
 )
 from gradedrings.errors import NotProper
-from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
-from gradedrings.grading import Z2, attach_grading, trivial_grading
+from gradedrings.finring import Cyclic, build_ring
+from gradedrings.grading import trivial_grading
 from gradedrings.ideals import IdealSet, proper_graded_ideals, unit_ideal
 from gradedrings.classify import radical_of
 from gradedrings.verifier import _gauss_graded, _graded_field
+from strategies import graded_rings
 
 
 def triv(n):
@@ -232,40 +232,6 @@ def test_kernels_match_definitional_oracles(corpus):
             ):
                 expected = getattr(oracles, name)(gr, p)
                 assert getattr(classify, name)(gr, p) == expected, (gr.label, p, name)
-
-
-def parity_components(base, d):
-    """Z2 components of sum c_k r^k (index sum c_k base^k, k < d): even k, odd k."""
-    def part(parity):
-        return frozenset(
-            x for x in range(base**d)
-            if all(x // base**k % base == 0 for k in range(d) if k % 2 != parity)
-        )
-    return {(0,): part(0), (1,): part(1)}
-
-
-@st.composite
-def graded_rings(draw):
-    """Z/n (n <= 64), Z/n[i] (n <= 8) or F_p[u]/(f) (p^d <= 64), trivially graded
-    or, for the last two, Z2-graded by the parity of the power of i or u."""
-    kind = draw(st.sampled_from(("cyclic", "gauss_mod", "poly_quotient")))
-    z2 = kind != "cyclic" and draw(st.booleans())
-    if kind == "cyclic":
-        ring = build_ring(Cyclic(draw(st.integers(2, 64))), check=False)
-    elif kind == "gauss_mod":
-        base, d = draw(st.integers(2, 8)), 2
-        ring = build_ring(GaussMod(base), check=False)
-    else:
-        base = draw(st.sampled_from((2, 3, 5, 7)))
-        d = draw(st.integers(2 if z2 else 1, max(k for k in range(1, 7) if base**k <= 64)))
-        low = draw(st.lists(st.integers(0, base - 1), min_size=d, max_size=d))
-        if z2:
-            # f = u^d plus terms of d's parity only, so the parity grading is multiplicative
-            low = [c if (d - k) % 2 == 0 else 0 for k, c in enumerate(low)]
-        ring = build_ring(PolyQuotient(Cyclic(base), (*low, 1)), check=False)
-    if z2:
-        return attach_grading(ring, Z2, parity_components(base, d), label=f"{ring.label}/Z2")
-    return trivial_grading(ring)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -199,6 +199,10 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             None, ("verify", "COR_2_7", "--range", "2..1025"), "--range '2..1025'",
             id="range-above-cap",
         ),
+        pytest.param(
+            None, ("verify", "COR_2_7", "--range", "2..513"), "--range '2..513'",
+            id="range-above-sweep-cap",
+        ),
         pytest.param("[]", CORPUS, "corpus is empty", id="corpus-empty"),
     ],
 )

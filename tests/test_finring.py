@@ -80,6 +80,19 @@ def test_signed_element_parser(spec, text, name):
 
 
 @pytest.mark.parametrize(
+    "spec, label",
+    [
+        (PolyQuotient(Cyclic(2), (0, 1)), "Z/2[u]/(u)"),
+        (PolyQuotient(Cyclic(2), (0, 0, 1)), "Z/2[u]/(u^2)"),
+        (PolyQuotient(Cyclic(2), (1, 0, 1)), "Z/2[u]/(1+u^2)"),
+        (F3_U2_MINUS_1, "Z/3[u]/(2+u^2)"),
+    ],
+)
+def test_poly_quotient_labels(spec, label):
+    assert build_ring(spec).label == label
+
+
+@pytest.mark.parametrize(
     "spec",
     [Cyclic(1), GaussMod(1), PolyQuotient(Cyclic(4), (1, 1)), PolyQuotient(Cyclic(3), (1, 2))],
 )
@@ -129,7 +142,12 @@ def test_carrier_cap(spec):
 def test_add_table_without_inverse_rejected():
     # max(i, j) has 0 as identity, but nothing adds to 0 with 1
     with pytest.raises(MalformedSpec, match="additive inverse"):
-        FinRing(3, max, lambda i, j: (i * j) % 3, one=1)
+        FinRing(
+            3,
+            [[max(i, j) for j in range(3)] for i in range(3)],
+            [[i * j % 3 for j in range(3)] for i in range(3)],
+            one=1,
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,238 @@
+"""The table-native ring core against the cell-by-cell oracles.
+
+Constructors, derived rings, the axiom check, ideal validation and
+homomorphism validation must give the oracle's rows, verdicts, messages
+and witnesses exactly.
+"""
+
+from __future__ import annotations
+
+import oracles
+import pytest
+from hypothesis import given, settings
+from strategies import graded_ring, graded_specs
+
+from gradedrings.errors import GradedRingError, MalformedSpec
+from gradedrings.finring import Cyclic, FinRing, GaussMod, PolyQuotient, build_ring
+from gradedrings.ideals import proper_graded_ideals, validate_ideal
+from gradedrings.transport import (
+    enumerate_multiplicative_sets,
+    hom_build,
+    identity_subring,
+    localize,
+    quotient,
+)
+from gradedrings.verifier import _gauss_graded
+
+POLY_SPECS = [
+    PolyQuotient(Cyclic(p), modulus)
+    for p, modulus in (
+        (2, (1, 1)), (7, (3, 1)), (2, (0, 1)), (2, (0, 0, 1)), (2, (1, 0, 1)), (2, (1, 1, 1)),
+        (3, (2, 0, 1)), (5, (4, 0, 1)), (3, (1, 2, 0, 1)), (5, (2, 3, 1)),
+        (2, (1, 1, 0, 0, 0, 0, 1)), (2, (0,) * 7 + (1,)), (11, (10, 0, 1)),
+    )
+]
+SPECS = [Cyclic(n) for n in range(2, 65)] + [GaussMod(n) for n in (2, 3, 4, 5, 6, 9, 11)]
+SPECS += POLY_SPECS
+
+LAWS = (
+    "additive identity", "multiplicative identity", "addition not commutative",
+    "multiplication not commutative", "addition not associative",
+    "multiplication not associative", "distributivity",
+)
+
+
+def rows(ring):
+    return [list(r) for r in ring.add_rows], [list(r) for r in ring.mul_rows]
+
+
+def outcome(check, *args):
+    """None when `check` passes, else the error's class, message and witness."""
+    try:
+        check(*args)
+    except GradedRingError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return None
+
+
+def assert_axioms_agree(ring, thorough=False):
+    expected = outcome(oracles.check_axioms, ring, thorough)
+    assert outcome(ring.check_axioms, thorough) == expected, ring
+    return expected
+
+
+def derived_rings(gr):
+    """(ring, oracle rows) for every quotient, localization and the identity subring of gr."""
+    for k in proper_graded_ideals(gr):
+        yield quotient(gr, k)[0].ring, oracles.quotient_tables(gr, k)
+    for s in enumerate_multiplicative_sets(gr):
+        yield localize(gr, s)[0].ring, oracles.localize_tables(gr, s)
+    yield identity_subring(gr)[0].ring, oracles.identity_subring_tables(gr)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_constructor_rows_match_oracle(spec):
+    ring = build_ring(spec, check=False)
+    assert rows(ring) == oracles.spec_tables(spec)
+    assert_axioms_agree(ring)
+
+
+def test_corpus_and_derived_rows_match_oracle(corpus):
+    for entry in corpus:
+        if entry.kind == "product":
+            assert rows(entry.gr.ring) == oracles.product_tables(*entry.parents)
+        assert_axioms_agree(entry.gr.ring)
+        for ring, expected in derived_rings(entry.gr):
+            assert rows(ring) == expected, ring
+            assert_axioms_agree(ring)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn=graded_specs())
+def test_generated_rings_match_oracle(drawn):
+    spec, _ = drawn
+    gr = graded_ring(*drawn)
+    assert rows(gr.ring) == oracles.spec_tables(spec)
+    assert_axioms_agree(gr.ring)
+    assert rows(identity_subring(gr)[0].ring) == oracles.identity_subring_tables(gr)
+
+
+def mutants(ring):
+    """Single-cell mutants aimed at each ring law.  Every addition row keeps
+    its 0, so each mutant is a well-formed table."""
+    z, o = ring.zero, ring.one
+    add, mul = ring.add_rows, ring.mul_rows
+    others = [x for x in ring.elements() if x not in (z, o)]
+    x = next(v for v in others if add[v][v] != z)  # some v with v + v != 0
+    y = next(v for v in others if v != x and add[x][v] != z)
+
+    def bump(v):
+        return add[v][o]  # v + 1
+
+    yield "add", x, y, bump(add[x][y])  # commutativity of +
+    yield "mul", x, y, bump(mul[x][y])  # commutativity of *
+    yield "add", x, z, bump(x)  # additive identity
+    yield "mul", x, o, bump(x)  # multiplicative identity
+    yield "add", x, x, bump(add[x][x])  # associativity of +
+    # associativity of *: with s = v*v, (v*v)*s reads the mutated s*s, v*(v*s) does not
+    s = next(mul[v][v] for v in others if mul[v][v] not in (z, o, v))
+    yield "mul", s, s, bump(mul[s][s])
+    yield "mul", z, z, o  # distributivity: 0*(0+0) = 1 but 0*0 + 0*0 = 1+1
+
+
+def mutate(ring, table, i, j, value):
+    add, mul = rows(ring)
+    (add if table == "add" else mul)[i][j] = value
+    names = [ring.name(v) for v in ring.elements()]
+    return FinRing(ring.size, add, mul, one=ring.one, zero=ring.zero, names=names)
+
+
+# odd characteristic, so that some v + v != 0 (see `mutants`)
+SMALL_MUTANT_SPECS = [
+    Cyclic(12), Cyclic(36), GaussMod(3), GaussMod(6), PolyQuotient(Cyclic(3), (0, 0, 0, 1)),
+]
+LARGE_MUTANT_SPECS = [Cyclic(64), GaussMod(7), PolyQuotient(Cyclic(7), (4, 0, 1))]
+
+
+@pytest.mark.parametrize("spec", SMALL_MUTANT_SPECS + LARGE_MUTANT_SPECS, ids=str)
+def test_axiom_check_matches_oracle_on_mutants(spec):
+    ring = build_ring(spec)
+    for mutant in mutants(ring):
+        assert_axioms_agree(mutate(ring, *mutant))
+
+
+def test_small_mutants_hit_every_law():
+    # the full scan (n <= 40) names each law on some mutant
+    seen = set()
+    for spec in SMALL_MUTANT_SPECS:
+        ring = build_ring(spec)
+        for mutant in mutants(ring):
+            kind, message, _ = outcome(oracles.check_axioms, mutate(ring, *mutant))
+            assert kind == "MalformedSpec"
+            seen.update(law for law in LAWS if message.startswith(law))
+    assert seen == set(LAWS)
+
+
+def test_thorough_axiom_check_matches_oracle_above_scan_limit():
+    ring = build_ring(GaussMod(7))
+    assert assert_axioms_agree(ring, True) is None
+    for mutant in mutants(ring):
+        assert assert_axioms_agree(mutate(ring, *mutant), True) is not None
+
+
+def test_hom_build_matches_oracle_on_corrupted_maps(corpus):
+    for entry in corpus:
+        gr = entry.gr
+        if gr.ring.size > 36:
+            continue
+        sub, inclusion = identity_subring(gr)
+        maps = [(sub, gr, inclusion.mapping)]
+        for k in proper_graded_ideals(gr)[1:4]:
+            qgr, projection = quotient(gr, k)
+            maps.append((gr, qgr, projection.mapping))
+        for source, target, f in maps:
+            assert outcome(hom_build, source, target, f) is None
+            for x in source.ring.elements():
+                for shift in (target.ring.one, target.ring.neg(target.ring.one)):
+                    bad = list(f)
+                    bad[x] = target.ring.add(f[x], shift)
+                    expected = outcome(oracles.hom_check, source, target, bad)
+                    assert outcome(hom_build, source, target, bad) == expected, (source, x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_hom_build_matches_oracle_on_additive_maps(n):
+    # a + b*i -> a + b*w is additive and keeps 1; it is multiplicative iff
+    # w^2 = -1, and graded iff moreover w lies in degree 1
+    gr = _gauss_graded(n)
+    ring = gr.ring
+    seen = set()
+    for w in ring.elements():
+        f = [ring.add(x % n, ring.mul(x // n, w)) for x in ring.elements()]
+        expected = outcome(oracles.hom_check, gr, gr, f)
+        assert outcome(hom_build, gr, gr, f) == expected, w
+        seen.add(expected and expected[0])
+    assert {None, "NotMultiplicativeMap"} <= seen
+
+
+def test_validate_ideal_matches_oracle_on_corrupted_sets(corpus):
+    for entry in corpus:
+        ring = entry.gr.ring
+        if ring.size > 36:
+            continue
+        for ideal in proper_graded_ideals(entry.gr)[:4]:
+            for x in ring.elements():
+                corrupted = ideal.elements ^ {x}
+                expected = outcome(oracles.validate_ideal, ring, corrupted)
+                assert outcome(validate_ideal, ring, corrupted) == expected, (ring, ideal, x)
+
+
+ADD3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+MUL3 = [[i * j % 3 for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "add_rows",
+    [
+        ADD3[:2],
+        [ADD3[0], ADD3[1], ADD3[2][:2]],
+        [tuple(row) for row in ADD3],
+        "012",
+        [[0, 1, 2], [1, 2, 3], [2, 0, 1]],
+        [[0, 1, 2], [1, 2, -3], [2, 0, 1]],
+        [[0, 1, 2], [1, 2, 0.0], [2, 0, 1]],
+        [[0, 1, 2], [1, 2, "0"], [2, 0, 1]],
+    ],
+    ids=["two-rows", "short-row", "tuples", "string", "out-of-range", "negative", "float", "str-entry"],
+)
+def test_malformed_rows_rejected(add_rows):
+    with pytest.raises(MalformedSpec, match="addition table"):
+        FinRing(3, add_rows, MUL3, one=1)
+    with pytest.raises(MalformedSpec, match="multiplication table"):
+        FinRing(3, ADD3, add_rows, one=1)
+
+
+@pytest.mark.parametrize("zero, one", [(0, 3), (-1, 1), (0, 1.0)])
+def test_identities_outside_the_carrier_rejected(zero, one):
+    with pytest.raises(MalformedSpec, match="not in range"):
+        FinRing(3, ADD3, MUL3, zero=zero, one=one)
