@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .finring import FinRing
+from .finring import FinRing, memo
 from .grading import GradedRing
 from .ideals import (
     IdealSet,
@@ -33,16 +33,6 @@ FLAGS = (
     "graded_strongly_1abs_primary",
     "graded_maximal",
 )
-
-
-def _cached(gr: GradedRing, key, compute: Callable):
-    if key not in gr._cache:
-        gr._cache[key] = compute()
-    return gr._cache[key]
-
-
-def radical_of(gr: GradedRing, p: IdealSet) -> IdealSet:
-    return _cached(gr, ("grad", p.elements), lambda: graded_radical(gr, p))
 
 
 def _colon_of(ring: FinRing, members: Iterable[int]) -> Callable[[Sequence[int]], int]:
@@ -77,7 +67,7 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
                 return False, (x, _least(bad))
         return True, None
 
-    return _cached(gr, (key, p.elements), compute)
+    return memo(gr, (key, p.elements), compute)
 
 
 def _triple_kernel(
@@ -109,7 +99,7 @@ def _triple_kernel(
                     return False, (x, y, _least(bad & ~(esc_x | esc[y])))
         return True, None
 
-    return _cached(gr, (key, p.elements), compute)
+    return memo(gr, (key, p.elements), compute)
 
 
 def is_graded_prime(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
@@ -119,7 +109,7 @@ def is_graded_prime(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
 
 def is_graded_primary(gr: GradedRing, q: IdealSet) -> tuple[bool, Witness]:
     """xy in Q forces x in Q or y in Grad(Q), over homogeneous pairs."""
-    return _pair_kernel(gr, q, "primary", lambda: radical_of(gr, q).elements)
+    return _pair_kernel(gr, q, "primary", lambda: graded_radical(gr, q).elements)
 
 
 def _everywhere(gr: GradedRing, escape: frozenset[int]) -> dict[int, int]:
@@ -129,7 +119,7 @@ def _everywhere(gr: GradedRing, escape: frozenset[int]) -> dict[int, int]:
 def is_graded_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad(P), over nonunit homogeneous triples."""
     return _triple_kernel(
-        gr, p, "1abs", gr.nonunit_homogeneous(), lambda: _everywhere(gr, radical_of(gr, p).elements)
+        gr, p, "1abs", gr.nonunit_homogeneous(), lambda: _everywhere(gr, graded_radical(gr, p).elements)
     )
 
 
@@ -149,7 +139,7 @@ def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
     violating triples, and the least of them, are those over all of h(R).
     """
     def rad_colons() -> dict[int, int]:  # xz in Grad(I) iff z is in (Grad(I) : x)
-        into_rad = _colon_of(gr.ring, radical_of(gr, i).elements)
+        into_rad = _colon_of(gr.ring, graded_radical(gr, i).elements)
         return {x: into_rad(gr.ring.mul_rows[x]) for x in gr.nonunit_homogeneous()}
 
     return _triple_kernel(gr, i, "2abs", gr.nonunit_homogeneous(), rad_colons)
@@ -184,7 +174,7 @@ def is_graded_maximal(gr: GradedRing, m: IdealSet) -> bool:
         outside = gr.homogeneous() - m.elements
         return all(not one_plus_m.isdisjoint(ring.mul_rows[a]) for a in outside)
 
-    return _cached(gr, ("maximal", m.elements), compute)
+    return memo(gr, ("maximal", m.elements), compute)
 
 
 @dataclass
@@ -203,7 +193,7 @@ def local_structure(gr: GradedRing) -> LocalStructure:
             the_maximal=maximals[0] if len(maximals) == 1 else None,
         )
 
-    return _cached(gr, ("local_structure",), compute)
+    return memo(gr, ("local_structure",), compute)
 
 
 @dataclass
@@ -227,7 +217,7 @@ def ring_predicates(gr: GradedRing) -> RingProfile:
         nil_or_unit = all(x in units or x in nil for x in homog)
         return RingProfile(graded_field, graded_domain, nil_or_unit)
 
-    return _cached(gr, ("ring_profile",), compute)
+    return memo(gr, ("ring_profile",), compute)
 
 
 @dataclass
@@ -265,7 +255,7 @@ def classify_ideal(gr: GradedRing, p: IdealSet) -> ClassificationReport:
         ideal=p,
         flags=flags,
         witnesses=witnesses,
-        radical=radical_of(gr, p),
+        radical=graded_radical(gr, p),
         ring_label=gr.label,
     )
 

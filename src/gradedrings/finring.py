@@ -1,9 +1,10 @@
 """Exact arithmetic for finite commutative rings with nonzero identity.
 
 Elements are dense 0-based indices into the carrier.  A ring is its dense
-addition and multiplication tables; the structured constructors (cyclic,
-Gaussian-integer quotients, polynomial quotients) build those rows from
-index arithmetic, without a function call per cell.
+addition and multiplication tables.  Every spec ring is a polynomial
+quotient (Z/m)[v]/(modulus): Z/n is (Z/n)[u]/(u) and Z/n[i] is
+(Z/n)[i]/(i^2+1).  One constructor builds its rows from index arithmetic,
+without a function call per cell.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ class PolyQuotient:
 RingSpec = Cyclic | GaussMod | PolyQuotient
 
 
+def memo(owner, key, compute: Callable):
+    """`owner._cache[key]`, filled by `compute()` on first use.  An exception
+    from `compute` is never stored, so it is raised again on every call."""
+    cache = owner._cache
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
 class FinRing:
     """Immutable finite commutative ring; all operations are pure.
 
@@ -84,11 +94,13 @@ class FinRing:
             if zero not in row:
                 raise MalformedSpec(f"{self._names[i]} has no additive inverse")
             self._neg_table.append(row.index(zero))
-        self.add = lambda i, j: self._add_table[i][j]
-        self.mul = lambda i, j: self._mul_table[i][j]
-        self.neg = lambda i: self._neg_table[i]
-        self._units: Optional[frozenset[int]] = None
-        self._nilradical: Optional[frozenset[int]] = None
+        # closures over the tables, not self: a ring in no reference cycle
+        # is freed when dropped, not at the next full garbage collection
+        add, mul, neg = self._add_table, self._mul_table, self._neg_table
+        self.add = lambda i, j: add[i][j]
+        self.mul = lambda i, j: mul[i][j]
+        self.neg = lambda i: neg[i]
+        self._cache: dict = {}
 
     def __repr__(self) -> str:
         return f"FinRing({self.label}, size={self.size})"
@@ -122,11 +134,9 @@ class FinRing:
 
     def units(self) -> frozenset[int]:
         """Exactly the x with xy = 1 for some y."""
-        if self._units is None:
-            self._units = frozenset(
-                x for x, row in enumerate(self._mul_table) if self.one in row
-            )
-        return self._units
+        return memo(self, "units", lambda: frozenset(
+            x for x, row in enumerate(self._mul_table) if self.one in row
+        ))
 
     def high_power(self, x: int) -> int:
         """x^(2^m) with 2^m > size.  An ideal holds it exactly when it holds some
@@ -137,10 +147,9 @@ class FinRing:
 
     def nilradical(self) -> frozenset[int]:
         """The x with x^k = 0 for some k >= 1."""
-        if self._nilradical is None:
-            zero = self.zero
-            self._nilradical = frozenset(x for x in range(self.size) if self.high_power(x) == zero)
-        return self._nilradical
+        return memo(self, "nilradical", lambda: frozenset(
+            x for x in range(self.size) if self.high_power(x) == self.zero
+        ))
 
     def check_axioms(self, thorough: bool = False) -> None:
         """Verify the commutative-ring axioms on the tables.
@@ -230,27 +239,33 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def product_rows(rows1: Sequence[Sequence[int]], rows2: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The table of R x S from tables of R and S, the pair (a, b) at index
+    a*|S| + b: (a,b) op (c,d) = (a op c, b op d)."""
+    n2 = len(rows2)
+    base = list(range(len(rows1) * n2))
+    blocks = [base[a * n2:(a + 1) * n2] for a in range(len(rows1))]  # the pairs (a, *)
+    out = []
+    for row1 in rows1:
+        for row2 in rows2:
+            row: list[int] = []
+            for block in map(blocks.__getitem__, row1):
+                row += map(block.__getitem__, row2)
+            out.append(row)
+    return out
+
+
 def _digit_add_rows(m: int, d: int) -> list[list[int]]:
     """Addition rows of (Z/m)^d, the element with digits c_k at index sum c_k m^k.
 
-    For d = 1 row i is range(m) rotated by i.  Otherwise x = low + top*L
-    (L = m^(d-1)): its row is the row of `low` in (Z/m)^(d-1), copied into
-    the blocks of top digit (top + t) % m for t = 0, 1, ..., m-1.
+    Row i of Z/m is range(m) rotated by i, and (Z/m)^d = Z/m x (Z/m)^(d-1)
+    with the top digit first.
     """
-    base = list(range(m**d))
-    if d == 1:
-        return [base[i:] + base[:i] for i in base]
-    low_rows = _digit_add_rows(m, d - 1)
-    span = len(low_rows)
-    blocks = [base[t * span:(t + 1) * span] for t in range(m)]
-    rows = []
-    for top in range(m):
-        order = blocks[top:] + blocks[:top]
-        for low_row in low_rows:
-            row: list[int] = []
-            for block in order:
-                row += map(block.__getitem__, low_row)
-            rows.append(row)
+    base = list(range(m))
+    rotations = [base[i:] + base[:i] for i in base]
+    rows = rotations
+    for _ in range(d - 1):
+        rows = product_rows(rotations, rows)
     return rows
 
 
@@ -290,33 +305,8 @@ def _poly_rows(m: int, mod: Sequence[int]) -> tuple[list[list[int]], list[list[i
     return add, mul
 
 
-def _cyclic_ring(n: int) -> FinRing:
-    if n < 2:
-        raise MalformedSpec(f"Cyclic({n}): need n >= 2")
-    _check_carrier(n)
-    return FinRing(
-        n,
-        *_cyclic_rows(n),
-        one=1 % n,
-        label=f"Z/{n}",
-        parse=lambda s: int(s) % n,
-    )
-
-
-def _gauss_name(a: int, b: int) -> str:
-    if b == 0:
-        return str(a)
-    imag = "i" if b == 1 else f"{b}i"
-    if a == 0:
-        return imag
-    return f"{a}+{imag}"
-
-
 def _parse_poly(text: str, var: str, p: int, d: int) -> int:
-    """Index sum(c_k * p^k) of a signed sum of terms c, c*var, c*var^k with k < d.
-
-    A Gaussian element a+bi is the polynomial a + b*i, index a + b*p.
-    """
+    """Index sum(c_k * p^k) of a signed sum of terms c, c*var, c*var^k with k < d."""
     s = text.strip().replace(" ", "").replace("-", "+-")
     if s.startswith("+"):
         s = s[1:]
@@ -339,20 +329,7 @@ def _parse_poly(text: str, var: str, p: int, d: int) -> int:
     return sum(c * p**k for k, c in enumerate(coeffs))
 
 
-def _gauss_ring(n: int) -> FinRing:
-    if n < 2:
-        raise MalformedSpec(f"GaussMod({n}): need n >= 2")
-    size = n * n
-    _check_carrier(size)
-    # a + b*i is the polynomial a + b*u modulo u^2 + 1, at index a + b*n
-    names = [_gauss_name(x % n, x // n) for x in range(size)]
-    return FinRing(
-        size, *_poly_rows(n, (1, 0, 1)), one=1, label=f"Z/{n}[i]", names=names,
-        parse=lambda text: _parse_poly(text, "i", n, 2),
-    )
-
-
-def _poly_name(coeffs: Sequence[int]) -> str:
+def _poly_name(coeffs: Sequence[int], var: str) -> str:
     terms = []
     for k, c in enumerate(coeffs):
         if c == 0:
@@ -360,46 +337,50 @@ def _poly_name(coeffs: Sequence[int]) -> str:
         if k == 0:
             terms.append(str(c))
         else:
-            var = "u" if k == 1 else f"u^{k}"
-            terms.append(var if c == 1 else f"{c}{var}")
+            power = var if k == 1 else f"{var}^{k}"
+            terms.append(power if c == 1 else f"{c}{power}")
     return "+".join(terms) if terms else "0"
 
 
-def _poly_ring(spec: PolyQuotient) -> FinRing:
-    p = spec.base.n
-    if not (p <= MAX_CARRIER and _is_prime(p)):
-        raise MalformedSpec(f"PolyQuotient base Z/{p}: {p} is not a prime <= {MAX_CARRIER}")
-    mod = [c % p for c in spec.modulus]
-    d = len(mod) - 1
-    if d < 1 or mod[-1] != 1:
-        raise MalformedSpec("PolyQuotient modulus must be monic of degree >= 1")
-    size = p**d
+def _poly_ring(m: int, modulus: Sequence[int], var: str, label: str) -> FinRing:
+    """(Z/m)[var] / (modulus), modulus monic of degree d >= 1 with coefficients
+    in range(m), the element sum c_k var^k at index sum c_k m^k."""
+    d = len(modulus) - 1
+    size = m**d
     _check_carrier(size)
-
-    def to_coeffs(x: int) -> list[int]:
-        cs = []
+    names = []
+    for x in range(size):
+        coeffs = []
         for _ in range(d):
-            cs.append(x % p)
-            x //= p
-        return cs
-
-    names = [_poly_name(to_coeffs(x)) for x in range(size)]
-    lower = _poly_name(mod[:-1]) + "+" if any(mod[:-1]) else ""
-    mod_name = lower + (f"u^{d}" if d > 1 else "u")
+            x, c = divmod(x, m)
+            coeffs.append(c)
+        names.append(_poly_name(coeffs, var))
     return FinRing(
-        size, *_poly_rows(p, mod), one=1, label=f"Z/{p}[u]/({mod_name})", names=names,
-        parse=lambda text: _parse_poly(text, "u", p, d),
+        size, *_poly_rows(m, modulus), one=1, label=label, names=names,
+        parse=lambda text: _parse_poly(text, var, m, d),
     )
 
 
 def build_ring(spec: RingSpec, check: bool = True) -> FinRing:
     """Construct the ring described by `spec`; optionally scan the axioms."""
     if isinstance(spec, Cyclic):
-        ring = _cyclic_ring(spec.n)
+        n = spec.n
+        if n < 2:
+            raise MalformedSpec(f"Cyclic({n}): need n >= 2")
+        ring = _poly_ring(n, (0, 1), "u", f"Z/{n}")
     elif isinstance(spec, GaussMod):
-        ring = _gauss_ring(spec.n)
+        n = spec.n
+        if n < 2:
+            raise MalformedSpec(f"GaussMod({n}): need n >= 2")
+        ring = _poly_ring(n, (1, 0, 1), "i", f"Z/{n}[i]")
     elif isinstance(spec, PolyQuotient):
-        ring = _poly_ring(spec)
+        p = spec.base.n
+        if not (p <= MAX_CARRIER and _is_prime(p)):
+            raise MalformedSpec(f"PolyQuotient base Z/{p}: {p} is not a prime <= {MAX_CARRIER}")
+        mod = [c % p for c in spec.modulus]
+        if len(mod) < 2 or mod[-1] != 1:
+            raise MalformedSpec("PolyQuotient modulus must be monic of degree >= 1")
+        ring = _poly_ring(p, mod, "u", f"Z/{p}[u]/({_poly_name(mod, 'u')})")
     else:
         raise MalformedSpec(f"unknown ring spec {spec!r}")
     if check:

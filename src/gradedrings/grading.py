@@ -18,7 +18,7 @@ from .errors import (
     NotMultiplicative,
     NotSubgroup,
 )
-from .finring import FinRing
+from .finring import FinRing, memo
 
 Degree = Union[tuple[int, ...], int]
 
@@ -104,12 +104,7 @@ class GradedRing:
 
     def homogeneous(self) -> frozenset[int]:
         """h(R): the union of all components."""
-        if "homog" not in self._cache:
-            out: set[int] = set()
-            for c in self.components.values():
-                out |= c
-            self._cache["homog"] = frozenset(out)
-        return self._cache["homog"]
+        return memo(self, "homog", lambda: frozenset().union(*self.components.values()))
 
     def degree_of(self, x: int) -> Degree | None:
         """Degree of a nonzero homogeneous element, else None."""
@@ -122,21 +117,25 @@ class GradedRing:
 
     def nonunit_homogeneous(self) -> tuple[int, ...]:
         """Nonunit elements of h(R), sorted (includes 0)."""
-        if "nonunit_homog" not in self._cache:
-            units = self.ring.units()
-            self._cache["nonunit_homog"] = tuple(
-                sorted(x for x in self.homogeneous() if x not in units)
+        return memo(self, "nonunit_homog", lambda: tuple(
+            sorted(self.homogeneous() - self.ring.units())
+        ))
+
+    def radical(self, members: frozenset[int]) -> frozenset[int]:
+        """Grad of the graded ideal `members`: the elements all of whose
+        components have some power in it.  Memoized per element set."""
+        def compute():
+            ring = self.ring
+            rooted = {h for h in self.homogeneous() if ring.high_power(h) in members}
+            return frozenset(
+                x for x in ring.elements() if rooted.issuperset(self._decomposition[x].values())
             )
-        return self._cache["nonunit_homog"]
+
+        return memo(self, ("grad", members), compute)
 
     def graded_nilradical(self) -> frozenset[int]:
         """Grad({0}): elements all of whose components are nilpotent."""
-        if "grad_zero" not in self._cache:
-            nil = self.ring.nilradical()
-            self._cache["grad_zero"] = frozenset(
-                x for x in self.ring.elements() if nil.issuperset(self._decomposition[x].values())
-            )
-        return self._cache["grad_zero"]
+        return self.radical(frozenset({self.ring.zero}))
 
 
 def attach_grading(

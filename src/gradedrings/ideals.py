@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Iterable, Literal, Optional
 
 from .errors import BudgetExceeded, NotAnIdeal, NotGraded, NotProper, RingMismatch
-from .finring import FinRing
+from .finring import FinRing, memo
 from .grading import GradedRing
 
 IDEAL_LATTICE_CAP = 4096
@@ -122,14 +122,15 @@ def is_graded_ideal(gr: GradedRing, ideal: IdealSet) -> tuple[bool, Optional[int
     """
     if ideal.ring is not gr.ring:
         raise RingMismatch("ideal belongs to a different ring")
-    key = ("graded", ideal.elements)
-    if key not in gr._cache:
-        members = ideal.elements
+    members = ideal.elements
+
+    def compute():
         validate_ideal(gr.ring, members)
         ungraded = (x for x in members if not members.issuperset(gr.decompose(x).values()))
         witness = min(ungraded, default=None)
-        gr._cache[key] = (witness is None, witness)
-    return gr._cache[key]
+        return witness is None, witness
+
+    return memo(gr, ("graded", members), compute)
 
 
 def require_graded(gr: GradedRing, ideal: IdealSet, proper: bool = False) -> None:
@@ -145,13 +146,10 @@ def graded_radical(gr: GradedRing, ideal: IdealSet) -> IdealSet:
 
     Convention: Grad(R) = R for the improper ideal (keeps monotonicity total).
     """
-    ring = gr.ring
     if not ideal.is_proper():
-        return unit_ideal(ring)
+        return unit_ideal(gr.ring)
     require_graded(gr, ideal)
-    rooted = {h for h in gr.homogeneous() if ring.high_power(h) in ideal.elements}
-    radical = [x for x in ring.elements() if rooted.issuperset(gr.decompose(x).values())]
-    return IdealSet(ring, radical)
+    return IdealSet(gr.ring, gr.radical(ideal.elements))
 
 
 def colon(ring: FinRing, p: IdealSet, k: IdealSet) -> IdealSet:
@@ -171,7 +169,14 @@ def combine(i: IdealSet, j: IdealSet, op: CombineOp) -> IdealSet:
         raise RingMismatch("combine operands from different rings")
     ring = i.ring
     if op == "sum":
-        return IdealSet(ring, additive_closure(ring, i.elements | j.elements))
+        # with I the larger, I + J is the union of the cosets s + I, s in J;
+        # the span so far is a union of I-cosets, so an s it covers adds nothing
+        small, big = sorted((i.elements, j.elements), key=len)
+        span = set(big)
+        for s in small:
+            if s not in span:
+                span.update(map(ring.add_rows[s].__getitem__, big))
+        return IdealSet(ring, span)
     if op == "product":
         rows = ring.mul_rows
         prods = set().union(*(map(rows[x].__getitem__, j.elements) for x in i.elements))
@@ -208,25 +213,23 @@ def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
     elements, so it is a sum of such Ra.  Results are cached on the graded
     ring and sorted for determinism.
     """
-    key = "graded_ideal_lattice"
-    if key in gr._cache:
-        return gr._cache[key]
-    # R0 = {0} is among the principal ideals, since 0 is homogeneous
-    principals = principal_graded_ideals(gr)
-    seen = {ideal.elements: ideal for ideal in principals}
-    frontier = list(principals)
-    while frontier:
-        if len(seen) > IDEAL_LATTICE_CAP:
-            raise BudgetExceeded(f"graded ideal lattice exceeds cap {IDEAL_LATTICE_CAP}")
-        current = frontier.pop()
-        for principal in principals:
-            s = combine(current, principal, "sum")
-            if s.elements not in seen:
-                seen[s.elements] = s
-                frontier.append(s)
-    result = sorted(seen.values(), key=_lattice_order)
-    gr._cache[key] = result
-    return result
+    def compute():
+        # R0 = {0} is among the principal ideals, since 0 is homogeneous
+        principals = principal_graded_ideals(gr)
+        seen = {ideal.elements: ideal for ideal in principals}
+        frontier = list(principals)
+        while frontier:
+            if len(seen) > IDEAL_LATTICE_CAP:
+                raise BudgetExceeded(f"graded ideal lattice exceeds cap {IDEAL_LATTICE_CAP}")
+            current = frontier.pop()
+            for principal in principals:
+                s = combine(current, principal, "sum")
+                if s.elements not in seen:
+                    seen[s.elements] = s
+                    frontier.append(s)
+        return sorted(seen.values(), key=_lattice_order)
+
+    return memo(gr, "graded_ideal_lattice", compute)
 
 
 def proper_graded_ideals(gr: GradedRing) -> list[IdealSet]:

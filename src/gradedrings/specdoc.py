@@ -14,9 +14,9 @@ Schema:
 
 Degrees are comma-separated integers for finite abelian groups ("0", "1",
 "0,1"), plain integers for Z.  Element expressions use the ring's own
-syntax: integers for cyclic rings, "a+b*i" for gauss_mod, polynomials in
-u for poly_quotient.  Omitting "components" means the trivial grading
-(everything in the identity degree).
+syntax: signed sums of integers ("2+3", "-1") for cyclic rings, "a+b*i"
+for gauss_mod, polynomials in u for poly_quotient.  Omitting "components"
+means the trivial grading (everything in the identity degree).
 """
 
 from __future__ import annotations

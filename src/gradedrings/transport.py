@@ -21,7 +21,7 @@ from .errors import (
     NotSurjective,
     UnitNotPreserved,
 )
-from .finring import FinRing
+from .finring import FinRing, product_rows
 from .grading import GradedRing, attach_grading
 from .ideals import IdealSet, require_graded
 
@@ -187,25 +187,11 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
     r1, r2 = gr.ring, gs.ring
     n2 = r2.size
     size = r1.size * n2
-
-    base = list(range(size))
-    blocks = [base[a * n2:(a + 1) * n2] for a in range(r1.size)]  # the pairs (a, *)
-
-    def rows(rows1, rows2):  # (a,b) op (c,d) = (a op c, b op d), with d fastest
-        out = []
-        for row1 in rows1:
-            for row2 in rows2:
-                row: list[int] = []
-                for block in map(blocks.__getitem__, row1):
-                    row += map(block.__getitem__, row2)
-                out.append(row)
-        return out
-
     names = [f"({r1.name(x // n2)},{r2.name(x % n2)})" for x in range(size)]
     pring = FinRing(
         size,
-        rows(r1.add_rows, r2.add_rows),
-        rows(r1.mul_rows, r2.mul_rows),
+        product_rows(r1.add_rows, r2.add_rows),
+        product_rows(r1.mul_rows, r2.mul_rows),
         one=r1.one * n2 + r2.one,
         zero=r1.zero * n2 + r2.zero,
         label=f"{gr.label} x {gs.label}",

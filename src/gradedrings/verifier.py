@@ -8,6 +8,7 @@ notes and a statement with no instances at all reports VACUOUS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -19,7 +20,6 @@ from .classify import (
     is_graded_strongly_1abs_primary,
     flag_value,
     local_structure,
-    radical_of,
     ring_predicates,
     strongly_1abs_ideal_form,
 )
@@ -31,6 +31,7 @@ from .ideals import (
     colon,
     combine,
     enumerate_graded_ideals,
+    graded_radical,
     ideal_generated,
     is_graded_ideal,
     principal_graded_ideals,
@@ -107,20 +108,14 @@ class CorpusEntry:
     parents: tuple = ()
 
 
-def _gauss_graded(n: int) -> GradedRing:
-    ring = build_ring(GaussMod(n))
-    reals = frozenset(range(n))
-    imags = frozenset(b * n for b in range(n))
-    return attach_grading(ring, Z2, {(0,): reals, (1,): imags}, label=f"Z/{n}[i]/Z2")
-
-
-def _graded_field(p: int) -> GradedRing:
-    ring = build_ring(PolyQuotient(Cyclic(p), (p - 1, 0, 1)))  # u^2 - 1
-    constants = frozenset(range(p))
-    u_multiples = frozenset(c * p for c in range(p))
-    return attach_grading(
-        ring, Z2, {(0,): constants, (1,): u_multiples}, label=f"F{p}[u]/(u^2-1)/Z2"
-    )
+def _z2_graded(spec: GaussMod | PolyQuotient, label: str) -> GradedRing:
+    """(Z/m)[v]/(v^2 - c), a + b*v at index a + b*m, graded by Z2: the
+    constants in degree 0 and the multiples of v in degree 1."""
+    ring = build_ring(spec)
+    m = math.isqrt(ring.size)
+    constants = frozenset(range(m))
+    v_multiples = frozenset(b * m for b in range(m))
+    return attach_grading(ring, Z2, {(0,): constants, (1,): v_multiples}, label=label)
 
 
 def default_corpus() -> list[CorpusEntry]:
@@ -129,25 +124,23 @@ def default_corpus() -> list[CorpusEntry]:
     for n in (4, 6, 8, 9, 12, 16, 25, 27, 36):
         gr = trivial_grading(build_ring(Cyclic(n)), label=f"Z/{n}")
         entries.append(CorpusEntry(f"Z/{n}", gr))
-    for n in (2, 3, 4, 9):
-        gr = _gauss_graded(n)
-        entries.append(CorpusEntry(gr.label, gr))
-    for p in (3, 5):
-        gr = _graded_field(p)
-        entries.append(CorpusEntry(gr.label, gr))
+    z2_specs = [(GaussMod(n), f"Z/{n}[i]/Z2") for n in (2, 3, 4, 9)]
+    z2_specs += [(PolyQuotient(Cyclic(p), (p - 1, 0, 1)), f"F{p}[u]/(u^2-1)/Z2") for p in (3, 5)]
+    for spec, label in z2_specs:
+        entries.append(CorpusEntry(label, _z2_graded(spec, label)))
 
     c4 = trivial_grading(build_ring(Cyclic(4)), label="Z/4")
     c9 = trivial_grading(build_ring(Cyclic(9)), label="Z/9")
     prod1 = product(c4, c9)
     entries.append(CorpusEntry("Z/4 x Z/9", prod1, kind="product", parents=(c4, c9)))
-    g2a = _gauss_graded(2)
-    g2b = _gauss_graded(2)
+    g2a = _z2_graded(GaussMod(2), "Z/2[i]/Z2")
+    g2b = _z2_graded(GaussMod(2), "Z/2[i]/Z2")
     prod2 = product(g2a, g2b)
     entries.append(
         CorpusEntry("Z/2[i] x Z/2[i]", prod2, kind="product", parents=(g2a, g2b))
     )
 
-    g4 = _gauss_graded(4)
+    g4 = _z2_graded(GaussMod(4), "Z/4[i]/Z2")
     two_r = ideal_generated(g4.ring, (g4.ring.parse("2"), g4.ring.parse("2i")))
     q1, _ = quotient(g4, two_r)
     entries.append(CorpusEntry("Z/4[i]/2R", q1, kind="quotient"))
@@ -218,7 +211,7 @@ def _thm_2_2(gr: GradedRing, label: str) -> VerificationReport:
     for p in proper_graded_ideals(gr):
         rep.bump("ideals")
         strongly = is_graded_strongly_1abs_primary(gr, p)[0]
-        rad = radical_of(gr, p)
+        rad = graded_radical(gr, p)
         cond1 = is_graded_1abs_primary(gr, p)[0] and rad == grad_zero
         cond2 = (
             ls.is_graded_local
@@ -264,7 +257,7 @@ def _lemma_grad_prime(gr: GradedRing, label: str) -> VerificationReport:
         if not is_graded_1abs_primary(gr, p)[0]:
             continue
         rep.bump("one_abs_instances")
-        rad = radical_of(gr, p)
+        rad = graded_radical(gr, p)
         ok, witness = is_graded_prime(gr, rad)
         if not ok:
             rep.fail(ideal=_ideal_names(gr, p), witness=_elem_names(gr, witness))
@@ -441,7 +434,7 @@ def _prop_2_14(gr: GradedRing, label: str) -> VerificationReport:
         # statement (2) read per the proof: exactly two graded primes,
         # Grad({0}) (non-maximal) and X, and every X-primary ideal contains X^2
         if len(non_maximal) == 1 and non_maximal[0] == grad_zero and grad_zero != x:
-            x_primaries = [q for q in primaries if radical_of(gr, q) == x]
+            x_primaries = [q for q in primaries if graded_radical(gr, q) == x]
             cond2 = all(
                 product_contained(x, x, q) for q in x_primaries
             )
@@ -508,7 +501,7 @@ def _prop_2_19(gr: GradedRing, label: str) -> VerificationReport:
     for p in lattice:
         if not is_graded_strongly_1abs_primary(gr, p)[0]:
             continue
-        rad = radical_of(gr, p)
+        rad = graded_radical(gr, p)
         for k in lattice:
             if k.elements <= rad.elements:
                 continue
@@ -594,7 +587,7 @@ def prop_3_4_reduction(gr: GradedRing, label: str = "") -> VerificationReport:
     )
     for p in proper_graded_ideals(gr):
         primary = is_graded_primary(gr, p)[0]
-        rad_matches = radical_of(gr, p) == grad_zero
+        rad_matches = graded_radical(gr, p) == grad_zero
         if primary and rad_matches:
             rep.bump("statement4_candidates")
             rep.notes.append(
@@ -627,7 +620,7 @@ RING_STATEMENTS: dict[str, RingStatement] = {
     "COR_3_2": _cor_3_2,
     "COR_RE": _cor_re,
     "PROP_3_3": _prop_3_3,
-    "PROP_3_4_REDUCTION": lambda gr, label: prop_3_4_reduction(gr, label),
+    "PROP_3_4_REDUCTION": prop_3_4_reduction,
 }
 
 ALL_STATEMENTS = tuple(sorted(RING_STATEMENTS)) + ("COR_2_7", "COR_2_8")

@@ -1,17 +1,17 @@
 """Definitional loops: the reference the library's fast paths must match.
 
 Ring arithmetic is one function call per table cell: the constructors'
-coefficient formulas, the closures of the derived rings (quotient,
-product, localization, identity subring), and the axiom, ideal and
-homomorphism checks through `ring.add` / `ring.mul`, each raising the
-first failure in scan order. The ideal algebra is the frontier-search
-additive closure and the lattice closed under sums of every pair of
-ideals found so far; radicals search the powers x, x^2, ..., x^|R| one by
-one; colons test every product. Each predicate scans its quantifier
-domain in lexicographic order and returns the first violating tuple,
-exactly as the predicates did before they were merged into shared
-kernels. Nothing here is memoized, so a comparison never reads back a
-value the library cached.
+coefficient formulas and per-kind element names, the closures of the
+derived rings (quotient, product, localization, identity subring), and
+the axiom, ideal and homomorphism checks through `ring.add` / `ring.mul`,
+each raising the first failure in scan order. The ideal algebra is the
+frontier-search additive closure and the lattice closed under sums of
+every pair of ideals found so far; radicals, Grad({0}) included, search
+the powers x, x^2, ..., x^|R| one by one; colons test every product. Each
+predicate scans its quantifier domain in lexicographic order and returns
+the first violating tuple, exactly as the predicates did before they were
+merged into shared kernels. Nothing here is memoized, so a comparison
+never reads back a value the library cached.
 """
 
 from __future__ import annotations
@@ -88,6 +88,42 @@ def spec_tables(spec):
         return from_coeffs(prod[:d])
 
     return tables(p**d, add, mul)
+
+
+def _poly_name(coeffs):
+    """A polynomial in u, ascending: `2+u^2`, `u`, `0`."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            terms.append(str(c))
+        else:
+            power = "u" if k == 1 else f"u^{k}"
+            terms.append(power if c == 1 else f"{c}{power}")
+    return "+".join(terms) if terms else "0"
+
+
+def spec_names(spec):
+    """The label of a ring spec and the name of every element, by kind:
+    decimal residues, `a+bi`, or polynomials in u."""
+    if isinstance(spec, Cyclic):
+        return f"Z/{spec.n}", [str(x) for x in range(spec.n)]
+    if isinstance(spec, GaussMod):
+        n = spec.n
+
+        def gauss(a, b):
+            if b == 0:
+                return str(a)
+            imag = "i" if b == 1 else f"{b}i"
+            return imag if a == 0 else f"{a}+{imag}"
+
+        return f"Z/{n}[i]", [gauss(x % n, x // n) for x in range(n * n)]
+    p = spec.base.n
+    mod = [c % p for c in spec.modulus]
+    d = len(mod) - 1
+    names = [_poly_name([x // p**k % p for k in range(d)]) for x in range(p**d)]
+    return f"Z/{p}[u]/({_poly_name(mod)})", names
 
 
 def check_axioms(ring, thorough=False, full_scan_limit=40, sample_triples=2000):
@@ -363,7 +399,7 @@ def is_graded_1abs_primary(gr, p):
 
 def is_graded_strongly_1abs_primary(gr, p):
     require_graded(gr, p, proper=True)
-    grad_zero = gr.graded_nilradical()
+    grad_zero = graded_radical(gr, IdealSet(gr.ring, {gr.ring.zero})).elements
     nonunits = gr.nonunit_homogeneous()
     mul = gr.ring.mul
     for x in nonunits:

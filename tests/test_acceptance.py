@@ -10,13 +10,12 @@ from gradedrings.classify import (
     is_graded_2abs_primary,
     is_graded_prime,
     is_graded_strongly_1abs_primary,
-    radical_of,
     ring_predicates,
     strongly_1abs_ideal_form,
 )
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import Z2, attach_grading, trivial_grading
-from gradedrings.ideals import enumerate_graded_ideals, proper_graded_ideals
+from gradedrings.ideals import enumerate_graded_ideals, graded_radical, proper_graded_ideals
 from gradedrings.transport import MultiplicativeSet, localize, product
 from gradedrings.verifier import default_corpus, verify
 
@@ -218,7 +217,7 @@ def test_criterion_8_separation_witnesses(corpus):
     gr36 = z36["graded_ring"]
     x, y, z = z36["witness_raw"]
     r36 = gr36.ring
-    rad = radical_of(gr36, z36["ideal_raw"]).elements
+    rad = graded_radical(gr36, z36["ideal_raw"]).elements
     z36_valid = (
         z36["witness"] == ["2", "2", "3"]
         and r36.mul(r36.mul(x, y), z) in z36["ideal_raw"].elements

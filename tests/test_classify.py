@@ -18,11 +18,10 @@ from gradedrings.classify import (
     strongly_1abs_ideal_form,
 )
 from gradedrings.errors import NotProper
-from gradedrings.finring import Cyclic, build_ring
+from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import trivial_grading
-from gradedrings.ideals import IdealSet, proper_graded_ideals, unit_ideal
-from gradedrings.classify import radical_of
-from gradedrings.verifier import _gauss_graded, _graded_field
+from gradedrings.ideals import IdealSet, graded_radical, proper_graded_ideals, unit_ideal
+from gradedrings.verifier import _z2_graded
 from strategies import graded_rings
 
 
@@ -90,7 +89,7 @@ def test_graded_maximal():
     assert is_graded_maximal(g9, IdealSet(g9.ring, {0, 3, 6}))
     g12 = triv(12)
     assert not is_graded_maximal(g12, IdealSet(g12.ring, {0, 4, 8}))
-    gf = _graded_field(3)
+    gf = _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
     assert is_graded_maximal(gf, IdealSet(gf.ring, {0}))
 
 
@@ -104,7 +103,7 @@ def test_local_structure():
         frozenset({0, 2, 4}),
         frozenset({0, 3}),
     }
-    g4 = _gauss_graded(4)
+    g4 = _z2_graded(GaussMod(4), "Z/4[i]/Z2")
     ls = local_structure(g4)
     assert ls.is_graded_local
     two = g4.ring.parse("2")
@@ -117,7 +116,7 @@ def test_local_structure():
 
 
 def test_ring_predicates():
-    gf = _graded_field(3)
+    gf = _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
     profile = ring_predicates(gf)
     assert profile.graded_field
     # the underlying ring is not a field: it has zero divisors
@@ -189,7 +188,7 @@ def test_grad_prime_lemma_on_corpus(corpus):
         gr = entry.gr
         for p in proper_graded_ideals(gr):
             if is_graded_1abs_primary(gr, p)[0]:
-                assert is_graded_prime(gr, radical_of(gr, p))[0], (entry.label, p)
+                assert is_graded_prime(gr, graded_radical(gr, p))[0], (entry.label, p)
 
 
 def test_intersection_of_strongly_is_strongly(corpus):

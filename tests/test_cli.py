@@ -147,6 +147,14 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             id="ideal-cyclic-bad-element",
         ),
         pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "1_0"), "'1_0'",
+            id="ideal-cyclic-digit-separator",
+        ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "u"), "'u'",
+            id="ideal-cyclic-variable",
+        ),
+        pytest.param(
             None, ("ideal", "classify", f"{SPECS}/gauss4-z2.json", "--ideal", "xyz"), "'xyz'",
             id="ideal-gauss-bad-element",
         ),

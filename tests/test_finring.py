@@ -72,6 +72,9 @@ F3_U2_MINUS_1 = PolyQuotient(Cyclic(3), (2, 0, 1))
         (F3_U2_MINUS_1, "1-u", "1+2u"),
         (F3_U2_MINUS_1, "-u+2", "2+2u"),
         (F3_U2_MINUS_1, "4*u^1", "u"),
+        (Cyclic(7), "-1", "6"),
+        (Cyclic(7), "2+3", "5"),
+        (Cyclic(7), " 9 ", "2"),
     ],
 )
 def test_signed_element_parser(spec, text, name):

@@ -106,8 +106,9 @@ def test_is_graded_ideal():
 )
 def test_is_graded_ideal_rejects_non_ideals(make_graded, elements, message):
     gr = make_graded()
-    with pytest.raises(NotAnIdeal, match=message):
-        is_graded_ideal(gr, IdealSet(gr.ring, elements))
+    for _ in range(2):  # an exception is never memoized: the second call raises too
+        with pytest.raises(NotAnIdeal, match=message):
+            is_graded_ideal(gr, IdealSet(gr.ring, elements))
 
 
 def test_graded_radical_examples():
@@ -193,9 +194,9 @@ def test_enumerate_matches_divisor_lattice():
 
 
 def test_enumerate_graded_field():
-    from gradedrings.verifier import _graded_field
+    from gradedrings.verifier import _z2_graded
 
-    gr = _graded_field(3)
+    gr = _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
     assert [len(i) for i in enumerate_graded_ideals(gr)] == [1, 9]
 
 

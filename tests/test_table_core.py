@@ -14,15 +14,17 @@ from strategies import graded_ring, graded_specs
 
 from gradedrings.errors import GradedRingError, MalformedSpec
 from gradedrings.finring import Cyclic, FinRing, GaussMod, PolyQuotient, build_ring
+from gradedrings.grading import trivial_grading
 from gradedrings.ideals import proper_graded_ideals, validate_ideal
 from gradedrings.transport import (
     enumerate_multiplicative_sets,
     hom_build,
     identity_subring,
     localize,
+    product,
     quotient,
 )
-from gradedrings.verifier import _gauss_graded
+from gradedrings.verifier import _z2_graded
 
 POLY_SPECS = [
     PolyQuotient(Cyclic(p), modulus)
@@ -74,10 +76,20 @@ def derived_rings(gr):
 def test_constructor_rows_match_oracle(spec):
     ring = build_ring(spec, check=False)
     assert rows(ring) == oracles.spec_tables(spec)
+    assert (ring.label, [ring.name(x) for x in ring.elements()]) == oracles.spec_names(spec)
     assert_axioms_agree(ring)
 
 
 def test_corpus_and_derived_rows_match_oracle(corpus):
+    other_products = [
+        (trivial_grading(build_ring(Cyclic(3))), trivial_grading(build_ring(Cyclic(5)))),
+        (
+            _z2_graded(GaussMod(2), "Z/2[i]/Z2"),
+            _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2"),
+        ),
+    ]
+    for left, right in other_products:
+        assert rows(product(left, right).ring) == oracles.product_tables(left, right)
     for entry in corpus:
         if entry.kind == "product":
             assert rows(entry.gr.ring) == oracles.product_tables(*entry.parents)
@@ -184,7 +196,7 @@ def test_hom_build_matches_oracle_on_corrupted_maps(corpus):
 def test_hom_build_matches_oracle_on_additive_maps(n):
     # a + b*i -> a + b*w is additive and keeps 1; it is multiplicative iff
     # w^2 = -1, and graded iff moreover w lies in degree 1
-    gr = _gauss_graded(n)
+    gr = _z2_graded(GaussMod(n), f"Z/{n}[i]/Z2")
     ring = gr.ring
     seen = set()
     for w in ring.elements():
