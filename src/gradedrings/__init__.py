@@ -57,24 +57,45 @@ from .classify import (
     ring_predicates,
     strongly_1abs_ideal_form,
 )
-from .transport import (
-    GradedHom,
-    MultiplicativeSet,
-    hom_build,
-    hom_transport,
-    identity_subring,
-    localize,
-    product,
-    quotient,
-)
-from .verifier import (
-    CorpusEntry,
-    VerificationReport,
-    default_corpus,
-    prop_3_4_reduction,
-    run_suite,
-    search_counterexample,
-    verify,
-)
 
 __version__ = "0.1.0"
+
+# Names of the transport and verifier layers, imported on first use so that
+# `import gradedrings` and the `ring`/`ideal` subcommands do not load them.
+# Each access reads the submodule's current binding, so a name rebound there
+# (by a span tracer or a test) is seen here; nothing is copied into this module.
+_LAZY = {
+    "transport": (
+        "GradedHom",
+        "MultiplicativeSet",
+        "hom_build",
+        "hom_transport",
+        "identity_subring",
+        "localize",
+        "product",
+        "quotient",
+    ),
+    "verifier": (
+        "CorpusEntry",
+        "VerificationReport",
+        "default_corpus",
+        "prop_3_4_reduction",
+        "run_suite",
+        "search_counterexample",
+        "verify",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            from importlib import import_module
+
+            mod = import_module(f"{__name__}.{module}")
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *(n for names in _LAZY.values() for n in names)})

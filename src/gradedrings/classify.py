@@ -7,10 +7,9 @@ ring and ideal element set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .finring import FinRing, memo
+from .finring import FinRing, Record, memo
 from .grading import GradedRing
 from .ideals import (
     IdealSet,
@@ -177,11 +176,18 @@ def is_graded_maximal(gr: GradedRing, m: IdealSet) -> bool:
     return memo(gr, ("maximal", m.elements), compute)
 
 
-@dataclass
-class LocalStructure:
-    graded_maximal_ideals: list[IdealSet]
-    is_graded_local: bool
-    the_maximal: Optional[IdealSet]
+class LocalStructure(Record):
+    __slots__ = ("graded_maximal_ideals", "is_graded_local", "the_maximal")
+
+    def __init__(
+        self,
+        graded_maximal_ideals: list[IdealSet],
+        is_graded_local: bool,
+        the_maximal: Optional[IdealSet],
+    ):
+        self.graded_maximal_ideals = graded_maximal_ideals
+        self.is_graded_local = is_graded_local
+        self.the_maximal = the_maximal
 
 
 def local_structure(gr: GradedRing) -> LocalStructure:
@@ -196,11 +202,21 @@ def local_structure(gr: GradedRing) -> LocalStructure:
     return memo(gr, ("local_structure",), compute)
 
 
-@dataclass
-class RingProfile:
-    graded_field: bool
-    graded_domain: bool
-    every_homogeneous_nilpotent_or_unit: bool
+class RingProfile(Record):
+    __slots__ = ("graded_field", "graded_domain", "every_homogeneous_nilpotent_or_unit")
+
+    def __init__(
+        self,
+        graded_field: bool,
+        graded_domain: bool,
+        every_homogeneous_nilpotent_or_unit: bool,
+    ):
+        self.graded_field = graded_field
+        self.graded_domain = graded_domain
+        self.every_homogeneous_nilpotent_or_unit = every_homogeneous_nilpotent_or_unit
+
+    def to_dict(self) -> dict[str, bool]:
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
 def ring_predicates(gr: GradedRing) -> RingProfile:
@@ -220,14 +236,22 @@ def ring_predicates(gr: GradedRing) -> RingProfile:
     return memo(gr, ("ring_profile",), compute)
 
 
-@dataclass
-class ClassificationReport:
-    ideal: IdealSet
-    flags: dict[str, bool]
-    witnesses: dict[str, tuple[int, ...]]
-    radical: IdealSet
-    ring_label: str = ""
-    extra: dict = field(default_factory=dict)
+class ClassificationReport(Record):
+    __slots__ = ("ideal", "flags", "witnesses", "radical", "ring_label")
+
+    def __init__(
+        self,
+        ideal: IdealSet,
+        flags: dict[str, bool],
+        witnesses: dict[str, tuple[int, ...]],
+        radical: IdealSet,
+        ring_label: str = "",
+    ):
+        self.ideal = ideal
+        self.flags = flags
+        self.witnesses = witnesses
+        self.radical = radical
+        self.ring_label = ring_label
 
     def to_dict(self, gr: GradedRing) -> dict:
         name = gr.ring.name

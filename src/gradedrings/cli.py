@@ -8,6 +8,9 @@ Subcommands:
 
 Exit status: 0 when every outcome is PASS/VACUOUS, 1 on any FAIL,
 2 on usage or spec errors.
+
+Only `verify` and `search` import the verifier, and with it the transport
+layer, when they run; `ring describe` and `ideal classify` never load them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .classify import (
     FLAGS,
@@ -24,16 +27,11 @@ from .classify import (
     ring_predicates,
 )
 from .errors import GradedRingError, MalformedSpec
-from .ideals import IdealSet, proper_graded_ideals
+from .ideals import proper_graded_ideals
 from .specdoc import expect, load_spec, parse_spec, read_json, resolve_ideal
-from .verifier import (
-    ALL_STATEMENTS,
-    CorpusEntry,
-    default_corpus,
-    run_suite,
-    search_counterexample,
-    verify,
-)
+
+if TYPE_CHECKING:
+    from .verifier import CorpusEntry
 
 
 def _names(gr, xs) -> str:
@@ -59,7 +57,7 @@ def _cmd_ring_describe(args) -> int:
         + [_names(gr, frozenset(ring.elements()))],
         "graded_maximal_ideals": [_names(gr, m.elements) for m in ls.graded_maximal_ideals],
         "is_graded_local": ls.is_graded_local,
-        "profile": vars(ring_predicates(gr)),
+        "profile": ring_predicates(gr).to_dict(),
     }
     if args.format == "json":
         print(json.dumps(info, indent=2))
@@ -101,6 +99,8 @@ def _cmd_ideal_classify(args) -> int:
 
 
 def _load_corpus(path: Optional[str]) -> list[CorpusEntry]:
+    from .verifier import CorpusEntry, default_corpus
+
     if path is None:
         return default_corpus()
     docs = expect(read_json(path), list, "$")
@@ -133,6 +133,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import run_suite, verify
+
     corpus = _load_corpus(args.corpus)
     n_range = _parse_range(args.range) if args.range else (2, 64)
     if args.statement == "all":
@@ -152,6 +154,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .verifier import search_counterexample
+
     corpus = _load_corpus(args.corpus)
     found = search_counterexample(corpus, args.hypothesis, args.conclusion)
     rows = [

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import MalformedSpec
@@ -21,26 +20,54 @@ _FULL_SCAN_LIMIT = 40
 _SAMPLE_TRIPLES = 2000
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Record:
+    """Base of the library's small records: equality, hash and a
+    `Name(field=value, ...)` repr over the fields named in `__slots__`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Cyclic(Record):
     """Z/nZ."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
 
 
-@dataclass(frozen=True)
-class GaussMod:
+class GaussMod(Record):
     """Z/nZ with an adjoined square root of -1; element (a, b) is a + b*i."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
 
 
-@dataclass(frozen=True)
-class PolyQuotient:
+class PolyQuotient(Record):
     """(Z/pZ)[u] / (modulus), modulus monic, coefficients ascending."""
 
-    base: Cyclic
-    modulus: tuple[int, ...]
+    __slots__ = ("base", "modulus")
+
+    def __init__(self, base: Cyclic, modulus: tuple[int, ...]):
+        self.base = base
+        self.modulus = modulus
 
 
 RingSpec = Cyclic | GaussMod | PolyQuotient

@@ -8,7 +8,6 @@ supported components, so direct-sum failures are certified, not assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -18,23 +17,23 @@ from .errors import (
     NotMultiplicative,
     NotSubgroup,
 )
-from .finring import FinRing, memo
+from .finring import FinRing, Record, memo
 
 Degree = Union[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class GradingGroup:
+class GradingGroup(Record):
     """Abelian grading group: finite abelian (invariant factors) or Z."""
 
-    kind: str  # "finite_abelian" | "integers"
-    factors: tuple[int, ...] = ()
+    __slots__ = ("kind", "factors")
 
-    def __post_init__(self):
-        if self.kind not in ("finite_abelian", "integers"):
-            raise MalformedSpec(f"unknown group kind {self.kind!r}")
-        if any(f < 2 for f in self.factors):
+    def __init__(self, kind: str, factors: tuple[int, ...] = ()):
+        if kind not in ("finite_abelian", "integers"):
+            raise MalformedSpec(f"unknown group kind {kind!r}")
+        if any(f < 2 for f in factors):
             raise MalformedSpec("invariant factors must be >= 2")
+        self.kind = kind  # "finite_abelian" | "integers"
+        self.factors = factors
 
     @property
     def identity(self) -> Degree:

@@ -22,19 +22,21 @@ means the trivial grading (everything in the identity degree).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from .errors import MalformedSpec
-from .finring import Cyclic, GaussMod, PolyQuotient, build_ring
+from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring
 from .grading import GradedRing, GradingGroup, TRIVIAL_GROUP, attach_grading, trivial_grading
 from .ideals import IdealSet, ideal_generated
 
 
-@dataclass
-class RingSpecDocument:
-    graded_ring: GradedRing
-    ideals: dict[str, IdealSet] = field(default_factory=dict)
+class RingSpecDocument(Record):
+    __slots__ = ("graded_ring", "ideals")
+
+    def __init__(self, graded_ring: GradedRing, ideals: Optional[dict[str, IdealSet]] = None):
+        self.graded_ring = graded_ring
+        self.ideals = {} if ideals is None else ideals
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}

@@ -8,7 +8,6 @@ the construction formulas.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
 from .errors import (
@@ -21,18 +20,20 @@ from .errors import (
     NotSurjective,
     UnitNotPreserved,
 )
-from .finring import FinRing, product_rows
+from .finring import FinRing, Record, product_rows
 from .grading import GradedRing, attach_grading
 from .ideals import IdealSet, require_graded
 
 MAX_MULT_SET_SIZE = 8
 
 
-@dataclass(frozen=True)
-class MultiplicativeSet:
+class MultiplicativeSet(Record):
     """Multiplicatively closed subset of h(R), containing 1, excluding 0."""
 
-    elements: frozenset[int]
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: frozenset[int]):
+        self.elements = elements
 
     @staticmethod
     def create(gr: GradedRing, elements: Iterable[int]) -> "MultiplicativeSet":

@@ -9,7 +9,6 @@ notes and a statement with no instances at all reports VACUOUS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .classify import (
@@ -24,7 +23,7 @@ from .classify import (
     strongly_1abs_ideal_form,
 )
 from .errors import ShapeMismatch
-from .finring import Cyclic, GaussMod, PolyQuotient, build_ring
+from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring
 from .grading import TRIVIAL_GROUP, Z2, GradedRing, attach_grading, trivial_grading
 from .ideals import (
     IdealSet,
@@ -50,14 +49,24 @@ from .transport import (
 )
 
 
-@dataclass
-class VerificationReport:
-    statement_id: str
-    subject: str
-    outcome: str = "PASS"  # PASS | FAIL | VACUOUS
-    counters: dict[str, int] = field(default_factory=dict)
-    witnesses: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("statement_id", "subject", "outcome", "counters", "witnesses", "notes")
+
+    def __init__(
+        self,
+        statement_id: str,
+        subject: str,
+        outcome: str = "PASS",  # PASS | FAIL | VACUOUS
+        counters: Optional[dict[str, int]] = None,
+        witnesses: Optional[list[dict]] = None,
+        notes: Optional[list[str]] = None,
+    ):
+        self.statement_id = statement_id
+        self.subject = subject
+        self.outcome = outcome
+        self.counters = {} if counters is None else counters
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
 
     def fail(self, **witness) -> None:
         self.outcome = "FAIL"
@@ -100,12 +109,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass
-class CorpusEntry:
-    label: str
-    gr: GradedRing
-    kind: str = "base"  # base | product | quotient | localization
-    parents: tuple = ()
+class CorpusEntry(Record):
+    __slots__ = ("label", "gr", "kind", "parents")
+
+    def __init__(
+        self,
+        label: str,
+        gr: GradedRing,
+        kind: str = "base",  # base | product | quotient | localization
+        parents: tuple = (),
+    ):
+        self.label = label
+        self.gr = gr
+        self.kind = kind
+        self.parents = parents
 
 
 def _z2_graded(spec: GaussMod | PolyQuotient, label: str) -> GradedRing:

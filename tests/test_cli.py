@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,3 +258,51 @@ def test_json_output_matches_golden(tmp_path, capsys, golden):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert out.encode() == expected
+
+
+# Runs one case in a fresh interpreter and writes to stderr the modules the
+# case loaded beyond the interpreter's own start-up set (site hooks included).
+FOOTPRINT_PROBE = """
+import sys
+before = set(sys.modules)
+from gradedrings.cli import main
+status = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+sys.stderr.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(status)
+"""
+LAZY_LAYERS = ("gradedrings.verifier", "gradedrings.transport", "dataclasses", "inspect")
+
+
+def _loaded_modules(*argv: str) -> set[str]:
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = (str(src), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param((), id="import"),
+        pytest.param(("ring", "describe", f"{SPECS}/cyclic9.json"), id="ring-describe"),
+        pytest.param(
+            ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "M"), id="ideal-classify"
+        ),
+    ],
+)
+def test_ring_and_ideal_commands_skip_verifier_layers(argv):
+    loaded = _loaded_modules(*argv)
+    assert "gradedrings.cli" in loaded
+    assert not loaded & set(LAZY_LAYERS)
+
+
+def test_verify_loads_verifier(tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([json.loads((SPECS / "cyclic9.json").read_text())]))
+    loaded = _loaded_modules("verify", "THM_2_2", "--corpus", str(corpus))
+    assert {"gradedrings.verifier", "gradedrings.transport"} <= loaded
