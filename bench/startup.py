@@ -16,8 +16,9 @@ a bare interpreter, `import gradedrings.cli`, `ring describe` Z/256,
 
 The two checkouts alternate sample by sample, so that a drift of the
 host's speed falls on both.  For each checkout the record also lists the
-modules each case loads beyond the interpreter's own start-up set.
-Standard library only.
+modules each case loads beyond the interpreter's own start-up set, as
+`bench/modules_loaded.py` prints them.  The fresh-process runner and the
+summary come from `bench/table_core.py`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
+
+from table_core import commit, machine, run_fresh, summary
 
 SAMPLES = 7
+MODULES_LOADED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "modules_loaded.py")
 Z256_SPEC = {"ring": {"kind": "cyclic", "n": 256}, "group": {"kind": "trivial"}}
 CASES = (  # (name, CLI arguments with {spec} for the Z/256 spec file)
     ("bare interpreter", None),
@@ -41,15 +42,6 @@ CASES = (  # (name, CLI arguments with {spec} for the Z/256 spec file)
     ("ideal classify (16) Z/256", ("ideal", "classify", "{spec}", "--ideal", "16")),
     ("verify all", ("verify", "all")),
 )
-# Writes to stderr the modules one CLI invocation loads beyond start-up.
-PROBE = """
-import sys
-before = set(sys.modules)
-from gradedrings.cli import main
-status = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-sys.stderr.write("\\n".join(sorted(set(sys.modules) - before)))
-sys.exit(status)
-"""
 
 
 def _env(root: str, pycache: str | None) -> dict:
@@ -64,20 +56,6 @@ def _env(root: str, pycache: str | None) -> dict:
     return env
 
 
-def _run(argv: list[str], env: dict) -> dict:
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    return {
-        "wall_s": time.perf_counter() - start,
-        "cpu_s": usage.ru_utime + usage.ru_stime,
-        "peak_rss_mb": usage.ru_maxrss / 1024,
-        "exit": os.waitstatus_to_exitcode(status),
-    }
-
-
 def _python_args(cli_args) -> list[str]:
     if cli_args is None:
         return ["-c", "pass"]
@@ -88,27 +66,12 @@ def _python_args(cli_args) -> list[str]:
 
 def _modules(cli_args: list[str], env: dict) -> list[str]:
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, *cli_args], env=env, capture_output=True, text=True
+        [sys.executable, MODULES_LOADED, *cli_args], env=env, capture_output=True, text=True
     )
     return out.stderr.split()
 
 
-def _summary(runs: list[dict]) -> dict:
-    return {
-        **{f"median_{k}": statistics.median(r[k] for r in runs) for k in ("wall_s", "cpu_s", "peak_rss_mb")},
-        "exit": sorted({r["exit"] for r in runs}),
-        "samples": runs,
-    }
-
-
-def _commit(root: str) -> str:
-    out = subprocess.run(
-        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
-    )
-    return out.stdout.strip() or "unknown"
-
-
-def measure(sides: dict[str, str], samples: int) -> dict:
+def measure(sides: dict[str, str]) -> dict:
     with tempfile.TemporaryDirectory() as work:
         spec = os.path.join(work, "z256.json")
         with open(spec, "w") as fh:
@@ -122,19 +85,19 @@ def measure(sides: dict[str, str], samples: int) -> dict:
             envs[side, "no_cache"] = _env(root, None)
             envs[side, "cache"] = _env(root, os.path.join(work, side))
             for _, args in cases:  # fill the cache
-                _run(_python_args(args), envs[side, "cache"])
+                run_fresh(_python_args(args), envs[side, "cache"])
         runs = {(side, mode, name): [] for side, mode in envs for name, _ in cases}
-        for i in range(samples):
+        for i in range(SAMPLES):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for mode in ("no_cache", "cache"):
                 for name, args in cases:
                     for side in order:
-                        runs[side, mode, name].append(_run(_python_args(args), envs[side, mode]))
+                        runs[side, mode, name].append(run_fresh(_python_args(args), envs[side, mode]))
         return {
             side: {
-                "commit": _commit(root),
+                "commit": commit(root),
                 **{
-                    mode: {name: _summary(runs[side, mode, name]) for name, _ in cases}
+                    mode: {name: summary(runs[side, mode, name]) for name, _ in cases}
                     for mode in ("no_cache", "cache")
                 },
                 "modules_loaded": {
@@ -149,23 +112,17 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", required=True, help="checkout measured as the parent")
     parser.add_argument("--after", required=True, help="checkout measured as the change")
-    parser.add_argument("--samples", type=int, default=SAMPLES)
     parser.add_argument("--out", default="BENCH_startup.json")
     args = parser.parse_args()
     for root in (args.before, args.after):
         for dirpath, dirnames, _ in os.walk(os.path.join(root, "src")):
             if "__pycache__" in dirnames:
                 parser.error(f"{dirpath}/__pycache__ would be read in the no_cache mode; remove it")
-    sides = measure({"before": args.before, "after": args.after}, args.samples)
+    sides = measure({"before": args.before, "after": args.after})
     doc = {
         "what": "fresh processes: wall (perf_counter), CPU and peak RSS (wait4), medians of the samples",
-        "machine": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
-        "samples": args.samples,
+        "machine": machine(),
+        "samples": SAMPLES,
         **sides,
         "cpu_after_over_before": {
             mode: {

@@ -13,7 +13,8 @@ the cold run filled.
 Fresh process: wall time, CPU time (user + system, from `wait4`) and peak
 RSS of one `python3 -m gradedrings.cli` per sample, with its exit status.
 Every fresh process is cold.  `verify COR_2_7 --range 2..512` runs once,
-because it takes seconds.  Standard library only.
+because it takes seconds.  `bench/startup.py` shares the fresh-process
+helpers (`run_fresh`, `summary`, `commit`, `machine`).  Standard library only.
 """
 
 from __future__ import annotations
@@ -66,49 +67,60 @@ def measure() -> dict:
     return rows
 
 
-def _run_cli(root: str, argv: list[str]) -> dict:
-    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+def run_fresh(argv: list[str], env: dict) -> dict:
+    """One fresh `python3 *argv`: wall time, CPU time and peak RSS (wait4), exit status."""
     start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gradedrings.cli", *argv],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        [sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
     _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
     return {
-        "wall_s": wall,
+        "wall_s": time.perf_counter() - start,
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss / 1024,
         "exit": os.waitstatus_to_exitcode(status),
     }
 
 
+def summary(runs: list[dict]) -> dict:
+    """Medians of fresh-process samples, the exit statuses seen, and the samples."""
+    return {
+        **{
+            f"median_{k}": statistics.median(r[k] for r in runs)
+            for k in ("wall_s", "cpu_s", "peak_rss_mb")
+        },
+        "exit": sorted({r["exit"] for r in runs}),
+        "samples": runs,
+    }
+
+
+def commit(root: str) -> str:
+    out = subprocess.run(
+        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
+    )
+    return out.stdout.strip() or "unknown"
+
+
+def machine() -> dict:
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
 def _cli_side(root: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     out = {}
     with tempfile.TemporaryDirectory() as work:
         spec = os.path.join(work, "z1024.json")
         with open(spec, "w") as fh:
             json.dump(Z1024_SPEC, fh)
         for name, argv, samples in CLI_CASES:
-            args = [a.replace("{spec}", spec) for a in argv]
-            runs = [_run_cli(root, args) for _ in range(samples)]
-            medians = {
-                f"median_{k}": statistics.median(r[k] for r in runs)
-                for k in ("wall_s", "cpu_s", "peak_rss_mb")
-            }
-            out[name] = {
-                **medians,
-                "exit": sorted({r["exit"] for r in runs}),
-                "samples": runs,
-            }
+            args = ["-m", "gradedrings.cli", *(a.replace("{spec}", spec) for a in argv)]
+            out[name] = summary([run_fresh(args, env) for _ in range(samples)])
     return out
-
-
-def _commit(root: str) -> str:
-    out = subprocess.run(
-        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
-    )
-    return out.stdout.strip() or "unknown"
 
 
 def _side(root: str) -> dict:
@@ -118,7 +130,7 @@ def _side(root: str) -> dict:
         env=env, capture_output=True, text=True, check=True,
     )
     return {
-        "commit": _commit(root),
+        "commit": commit(root),
         "in_process": json.loads(out.stdout),
         "fresh_process": _cli_side(root),
     }
@@ -140,12 +152,7 @@ def main() -> None:
     after = _side(args.after)
     doc = {
         "what": "in-process cold/warm timings (perf_counter) and fresh CLI processes (wait4)",
-        "machine": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "machine": machine(),
         "repeat": REPEAT,
         "before": before,
         "after": after,

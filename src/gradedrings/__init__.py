@@ -85,6 +85,12 @@ _LAZY = {
         "verify",
     ),
 }
+# Star import names the lazy ones too; `from gradedrings import *` resolves
+# them through `__getattr__` and so loads the transport and verifier layers.
+__all__ = sorted(
+    {n for n in globals() if not n.startswith("_")}
+    | {*_LAZY, *(n for names in _LAZY.values() for n in names)}
+)
 
 
 def __getattr__(name: str):
@@ -98,4 +104,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *(n for names in _LAZY.values() for n in names)})
+    return sorted({*globals(), *__all__})

@@ -260,25 +260,16 @@ def test_json_output_matches_golden(tmp_path, capsys, golden):
     assert out.encode() == expected
 
 
-# Runs one case in a fresh interpreter and writes to stderr the modules the
-# case loaded beyond the interpreter's own start-up set (site hooks included).
-FOOTPRINT_PROBE = """
-import sys
-before = set(sys.modules)
-from gradedrings.cli import main
-status = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-sys.stderr.write("\\n".join(sorted(set(sys.modules) - before)))
-sys.exit(status)
-"""
 LAZY_LAYERS = ("gradedrings.verifier", "gradedrings.transport", "dataclasses", "inspect")
 
 
 def _loaded_modules(*argv: str) -> set[str]:
-    src = Path(__file__).resolve().parent.parent / "src"
-    paths = (str(src), os.environ.get("PYTHONPATH"))
+    """Modules one CLI invocation loads beyond a fresh interpreter's start-up set."""
+    root = Path(__file__).resolve().parent.parent
+    paths = (str(root / "src"), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_PROBE, *argv],
+        [sys.executable, str(root / "bench" / "modules_loaded.py"), *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

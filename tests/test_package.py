@@ -55,6 +55,15 @@ def test_every_export_is_the_submodule_object():
         assert name in dir(gradedrings), name
 
 
+def test_star_import_binds_every_export_and_submodule():
+    namespace: dict = {}
+    exec("from gradedrings import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == {name for _, name in NAMES} | set(EXPORTS)
+    for module, name in NAMES:
+        assert namespace[name] is getattr(importlib.import_module(f"gradedrings.{module}"), name)
+
+
 def test_submodules_are_attributes():
     for module in EXPORTS:
         assert getattr(gradedrings, module) is importlib.import_module(f"gradedrings.{module}")
