@@ -4,11 +4,13 @@
         --out BENCH_table_core.json
 
 In process, one child per side with `PYTHONPATH=<checkout>/src`: building
-Z/256, Z/1024 and GaussMod(32) (unchecked) followed by `check_axioms`,
-`default_corpus()`, and `run_suite()` on that corpus.  Cold is the first
-sample in the child; warm is the median of the next REPEAT samples in the
-same child.  For `run_suite()` warm means on the same corpus, whose memos
-the cold run filled.
+Z/256, Z/1024 and GaussMod(32) (unchecked) followed by `check_axioms`;
+building GaussMod(9), Z/36 and Z/256 followed by `check_axioms(thorough=True)`;
+`default_corpus()`; `run_suite()` on that corpus; and, each on a fresh
+corpus, `run_suite` of PROP_3_1, COR_3_2 and COR_RE alone and of the three
+together.  Cold is the first sample in the child; warm is the median of the
+next REPEAT samples in the same child.  For `run_suite` warm means on the
+same corpus, whose memos the cold run filled.
 
 Fresh process: wall time, CPU time (user + system, from `wait4`) and peak
 RSS of one `python3 -m gradedrings.cli` per sample, with its exit status.
@@ -30,6 +32,8 @@ import tempfile
 import time
 
 REPEAT = 3  # warm in-process samples, and fresh-process samples of the short commands
+# the statements that check the quotient images and R_e preimages, in suite order
+TRANSPORT_STATEMENTS = ("COR_3_2", "COR_RE", "PROP_3_1")
 Z1024_SPEC = {"ring": {"kind": "cyclic", "n": 1024}, "group": {"kind": "trivial"}}
 CLI_CASES = (  # (name, argv with {spec} for the Z/1024 spec file, samples)
     ("verify all", ("verify", "all"), REPEAT),
@@ -61,9 +65,18 @@ def measure() -> dict:
         rows[f"build + check_axioms {spec}"] = _cold_warm(
             lambda spec=spec: build_ring(spec, check=False).check_axioms()
         )
+    for spec in (GaussMod(9), Cyclic(36), Cyclic(256)):
+        rows[f"build + check_axioms(thorough=True) {spec}"] = _cold_warm(
+            lambda spec=spec: build_ring(spec, check=False).check_axioms(thorough=True)
+        )
     rows["default_corpus()"] = _cold_warm(default_corpus)
     corpus = default_corpus()
     rows["run_suite()"] = _cold_warm(lambda: run_suite(corpus=corpus))
+    for ids in (*((sid,) for sid in TRANSPORT_STATEMENTS), TRANSPORT_STATEMENTS):
+        corpus = default_corpus()  # fresh for each row: its first sample is cold
+        rows[f"run_suite({' + '.join(ids)})"] = _cold_warm(
+            lambda ids=ids, corpus=corpus: run_suite(ids, corpus=corpus)
+        )
     return rows
 
 

@@ -181,12 +181,29 @@ class FinRing:
     def check_axioms(self, thorough: bool = False) -> None:
         """Verify the commutative-ring axioms on the tables.
 
-        The identities and commutativity are always checked in full; the
-        three-variable laws (associativity, distributivity) in full for
-        small carriers or when `thorough`, otherwise on a seeded sample of
-        triples.  The full checks compare whole rows and columns; a failing
-        row is then scanned cell by cell, so the message names the first
-        failing element, pair or triple in (i, j, k) order.
+        The identities and commutativity are always checked in full, by
+        whole rows and columns.  The three-variable laws (associativity,
+        distributivity) are decided exactly for small carriers or when
+        `thorough`, otherwise on a seeded sample of triples.
+
+        The exact decision reads only triples with an additive generator in
+        them.  G is a set whose closure under x -> x+g (g in G), started
+        from G, is the whole carrier; it is found on the table itself, so
+        no law is assumed.  Then, in this order:
+
+        - Light's test (Clifford and Preston, The Algebraic Theory of
+          Semigroups I, section 1.2): (x+a)+y = x+(a+y) for a in G and all
+          x, y.  The a passing it are closed under +: for such a and b,
+          (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y))
+          = x+((a+b)+y).  So they are the whole carrier.
+        - Each row of * is additive: i(a+y) = ia+iy for a in G.  With +
+          associative, the a passing it for row i are closed under +.
+        - (ab)c = a(bc) for a, b in G.  With distributivity (and * commutative)
+          both sides are additive in a and in b, so it holds everywhere.
+
+        Each verdict thus equals the full scan's.  Only when one fails are
+        the triples scanned, so the message names the first failing
+        element, pair or triple in (i, j, k) order.
         """
         n, add, mul = self.size, self._add_table, self._mul_table
         ids = list(range(n))
@@ -201,6 +218,8 @@ class FinRing:
                 which = "addition" if a_row[j] != a_col[j] else "multiplication"
                 raise MalformedSpec(f"{which} not commutative at ({i},{j})")
         if thorough or n <= _FULL_SCAN_LIMIT:
+            if _laws_hold(add, mul, _additive_generators(add, self.zero)):
+                return
             # over k at once: (i+j)+k = i+(j+k), (ij)k = i(jk), i(j+k) = ij+ik
             for i in ids:
                 plus_i, times_i = add[i].__getitem__, mul[i].__getitem__
@@ -220,6 +239,44 @@ class FinRing:
                 law = _triple_law(add, mul, i, j, k)
                 if law:
                     raise MalformedSpec(f"{law} at ({i},{j},{k})")
+
+
+def _additive_generators(add: list[list[int]], zero: int) -> list[int]:
+    """Elements, least first, whose closure under x -> x+g (g among them),
+    started from them, is the carrier: each one not yet reached is added.
+    Zero comes last, needed only if no sum reaches it."""
+    n = len(add)
+    gens: list[int] = []
+    reached = [False] * n
+    for x in [*range(zero), *range(zero + 1, n), zero]:
+        if reached[x]:
+            continue
+        gens.append(x)
+        reached[x] = True
+        todo = [c for c in range(n) if reached[c]]
+        while todo:
+            row = add[todo.pop()]
+            for d in map(row.__getitem__, gens):
+                if not reached[d]:
+                    reached[d] = True
+                    todo.append(d)
+    return gens
+
+
+def _laws_hold(add: list[list[int]], mul: list[list[int]], gens: list[int]) -> bool:
+    """Whether + is associative, * distributes over + and * is associative,
+    tested on triples with generators in them (see `FinRing.check_axioms`)."""
+    for a in gens:  # (x+a)+y = x+(a+y)
+        for x_row in add:
+            if add[x_row[a]] != list(map(x_row.__getitem__, add[a])):
+                return False
+    for m_row in mul:  # i(a+y) = ia+iy
+        for a in gens:
+            if list(map(m_row.__getitem__, add[a])) != list(map(add[m_row[a]].__getitem__, m_row)):
+                return False
+    return all(  # (ab)c = a(bc)
+        mul[mul[a][b]] == list(map(mul[a].__getitem__, mul[b])) for a in gens for b in gens
+    )
 
 
 def _triple_law(add: list[list[int]], mul: list[list[int]], i: int, j: int, k: int) -> str:

@@ -2,7 +2,10 @@
 
 Quotients, products, localizations and the identity-component subring all
 re-validate their gradings through attach_grading rather than trusting
-the construction formulas.
+the construction formulas.  Nothing here is memoized: every call builds and
+validates its ring again, so a caller that needs what a construction shows
+more than once keeps that result, not the ring (the verifier keeps counts
+and witness names per parent ring).
 """
 
 from __future__ import annotations

@@ -4,6 +4,11 @@ Biconditionals are split into two implications with separate instance
 counters, so a PASS discloses whether both directions were nontrivially
 exercised; branches with zero realizable instances are flagged in the
 notes and a statement with no instances at all reports VACUOUS.
+
+PROP_3_1 is two implications, P/K in R/K and P cap R_e in R_e graded
+strongly 1-absorbing primary for every such P; COR_3_2 and COR_RE are one
+each.  Each implication is checked once per ring and memoized there as its
+instance count and witness names, which all three statements report.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .classify import (
     strongly_1abs_ideal_form,
 )
 from .errors import ShapeMismatch
-from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring
+from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring, memo
 from .grading import TRIVIAL_GROUP, Z2, GradedRing, attach_grading, trivial_grading
 from .ideals import (
     IdealSet,
@@ -136,7 +141,10 @@ def _z2_graded(spec: GaussMod | PolyQuotient, label: str) -> GradedRing:
 
 
 def default_corpus() -> list[CorpusEntry]:
-    """Fixed, versioned corpus; every member passes the structural validators."""
+    """Fixed, versioned corpus; every member passes the structural validators.
+
+    The products, quotients and the localization are built from the base
+    entries themselves, so each spec ring is built and checked once."""
     entries: list[CorpusEntry] = []
     for n in (4, 6, 8, 9, 12, 16, 25, 27, 36):
         gr = trivial_grading(build_ring(Cyclic(n)), label=f"Z/{n}")
@@ -145,23 +153,22 @@ def default_corpus() -> list[CorpusEntry]:
     z2_specs += [(PolyQuotient(Cyclic(p), (p - 1, 0, 1)), f"F{p}[u]/(u^2-1)/Z2") for p in (3, 5)]
     for spec, label in z2_specs:
         entries.append(CorpusEntry(label, _z2_graded(spec, label)))
+    base = {e.label: e.gr for e in entries}
 
-    c4 = trivial_grading(build_ring(Cyclic(4)), label="Z/4")
-    c9 = trivial_grading(build_ring(Cyclic(9)), label="Z/9")
+    c4, c9 = base["Z/4"], base["Z/9"]
     prod1 = product(c4, c9)
     entries.append(CorpusEntry("Z/4 x Z/9", prod1, kind="product", parents=(c4, c9)))
-    g2a = _z2_graded(GaussMod(2), "Z/2[i]/Z2")
-    g2b = _z2_graded(GaussMod(2), "Z/2[i]/Z2")
-    prod2 = product(g2a, g2b)
+    g2 = base["Z/2[i]/Z2"]
+    prod2 = product(g2, g2)
     entries.append(
-        CorpusEntry("Z/2[i] x Z/2[i]", prod2, kind="product", parents=(g2a, g2b))
+        CorpusEntry("Z/2[i] x Z/2[i]", prod2, kind="product", parents=(g2, g2))
     )
 
-    g4 = _z2_graded(GaussMod(4), "Z/4[i]/Z2")
+    g4 = base["Z/4[i]/Z2"]
     two_r = ideal_generated(g4.ring, (g4.ring.parse("2"), g4.ring.parse("2i")))
     q1, _ = quotient(g4, two_r)
     entries.append(CorpusEntry("Z/4[i]/2R", q1, kind="quotient"))
-    c12 = trivial_grading(build_ring(Cyclic(12)), label="Z/12")
+    c12 = base["Z/12"]
     q2, _ = quotient(c12, ideal_generated(c12.ring, (4,)))
     entries.append(CorpusEntry("Z/12 / 4R", q2, kind="quotient"))
 
@@ -186,10 +193,7 @@ def _expect_strongly(
 ) -> None:
     """Count one instance of `counter`; fail with `where` and the witness
     unless `ideal` is graded strongly 1-absorbing primary in `gr`."""
-    rep.bump(counter)
-    ok, witness = is_graded_strongly_1abs_primary(gr, ideal)
-    if not ok:
-        rep.fail(**where, witness=_elem_names(gr, witness))
+    _report_tally(rep, counter, _tally([(gr, ideal, where)]))
 
 
 def _quotient_images(gr: GradedRing, ideals: list[IdealSet]):
@@ -208,6 +212,49 @@ def _identity_preimages(gr: GradedRing, ideals: list[IdealSet]):
     sub, inc = identity_subring(gr)
     for p in ideals:
         yield p, sub, hom_transport(inc, p, "preimage")
+
+
+Tally = tuple[int, list[dict]]
+
+
+def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> Tally:
+    """How many (ring, ideal, where) `cases` there are, and `where` with the
+    witness of each ideal that is not graded strongly 1-absorbing primary."""
+    count, failures = 0, []
+    for gr, ideal, where in cases:
+        count += 1
+        ok, witness = is_graded_strongly_1abs_primary(gr, ideal)
+        if not ok:
+            failures.append({**where, "witness": _elem_names(gr, witness)})
+    return count, failures
+
+
+def _epimorphism_tally(gr: GradedRing) -> Tally:
+    """P strongly => P/K strongly in R/K, for every P strongly and proper graded
+    K inside P.  Computed once per ring: only the count and the witness names
+    are kept, not the quotient rings."""
+    return memo(gr, "epimorphism_tally", lambda: _tally(
+        (qgr, image, {"kernel": _ideal_names(gr, k), "ideal": _ideal_names(gr, p)})
+        for k, p, qgr, image in _quotient_images(gr, _strongly_ideals(gr))
+    ))
+
+
+def _monomorphism_tally(gr: GradedRing) -> Tally:
+    """P strongly => P cap R_e strongly in R_e, for every P strongly.  Computed
+    once per ring, like `_epimorphism_tally`."""
+    return memo(gr, "monomorphism_tally", lambda: _tally(
+        (sub, pre, {"ideal": _ideal_names(gr, p)})
+        for p, sub, pre in _identity_preimages(gr, _strongly_ideals(gr))
+    ))
+
+
+def _report_tally(rep: VerificationReport, counter: str, tally: Tally) -> None:
+    """Add a tally's instances to `counter` and its failures to the witnesses."""
+    count, failures = tally
+    if count:
+        rep.bump(counter, count)
+    for where in failures:
+        rep.fail(**where)
 
 
 def _ideal_names(gr: GradedRing, ideal: IdealSet) -> list[str]:
@@ -529,31 +576,20 @@ def _prop_2_19(gr: GradedRing, label: str) -> VerificationReport:
 
 def _prop_3_1(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_3_1", label)
-    strongly = _strongly_ideals(gr)
-    for k, p, qgr, image in _quotient_images(gr, strongly):
-        _expect_strongly(
-            rep, "epimorphism_instances", qgr, image,
-            kernel=_ideal_names(gr, k), ideal=_ideal_names(gr, p),
-        )
-    for p, sub, pre in _identity_preimages(gr, strongly):
-        _expect_strongly(rep, "monomorphism_instances", sub, pre, ideal=_ideal_names(gr, p))
+    _report_tally(rep, "epimorphism_instances", _epimorphism_tally(gr))
+    _report_tally(rep, "monomorphism_instances", _monomorphism_tally(gr))
     return rep.finish(["epimorphism_instances", "monomorphism_instances"])
 
 
 def _cor_3_2(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("COR_3_2", label)
-    for k, p, qgr, image in _quotient_images(gr, _strongly_ideals(gr)):
-        _expect_strongly(
-            rep, "quotient_instances", qgr, image,
-            kernel=_ideal_names(gr, k), ideal=_ideal_names(gr, p),
-        )
+    _report_tally(rep, "quotient_instances", _epimorphism_tally(gr))
     return rep.finish(["quotient_instances"])
 
 
 def _cor_re(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("COR_RE", label)
-    for p, sub, pre in _identity_preimages(gr, _strongly_ideals(gr)):
-        _expect_strongly(rep, "instances", sub, pre, ideal=_ideal_names(gr, p))
+    _report_tally(rep, "instances", _monomorphism_tally(gr))
     return rep.finish(["instances"])
 
 

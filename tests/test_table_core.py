@@ -153,6 +153,38 @@ def test_axiom_check_matches_oracle_on_mutants(spec):
         assert_axioms_agree(mutate(ring, *mutant))
 
 
+def symmetric_mutants(ring):
+    """Every table that sets cells (i, j) and (j, i) of one table to another
+    value and that FinRing accepts.  Both tables stay commutative, so the
+    check reaches the three-variable laws."""
+    names = [ring.name(v) for v in ring.elements()]
+    for table in (0, 1):
+        for i in ring.elements():
+            for j in range(i, ring.size):
+                for value in ring.elements():
+                    tables = rows(ring)
+                    if tables[table][i][j] == value:
+                        continue
+                    tables[table][i][j] = tables[table][j][i] = value
+                    try:
+                        yield FinRing(ring.size, *tables, one=ring.one, zero=ring.zero, names=names)
+                    except MalformedSpec:
+                        continue
+
+
+# F3[u]/(u^2), Z/3[i] and F2[u]/(u^3) have non-cyclic additive groups,
+# so the axiom check tests the laws on more than one additive generator
+@pytest.mark.parametrize(
+    "spec",
+    [Cyclic(6), GaussMod(3), PolyQuotient(Cyclic(3), (0, 0, 1)), PolyQuotient(Cyclic(2), (0, 0, 0, 1))],
+    ids=str,
+)
+def test_axiom_check_matches_oracle_on_symmetric_mutants(spec):
+    for mutant in symmetric_mutants(build_ring(spec)):
+        assert_axioms_agree(mutant)
+        assert_axioms_agree(mutant, True)
+
+
 def test_small_mutants_hit_every_law():
     # the full scan (n <= 40) names each law on some mutant
     seen = set()

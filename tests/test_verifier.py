@@ -146,3 +146,22 @@ def test_verify_single_target_matches_corpus_entry(corpus):
         r for r in verify("THM_2_2", corpus=corpus) if r.subject == "Z/9"
     )
     assert solo.to_dict() == from_corpus.to_dict()
+
+
+def test_transport_statements_do_not_depend_on_order():
+    # PROP_3_1, COR_3_2 and COR_RE report from one memoized check per ring,
+    # so none may depend on which of them fills it: each order on a fresh corpus
+    ids = [sid for sid in ALL_STATEMENTS if sid in ("PROP_3_1", "COR_3_2", "COR_RE")]
+
+    def by_statement(order):
+        reports = run_suite(order, corpus=default_corpus())
+        return {sid: [r.to_dict() for r in reports if r.statement_id == sid] for sid in ids}
+
+    expected = by_statement(ids)
+    assert by_statement(ids[::-1]) == expected
+    for sid in ids:
+        alone = [
+            {**verify(sid, target=entry.gr)[0].to_dict(), "subject": entry.label}
+            for entry in default_corpus()
+        ]
+        assert alone == expected[sid], sid
