@@ -4,11 +4,7 @@ Biconditionals are split into two implications with separate instance
 counters, so a PASS discloses whether both directions were nontrivially
 exercised; branches with zero realizable instances are flagged in the
 notes and a statement with no instances at all reports VACUOUS.
-
-PROP_3_1 is two implications, P/K in R/K and P cap R_e in R_e graded
-strongly 1-absorbing primary for every such P; COR_3_2 and COR_RE are one
-each.  Each implication is checked once per ring and memoized there as its
-instance count and witness names, which all three statements report.
+PROP_3_1, COR_3_2 and COR_RE report from one memoized check per ring.
 """
 
 from __future__ import annotations
@@ -196,28 +192,7 @@ def _expect_strongly(
     _report_tally(rep, counter, _tally([(gr, ideal, where)]))
 
 
-def _quotient_images(gr: GradedRing, ideals: list[IdealSet]):
-    """(K, P, R/K, P/K) for every proper graded K and every P in `ideals` containing K."""
-    for k in proper_graded_ideals(gr):
-        above = [p for p in ideals if k <= p]
-        if not above:
-            continue
-        qgr, proj = quotient(gr, k)
-        for p in above:
-            yield k, p, qgr, hom_transport(proj, p, "image")
-
-
-def _identity_preimages(gr: GradedRing, ideals: list[IdealSet]):
-    """(P, R_e, P cap R_e) for every P in `ideals`, pulled back along R_e -> R."""
-    sub, inc = identity_subring(gr)
-    for p in ideals:
-        yield p, sub, hom_transport(inc, p, "preimage")
-
-
-Tally = tuple[int, list[dict]]
-
-
-def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> Tally:
+def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> tuple[int, list[dict]]:
     """How many (ring, ideal, where) `cases` there are, and `where` with the
     witness of each ideal that is not graded strongly 1-absorbing primary."""
     count, failures = 0, []
@@ -229,27 +204,36 @@ def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> Tally:
     return count, failures
 
 
-def _epimorphism_tally(gr: GradedRing) -> Tally:
-    """P strongly => P/K strongly in R/K, for every P strongly and proper graded
-    K inside P.  Computed once per ring: only the count and the witness names
-    are kept, not the quotient rings."""
-    return memo(gr, "epimorphism_tally", lambda: _tally(
-        (qgr, image, {"kernel": _ideal_names(gr, k), "ideal": _ideal_names(gr, p)})
-        for k, p, qgr, image in _quotient_images(gr, _strongly_ideals(gr))
-    ))
+def _epimorphism_tally(gr: GradedRing) -> tuple[int, list[dict]]:
+    """P strongly => P/K strongly in R/K, for every P strongly and proper
+    graded K inside P.  Memoized on the ring as the count and the witness
+    names, not the quotient rings."""
+    def cases():
+        strongly = _strongly_ideals(gr)
+        for k in proper_graded_ideals(gr):
+            above = [p for p in strongly if k <= p]
+            if above:
+                qgr, proj = quotient(gr, k)
+                for p in above:
+                    where = {"kernel": _ideal_names(gr, k), "ideal": _ideal_names(gr, p)}
+                    yield qgr, hom_transport(proj, p, "image"), where
+
+    return memo(gr, "epimorphism_tally", lambda: _tally(cases()))
 
 
-def _monomorphism_tally(gr: GradedRing) -> Tally:
-    """P strongly => P cap R_e strongly in R_e, for every P strongly.  Computed
-    once per ring, like `_epimorphism_tally`."""
-    return memo(gr, "monomorphism_tally", lambda: _tally(
-        (sub, pre, {"ideal": _ideal_names(gr, p)})
-        for p, sub, pre in _identity_preimages(gr, _strongly_ideals(gr))
-    ))
+def _monomorphism_tally(gr: GradedRing) -> tuple[int, list[dict]]:
+    """P strongly => P cap R_e strongly in R_e, pulled back along R_e -> R,
+    for every P strongly.  Memoized like `_epimorphism_tally`."""
+    def cases():
+        strongly = _strongly_ideals(gr)
+        sub, inc = identity_subring(gr)
+        for p in strongly:
+            yield sub, hom_transport(inc, p, "preimage"), {"ideal": _ideal_names(gr, p)}
+
+    return memo(gr, "monomorphism_tally", lambda: _tally(cases()))
 
 
-def _report_tally(rep: VerificationReport, counter: str, tally: Tally) -> None:
-    """Add a tally's instances to `counter` and its failures to the witnesses."""
+def _report_tally(rep: VerificationReport, counter: str, tally: tuple[int, list[dict]]) -> None:
     count, failures = tally
     if count:
         rep.bump(counter, count)

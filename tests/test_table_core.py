@@ -172,6 +172,29 @@ def symmetric_mutants(ring):
                         continue
 
 
+def twisted_mutants(ring):
+    """The multiplication with x*y moved by w wherever digit k of both x and
+    y is 1, for each k >= 1 and w != 0; the constructors number x by its
+    digits in base m, the additive order of 1.  Adding 1 keeps every digit
+    k >= 1, so each law holds along 1 and can fail only along another
+    additive generator, while every single-cell mutant fails along 1."""
+    add, mul = rows(ring)
+    m, x = 1, ring.one
+    while x != ring.zero:
+        m, x = m + 1, add[x][ring.one]
+    names = [ring.name(v) for v in ring.elements()]
+    k = m
+    while k < ring.size:
+        for w in ring.elements():
+            if w != ring.zero:
+                twisted = [
+                    [add[xy][w] if x // k % m == 1 == y // k % m else xy for y, xy in enumerate(row)]
+                    for x, row in enumerate(mul)
+                ]
+                yield FinRing(ring.size, add, twisted, one=ring.one, zero=ring.zero, names=names)
+        k *= m
+
+
 # F3[u]/(u^2), Z/3[i] and F2[u]/(u^3) have non-cyclic additive groups,
 # so the axiom check tests the laws on more than one additive generator
 @pytest.mark.parametrize(
@@ -180,7 +203,8 @@ def symmetric_mutants(ring):
     ids=str,
 )
 def test_axiom_check_matches_oracle_on_symmetric_mutants(spec):
-    for mutant in symmetric_mutants(build_ring(spec)):
+    ring = build_ring(spec)
+    for mutant in (*symmetric_mutants(ring), *twisted_mutants(ring)):
         assert_axioms_agree(mutant)
         assert_axioms_agree(mutant, True)
 
