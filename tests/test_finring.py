@@ -157,7 +157,7 @@ def test_add_table_without_inverse_rejected():
     "spec",
     [
         Cyclic(12), GaussMod(4), GaussMod(3), PolyQuotient(Cyclic(3), (2, 0, 1)),
-        # carriers at MAX_CARRIER: the exact laws take seconds, not the hours of a triple scan
+        # carriers at MAX_CARRIER: the exact laws take seconds, a triple scan minutes
         Cyclic(1024), GaussMod(32), PolyQuotient(Cyclic(2), (0,) * 10 + (1,)),
     ],
 )
