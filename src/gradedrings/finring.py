@@ -182,28 +182,26 @@ class FinRing:
         """Verify the commutative-ring axioms on the tables.
 
         The identities and commutativity are always checked in full, by
-        whole rows and columns.  The three-variable laws (associativity,
-        distributivity) are decided exactly for small carriers or when
-        `thorough`, otherwise on a seeded sample of triples.
+        whole rows and columns.  The three-variable laws are decided exactly
+        for small carriers or when `thorough`, otherwise on a seeded sample
+        of triples.
 
-        The exact decision reads only triples with an additive generator in
-        them.  G is a set whose closure under x -> x+g (g in G), started
-        from G, is the whole carrier; it is found on the table itself, so
-        no law is assumed.  Then, in this order:
+        The exact decision tests only triples that hold an element of G, a
+        set whose closure under x -> x+g (g in G), started from G and
+        computed on the table (no law assumed), is the carrier.  For each
+        law, the a that pass form a set closed under + that holds G, so
+        they are the carrier and the verdict equals the full scan's:
 
-        - Light's test (Clifford and Preston, The Algebraic Theory of
-          Semigroups I, section 1.2): (x+a)+y = x+(a+y) for a in G and all
-          x, y.  The a passing it are closed under +: for such a and b,
-          (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y))
-          = x+((a+b)+y).  So they are the whole carrier.
-        - Each row of * is additive: i(a+y) = ia+iy for a in G.  With +
-          associative, the a passing it for row i are closed under +.
-        - (ab)c = a(bc) for a, b in G.  With distributivity (and * commutative)
-          both sides are additive in a and in b, so it holds everywhere.
+        - (x+a)+y = x+(a+y) for all x, y (Light's test; Clifford and
+          Preston, The Algebraic Theory of Semigroups I, section 1.2): for
+          passing a and b, (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y)
+          = x+(a+(b+y)) = x+((a+b)+y).
+        - i(a+y) = ia+iy for all i, y: closed under + once + is associative.
+        - (ab)c = a(bc) for a, b in G and all c: with distributivity and *
+          commutative, both sides are additive in a and in b.
 
-        Each verdict thus equals the full scan's.  Only when one fails are
-        the triples scanned, so the message names the first failing
-        element, pair or triple in (i, j, k) order.
+        Triples are scanned only when a law fails, so the message names the
+        first failing element, pair or triple in (i, j, k) order.
         """
         n, add, mul = self.size, self._add_table, self._mul_table
         ids = list(range(n))
