@@ -5,9 +5,12 @@
 
 Each side runs in its own child process with `PYTHONPATH=<checkout>/src`.
 Cold means a fresh graded ring for every sample: building the ring, its
-grading, the ideal and (for the Z/1024 row) the lattice is not timed, but
-everything the kernel computes itself (graded check, radical, masks) is.
-Standard library only.
+grading, the ideal and (for the rows over every proper ideal) the lattice
+is not timed, but everything the kernel computes itself (graded check,
+radical, masks) is.  The `classify_ideal` rows cover local rings, where
+every homogeneous element is nilpotent or a unit, and non-local ones; the
+`check_axioms()` rows cover carriers on both sides of its exact-check
+budget.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,13 +42,22 @@ def _timed(fn) -> float:
 
 def measure() -> dict:
     from gradedrings import classify
-    from gradedrings.finring import Cyclic, build_ring
+    from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
     from gradedrings.grading import trivial_grading
     from gradedrings.ideals import ideal_generated, proper_graded_ideals
     from gradedrings.verifier import _cor_2_7
 
     def fresh(n):
         return trivial_grading(build_ring(Cyclic(n), check=False))
+
+    def classify_all_sample(spec):
+        gr = trivial_grading(build_ring(spec, check=False))
+        lattice = proper_graded_ideals(gr)
+        return _timed(lambda: [classify.classify_ideal(gr, p) for p in lattice])
+
+    def axioms_sample(spec):
+        ring = build_ring(spec, check=False)
+        return _timed(ring.check_axioms)
 
     def kernel_sample(name, generator):
         gr = fresh(256)
@@ -64,6 +76,19 @@ def measure() -> dict:
             rows[f"Z/256 ({generator}) {name}"] = samples
     rows["Z/1024 strongly on every proper ideal"] = [strongly_z1024_sample() for _ in range(REPEAT)]
     rows["verifier._cor_2_7(2, 128)"] = [_timed(lambda: _cor_2_7(2, 128)) for _ in range(REPEAT)]
+    for label, spec in (
+        ("Z/1024", Cyclic(1024)),
+        ("F2[u]/(u^10)", PolyQuotient(Cyclic(2), (0,) * 10 + (1,))),
+        ("Z/32[i]", GaussMod(32)),
+        ("Z/720", Cyclic(720)),
+        ("Z/1000", Cyclic(1000)),
+    ):
+        rows[f"{label} classify_ideal on every proper ideal"] = [
+            classify_all_sample(spec) for _ in range(REPEAT)
+        ]
+    for label, spec in (("Z/81", Cyclic(81)), ("Z/128", Cyclic(128)),
+                        ("Z/16[i]", GaussMod(16)), ("Z/256", Cyclic(256))):
+        rows[f"{label} check_axioms()"] = [axioms_sample(spec) for _ in range(REPEAT)]
     return {key: {"median_s": statistics.median(s), "samples_s": s} for key, s in rows.items()}
 
 

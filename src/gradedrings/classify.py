@@ -54,12 +54,18 @@ def _least(mask: int) -> int:
 
 
 def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple[bool, Witness]:
-    """xy in P forces x in P or y in escape(), over homogeneous pairs."""
+    """xy in P forces x in P or y in escape(), over homogeneous pairs.
+
+    Only nonunits y outside escape() can complete a violation: for a unit y,
+    xy in P gives x = xy y^-1 in P.  When there are none, the ideal passes
+    before any colon mask is built."""
     def compute():
         require_graded(gr, p, proper=True)
         ring, homog = gr.ring, gr.homogeneous()
+        allowed = _mask(ring, gr.nonunit_homogeneous()) & ~_mask(ring, escape())
+        if not allowed:
+            return True, None
         into_p = _colon_of(ring, p.elements)
-        allowed = _mask(ring, homog) & ~_mask(ring, escape())
         for x in sorted(homog - p.elements):
             bad = into_p(ring.mul_rows[x]) & allowed
             if bad:
@@ -75,19 +81,24 @@ def _triple_kernel(
     """xyz in P forces xy in P or z in escape()[x] | escape()[y], over domain triples.
 
     The bad z of a pair: the colon mask (P : xy) on the domain, built once per
-    product, minus the escape all pairs share, then minus the pair's own."""
+    product, minus the escape all pairs share, then minus the pair's own.
+    Only z in `kept`, those that escape for no element, can be bad, so x and
+    y run over the live elements, whose escape leaves some kept z: a pair
+    with another element has no bad z.  With none live the ideal passes
+    before any pair is scanned."""
     def compute():
         require_graded(gr, p, proper=True)
         ring, dom, esc = gr.ring, sorted(domain), escape()
-        into_p = _colon_of(ring, p.elements)
         shared = -1  # every bit set
         for x in dom:
             shared &= esc[x]
         kept = _mask(ring, dom) & ~shared
+        live = [x for x in dom if kept & ~esc[x]]
+        into_p = _colon_of(ring, p.elements)
         colon: dict[int, int] = {}
-        for x in dom:
+        for x in live:
             row, esc_x = ring.mul_rows[x], esc[x]
-            for y in dom:
+            for y in live:
                 xy = row[y]
                 if xy in p.elements:
                     continue
@@ -136,10 +147,16 @@ def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
     never violates the condition, since xyz in I gives yz = x^-1 xyz in I
     when x is a unit, xz in I when y is, and xy in I when z is.  So the
     violating triples, and the least of them, are those over all of h(R).
+    An x in Grad(I) escapes for every z, (Grad(I) : x) = R, so its colon
+    mask is never built.
     """
     def rad_colons() -> dict[int, int]:  # xz in Grad(I) iff z is in (Grad(I) : x)
-        into_rad = _colon_of(gr.ring, graded_radical(gr, i).elements)
-        return {x: into_rad(gr.ring.mul_rows[x]) for x in gr.nonunit_homogeneous()}
+        rad = graded_radical(gr, i).elements
+        into_rad = _colon_of(gr.ring, rad)
+        return {
+            x: -1 if x in rad else into_rad(gr.ring.mul_rows[x])  # -1: every bit set
+            for x in gr.nonunit_homogeneous()
+        }
 
     return _triple_kernel(gr, i, "2abs", gr.nonunit_homogeneous(), rad_colons)
 

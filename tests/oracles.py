@@ -126,8 +126,27 @@ def spec_names(spec):
     return f"Z/{p}[u]/({_poly_name(mod)})", names
 
 
-def check_axioms(ring, thorough=False, full_scan_limit=40, sample_triples=2000):
-    """Scan the commutative-ring axioms cell by cell, in (i, j, k) order."""
+def additive_generators(ring):
+    """Each element not reached from those taken before it by adding them,
+    in index order with zero last."""
+    gens, reached = [], set()
+    for x in [*(e for e in ring.elements() if e != ring.zero), ring.zero]:
+        if x in reached:
+            continue
+        gens.append(x)
+        reached, frontier = set(gens), list(gens)
+        while frontier:
+            c = frontier.pop()
+            for d in (ring.add(c, g) for g in gens):
+                if d not in reached:
+                    reached.add(d)
+                    frontier.append(d)
+    return gens
+
+
+def check_axioms(ring, thorough=False, exact_check_cells=128 * 128, sample_triples=2000):
+    """Scan the commutative-ring axioms cell by cell, in (i, j, k) order: every
+    triple when `thorough` or n^2 |G| <= exact_check_cells, else a sample."""
     n = ring.size
     for i in ring.elements():
         if ring.add(i, ring.zero) != i:
@@ -140,7 +159,7 @@ def check_axioms(ring, thorough=False, full_scan_limit=40, sample_triples=2000):
                 raise MalformedSpec(f"addition not commutative at ({i},{j})")
             if ring.mul(i, j) != ring.mul(j, i):
                 raise MalformedSpec(f"multiplication not commutative at ({i},{j})")
-    if thorough or n <= full_scan_limit:
+    if thorough or n * n * len(additive_generators(ring)) <= exact_check_cells:
         triples = (
             (i, j, k) for i in ring.elements() for j in ring.elements() for k in ring.elements()
         )

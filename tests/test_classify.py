@@ -20,7 +20,13 @@ from gradedrings.classify import (
 from gradedrings.errors import NotProper
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import trivial_grading
-from gradedrings.ideals import IdealSet, graded_radical, proper_graded_ideals, unit_ideal
+from gradedrings.ideals import (
+    IdealSet,
+    graded_radical,
+    ideal_generated,
+    proper_graded_ideals,
+    unit_ideal,
+)
 from gradedrings.verifier import _z2_graded
 from strategies import graded_rings
 
@@ -154,6 +160,47 @@ def test_classify_reports():
     assert not report.flags["graded_1abs_primary"]
 
 
+def count_masks(monkeypatch):
+    """A list that grows by one for every colon mask the kernels build."""
+    built = []
+    colon_of = classify._colon_of
+
+    def counting(ring, members):
+        into = colon_of(ring, members)
+        return lambda row: built.append(row) or into(row)
+
+    monkeypatch.setattr(classify, "_colon_of", counting)
+    return built
+
+
+@pytest.mark.parametrize(("generator", "most"), [(2, 9), (16, 11)])
+def test_classify_builds_few_masks_on_a_local_ring(monkeypatch, generator, most):
+    # every homogeneous element of Z/1024 is nilpotent or a unit, so no y
+    # outside the escape and no kept z remain; the full scan built 1545 and
+    # 2059 masks
+    gr = triv(1024)
+    p = ideal_generated(gr.ring, (generator,))
+    built = count_masks(monkeypatch)
+    classify_ideal(gr, p)
+    assert len(built) <= most
+
+
+@pytest.mark.parametrize("generator", [2, 16])
+def test_kernels_scan_in_full_on_a_non_local_ring(monkeypatch, generator):
+    # Z/720 has homogeneous elements neither nilpotent nor units: no early
+    # exit fires and a passing ideal costs the masks of the full scan
+    gr = triv(720)
+    ring, nonunits = gr.ring, gr.nonunit_homogeneous()
+    p = ideal_generated(ring, (generator,))
+    built = count_masks(monkeypatch)
+    assert is_graded_primary(gr, p)[0]
+    assert len(built) == 2 + ring.size - len(p)  # one (P : x) per x outside P
+    built.clear()
+    assert is_graded_1abs_primary(gr, p)[0]
+    products = {ring.mul(x, y) for x in nonunits for y in nonunits} - p.elements
+    assert len(built) == 2 + len(products)  # one (P : xy) per product outside P
+
+
 def test_implication_chain_on_corpus(corpus):
     for entry in corpus:
         gr = entry.gr
@@ -217,9 +264,22 @@ def test_maximality_agrees_with_lattice(small_corpus):
             assert is_graded_maximal(gr, m) == by_lattice, (entry.label, m)
 
 
+# Beyond Z/2..64, rings of at most 81 elements where the kernels' early exits
+# fire (every homogeneous element nilpotent or a unit) and where they do not.
+EXIT_SPECS = [
+    Cyclic(81), GaussMod(3), GaussMod(9),
+    *(PolyQuotient(Cyclic(p), (0,) * k + (1,)) for p, k in ((2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2))),
+    GaussMod(5), Cyclic(72), Cyclic(80),  # not local
+]
+# F_p[u]/(u^2-1) graded by the parity of the power of u; p = 3, 5 are in the corpus
+Z2_EXIT_SPECS = [PolyQuotient(Cyclic(p), (p - 1, 0, 1)) for p in (2, 7)]
+
+
 def test_kernels_match_definitional_oracles(corpus):
     cyclic = [trivial_grading(build_ring(Cyclic(n), check=False)) for n in range(2, 65)]
     rings = [e.gr for e in corpus] + cyclic
+    rings += [trivial_grading(build_ring(spec, check=False)) for spec in EXIT_SPECS]
+    rings += [_z2_graded(spec, f"{spec}/Z2") for spec in Z2_EXIT_SPECS]
     for gr in rings:
         for p in proper_graded_ideals(gr):
             for name in (
