@@ -268,7 +268,10 @@ def test_maximality_agrees_with_lattice(small_corpus):
 # fire (every homogeneous element nilpotent or a unit) and where they do not.
 EXIT_SPECS = [
     Cyclic(81), GaussMod(3), GaussMod(9),
-    *(PolyQuotient(Cyclic(p), (0,) * k + (1,)) for p, k in ((2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2))),
+    *(
+        PolyQuotient(Cyclic(p), (0,) * k + (1,))  # F_p[u]/(u^k)
+        for p, k in ((2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2))
+    ),
     GaussMod(5), Cyclic(72), Cyclic(80),  # not local
 ]
 # F_p[u]/(u^2-1) graded by the parity of the power of u; p = 3, 5 are in the corpus
