@@ -1,16 +1,19 @@
-"""Ring build, axiom check and CLI timings, before and after a change.
+"""Ring build, axiom check, transport and CLI timings, before and after a change.
 
     python3 bench/table_core.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
         --out BENCH_table_core.json
 
-In process, one child per side with `PYTHONPATH=<checkout>/src`: building
-Z/256, Z/1024 and GaussMod(32) (unchecked) followed by `check_axioms`;
-building GaussMod(9), Z/36 and Z/256 followed by `check_axioms(thorough=True)`;
-`default_corpus()`; `run_suite()` on that corpus; and, each on a fresh
-corpus, `run_suite` of PROP_3_1, COR_3_2 and COR_RE alone and of the three
+In process, one child per side with `PYTHONPATH=<checkout>/src`:
+`build_ring` of Z/256, Z/1024 and F2[u]/(u^10), each with whatever checks
+`build_ring` runs in that checkout; `check_axioms()` on those rings, built
+beforehand; the quotients by every proper graded ideal, the localizations
+and the identity subrings of the default corpus, each construction over
+the whole corpus in one sample; `default_corpus()`; `run_suite()` building
+its own corpus; `run_suite()` on one corpus; and, each on a fresh corpus,
+`run_suite` of PROP_3_1, COR_3_2 and COR_RE alone and of the three
 together.  Cold is the first sample in the child; warm is the median of the
-next REPEAT samples in the same child.  For `run_suite` warm means on the
-same corpus, whose memos the cold run filled.
+next REPEAT samples in the same child.  For `run_suite` on one corpus warm
+means on the corpus whose memos the cold run filled.
 
 Fresh process: wall time, CPU time (user + system, from `wait4`) and peak
 RSS of one `python3 -m gradedrings.cli` per sample, with its exit status.
@@ -31,7 +34,7 @@ import sys
 import tempfile
 import time
 
-REPEAT = 3  # warm in-process samples, and fresh-process samples of the short commands
+REPEAT = 15  # warm in-process samples, and fresh-process samples of the short commands
 # the statements that check the quotient images and R_e preimages, in suite order
 TRANSPORT_STATEMENTS = ("COR_3_2", "COR_RE", "PROP_3_1")
 Z1024_SPEC = {"ring": {"kind": "cyclic", "n": 1024}, "group": {"kind": "trivial"}}
@@ -39,7 +42,7 @@ CLI_CASES = (  # (name, argv with {spec} for the Z/1024 spec file, samples)
     ("verify all", ("verify", "all"), REPEAT),
     ("ring describe Z/1024", ("ring", "describe", "{spec}"), REPEAT),
     ("ideal classify (16) Z/1024", ("ideal", "classify", "{spec}", "--ideal", "16"), REPEAT),
-    ("verify COR_2_7 --range 2..256", ("verify", "COR_2_7", "--range", "2..256"), REPEAT),
+    ("verify COR_2_7 --range 2..256", ("verify", "COR_2_7", "--range", "2..256"), 3),
     ("verify COR_2_7 --range 2..512", ("verify", "COR_2_7", "--range", "2..512"), 1),
 )
 
@@ -57,19 +60,34 @@ def _cold_warm(fn) -> dict:
 
 
 def measure() -> dict:
-    from gradedrings.finring import Cyclic, GaussMod, build_ring
+    from gradedrings.finring import Cyclic, PolyQuotient, build_ring
+    from gradedrings.ideals import proper_graded_ideals
+    from gradedrings.transport import (
+        enumerate_multiplicative_sets,
+        identity_subring,
+        localize,
+        quotient,
+    )
     from gradedrings.verifier import default_corpus, run_suite
 
     rows = {}
-    for spec in (Cyclic(256), Cyclic(1024), GaussMod(32)):
-        rows[f"build + check_axioms {spec}"] = _cold_warm(
-            lambda spec=spec: build_ring(spec, check=False).check_axioms()
-        )
-    for spec in (GaussMod(9), Cyclic(36), Cyclic(256)):
-        rows[f"build + check_axioms(thorough=True) {spec}"] = _cold_warm(
-            lambda spec=spec: build_ring(spec, check=False).check_axioms(thorough=True)
-        )
+    for spec in (Cyclic(256), Cyclic(1024), PolyQuotient(Cyclic(2), (0,) * 10 + (1,))):
+        rows[f"build_ring {spec}"] = _cold_warm(lambda spec=spec: build_ring(spec))
+        rows[f"check_axioms() {spec}"] = _cold_warm(build_ring(spec).check_axioms)
+    graded = [entry.gr for entry in default_corpus()]
+    ideals = [(gr, k) for gr in graded for k in proper_graded_ideals(gr)]
+    mult_sets = [(gr, s) for gr in graded for s in enumerate_multiplicative_sets(gr)]
+    rows["quotient by every proper graded ideal of the corpus"] = _cold_warm(
+        lambda: [quotient(gr, k) for gr, k in ideals]
+    )
+    rows["localize by every multiplicative set of the corpus"] = _cold_warm(
+        lambda: [localize(gr, s) for gr, s in mult_sets]
+    )
+    rows["identity_subring of every corpus ring"] = _cold_warm(
+        lambda: [identity_subring(gr) for gr in graded]
+    )
     rows["default_corpus()"] = _cold_warm(default_corpus)
+    rows["run_suite() building its own corpus"] = _cold_warm(run_suite)
     corpus = default_corpus()
     rows["run_suite()"] = _cold_warm(lambda: run_suite(corpus=corpus))
     for ids in (*((sid,) for sid in TRANSPORT_STATEMENTS), TRANSPORT_STATEMENTS):

@@ -58,15 +58,16 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
 
     Only nonunits y outside escape() can complete a violation: for a unit y,
     xy in P gives x = xy y^-1 in P.  When there are none, the ideal passes
-    before any colon mask is built."""
+    before any colon mask is built.  Likewise only nonunits x: for a unit x,
+    xy in P gives y in P, inside escape()."""
     def compute():
         require_graded(gr, p, proper=True)
-        ring, homog = gr.ring, gr.homogeneous()
-        allowed = _mask(ring, gr.nonunit_homogeneous()) & ~_mask(ring, escape())
+        ring, nonunits = gr.ring, gr.nonunit_homogeneous()
+        allowed = _mask(ring, nonunits) & ~_mask(ring, escape())
         if not allowed:
             return True, None
         into_p = _colon_of(ring, p.elements)
-        for x in sorted(homog - p.elements):
+        for x in sorted(frozenset(nonunits) - p.elements):
             bad = into_p(ring.mul_rows[x]) & allowed
             if bad:
                 return False, (x, _least(bad))

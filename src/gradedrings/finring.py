@@ -9,19 +9,12 @@ without a function call per cell.
 
 from __future__ import annotations
 
-import random
 import re
 from typing import Callable, Optional, Sequence
 
 from .errors import MalformedSpec
 
 MAX_CARRIER = 1024
-# The exact law check reads about n^2 |G| cells (G: the additive generators).
-# It costs as much as the 2,000-triple sample near n^2 |G| = 25,000 (CPython
-# 3.11, 2-vCPU x86_64: Z/160 4.8 against 5.1 ms, F2[u]/(u^6) 4.2 against
-# 4.3 ms) and less below; the limit keeps a margin (Z/128 3.1 against 5.0 ms).
-_EXACT_CHECK_CELLS = 128 * 128
-_SAMPLE_TRIPLES = 2000
 
 
 class Record:
@@ -182,19 +175,16 @@ class FinRing:
             x for x in range(self.size) if self.high_power(x) == self.zero
         ))
 
-    def check_axioms(self, thorough: bool = False) -> None:
-        """Verify the commutative-ring axioms on the tables.
+    def check_axioms(self) -> None:
+        """Verify the commutative-ring axioms on the tables, exactly.
 
-        The identities and commutativity are always checked in full, by
-        whole rows and columns.  The three-variable laws are decided exactly
-        when `thorough` or when that reads at most `_EXACT_CHECK_CELLS` cells,
-        n^2 |G|, otherwise on a seeded sample of triples.
-
-        The exact decision tests only triples that hold an element of G, a
-        set whose closure under x -> x+g (g in G), started from G and
-        computed on the table (no law assumed), is the carrier.  For each
-        law, the a that pass form a set closed under + that holds G, so
-        they are the carrier and the verdict equals the full scan's:
+        The identities and commutativity are checked in full, by whole rows
+        and columns.  The three-variable laws are tested only on triples
+        that hold an element of G, a set whose closure under x -> x+g
+        (g in G), started from G and computed on the table (no law
+        assumed), is the carrier.  For each law, the a that pass form a set
+        closed under + that holds G, so they are the carrier and the
+        verdict equals the full scan's:
 
         - (x+a)+y = x+(a+y) for all x, y (Light's test; Clifford and
           Preston, The Algebraic Theory of Semigroups I, section 1.2): for
@@ -204,8 +194,9 @@ class FinRing:
         - (ab)c = a(bc) for a, b in G and all c: with distributivity and *
           commutative, both sides are additive in a and in b.
 
-        Triples are scanned only when a law fails, so the message names the
-        first failing element, pair or triple in (i, j, k) order.
+        This reads about n^2 |G| cells.  Triples are scanned only when a law
+        fails, so the message names the first failing element, pair or
+        triple in (i, j, k) order.
         """
         n, add, mul = self.size, self._add_table, self._mul_table
         ids = list(range(n))
@@ -219,32 +210,20 @@ class FinRing:
                 j = next(j for j in ids if a_row[j] != a_col[j] or m_row[j] != m_col[j])
                 which = "addition" if a_row[j] != a_col[j] else "multiplication"
                 raise MalformedSpec(f"{which} not commutative at ({i},{j})")
-        exact = thorough or n * n <= _EXACT_CHECK_CELLS
-        if exact:
-            gens = _additive_generators(add, self.zero)
-            exact = thorough or n * n * len(gens) <= _EXACT_CHECK_CELLS
-        if exact:
-            if _laws_hold(add, mul, gens):
-                return
-            # over k at once: (i+j)+k = i+(j+k), (ij)k = i(jk), i(j+k) = ij+ik
-            for i in ids:
-                plus_i, times_i = add[i].__getitem__, mul[i].__getitem__
-                for j in ids:
-                    ij = mul[i][j]
-                    if (
-                        add[add[i][j]] != list(map(plus_i, add[j]))
-                        or mul[ij] != list(map(times_i, mul[j]))
-                        or list(map(times_i, add[j])) != list(map(add[ij].__getitem__, mul[i]))
-                    ):
-                        k = next(k for k in ids if _triple_law(add, mul, i, j, k))
-                        raise MalformedSpec(f"{_triple_law(add, mul, i, j, k)} at ({i},{j},{k})")
-        else:
-            rng = random.Random(n)
-            for _ in range(_SAMPLE_TRIPLES):
-                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                law = _triple_law(add, mul, i, j, k)
-                if law:
-                    raise MalformedSpec(f"{law} at ({i},{j},{k})")
+        if _laws_hold(add, mul, _additive_generators(add, self.zero)):
+            return
+        # over k at once: (i+j)+k = i+(j+k), (ij)k = i(jk), i(j+k) = ij+ik
+        for i in ids:
+            plus_i, times_i = add[i].__getitem__, mul[i].__getitem__
+            for j in ids:
+                ij = mul[i][j]
+                if (
+                    add[add[i][j]] != list(map(plus_i, add[j]))
+                    or mul[ij] != list(map(times_i, mul[j]))
+                    or list(map(times_i, add[j])) != list(map(add[ij].__getitem__, mul[i]))
+                ):
+                    k = next(k for k in ids if _triple_law(add, mul, i, j, k))
+                    raise MalformedSpec(f"{_triple_law(add, mul, i, j, k)} at ({i},{j},{k})")
 
 
 def _additive_generators(add: list[list[int]], zero: int) -> list[int]:
@@ -451,28 +430,26 @@ def _poly_ring(m: int, modulus: Sequence[int], var: str, label: str) -> FinRing:
     )
 
 
-def build_ring(spec: RingSpec, check: bool = True) -> FinRing:
-    """Construct the ring described by `spec`; optionally scan the axioms."""
+def build_ring(spec: RingSpec) -> FinRing:
+    """Construct the ring described by `spec`, checking its parameters but not
+    the axioms: (Z/m)[v]/(f), m >= 2 and f monic of degree d >= 1, is a
+    commutative ring with 1 != 0 and free Z/m-basis 1, v, ..., v^(d-1)."""
     if isinstance(spec, Cyclic):
         n = spec.n
         if n < 2:
             raise MalformedSpec(f"Cyclic({n}): need n >= 2")
-        ring = _poly_ring(n, (0, 1), "u", f"Z/{n}")
-    elif isinstance(spec, GaussMod):
+        return _poly_ring(n, (0, 1), "u", f"Z/{n}")
+    if isinstance(spec, GaussMod):
         n = spec.n
         if n < 2:
             raise MalformedSpec(f"GaussMod({n}): need n >= 2")
-        ring = _poly_ring(n, (1, 0, 1), "i", f"Z/{n}[i]")
-    elif isinstance(spec, PolyQuotient):
+        return _poly_ring(n, (1, 0, 1), "i", f"Z/{n}[i]")
+    if isinstance(spec, PolyQuotient):
         p = spec.base.n
         if not (p <= MAX_CARRIER and _is_prime(p)):
             raise MalformedSpec(f"PolyQuotient base Z/{p}: {p} is not a prime <= {MAX_CARRIER}")
         mod = [c % p for c in spec.modulus]
         if len(mod) < 2 or mod[-1] != 1:
             raise MalformedSpec("PolyQuotient modulus must be monic of degree >= 1")
-        ring = _poly_ring(p, mod, "u", f"Z/{p}[u]/({_poly_name(mod, 'u')})")
-    else:
-        raise MalformedSpec(f"unknown ring spec {spec!r}")
-    if check:
-        ring.check_axioms()
-    return ring
+        return _poly_ring(p, mod, "u", f"Z/{p}[u]/({_poly_name(mod, 'u')})")
+    raise MalformedSpec(f"unknown ring spec {spec!r}")

@@ -1,13 +1,15 @@
 """Grading groups, attachment and validation of gradings, decomposition.
 
-A grading is supplied as explicit component subsets; the validator builds
-the full decomposition table by enumerating the Cartesian product of the
-supported components, so direct-sum failures are certified, not assumed.
+A grading is supplied as explicit component subsets; the decomposition
+table is built by enumerating the Cartesian product of the supported
+components.  `attach_grading` validates a caller's components; the
+library's constructions, graded by construction, only build the table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -143,7 +145,9 @@ def attach_grading(
     components: Mapping[Degree, Iterable[int]],
     label: str = "",
 ) -> GradedRing:
-    """Validate explicit component subsets and build the decomposition table."""
+    """Validate a caller's component subsets and build the graded ring.  Raises
+    NotSubgroup, IdentityNotInRe, NotDirectSum (component sizes, then an element
+    with two decompositions) and NotMultiplicative, checked in that order."""
     comps: dict[Degree, frozenset[int]] = {}
     for g, elems in components.items():
         comps[group.normalize(g)] = frozenset(elems)
@@ -167,28 +171,16 @@ def attach_grading(
     if ring.one not in comps.get(e, frozenset()):
         raise IdentityNotInRe("1 must lie in the identity-degree component")
 
-    supported = sorted(g for g, c in comps.items() if c != frozenset({ring.zero}))
-    sizes = 1
-    for g in supported:
-        sizes *= len(comps[g])
+    zero_only = frozenset({ring.zero})
+    sizes = math.prod(len(c) for c in comps.values() if c != zero_only)
     if sizes != ring.size:
         raise NotDirectSum(
             f"component sizes multiply to {sizes}, carrier has {ring.size} elements"
         )
-    decomposition: list[dict[Degree, int] | None] = [None] * ring.size
-    add_rows = ring.add_rows
-    for parts in itertools.product(*(sorted(comps[g]) for g in supported)):
-        total = ring.zero
-        for part in parts:
-            total = add_rows[total][part]
-        if decomposition[total] is not None:
-            raise NotDirectSum(f"element {ring.name(total)} has two decompositions")
-        decomposition[total] = dict(zip(supported, parts))
-    # surjectivity follows from the count check plus injectivity above
-
-    zero_only = frozenset({ring.zero})
-    for g in supported:
-        for h in supported:
+    # surjective once the table is built: the count above plus injectivity
+    gr = _graded_ring(ring, group, comps, label)
+    for g in gr.support:
+        for h in gr.support:
             gh = group.op(g, h)
             target = comps.get(gh, zero_only)
             for x in comps[g]:
@@ -201,11 +193,30 @@ def attach_grading(
                             f"R_{group.describe(g)} * R_{group.describe(h)} escapes "
                             f"R_{group.describe(gh)} at {ring.name(x)}*{ring.name(y)}"
                         )
-    return GradedRing(ring, group, comps, decomposition, label=label)
+    return gr
+
+
+def _graded_ring(
+    ring: FinRing, group: GradingGroup, components: Mapping[Degree, frozenset[int]], label: str
+) -> GradedRing:
+    """`ring` graded by `components` (normalized degrees) whose direct sum it is,
+    with the decomposition of each sum of one part per supported component.
+    Only an element reached twice is rejected (NotDirectSum)."""
+    supported = sorted(g for g, c in components.items() if c != frozenset({ring.zero}))
+    decomposition: list[dict[Degree, int] | None] = [None] * ring.size
+    add_rows = ring.add_rows
+    for parts in itertools.product(*(sorted(components[g]) for g in supported)):
+        total = ring.zero
+        for part in parts:
+            total = add_rows[total][part]
+        if decomposition[total] is not None:
+            raise NotDirectSum(f"element {ring.name(total)} has two decompositions")
+        decomposition[total] = dict(zip(supported, parts))
+    return GradedRing(ring, group, components, decomposition, label=label)
 
 
 def trivial_grading(ring: FinRing, group: GradingGroup = TRIVIAL_GROUP, label: str = "") -> GradedRing:
-    """Everything in degree e; recovers ungraded ring theory.  Needs no `attach_grading` checks."""
+    """Everything in degree e; recovers ungraded ring theory.  Graded by construction."""
     e = group.identity
     decomposition = [{e: x} for x in ring.elements()]
     return GradedRing(ring, group, {e: frozenset(ring.elements())}, decomposition, label=label)

@@ -1,11 +1,11 @@
 """Graded-structure-preserving constructions and ideal transport.
 
-Quotients, products, localizations and the identity-component subring all
-re-validate their gradings through attach_grading rather than trusting
-the construction formulas.  Nothing here is memoized: every call builds and
-validates its ring again, so a caller that needs what a construction shows
-more than once keeps that result, not the ring (the verifier keeps counts
-and witness names per parent ring).
+Quotients, products, localizations and the identity-component subring are
+graded, and their canonical maps graded homomorphisms, by construction, so
+neither is validated again; `hom_build` checks a caller's map.  Nothing
+here is memoized: every call builds its ring again, so a caller that needs
+what a construction shows more than once keeps that result, not the ring
+(the verifier keeps counts and witness names per parent ring).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     UnitNotPreserved,
 )
 from .finring import FinRing, Record, product_rows
-from .grading import GradedRing, attach_grading
+from .grading import GradedRing, _graded_ring
 from .ideals import IdealSet, require_graded
 
 MAX_MULT_SET_SIZE = 8
@@ -57,7 +57,8 @@ class MultiplicativeSet(Record):
 
 
 class GradedHom:
-    """A validated degree-preserving ring homomorphism."""
+    """A degree-preserving ring homomorphism: a caller's map checked by
+    `hom_build`, or the canonical map of a construction."""
 
     def __init__(self, source: GradedRing, target: GradedRing, mapping: tuple[int, ...]):
         self.source = source
@@ -163,7 +164,7 @@ def _rows_through(rows, carrier: list[int], index_of) -> list[list[int]]:
 
 
 def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
-    """R/K with (R/K)_g = (R_g + K)/K, plus the validated projection."""
+    """R/K with (R/K)_g = (R_g + K)/K, plus the projection."""
     require_graded(gr, k, proper=True)
     ring = gr.ring
     coset_of, reps = _cosets(ring, k.elements)
@@ -179,9 +180,8 @@ def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
     components = {
         g: frozenset(coset_of[x] for x in gr.component(g)) for g in gr.support
     }
-    qgr = attach_grading(qring, gr.group, components, label=qring.label)
-    proj = hom_build(gr, qgr, tuple(coset_of))
-    return qgr, proj
+    qgr = _graded_ring(qring, gr.group, components, qring.label)
+    return qgr, GradedHom(gr, qgr, tuple(coset_of))
 
 
 def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
@@ -208,7 +208,7 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
         )
         for g in degrees
     }
-    return attach_grading(pring, gr.group, components, label=pring.label)
+    return _graded_ring(pring, gr.group, components, pring.label)
 
 
 def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHom]:
@@ -270,9 +270,8 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
             comp = components.setdefault(g, set())
             for a in gr.component(h):
                 comp.add(cls(a, t))
-    lgr = attach_grading(lring, group, components, label=lring.label)
-    canonical = hom_build(gr, lgr, tuple(cls(a, ring.one) for a in ring.elements()))
-    return lgr, canonical
+    lgr = _graded_ring(lring, group, {g: frozenset(c) for g, c in components.items()}, lring.label)
+    return lgr, GradedHom(gr, lgr, tuple(cls(a, ring.one) for a in ring.elements()))
 
 
 def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
@@ -290,9 +289,8 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
         label=f"({gr.label})_e",
         names=[ring.name(x) for x in carrier],
     )
-    sgr = attach_grading(sring, gr.group, {e: frozenset(range(len(carrier)))}, label=sring.label)
-    inclusion = hom_build(sgr, gr, tuple(carrier))
-    return sgr, inclusion
+    sgr = _graded_ring(sring, gr.group, {e: frozenset(range(len(carrier)))}, sring.label)
+    return sgr, GradedHom(sgr, gr, tuple(carrier))
 
 
 def enumerate_multiplicative_sets(gr: GradedRing) -> list[MultiplicativeSet]:

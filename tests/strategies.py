@@ -40,7 +40,7 @@ def graded_specs(draw):
 
 def graded_ring(spec, z2):
     """The ring of `spec`, unchecked, graded as `graded_specs` drew it."""
-    ring = build_ring(spec, check=False)
+    ring = build_ring(spec)
     if not z2:
         return trivial_grading(ring)
     if isinstance(spec, GaussMod):

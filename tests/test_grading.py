@@ -136,7 +136,7 @@ def test_integer_grading_out_of_support_products_must_vanish():
 
 
 def test_trivial_grading_matches_attach_grading(corpus):
-    rings = [e.gr.ring for e in corpus] + [build_ring(Cyclic(n), check=False) for n in range(2, 65)]
+    rings = [e.gr.ring for e in corpus] + [build_ring(Cyclic(n)) for n in range(2, 65)]
     for ring in rings:
         for group in (TRIVIAL_GROUP, Z2, Z_GRADING):
             direct = trivial_grading(ring, group)

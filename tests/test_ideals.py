@@ -212,7 +212,7 @@ def _snapshot(ideal):
 
 
 def test_ideal_algebra_matches_oracle(corpus):
-    cyclic = [trivial_grading(build_ring(Cyclic(n), check=False)) for n in range(2, 65)]
+    cyclic = [trivial_grading(build_ring(Cyclic(n))) for n in range(2, 65)]
     for gr in [e.gr for e in corpus] + cyclic:
         ring = gr.ring
         lattice = enumerate_graded_ideals(gr)
@@ -251,13 +251,13 @@ SMALL_RING_SPECS = st.one_of(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(spec=SMALL_RING_SPECS, data=st.data())
 def test_additive_closure_matches_oracle(spec, data):
-    ring = build_ring(spec, check=False)
+    ring = build_ring(spec)
     seed = data.draw(st.lists(st.integers(0, ring.size - 1), max_size=6))
     assert additive_closure(ring, seed) == oracles.additive_closure(ring, seed)
 
 
 def test_radical_and_colon_match_oracle(corpus):
-    cyclic = [trivial_grading(build_ring(Cyclic(n), check=False)) for n in range(2, 65)]
+    cyclic = [trivial_grading(build_ring(Cyclic(n))) for n in range(2, 65)]
     for gr in [e.gr for e in corpus] + cyclic:
         ring = gr.ring
         assert ring.nilradical() == oracles.nilradical(ring), gr.label
