@@ -67,7 +67,7 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
         if not allowed:
             return True, None
         into_p = _colon_of(ring, p.elements)
-        for x in sorted(frozenset(nonunits) - p.elements):
+        for x in [x for x in nonunits if x not in p.elements]:
             bad = into_p(ring.mul_rows[x]) & allowed
             if bad:
                 return False, (x, _least(bad))

@@ -73,7 +73,7 @@ Z_GRADING = GradingGroup("integers")
 
 
 class GradedRing:
-    """A FinRing plus a validated grading; immutable after construction."""
+    """A FinRing plus its grading, checked by `attach_grading` or graded by construction."""
 
     def __init__(
         self,

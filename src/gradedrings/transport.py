@@ -2,7 +2,7 @@
 
 Quotients, products, localizations and the identity-component subring are
 graded, and their canonical maps graded homomorphisms, by construction, so
-neither is validated again; `hom_build` checks a caller's map.  Nothing
+neither is checked; `hom_build` checks a caller's map.  Nothing
 here is memoized: every call builds its ring again, so a caller that needs
 what a construction shows more than once keeps that result, not the ring
 (the verifier keeps counts and witness names per parent ring).

@@ -39,7 +39,7 @@ def graded_specs(draw):
 
 
 def graded_ring(spec, z2):
-    """The ring of `spec`, unchecked, graded as `graded_specs` drew it."""
+    """The ring of `spec`, graded as `graded_specs` drew it."""
     ring = build_ring(spec)
     if not z2:
         return trivial_grading(ring)

@@ -194,7 +194,7 @@ def test_kernels_scan_in_full_on_a_non_local_ring(monkeypatch, generator):
     p = ideal_generated(ring, (generator,))
     built = count_masks(monkeypatch)
     assert is_graded_primary(gr, p)[0]
-    assert len(built) == 2 + len(set(nonunits) - p.elements)  # one (P : x) per nonunit x outside P
+    assert len(built) == 2 + len(set(nonunits) - p.elements)  # a (P : x) per nonunit x outside P
     built.clear()
     assert is_graded_1abs_primary(gr, p)[0]
     products = {ring.mul(x, y) for x in nonunits for y in nonunits} - p.elements
