@@ -10,9 +10,9 @@ is not timed, but everything the kernels compute themselves (graded check,
 radical, masks) is.  `classify_ideal` is timed as a whole, because its
 kernels share memoized work that would be charged to whichever ran first.
 Its rows cover local rings, where every homogeneous element is nilpotent
-or a unit, and non-local ones.  Millisecond rows report the median of
-FAST_REPEAT samples, rows of a second or more that of SLOW_REPEAT.
-Standard library only.
+or a unit, and non-local ones.  Each row reports the median of
+FAST_REPEAT samples, or of SLOW_REPEAT when its first sample takes a
+second or more.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,14 +26,20 @@ import subprocess
 import sys
 import time
 
-FAST_REPEAT = 15  # samples per millisecond row; the median is reported
-SLOW_REPEAT = 3  # samples per row of a second or more
+FAST_REPEAT = 15  # samples per row; the median is reported
+SLOW_REPEAT = 3  # samples per row whose first sample takes a second or more
 
 
 def _timed(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def _samples(sample) -> list[float]:
+    """Timings from `sample()`: FAST_REPEAT, or SLOW_REPEAT if the first is 1 s or more."""
+    first = sample()
+    return [first] + [sample() for _ in range((SLOW_REPEAT if first >= 1 else FAST_REPEAT) - 1)]
 
 
 def measure() -> dict:
@@ -62,17 +68,13 @@ def measure() -> dict:
         return _timed(lambda: [is_graded_strongly_1abs_primary(gr, p) for p in lattice])
 
     rows = {}
-    for label, spec, generator in (
-        ("Z/256", Cyclic(256), 2), ("Z/256", Cyclic(256), 16),
-        ("Z/720", Cyclic(720), 2), ("Z/720", Cyclic(720), 16),
-    ):
-        rows[f"{label} ({generator}) classify_ideal"] = [
-            classify_sample(spec, generator) for _ in range(FAST_REPEAT)
-        ]
-    rows["Z/1024 strongly on every proper ideal"] = [
-        strongly_z1024_sample() for _ in range(FAST_REPEAT)
-    ]
-    rows["verifier._cor_2_7(2, 128)"] = [_timed(lambda: _cor_2_7(2, 128)) for _ in range(SLOW_REPEAT)]
+    for n in (256, 720):
+        for generator in (2, 16):
+            rows[f"Z/{n} ({generator}) classify_ideal"] = _samples(
+                lambda: classify_sample(Cyclic(n), generator)
+            )
+    rows["Z/1024 strongly on every proper ideal"] = _samples(strongly_z1024_sample)
+    rows["verifier._cor_2_7(2, 128)"] = _samples(lambda: _timed(lambda: _cor_2_7(2, 128)))
     for label, spec in (
         ("Z/1024", Cyclic(1024)),
         ("F2[u]/(u^10)", PolyQuotient(Cyclic(2), (0,) * 10 + (1,))),
@@ -80,9 +82,9 @@ def measure() -> dict:
         ("Z/720", Cyclic(720)),
         ("Z/1000", Cyclic(1000)),
     ):
-        rows[f"{label} classify_ideal on every proper ideal"] = [
-            classify_all_sample(spec) for _ in range(SLOW_REPEAT)
-        ]
+        rows[f"{label} classify_ideal on every proper ideal"] = _samples(
+            lambda: classify_all_sample(spec)
+        )
     return {key: {"median_s": statistics.median(s), "samples_s": s} for key, s in rows.items()}
 
 

@@ -168,7 +168,7 @@ def attach_grading(
                     f"component {group.describe(g)} not closed under addition "
                     f"at {ring.name(x)}+{ring.name(y)}"
                 )
-    if ring.one not in comps.get(e, frozenset()):
+    if ring.one not in comps[e]:
         raise IdentityNotInRe("1 must lie in the identity-degree component")
 
     zero_only = frozenset({ring.zero})
