@@ -5,8 +5,8 @@
 
 Each case is one fresh `python3` process with `PYTHONPATH=<checkout>/src`:
 a bare interpreter, `import gradedrings.cli`, `ring describe` Z/256,
-`ideal classify` (16) on Z/256 and `verify all`.  Its wall time, CPU time
-(user + system, from `wait4`) and peak RSS are recorded in two modes:
+`ideal classify` (16) on Z/256 and `verify all`.  Each case is a row in
+two modes, `CASE [no_cache]` and `CASE [cache]`:
 
 - `no_cache`: `PYTHONDONTWRITEBYTECODE=1`, so every process compiles the
   package (the standard library still reads its own cached bytecode).  A
@@ -14,25 +14,25 @@ a bare interpreter, `import gradedrings.cli`, `ring describe` Z/256,
 - `cache`: bytecode is cached under a temporary `PYTHONPYCACHEPREFIX`,
   filled by one unrecorded run of each case.
 
-The two checkouts alternate sample by sample, so that a drift of the
-host's speed falls on both.  For each checkout the record also lists the
-modules each case loads beyond the interpreter's own start-up set, as
-`bench/modules_loaded.py` prints them.  The fresh-process runner and the
-summary come from `bench/table_core.py`.  Standard library only.
+For each checkout the record also lists the modules each case loads beyond
+the interpreter's own start-up set, as `bench/modules_loaded.py` prints
+them.  `bench/harness.py` runs the rows on both checkouts and writes the
+record.  Standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
+import atexit
+import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 
-from table_core import commit, machine, run_fresh, summary
+from harness import fresh, main
 
-SAMPLES = 7
 MODULES_LOADED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "modules_loaded.py")
 Z256_SPEC = {"ring": {"kind": "cyclic", "n": 256}, "group": {"kind": "trivial"}}
 CASES = (  # (name, CLI arguments with {spec} for the Z/256 spec file)
@@ -44,16 +44,31 @@ CASES = (  # (name, CLI arguments with {spec} for the Z/256 spec file)
 )
 
 
-def _env(root: str, pycache: str | None) -> dict:
-    """No bytecode cache for the package when `pycache` is None, else one there."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+@functools.cache
+def _work() -> str:
+    """This worker's temporary directory: the Z/256 spec file and the bytecode cache."""
+    work = tempfile.mkdtemp()
+    atexit.register(shutil.rmtree, work)
+    with open(os.path.join(work, "z256.json"), "w") as fh:
+        json.dump(Z256_SPEC, fh)
+    return work
+
+
+def _env(mode: str) -> dict:
+    """No bytecode cache for the package in the `no_cache` mode, else one in the work directory."""
+    env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.pop("PYTHONPYCACHEPREFIX", None)
-    if pycache is None:
+    if mode == "no_cache":
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     else:
-        env["PYTHONPYCACHEPREFIX"] = pycache
+        env["PYTHONPYCACHEPREFIX"] = os.path.join(_work(), "pycache")
     return env
+
+
+def _cli_args(cli_args) -> list[str]:
+    spec = os.path.join(_work(), "z256.json")
+    return [a.replace("{spec}", spec) for a in cli_args]
 
 
 def _python_args(cli_args) -> list[str]:
@@ -61,81 +76,36 @@ def _python_args(cli_args) -> list[str]:
         return ["-c", "pass"]
     if not cli_args:
         return ["-c", "import gradedrings.cli"]
-    return ["-m", "gradedrings.cli", *cli_args]
+    return ["-m", "gradedrings.cli", *_cli_args(cli_args)]
 
 
-def _modules(cli_args: list[str], env: dict) -> list[str]:
-    out = subprocess.run(
-        [sys.executable, MODULES_LOADED, *cli_args], env=env, capture_output=True, text=True
-    )
-    return out.stderr.split()
-
-
-def measure(sides: dict[str, str]) -> dict:
-    with tempfile.TemporaryDirectory() as work:
-        spec = os.path.join(work, "z256.json")
-        with open(spec, "w") as fh:
-            json.dump(Z256_SPEC, fh)
-        cases = [
-            (name, None if args is None else [a.replace("{spec}", spec) for a in args])
-            for name, args in CASES
-        ]
-        envs = {}
-        for side, root in sides.items():
-            envs[side, "no_cache"] = _env(root, None)
-            envs[side, "cache"] = _env(root, os.path.join(work, side))
-            for _, args in cases:  # fill the cache
-                run_fresh(_python_args(args), envs[side, "cache"])
-        runs = {(side, mode, name): [] for side, mode in envs for name, _ in cases}
-        for i in range(SAMPLES):
-            order = list(sides) if i % 2 == 0 else list(reversed(sides))
-            for mode in ("no_cache", "cache"):
-                for name, args in cases:
-                    for side in order:
-                        runs[side, mode, name].append(run_fresh(_python_args(args), envs[side, mode]))
-        return {
-            side: {
-                "commit": commit(root),
-                **{
-                    mode: {name: summary(runs[side, mode, name]) for name, _ in cases}
-                    for mode in ("no_cache", "cache")
-                },
-                "modules_loaded": {
-                    name: _modules(args, envs[side, "cache"]) for name, args in cases if args is not None
-                },
-            }
-            for side, root in sides.items()
-        }
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--before", required=True, help="checkout measured as the parent")
-    parser.add_argument("--after", required=True, help="checkout measured as the change")
-    parser.add_argument("--out", default="BENCH_startup.json")
-    args = parser.parse_args()
-    for root in (args.before, args.after):
-        for dirpath, dirnames, _ in os.walk(os.path.join(root, "src")):
-            if "__pycache__" in dirnames:
-                parser.error(f"{dirpath}/__pycache__ would be read in the no_cache mode; remove it")
-    sides = measure({"before": args.before, "after": args.after})
-    doc = {
-        "what": "fresh processes: wall (perf_counter), CPU and peak RSS (wait4), medians of the samples",
-        "machine": machine(),
-        "samples": SAMPLES,
-        **sides,
-        "cpu_after_over_before": {
-            mode: {
-                name: round(row["median_cpu_s"] / sides["before"][mode][name]["median_cpu_s"], 3)
-                for name, row in sides["after"][mode].items()
-            }
-            for mode in ("no_cache", "cache")
-        },
+def rows() -> dict:
+    src = os.environ["PYTHONPATH"]  # the checkout's src/, as the harness sets it
+    for dirpath, dirnames, _ in os.walk(src):
+        if "__pycache__" in dirnames:
+            sys.exit(f"{dirpath}/__pycache__ would be read in the no_cache mode; remove it")
+    table = {
+        f"{name} [{mode}]": fresh(_python_args(args), _env(mode))
+        for mode in ("no_cache", "cache")
+        for name, args in CASES
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    for name, _ in CASES:  # fill the cache
+        table[f"{name} [cache]"]()
+    return table
+
+
+def facts() -> dict:
+    return {
+        "modules_loaded": {
+            name: subprocess.run(
+                [sys.executable, MODULES_LOADED, *_cli_args(args)],
+                env=_env("cache"), capture_output=True, text=True,
+            ).stderr.split()
+            for name, args in CASES
+            if args is not None
+        }
+    }
 
 
 if __name__ == "__main__":
-    main()
+    main(rows, __doc__, "BENCH_startup.json", facts)

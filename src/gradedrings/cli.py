@@ -135,6 +135,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_verify(args) -> int:
     from .verifier import run_suite, verify
 
+    if args.range and args.statement not in ("COR_2_7", "all"):
+        raise MalformedSpec(f"--range applies to COR_2_7 and all, not to {args.statement}")
     corpus = _load_corpus(args.corpus)
     n_range = _parse_range(args.range) if args.range else (2, 64)
     if args.statement == "all":

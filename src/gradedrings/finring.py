@@ -10,7 +10,7 @@ without a function call per cell.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import MalformedSpec
 
@@ -103,6 +103,8 @@ class FinRing:
             raise MalformedSpec("zero == one (zero ring rejected)")
         if not all(type(v) is int and 0 <= v < size for v in (zero, one)):
             raise MalformedSpec(f"zero {zero!r} or one {one!r} is not in range({size})")
+        if names is not None and len(names) != size:
+            raise MalformedSpec(f"{len(names)} names for {size} elements")
         _check_rows(size, add_rows, "addition")
         _check_rows(size, mul_rows, "multiplication")
         self.size = size
@@ -141,6 +143,13 @@ class FinRing:
     def mul_rows(self) -> Sequence[Sequence[int]]:
         """The multiplication table: row x holds x*y at index y.  Read only."""
         return self._mul_table
+
+    def require_elements(self, xs: Iterable, error: type[Exception]) -> None:
+        """Raise `error` naming the first of `xs` that is not an element
+        index, an int in range(size), such as -1, `size`, 2.0 or '2'."""
+        for x in xs:
+            if type(x) is not int or not 0 <= x < self.size:
+                raise error(f"{x!r} is not an element of {self.label}, an int in range({self.size})")
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))

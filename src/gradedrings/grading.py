@@ -154,6 +154,7 @@ def attach_grading(
     e = group.identity
     comps.setdefault(e, frozenset({ring.zero}))
     for g, c in comps.items():
+        ring.require_elements(c, NotSubgroup)
         if ring.zero not in c:
             raise NotSubgroup(f"component {group.describe(g)} misses 0")
         for x in c:

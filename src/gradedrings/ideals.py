@@ -66,6 +66,7 @@ def validate_ideal(ring: FinRing, elements: frozenset[int]) -> None:
     Reads whole rows: x + I and Rx (row x of the commutative multiplication
     table) must lie in the set; the first failing partner is then named.
     """
+    ring.require_elements(elements, NotAnIdeal)
     if ring.zero not in elements:
         raise NotAnIdeal("missing 0")
     for x in elements:
@@ -102,6 +103,7 @@ def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
 def ideal_generated(ring: FinRing, gens: Iterable[int]) -> IdealSet:
     """Least ideal containing the generators: additive closure of all multiples."""
     gens = tuple(gens)
+    ring.require_elements(gens, NotAnIdeal)
     multiples = {ring.zero}.union(*(ring.mul_rows[g] for g in gens))
     return IdealSet(ring, additive_closure(ring, multiples), generators=gens)
 

@@ -42,6 +42,7 @@ class MultiplicativeSet(Record):
     def create(gr: GradedRing, elements: Iterable[int]) -> "MultiplicativeSet":
         ring = gr.ring
         elems = frozenset(elements) | {ring.one}
+        ring.require_elements(elems, InvalidSet)
         if ring.zero in elems:
             raise InvalidSet("0 in multiplicative set")
         homog = gr.homogeneous()
@@ -86,8 +87,9 @@ def hom_build(source: GradedRing, target: GradedRing, mapping: Iterable[int]) ->
         raise GroupMismatch("graded homomorphism requires a shared grading group")
     f = tuple(mapping)
     rs, rt = source.ring, target.ring
-    if len(f) != rs.size or any(not (0 <= v < rt.size) for v in f):
+    if len(f) != rs.size:
         raise NotAdditive("mapping is not total on the source carrier", None)
+    rt.require_elements(f, NotAdditive)
     if f[rs.one] != rt.one:
         raise UnitNotPreserved(f"f(1) = {rt.name(f[rs.one])} != 1", (rs.one,))
     # f(x+y) = f(x)+f(y) for all y at once: f o add_s[x] against add_t[f(x)] o f,

@@ -214,6 +214,10 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             None, ("verify", "COR_2_7", "--range", "2..513"), "--range '2..513'",
             id="range-above-sweep-cap",
         ),
+        pytest.param(
+            None, ("verify", "THM_2_6", "--range", "2..10"), "--range applies to COR_2_7 and all",
+            id="range-without-cor-2-7",
+        ),
         pytest.param("[]", CORPUS, "corpus is empty", id="corpus-empty"),
     ],
 )

@@ -142,6 +142,17 @@ def test_carrier_cap(spec):
         build_ring(spec)
 
 
+def test_names_shorter_than_carrier_rejected():
+    with pytest.raises(MalformedSpec, match="2 names for 3 elements"):
+        FinRing(
+            3,
+            [[(i + j) % 3 for j in range(3)] for i in range(3)],
+            [[i * j % 3 for j in range(3)] for i in range(3)],
+            one=1,
+            names=["0", "1"],
+        )
+
+
 def test_add_table_without_inverse_rejected():
     # max(i, j) has 0 as identity, but nothing adds to 0 with 1
     with pytest.raises(MalformedSpec, match="additive inverse"):

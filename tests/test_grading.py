@@ -105,6 +105,12 @@ def test_rejects_non_subgroup():
         attach_grading(ring, Z2, {(0,): {0, 1}, (1,): {0, 1, 2}})
 
 
+def test_rejects_component_index_outside_carrier():
+    ring = build_ring(Cyclic(4))
+    with pytest.raises(NotSubgroup, match="-1 is not an element of Z/4"):
+        attach_grading(ring, Z2, {(0,): {0, 1, 2, 3}, (1,): {0, -1}})
+
+
 def test_rejects_bad_direct_sum():
     ring = build_ring(Cyclic(4))
     with pytest.raises(NotDirectSum):

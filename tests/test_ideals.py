@@ -102,6 +102,19 @@ def test_is_graded_ideal():
         ),
         # the reals {0,1,2} of Z/3[i]: an additive subgroup with i*1 = i outside it
         pytest.param(lambda: gauss_z2(3), {0, 1, 2}, "not absorbing", id="not-absorbing"),
+        # -2 would read row 2 of Z/4's tables, and {0, -2, 2} pass as the ideal (2)
+        pytest.param(
+            lambda: trivial_grading(build_ring(Cyclic(4))), {0, -2, 2}, "-2 is not an element",
+            id="negative-index",
+        ),
+        pytest.param(
+            lambda: trivial_grading(build_ring(Cyclic(4))), {0, 9}, "9 is not an element",
+            id="index-out-of-range",
+        ),
+        pytest.param(
+            lambda: trivial_grading(build_ring(Cyclic(4))), {0, 2.0}, "2.0 is not an element",
+            id="float-index",
+        ),
     ],
 )
 def test_is_graded_ideal_rejects_non_ideals(make_graded, elements, message):
@@ -109,6 +122,12 @@ def test_is_graded_ideal_rejects_non_ideals(make_graded, elements, message):
     for _ in range(2):  # an exception is never memoized: the second call raises too
         with pytest.raises(NotAnIdeal, match=message):
             is_graded_ideal(gr, IdealSet(gr.ring, elements))
+
+
+def test_ideal_generated_rejects_index_outside_carrier():
+    ring = build_ring(Cyclic(4))
+    with pytest.raises(NotAnIdeal, match="9 is not an element of Z/4"):
+        ideal_generated(ring, (9,))
 
 
 def test_graded_radical_examples():

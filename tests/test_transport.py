@@ -8,6 +8,7 @@ from gradedrings.errors import (
     GroupMismatch,
     InvalidSet,
     KernelNotContained,
+    NotAdditive,
     NotDegreePreserving,
     UnitNotPreserved,
 )
@@ -177,6 +178,8 @@ def test_multiplicative_set_validation():
         MultiplicativeSet.create(g12, {0, 1})
     with pytest.raises(InvalidSet):
         MultiplicativeSet.create(g12, {1, 2})  # 2*2=4 missing
+    with pytest.raises(InvalidSet, match="12 is not an element"):
+        MultiplicativeSet.create(g12, {12})
     g4 = gauss_z2(4)
     with pytest.raises(InvalidSet):
         MultiplicativeSet.create(g4, {g4.ring.parse("1+i")})
@@ -210,6 +213,12 @@ def test_hom_build_rejects_non_unital():
     g4 = triv(4)
     with pytest.raises(UnitNotPreserved):
         hom_build(g4, g4, tuple((2 * x) % 4 for x in range(4)))
+
+
+def test_hom_build_rejects_entry_that_is_not_an_element():
+    g4 = triv(4)
+    with pytest.raises(NotAdditive, match="2.0 is not an element of Z/4"):
+        hom_build(g4, g4, (0, 1, 2.0, 3))
 
 
 def test_hom_build_rejects_group_mismatch():
