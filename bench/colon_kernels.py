@@ -1,8 +1,5 @@
 """Cold in-process timings of the predicate kernels, before and after a change.
 
-    python3 bench/colon_kernels.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
-        --out BENCH_colon_kernels.json
-
 Cold means a fresh graded ring for every sample: building the ring, its
 grading, the ideal and (for the rows over every proper ideal) the lattice
 is not timed, but everything the kernels compute themselves (graded check,
@@ -25,16 +22,13 @@ def rows() -> dict:
     from gradedrings.ideals import ideal_generated, proper_graded_ideals
     from gradedrings.verifier import _cor_2_7
 
-    def fresh(spec):
-        return trivial_grading(build_ring(spec))
-
     def classify(spec, generator):
-        gr = fresh(spec)
+        gr = trivial_grading(build_ring(spec))
         ideal = ideal_generated(gr.ring, (generator,))
         return lambda: classify_ideal(gr, ideal)
 
     def on_every_proper_ideal(kernel, spec):
-        gr = fresh(spec)
+        gr = trivial_grading(build_ring(spec))
         lattice = proper_graded_ideals(gr)
         return lambda: [kernel(gr, p) for p in lattice]
 

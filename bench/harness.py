@@ -1,34 +1,17 @@
 """Before/after comparison of two checkouts, shared by the scripts in bench/.
 
-A script names its rows and hands them to `main`:
+    python3 bench/SCRIPT.py --before OLD_CHECKOUT --after NEW_CHECKOUT --out FILE
 
-    from harness import main, timed
-
-    def rows():
-        from gradedrings.finring import Cyclic, build_ring
-        return {"build_ring Z/256": timed(lambda: lambda: build_ring(Cyclic(256)))}
-
-    if __name__ == "__main__":
-        main(rows, __doc__, "BENCH_example.json")
-
-and runs as `python3 bench/SCRIPT.py --before OLD --after NEW --out FILE`.
-Each checkout gets one long-lived worker, the script itself started with
-`PYTHONPATH=<checkout>/src`, which builds the rows once and then runs one
-sample of a row per request.  A row is a function returning one sample,
-a dict of metrics; `timed` and `fresh` build the two kinds.  The first
-metric of a sample (`s` in process, `cpu_s` for a fresh process) is the
-one the sample rule and the ratio read.
-
-Rows run one after another, each sample by sample, and the side that goes
-first alternates on every sample, so a drift of the host's speed falls on
-both sides.  A row gets SAMPLES samples per side, or SLOW_SAMPLES when its
-first sample takes a second or more on either side.
-
-The record holds the machine and, per side, the commit (plus what the
-script's `facts()` returns in the worker), then for each row and side the
-median and quartiles of every metric and the samples, and the row's
-`after_over_before`, the ratio of the medians of its first metric.
-Standard library only.
+A script's `rows()` maps row names to functions that return one sample, a
+dict of metrics (`timed` and `fresh` build them).  Each checkout gets one
+long-lived worker, the script itself with `PYTHONPATH=<checkout>/src`.
+Each row runs sample by sample, the side that goes first alternating on
+every sample, so a drift of the host's speed falls on both sides: SAMPLES
+per side, or SLOW_SAMPLES when a first sample takes a second or more.  The
+record holds the machine, each side's commit and `facts()`, and per row and
+side the median and quartiles of every metric and the samples, and
+`after_over_before`, the ratio of the medians of the first metric (`s` in
+process, `cpu_s` for a fresh process).  Standard library only.
 """
 
 from __future__ import annotations
@@ -89,31 +72,14 @@ def _serve(rows, facts) -> None:
         print(json.dumps(table[json.loads(line)]()), file=reply, flush=True)
 
 
-class _Worker:
-    def __init__(self, script: str, root: str):
-        self.root = root
-        self.proc = subprocess.Popen(
-            [sys.executable, script, "--measure"],
-            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
-
-    def read(self) -> dict:
-        line = self.proc.stdout.readline()
-        if not line:
-            sys.exit(f"the worker for {self.root} stopped (exit status {self.proc.wait()})")
-        return json.loads(line)
-
-    def sample(self, row: str) -> dict:
-        print(json.dumps(row), file=self.proc.stdin, flush=True)
-        return self.read()
-
-
-def _commit(root: str) -> str:
-    out = subprocess.run(
-        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
-    )
-    return out.stdout.strip() or "unknown"
+def _ask(worker: subprocess.Popen, row: str | None = None) -> dict:
+    """The worker's next reply, to a request for a sample of `row` if given."""
+    if row is not None:
+        print(json.dumps(row), file=worker.stdin, flush=True)
+    line = worker.stdout.readline()
+    if not line:
+        sys.exit(f"a worker stopped (exit status {worker.wait()})")
+    return json.loads(line)
 
 
 def _summary(samples: list[dict]) -> dict:
@@ -128,28 +94,40 @@ def _summary(samples: list[dict]) -> dict:
 
 
 def _row(workers: dict, name: str) -> dict:
-    samples = {side: [workers[side].sample(name)] for side in SIDES}
+    samples = {side: [_ask(workers[side], name)] for side in SIDES}
     slow = max(next(iter(s[0].values())) for s in samples.values()) >= 1
     for i in range(1, SLOW_SAMPLES if slow else SAMPLES):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            samples[side].append(workers[side].sample(name))
+            samples[side].append(_ask(workers[side], name))
     out = {side: _summary(samples[side]) for side in SIDES}
     lead = next(iter(samples["before"][0]))
-    out["after_over_before"] = round(
-        out["after"]["median"][lead] / out["before"]["median"][lead], 3
-    )
+    medians = [out[side]["median"][lead] for side in SIDES]
+    out["after_over_before"] = round(medians[1] / medians[0], 3)
     return out
 
 
-def compare(script: str, what: str, before: str, after: str) -> dict:
-    """The record of `script`'s rows on the checkouts `before` and `after`."""
-    roots = dict(zip(SIDES, (before, after)))
-    workers = {side: _Worker(script, root) for side, root in roots.items()}
+def _commit(root: str) -> str:
+    out = subprocess.run(
+        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
+    )
+    return out.stdout.strip() or "unknown"
+
+
+def _compare(script: str, what: str, roots: dict) -> dict:
+    """The record of `script`'s rows on the checkouts `roots["before"]` and `roots["after"]`."""
+    workers = {
+        side: subprocess.Popen(
+            [sys.executable, script, "--measure"],
+            env={**os.environ, "PYTHONPATH": os.path.join(roots[side], "src")},
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for side in SIDES
+    }
     try:
-        hello = {side: w.read() for side, w in workers.items()}
+        hello = {side: _ask(workers[side]) for side in SIDES}
         if hello["before"]["rows"] != hello["after"]["rows"]:
             sys.exit("the two workers name different rows")
-        record = {
+        return {
             "what": what,
             "machine": {
                 "python": platform.python_version(),
@@ -157,35 +135,29 @@ def compare(script: str, what: str, before: str, after: str) -> dict:
                 "machine": platform.machine(),
                 "cpus": os.cpu_count(),
             },
-            **{
-                side: {"commit": _commit(root), **hello[side]["facts"]}
-                for side, root in roots.items()
-            },
+            **{side: {"commit": _commit(roots[side]), **hello[side]["facts"]} for side in SIDES},
             "rows": {name: _row(workers, name) for name in hello["before"]["rows"]},
         }
     finally:
-        for w in workers.values():
-            w.proc.stdin.close()
-            w.proc.wait()
-    return record
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
 
 
 def main(rows, doc: str, out: str, facts=dict) -> None:
     """The command line of a bench script: `rows()` builds its rows in each
     worker, `facts()` what the record keeps per side besides the commit."""
-    what = doc.strip().splitlines()[0]
-    parser = argparse.ArgumentParser(description=what)
-    parser.add_argument("--before", help="checkout measured as the parent")
-    parser.add_argument("--after", help="checkout measured as the change")
-    parser.add_argument("--out", default=out)
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.measure:
+    if sys.argv[1:] == ["--measure"]:  # a worker, started by `_compare`
         _serve(rows, facts)
         return
-    if not (args.before and args.after):
-        parser.error("--before and --after are required")
-    record = compare(os.path.abspath(sys.argv[0]), what, args.before, args.after)
+    what = doc.strip().splitlines()[0]
+    parser = argparse.ArgumentParser(description=what)
+    parser.add_argument("--before", required=True, help="checkout measured as the parent")
+    parser.add_argument("--after", required=True, help="checkout measured as the change")
+    parser.add_argument("--out", default=out)
+    args = parser.parse_args()
+    roots = {"before": args.before, "after": args.after}
+    record = _compare(os.path.abspath(sys.argv[0]), what, roots)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

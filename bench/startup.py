@@ -1,30 +1,23 @@
 """Start-up cost of fresh gradedrings processes, before and after a change.
 
-    python3 bench/startup.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
-        --out BENCH_startup.json
-
 Each case is one fresh `python3` process with `PYTHONPATH=<checkout>/src`:
 a bare interpreter, `import gradedrings.cli`, `ring describe` Z/256,
-`ideal classify` (16) on Z/256 and `verify all`.  Each case is a row in
-two modes, `CASE [no_cache]` and `CASE [cache]`:
+`ideal classify` (16) on Z/256 and `verify all`, in two modes:
 
-- `no_cache`: `PYTHONDONTWRITEBYTECODE=1`, so every process compiles the
-  package (the standard library still reads its own cached bytecode).  A
-  checkout that holds a `__pycache__` under `src/` is refused;
-- `cache`: bytecode is cached under a temporary `PYTHONPYCACHEPREFIX`,
+- `CASE [no_cache]`: `PYTHONDONTWRITEBYTECODE=1`, so every process compiles
+  the package (the standard library still reads its own cached bytecode).
+  A checkout that holds a `__pycache__` under `src/` is refused;
+- `CASE [cache]`: bytecode is cached under a temporary `PYTHONPYCACHEPREFIX`,
   filled by one unrecorded run of each case.
 
 For each checkout the record also lists the modules each case loads beyond
 the interpreter's own start-up set, as `bench/modules_loaded.py` prints
-them.  `bench/harness.py` runs the rows on both checkouts and writes the
-record.  Standard library only.
+them.  `bench/harness.py` runs the rows.  Standard library only.
 """
 
 from __future__ import annotations
 
 import atexit
-import functools
-import json
 import os
 import shutil
 import subprocess
@@ -33,50 +26,16 @@ import tempfile
 
 from harness import fresh, main
 
-MODULES_LOADED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "modules_loaded.py")
-Z256_SPEC = {"ring": {"kind": "cyclic", "n": 256}, "group": {"kind": "trivial"}}
-CASES = (  # (name, CLI arguments with {spec} for the Z/256 spec file)
-    ("bare interpreter", None),
-    ("import gradedrings.cli", ()),
-    ("ring describe Z/256", ("ring", "describe", "{spec}")),
-    ("ideal classify (16) Z/256", ("ideal", "classify", "{spec}", "--ideal", "16")),
-    ("verify all", ("verify", "all")),
+BENCH = os.path.dirname(os.path.abspath(__file__))
+Z256 = os.path.join(BENCH, "..", "specs", "cyclic256.json")
+CLI = ("-m", "gradedrings.cli")
+CASES = (  # (name, python arguments); from the second on, args[2:] are the CLI's own
+    ("bare interpreter", ("-c", "pass")),
+    ("import gradedrings.cli", ("-c", "import gradedrings.cli")),
+    ("ring describe Z/256", (*CLI, "ring", "describe", Z256)),
+    ("ideal classify (16) Z/256", (*CLI, "ideal", "classify", Z256, "--ideal", "16")),
+    ("verify all", (*CLI, "verify", "all")),
 )
-
-
-@functools.cache
-def _work() -> str:
-    """This worker's temporary directory: the Z/256 spec file and the bytecode cache."""
-    work = tempfile.mkdtemp()
-    atexit.register(shutil.rmtree, work)
-    with open(os.path.join(work, "z256.json"), "w") as fh:
-        json.dump(Z256_SPEC, fh)
-    return work
-
-
-def _env(mode: str) -> dict:
-    """No bytecode cache for the package in the `no_cache` mode, else one in the work directory."""
-    env = dict(os.environ)
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    env.pop("PYTHONPYCACHEPREFIX", None)
-    if mode == "no_cache":
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
-    else:
-        env["PYTHONPYCACHEPREFIX"] = os.path.join(_work(), "pycache")
-    return env
-
-
-def _cli_args(cli_args) -> list[str]:
-    spec = os.path.join(_work(), "z256.json")
-    return [a.replace("{spec}", spec) for a in cli_args]
-
-
-def _python_args(cli_args) -> list[str]:
-    if cli_args is None:
-        return ["-c", "pass"]
-    if not cli_args:
-        return ["-c", "import gradedrings.cli"]
-    return ["-m", "gradedrings.cli", *_cli_args(cli_args)]
 
 
 def rows() -> dict:
@@ -84,9 +43,18 @@ def rows() -> dict:
     for dirpath, dirnames, _ in os.walk(src):
         if "__pycache__" in dirnames:
             sys.exit(f"{dirpath}/__pycache__ would be read in the no_cache mode; remove it")
+    pycache = tempfile.mkdtemp()
+    atexit.register(shutil.rmtree, pycache)
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    envs = {
+        "no_cache": {**env, "PYTHONDONTWRITEBYTECODE": "1"},
+        "cache": {**env, "PYTHONPYCACHEPREFIX": pycache},
+    }
     table = {
-        f"{name} [{mode}]": fresh(_python_args(args), _env(mode))
-        for mode in ("no_cache", "cache")
+        f"{name} [{mode}]": fresh(args, envs[mode])
+        for mode in envs
         for name, args in CASES
     }
     for name, _ in CASES:  # fill the cache
@@ -95,14 +63,15 @@ def rows() -> dict:
 
 
 def facts() -> dict:
+    """The modules each case loads; no bytecode is written into the checkout."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     return {
         "modules_loaded": {
             name: subprocess.run(
-                [sys.executable, MODULES_LOADED, *_cli_args(args)],
-                env=_env("cache"), capture_output=True, text=True,
+                [sys.executable, os.path.join(BENCH, "modules_loaded.py"), *args[2:]],
+                env=env, capture_output=True, text=True,
             ).stderr.split()
-            for name, args in CASES
-            if args is not None
+            for name, args in CASES[1:]
         }
     }
 

@@ -1,42 +1,29 @@
 """Ring build, axiom check, transport and CLI timings, before and after a change.
 
-    python3 bench/table_core.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
-        --out BENCH_table_core.json
-
-In process: `build_ring` of Z/256, Z/1024 and F2[u]/(u^10), each with
-whatever checks `build_ring` runs in that checkout; `check_axioms()` on
-those rings; the quotients by every proper graded ideal, the localizations
-and the identity subrings of the default corpus, each construction over
-the whole corpus in one sample; `default_corpus()`; `run_suite()` building
-its own corpus; `run_suite()` on one corpus; and `run_suite` of PROP_3_1,
-COR_3_2 and COR_RE alone and of the three together.  Every sample starts
-from fresh state (rings, corpus, ideals), built without timing it.  Each
-row comes twice: `[cold]` times the first call on that state, `[warm]` a
-second call, after an untimed first one has filled the memos.
-
-Fresh process: `python3 -m gradedrings.cli` for `verify all`, `ring
-describe` and `ideal classify (16)` on Z/1024, and `verify COR_2_7` over
-2..256 and 2..512.  Every fresh process is cold.  `bench/harness.py` runs
-the rows on both checkouts and writes the record.  Standard library only.
+In process: `build_ring` (with whatever checks it runs in that checkout)
+and `check_axioms()` on three rings, the corpus's quotients, localizations
+and identity subrings (each construction over the whole corpus in one
+sample), the corpus build and `run_suite`.  Every sample starts from fresh
+state (rings, corpus, ideals), built without timing it.  Each row comes
+twice: `[cold]` times the first call on that state, `[warm]` a second
+call, after an untimed first one has filled the memos.  Fresh process:
+`python3 -m gradedrings.cli`, always cold.  `bench/harness.py` runs the
+rows.  Standard library only.
 """
 
 from __future__ import annotations
 
-import atexit
-import json
 import os
-import shutil
-import tempfile
 
 from harness import fresh, main, timed
 
 # the statements that check the quotient images and R_e preimages, in suite order
 TRANSPORT_STATEMENTS = ("COR_3_2", "COR_RE", "PROP_3_1")
-Z1024_SPEC = {"ring": {"kind": "cyclic", "n": 1024}, "group": {"kind": "trivial"}}
-CLI_CASES = (  # (name, argv with {spec} for the Z/1024 spec file)
+Z1024 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "specs", "cyclic1024.json")
+CLI_CASES = (  # (name, CLI arguments)
     ("verify all", ("verify", "all")),
-    ("ring describe Z/1024", ("ring", "describe", "{spec}")),
-    ("ideal classify (16) Z/1024", ("ideal", "classify", "{spec}", "--ideal", "16")),
+    ("ring describe Z/1024", ("ring", "describe", Z1024)),
+    ("ideal classify (16) Z/1024", ("ideal", "classify", Z1024, "--ideal", "16")),
     ("verify COR_2_7 --range 2..256", ("verify", "COR_2_7", "--range", "2..256")),
     ("verify COR_2_7 --range 2..512", ("verify", "COR_2_7", "--range", "2..512")),
 )
@@ -55,12 +42,8 @@ def cold_and_warm(name: str, prepare) -> dict:
 def rows() -> dict:
     from gradedrings.finring import Cyclic, PolyQuotient, build_ring
     from gradedrings.ideals import proper_graded_ideals
-    from gradedrings.transport import (
-        enumerate_multiplicative_sets,
-        identity_subring,
-        localize,
-        quotient,
-    )
+    from gradedrings.transport import enumerate_multiplicative_sets, identity_subring
+    from gradedrings.transport import localize, quotient
     from gradedrings.verifier import ALL_STATEMENTS, default_corpus, run_suite
 
     def graded():
@@ -85,7 +68,9 @@ def rows() -> dict:
     table = {}
     for spec in (Cyclic(256), Cyclic(1024), PolyQuotient(Cyclic(2), (0,) * 10 + (1,))):
         table |= cold_and_warm(f"build_ring {spec}", lambda spec=spec: lambda: build_ring(spec))
-        table |= cold_and_warm(f"check_axioms() {spec}", lambda spec=spec: build_ring(spec).check_axioms)
+        table |= cold_and_warm(
+            f"check_axioms() {spec}", lambda spec=spec: build_ring(spec).check_axioms
+        )
     table |= cold_and_warm("quotient by every proper graded ideal of the corpus", quotients)
     table |= cold_and_warm("localize by every multiplicative set of the corpus", localizations)
     table |= cold_and_warm("identity_subring of every corpus ring", identity_subrings)
@@ -94,14 +79,8 @@ def rows() -> dict:
     table |= cold_and_warm("run_suite()", lambda: suite(ALL_STATEMENTS))
     for ids in (*((sid,) for sid in TRANSPORT_STATEMENTS), TRANSPORT_STATEMENTS):
         table |= cold_and_warm(f"run_suite({' + '.join(ids)})", lambda ids=ids: suite(ids))
-
-    work = tempfile.mkdtemp()
-    atexit.register(shutil.rmtree, work)
-    spec = os.path.join(work, "z1024.json")
-    with open(spec, "w") as fh:
-        json.dump(Z1024_SPEC, fh)
-    for name, argv in CLI_CASES:
-        table[name] = fresh(["-m", "gradedrings.cli", *(a.replace("{spec}", spec) for a in argv)])
+    for name, args in CLI_CASES:
+        table[name] = fresh(["-m", "gradedrings.cli", *args])
     return table
 
 

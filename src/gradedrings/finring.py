@@ -149,7 +149,9 @@ class FinRing:
         index, an int in range(size), such as -1, `size`, 2.0 or '2'."""
         for x in xs:
             if type(x) is not int or not 0 <= x < self.size:
-                raise error(f"{x!r} is not an element of {self.label}, an int in range({self.size})")
+                raise error(
+                    f"{x!r} is not an element of {self.label}, an int in range({self.size})"
+                )
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))

@@ -51,7 +51,8 @@ def test_harness_alternates_sides_and_writes_one_record_shape(tmp_path):
     log, out, script = tmp_path / "order.log", tmp_path / "record.json", tmp_path / "rows.py"
     script.write_text(SCRIPT.format(bench=str(ROOT / "bench"), log=str(log)))
     subprocess.run(
-        [sys.executable, str(script), "--before", str(ROOT), "--after", str(ROOT), "--out", str(out)],
+        [sys.executable, str(script), "--before", str(ROOT), "--after", str(ROOT),
+         "--out", str(out)],
         check=True, timeout=60,
     )
     record = json.loads(out.read_text())
