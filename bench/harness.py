@@ -95,12 +95,12 @@ def _summary(samples: list[dict]) -> dict:
 
 def _row(workers: dict, name: str) -> dict:
     samples = {side: [_ask(workers[side], name)] for side in SIDES}
-    slow = max(next(iter(s[0].values())) for s in samples.values()) >= 1
+    lead = next(iter(samples["before"][0]))  # the metric the sample rule and the ratio read
+    slow = max(samples[side][0][lead] for side in SIDES) >= 1
     for i in range(1, SLOW_SAMPLES if slow else SAMPLES):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             samples[side].append(_ask(workers[side], name))
     out = {side: _summary(samples[side]) for side in SIDES}
-    lead = next(iter(samples["before"][0]))
     medians = [out[side]["median"][lead] for side in SIDES]
     out["after_over_before"] = round(medians[1] / medians[0], 3)
     return out
