@@ -28,7 +28,7 @@ from .classify import (
 )
 from .errors import GradedRingError, MalformedSpec
 from .ideals import proper_graded_ideals
-from .specdoc import expect, load_spec, parse_spec, read_json, resolve_ideal
+from .specdoc import decimal, expect, load_spec, parse_spec, read_json, resolve_ideal
 
 if TYPE_CHECKING:
     from .verifier import CorpusEntry
@@ -124,7 +124,7 @@ MAX_RANGE_HI = 512
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi)
+        lo, hi = decimal(lo), decimal(hi)
     except ValueError:
         raise MalformedSpec(f"--range {text!r}: expected LO..HI, e.g. 2..64") from None
     if not 2 <= lo <= hi <= MAX_RANGE_HI:
@@ -133,16 +133,16 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
-    from .verifier import run_suite, verify
+    from .verifier import ALL_STATEMENTS, run_suite
 
     if args.range and args.statement not in ("COR_2_7", "all"):
         raise MalformedSpec(f"--range applies to COR_2_7 and all, not to {args.statement}")
+    if args.corpus and args.statement == "COR_2_7":
+        raise MalformedSpec("--corpus does not apply to COR_2_7, which sweeps Z/n over --range")
     corpus = _load_corpus(args.corpus)
     n_range = _parse_range(args.range) if args.range else (2, 64)
-    if args.statement == "all":
-        reports = run_suite(corpus=corpus, n_range=n_range)
-    else:
-        reports = verify(args.statement, corpus=corpus, n_range=n_range)
+    ids = ALL_STATEMENTS if args.statement == "all" else (args.statement,)
+    reports = run_suite(ids, corpus=corpus, n_range=n_range)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

@@ -88,4 +88,4 @@ class NotSurjective(GradedRingError):
 
 
 class ShapeMismatch(GradedRingError):
-    """Verification target does not match the statement's quantifier shape."""
+    """The verifier has no statement of the given id."""

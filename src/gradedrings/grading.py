@@ -146,11 +146,18 @@ def attach_grading(
     label: str = "",
 ) -> GradedRing:
     """Validate a caller's component subsets and build the graded ring.  Raises
+    MalformedSpec (a degree of the wrong rank, or two keys of one degree),
     NotSubgroup, IdentityNotInRe, NotDirectSum (component sizes, then an element
     with two decompositions) and NotMultiplicative, checked in that order."""
     comps: dict[Degree, frozenset[int]] = {}
     for g, elems in components.items():
-        comps[group.normalize(g)] = frozenset(elems)
+        d = group.normalize(g)
+        if d in comps:
+            first = next(h for h in components if group.normalize(h) == d)
+            raise MalformedSpec(
+                f"degree keys {first!r} and {g!r} name one degree, {group.describe(d)}"
+            )
+        comps[d] = frozenset(elems)
     e = group.identity
     comps.setdefault(e, frozenset({ring.zero}))
     for g, c in comps.items():

@@ -12,8 +12,9 @@ Schema:
       "ideals": {"<name>": ["<generator expr>", ...], ...}
     }
 
-Degrees are comma-separated integers for finite abelian groups ("0", "1",
-"0,1"), plain integers for Z.  Element expressions use the ring's own
+Degrees are comma-separated decimal integers for finite abelian groups
+("0", "1", "0,1"), plain decimal integers for Z; two keys of one degree
+("0" and "2" under Z2) are an error.  Element expressions use the ring's own
 syntax: signed sums of integers ("2+3", "-1") for cyclic rings, "a+b*i"
 for gauss_mod, polynomials in u for poly_quotient.  Omitting "components"
 means the trivial grading (everything in the identity degree).
@@ -22,6 +23,7 @@ means the trivial grading (everything in the identity degree).
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -87,22 +89,46 @@ def _build_group(gdoc: dict, where: str) -> GradingGroup:
     raise MalformedSpec(f"{where}.kind: unknown group kind {kind!r}")
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def decimal(text: str) -> int:
+    """`text` as an int if it is a plain signed decimal integer, else ValueError
+    (`int` would also take "1_0", " 1" and other digits than 0-9)."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_degree(group: GradingGroup, key: str, where: str):
     try:
         if group.kind == "integers":
-            return int(key)
-        return group.normalize(tuple(int(t) for t in key.split(",")) if key not in ("", "e") else ())
+            return decimal(key)
+        parts = key.split(",") if key not in ("", "e") else []
+        return group.normalize(tuple(decimal(t) for t in parts))
     except ValueError:
         raise MalformedSpec(f"{where}: degree {key!r} is not comma-separated integers") from None
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; ValueError for a key given twice, whose values
+    `json.loads` would otherwise merge into the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"key {twice!r} given twice in one object")
+    return obj
 
 
 def read_json(path: str | Path):
     """The JSON document in the file at `path`; MalformedSpec if unreadable."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise MalformedSpec(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except (OSError, ValueError) as exc:  # ValueError covers text that is not UTF-8
+    except (OSError, ValueError) as exc:  # ValueError: text not UTF-8, or a key given twice
         raise MalformedSpec(f"{path}: {exc}") from exc
 
 
@@ -126,12 +152,16 @@ def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument
         gr = trivial_grading(ring, group, label=label)
     else:
         at = f"{where}.components"
-        comps = {
-            _parse_degree(group, key, f"{at}[{key!r}]"): frozenset(
-                parse_elements(exprs, f"{at}[{key!r}]")
-            )
-            for key, exprs in expect(components, dict, at).items()
-        }
+        comps, key_of = {}, {}
+        for key, exprs in expect(components, dict, at).items():
+            degree = _parse_degree(group, key, f"{at}[{key!r}]")
+            if degree in key_of:
+                raise MalformedSpec(
+                    f"{at}: keys {key_of[degree]!r} and {key!r} name one degree, "
+                    f"{group.describe(degree)}"
+                )
+            key_of[degree] = key
+            comps[degree] = frozenset(parse_elements(exprs, f"{at}[{key!r}]"))
         gr = attach_grading(ring, group, comps, label=label)
     at = f"{where}.ideals"
     ideals = {

@@ -25,7 +25,7 @@ from .classify import (
 )
 from .errors import ShapeMismatch
 from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring, memo
-from .grading import TRIVIAL_GROUP, Z2, GradedRing, attach_grading, trivial_grading
+from .grading import Z2, GradedRing, attach_grading, trivial_grading
 from .ideals import (
     IdealSet,
     colon,
@@ -75,6 +75,12 @@ class VerificationReport(Record):
 
     def bump(self, key: str, amount: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + amount
+
+    def bump_if(self, **conditions: bool) -> None:
+        """Bump each counter whose condition holds."""
+        for key, holds in conditions.items():
+            if holds:
+                self.bump(key)
 
     def finish(self, instance_keys: Iterable[str]) -> "VerificationReport":
         """Mark VACUOUS when no instance counter fired; note dead branches."""
@@ -174,14 +180,22 @@ def default_corpus() -> list[CorpusEntry]:
     return entries
 
 
-def _grad_zero_ideal(gr: GradedRing) -> IdealSet:
-    return IdealSet(gr.ring, gr.graded_nilradical())
+def _ideals_where(
+    gr: GradedRing, kernel: Callable[[GradedRing, IdealSet], tuple]
+) -> list[IdealSet]:
+    """The proper graded ideals of `gr` that `kernel` accepts.  Callers pass
+    the kernel by its module-level name, so a rebinding of that name is seen."""
+    return [p for p in proper_graded_ideals(gr) if kernel(gr, p)[0]]
 
 
-def _strongly_ideals(gr: GradedRing) -> list[IdealSet]:
-    return [
-        p for p in proper_graded_ideals(gr) if is_graded_strongly_1abs_primary(gr, p)[0]
-    ]
+def _grad_zero_prime(gr: GradedRing) -> tuple[IdealSet, bool]:
+    """Grad({0}), and whether it is a proper graded prime."""
+    grad_zero = IdealSet(gr.ring, gr.graded_nilradical())
+    return grad_zero, grad_zero.is_proper() and is_graded_prime(gr, grad_zero)[0]
+
+
+def _non_maximal_primes(gr: GradedRing) -> list[IdealSet]:
+    return [p for p in _ideals_where(gr, is_graded_prime) if not is_graded_maximal(gr, p)]
 
 
 def _expect_strongly(
@@ -200,7 +214,7 @@ def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> tuple[int, lis
         count += 1
         ok, witness = is_graded_strongly_1abs_primary(gr, ideal)
         if not ok:
-            failures.append({**where, "witness": _elem_names(gr, witness)})
+            failures.append({**where, "witness": _names(gr, witness)})
     return count, failures
 
 
@@ -209,13 +223,13 @@ def _epimorphism_tally(gr: GradedRing) -> tuple[int, list[dict]]:
     graded K inside P.  Memoized on the ring as the count and the witness
     names, not the quotient rings."""
     def cases():
-        strongly = _strongly_ideals(gr)
+        strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
         for k in proper_graded_ideals(gr):
             above = [p for p in strongly if k <= p]
             if above:
                 qgr, proj = quotient(gr, k)
                 for p in above:
-                    where = {"kernel": _ideal_names(gr, k), "ideal": _ideal_names(gr, p)}
+                    where = {"kernel": _names(gr, k), "ideal": _names(gr, p)}
                     yield qgr, hom_transport(proj, p, "image"), where
 
     return memo(gr, "epimorphism_tally", lambda: _tally(cases()))
@@ -225,10 +239,10 @@ def _monomorphism_tally(gr: GradedRing) -> tuple[int, list[dict]]:
     """P strongly => P cap R_e strongly in R_e, pulled back along R_e -> R,
     for every P strongly.  Memoized like `_epimorphism_tally`."""
     def cases():
-        strongly = _strongly_ideals(gr)
+        strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
         sub, inc = identity_subring(gr)
         for p in strongly:
-            yield sub, hom_transport(inc, p, "preimage"), {"ideal": _ideal_names(gr, p)}
+            yield sub, hom_transport(inc, p, "preimage"), {"ideal": _names(gr, p)}
 
     return memo(gr, "monomorphism_tally", lambda: _tally(cases()))
 
@@ -241,11 +255,10 @@ def _report_tally(rep: VerificationReport, counter: str, tally: tuple[int, list[
         rep.fail(**where)
 
 
-def _ideal_names(gr: GradedRing, ideal: IdealSet) -> list[str]:
-    return [gr.ring.name(x) for x in ideal.sorted_elements()]
-
-
-def _elem_names(gr: GradedRing, xs: Iterable[int]) -> list[str]:
+def _names(gr: GradedRing, xs) -> list[str]:
+    """Element names: an ideal's in increasing order, a witness's as given."""
+    if isinstance(xs, IdealSet):
+        xs = xs.sorted_elements()
     return [gr.ring.name(x) for x in xs]
 
 
@@ -254,26 +267,23 @@ def _elem_names(gr: GradedRing, xs: Iterable[int]) -> list[str]:
 
 def _thm_2_2(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("THM_2_2", label)
-    grad_zero = _grad_zero_ideal(gr)
+    grad_zero = gr.graded_nilradical()
     ls = local_structure(gr)
     for p in proper_graded_ideals(gr):
-        rep.bump("ideals")
         strongly = is_graded_strongly_1abs_primary(gr, p)[0]
         rad = graded_radical(gr, p)
-        cond1 = is_graded_1abs_primary(gr, p)[0] and rad == grad_zero
+        cond1 = is_graded_1abs_primary(gr, p)[0] and rad.elements == grad_zero
         cond2 = (
             ls.is_graded_local
             and ls.the_maximal == rad
             and product_contained(ls.the_maximal, ls.the_maximal, p)
         )
-        if strongly:
-            rep.bump("strongly_instances")
-        if cond1:
-            rep.bump("branch1_instances")
-        if cond2:
-            rep.bump("branch2_instances")
+        rep.bump_if(
+            ideals=True, strongly_instances=strongly,
+            branch1_instances=cond1, branch2_instances=cond2,
+        )
         if strongly != (cond1 or cond2):
-            rep.fail(ideal=_ideal_names(gr, p), strongly=strongly, cond1=cond1, cond2=cond2)
+            rep.fail(ideal=_names(gr, p), strongly=strongly, cond1=cond1, cond2=cond2)
     return rep.finish(
         ["ideals", "strongly_instances", "branch1_instances", "branch2_instances"]
     )
@@ -281,34 +291,25 @@ def _thm_2_2(gr: GradedRing, label: str) -> VerificationReport:
 
 def _cor_2_4(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("COR_2_4", label)
-    grad_zero = _grad_zero_ideal(gr)
+    grad_zero = gr.graded_nilradical()
     ls = local_structure(gr)
-    for p in proper_graded_ideals(gr):
-        if not is_graded_prime(gr, p)[0]:
-            continue
-        rep.bump("primes")
+    for p in _ideals_where(gr, is_graded_prime):
         strongly = is_graded_strongly_1abs_primary(gr, p)[0]
-        cond1 = p == grad_zero
+        cond1 = p.elements == grad_zero
         cond2 = ls.is_graded_local and ls.the_maximal == p
-        if cond1:
-            rep.bump("branch1_instances")
-        if cond2:
-            rep.bump("branch2_instances")
+        rep.bump_if(primes=True, branch1_instances=cond1, branch2_instances=cond2)
         if strongly != (cond1 or cond2):
-            rep.fail(ideal=_ideal_names(gr, p), strongly=strongly, cond1=cond1, cond2=cond2)
+            rep.fail(ideal=_names(gr, p), strongly=strongly, cond1=cond1, cond2=cond2)
     return rep.finish(["primes", "branch1_instances", "branch2_instances"])
 
 
 def _lemma_grad_prime(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("LEMMA_GRAD_PRIME", label)
-    for p in proper_graded_ideals(gr):
-        if not is_graded_1abs_primary(gr, p)[0]:
-            continue
+    for p in _ideals_where(gr, is_graded_1abs_primary):
         rep.bump("one_abs_instances")
-        rad = graded_radical(gr, p)
-        ok, witness = is_graded_prime(gr, rad)
+        ok, witness = is_graded_prime(gr, graded_radical(gr, p))
         if not ok:
-            rep.fail(ideal=_ideal_names(gr, p), witness=_elem_names(gr, witness))
+            rep.fail(ideal=_names(gr, p), witness=_names(gr, witness))
     return rep.finish(["one_abs_instances"])
 
 
@@ -321,27 +322,21 @@ def _lemma_2(gr: GradedRing, label: str) -> VerificationReport:
             c = colon(gr.ring, p, k)
             ok, witness = is_graded_ideal(gr, c)
             if not ok:
-                rep.fail(
-                    p=_ideal_names(gr, p),
-                    k=_ideal_names(gr, k),
-                    witness=gr.ring.name(witness),
-                )
+                rep.fail(p=_names(gr, p), k=_names(gr, k), witness=gr.ring.name(witness))
     return rep.finish(["pairs"])
 
 
 def _thm_2_6(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("THM_2_6", label)
-    exists = bool(_strongly_ideals(gr))
-    grad_zero = _grad_zero_ideal(gr)
-    prime0 = grad_zero.is_proper() and is_graded_prime(gr, grad_zero)[0]
+    exists = bool(_ideals_where(gr, is_graded_strongly_1abs_primary))
+    prime0 = _grad_zero_prime(gr)[1]
     local = local_structure(gr).is_graded_local
-    rep.bump("rings")
-    if exists:
-        rep.bump("existence_instances")
-    if prime0:
-        rep.bump("grad_zero_prime_instances")
-    if local:
-        rep.bump("graded_local_instances")
+    rep.bump_if(
+        rings=True,
+        existence_instances=exists,
+        grad_zero_prime_instances=prime0,
+        graded_local_instances=local,
+    )
     if exists != (prime0 or local):
         rep.fail(exists=exists, grad_zero_prime=prime0, graded_local=local)
     rep.notes.append(
@@ -365,11 +360,9 @@ def _cor_2_7(lo: int, hi: int) -> VerificationReport:
     rep = VerificationReport("COR_2_7", f"Z/n, n={lo}..{hi}")
     for n in range(lo, hi + 1):
         gr = trivial_grading(build_ring(Cyclic(n)), label=f"Z/{n}")
-        exists = bool(_strongly_ideals(gr))
+        exists = bool(_ideals_where(gr, is_graded_strongly_1abs_primary))
         expected = _is_prime_power(n)
-        rep.bump("rings")
-        if exists:
-            rep.bump("existence_instances")
+        rep.bump_if(rings=True, existence_instances=exists)
         if exists != expected:
             rep.fail(n=n, exists=exists, prime_power=expected)
     return rep.finish(["rings"])
@@ -378,11 +371,10 @@ def _cor_2_7(lo: int, hi: int) -> VerificationReport:
 def _cor_2_8(entry: CorpusEntry) -> VerificationReport:
     rep = VerificationReport("COR_2_8", entry.label)
     gr = entry.gr
-    strongly = _strongly_ideals(gr)
     rep.bump("product_rings")
     rep.bump("graded_ideals_scanned", len(proper_graded_ideals(gr)))
-    for p in strongly:
-        rep.fail(ideal=_ideal_names(gr, p))
+    for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
+        rep.fail(ideal=_names(gr, p))
     if entry.parents:
         left, right = entry.parents
         n2 = right.ring.size
@@ -405,28 +397,22 @@ def _prop_2_9(gr: GradedRing, label: str) -> VerificationReport:
         rep.notes.append(f"lattice has {len(lattice)} ideals (> 64), skipped")
         return rep.finish(["ideals"])
     for p in lattice:
-        rep.bump("ideals")
         elem_form = is_graded_strongly_1abs_primary(gr, p)[0]
         ideal_form, witness = strongly_1abs_ideal_form(gr, p)
-        if elem_form:
-            rep.bump("strongly_instances")
+        rep.bump_if(ideals=True, strongly_instances=elem_form)
         if elem_form != ideal_form:
-            w = (
-                [_ideal_names(gr, i) for i in witness]
-                if witness is not None
-                else None
-            )
-            rep.fail(ideal=_ideal_names(gr, p), elem_form=elem_form, ideal_form=ideal_form, ideals=w)
+            w = None if witness is None else [_names(gr, i) for i in witness]
+            rep.fail(ideal=_names(gr, p), elem_form=elem_form, ideal_form=ideal_form, ideals=w)
     return rep.finish(["ideals"])
 
 
 def _prop_2_10(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_10", label)
-    strongly = _strongly_ideals(gr)
+    strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
     for p in strongly:
         for k in strongly:
             inter = combine(p, k, "intersection")
-            _expect_strongly(rep, "pairs", gr, inter, p=_ideal_names(gr, p), k=_ideal_names(gr, k))
+            _expect_strongly(rep, "pairs", gr, inter, p=_names(gr, p), k=_names(gr, k))
     return rep.finish(["pairs"])
 
 
@@ -438,27 +424,19 @@ def _prop_2_11(gr: GradedRing, label: str) -> VerificationReport:
         return rep.finish(["principal_instances"])
     for ra in principal_graded_ideals(gr):
         if ra.is_proper():
-            _expect_strongly(rep, "principal_instances", gr, ra, ideal=_ideal_names(gr, ra))
+            _expect_strongly(rep, "principal_instances", gr, ra, ideal=_names(gr, ra))
     for p in proper_graded_ideals(gr):
-        _expect_strongly(rep, "all_proper_instances", gr, p, ideal=_ideal_names(gr, p))
+        _expect_strongly(rep, "all_proper_instances", gr, p, ideal=_names(gr, p))
     return rep.finish(["principal_instances", "all_proper_instances"])
-
-
-def _graded_primes(gr: GradedRing) -> list[IdealSet]:
-    return [p for p in proper_graded_ideals(gr) if is_graded_prime(gr, p)[0]]
 
 
 def _prop_2_12(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_12", label)
-    primes = _graded_primes(gr)
+    primes = _ideals_where(gr, is_graded_prime)
     lhs = all(is_graded_strongly_1abs_primary(gr, p)[0] for p in primes)
-    non_maximal = [p for p in primes if not is_graded_maximal(gr, p)]
+    non_maximal = _non_maximal_primes(gr)
     rhs = local_structure(gr).is_graded_local and len(non_maximal) <= 1
-    rep.bump("rings")
-    if lhs:
-        rep.bump("lhs_instances")
-    if rhs:
-        rep.bump("rhs_instances")
+    rep.bump_if(rings=True, lhs_instances=lhs, rhs_instances=rhs)
     rep.bump("non_maximal_primes", len(non_maximal))
     if lhs != rhs:
         rep.fail(all_primes_strongly=lhs, graded_local_at_most_one_non_maximal=rhs)
@@ -469,31 +447,22 @@ def _prop_2_12(gr: GradedRing, label: str) -> VerificationReport:
 
 def _prop_2_14(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_14", label)
-    grad_zero = _grad_zero_ideal(gr)
-    primaries = [p for p in proper_graded_ideals(gr) if is_graded_primary(gr, p)[0]]
+    primaries = _ideals_where(gr, is_graded_primary)
     lhs = all(is_graded_strongly_1abs_primary(gr, p)[0] for p in primaries)
     cond1 = ring_predicates(gr).every_homogeneous_nilpotent_or_unit
     ls = local_structure(gr)
     cond2 = False
     if ls.is_graded_local:
-        x = ls.the_maximal
-        primes = _graded_primes(gr)
-        non_maximal = [p for p in primes if not is_graded_maximal(gr, p)]
+        x, grad_zero = ls.the_maximal, gr.graded_nilradical()
+        non_maximal = _non_maximal_primes(gr)
         # statement (2) read per the proof: exactly two graded primes,
         # Grad({0}) (non-maximal) and X, and every X-primary ideal contains X^2
-        if len(non_maximal) == 1 and non_maximal[0] == grad_zero and grad_zero != x:
-            x_primaries = [q for q in primaries if graded_radical(gr, q) == x]
+        if len(non_maximal) == 1 and non_maximal[0].elements == grad_zero != x.elements:
             cond2 = all(
-                product_contained(x, x, q) for q in x_primaries
+                product_contained(x, x, q) for q in primaries if graded_radical(gr, q) == x
             )
-    rep.bump("rings")
+    rep.bump_if(rings=True, lhs_instances=lhs, branch1_instances=cond1, branch2_instances=cond2)
     rep.bump("primary_ideals", len(primaries))
-    if lhs:
-        rep.bump("lhs_instances")
-    if cond1:
-        rep.bump("branch1_instances")
-    if cond2:
-        rep.bump("branch2_instances")
     if lhs != (cond1 or cond2):
         rep.fail(all_primary_strongly=lhs, nilpotent_or_unit=cond1, local_branch=cond2)
     return rep.finish(["rings", "lhs_instances", "branch1_instances", "branch2_instances"])
@@ -501,23 +470,20 @@ def _prop_2_14(gr: GradedRing, label: str) -> VerificationReport:
 
 def _prop_2_17(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_17", label)
-    strongly = _strongly_ideals(gr)
-    lhs = strongly == [zero_ideal(gr.ring)]
+    lhs = _ideals_where(gr, is_graded_strongly_1abs_primary) == [zero_ideal(gr.ring)]
     profile = ring_predicates(gr)
-    local = local_structure(gr).is_graded_local
-    rhs = profile.graded_field or (profile.graded_domain and not local)
-    rep.bump("rings")
-    if lhs:
-        rep.bump("lhs_instances")
-    if profile.graded_field:
-        rep.bump("branch1_instances")
-    if profile.graded_domain and not local:
-        rep.bump("branch2_instances")
-    if lhs != rhs:
+    domain_not_local = profile.graded_domain and not local_structure(gr).is_graded_local
+    rep.bump_if(
+        rings=True,
+        lhs_instances=lhs,
+        branch1_instances=profile.graded_field,
+        branch2_instances=domain_not_local,
+    )
+    if lhs != (profile.graded_field or domain_not_local):
         rep.fail(
             zero_only_strongly=lhs,
             graded_field=profile.graded_field,
-            domain_not_local=profile.graded_domain and not local,
+            domain_not_local=domain_not_local,
         )
     return rep.finish(["rings", "lhs_instances", "branch1_instances", "branch2_instances"])
 
@@ -525,36 +491,27 @@ def _prop_2_17(gr: GradedRing, label: str) -> VerificationReport:
 def _lemma_2_18(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("LEMMA_2_18", label)
     lattice = proper_graded_ideals(gr)
-    for p in lattice:
-        if not is_graded_1abs_primary(gr, p)[0]:
-            continue
+    for p in _ideals_where(gr, is_graded_1abs_primary):
         for k in lattice:
             if k <= p:
                 continue
             rep.bump("instances")
-            c = colon(gr.ring, p, k)
-            ok, witness = is_graded_primary(gr, c)
+            ok, witness = is_graded_primary(gr, colon(gr.ring, p, k))
             if not ok:
-                rep.fail(
-                    p=_ideal_names(gr, p),
-                    k=_ideal_names(gr, k),
-                    witness=_elem_names(gr, witness),
-                )
+                rep.fail(p=_names(gr, p), k=_names(gr, k), witness=_names(gr, witness))
     return rep.finish(["instances"])
 
 
 def _prop_2_19(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_2_19", label)
     lattice = proper_graded_ideals(gr)
-    for p in lattice:
-        if not is_graded_strongly_1abs_primary(gr, p)[0]:
-            continue
+    for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
         rad = graded_radical(gr, p)
         for k in lattice:
-            if k.elements <= rad.elements:
+            if k <= rad:
                 continue
             c = colon(gr.ring, p, k)
-            _expect_strongly(rep, "instances", gr, c, p=_ideal_names(gr, p), k=_ideal_names(gr, k))
+            _expect_strongly(rep, "instances", gr, c, p=_names(gr, p), k=_names(gr, k))
     return rep.finish(["instances"])
 
 
@@ -579,7 +536,7 @@ def _cor_re(gr: GradedRing, label: str) -> VerificationReport:
 
 def _prop_3_3(gr: GradedRing, label: str) -> VerificationReport:
     rep = VerificationReport("PROP_3_3", label)
-    strongly = _strongly_ideals(gr)
+    strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
     if not strongly:
         rep.notes.append("no graded strongly 1-absorbing primary ideals in this ring")
         return rep.finish(["instances"])
@@ -596,11 +553,11 @@ def _prop_3_3(gr: GradedRing, label: str) -> VerificationReport:
             if sp.is_proper():
                 _expect_strongly(
                     rep, "instances", lgr, sp,
-                    ideal=_ideal_names(gr, p), mult_set=_elem_names(gr, sorted(s.elements)),
+                    ideal=_names(gr, p), mult_set=_names(gr, sorted(s.elements)),
                 )
             else:
                 rep.bump("instances")
-                rep.fail(ideal=_ideal_names(gr, p), note="S^-1 P not proper")
+                rep.fail(ideal=_names(gr, p), note="S^-1 P not proper")
     return rep.finish(["instances"])
 
 
@@ -611,24 +568,19 @@ def prop_3_4_reduction(gr: GradedRing, label: str = "") -> VerificationReport:
     and explicitly labeled as not independently verified (R[X] is infinite).
     """
     rep = VerificationReport("PROP_3_4_REDUCTION", label or gr.label)
-    grad_zero = _grad_zero_ideal(gr)
-    prime0 = grad_zero.is_proper() and is_graded_prime(gr, grad_zero)[0]
-    rep.bump("rings")
-    if prime0:
-        rep.bump("grad_zero_prime_instances")
+    grad_zero, prime0 = _grad_zero_prime(gr)
+    rep.bump_if(rings=True, grad_zero_prime_instances=prime0)
     verdict = "has" if prime0 else "has no"
     rep.notes.append(
-        f"Grad({{0}}) = {{{','.join(_ideal_names(gr, grad_zero))}}} graded prime: {prime0}; "
+        f"Grad({{0}}) = {{{','.join(_names(gr, grad_zero))}}} graded prime: {prime0}; "
         f"derived (NOT independently verified): R[X] {verdict} a graded strongly "
         f"1-absorbing primary ideal"
     )
-    for p in proper_graded_ideals(gr):
-        primary = is_graded_primary(gr, p)[0]
-        rad_matches = graded_radical(gr, p) == grad_zero
-        if primary and rad_matches:
+    for p in _ideals_where(gr, is_graded_primary):
+        if graded_radical(gr, p) == grad_zero:
             rep.bump("statement4_candidates")
             rep.notes.append(
-                f"P = {{{','.join(_ideal_names(gr, p))}}}: graded primary with "
+                f"P = {{{','.join(_names(gr, p))}}}: graded primary with "
                 f"Grad(P)=Grad({{0}}); derived (NOT independently verified): P[X] is "
                 f"graded strongly 1-absorbing primary"
             )
@@ -665,33 +617,21 @@ ALL_STATEMENTS = tuple(sorted(RING_STATEMENTS)) + ("COR_2_7", "COR_2_8")
 
 def verify(
     statement_id: str,
-    target=None,
     *,
     corpus: Optional[list[CorpusEntry]] = None,
     n_range: tuple[int, int] = (2, 64),
 ) -> list[VerificationReport]:
-    """Run one statement over a single target or the whole corpus."""
+    """Run one statement over the corpus (by default `default_corpus()`);
+    COR_2_7 sweeps Z/n for n in `n_range` instead and reads no corpus."""
+    if statement_id not in ALL_STATEMENTS:
+        raise ShapeMismatch(f"unknown statement {statement_id!r}")
     if statement_id == "COR_2_7":
-        if target is not None:
-            if not (isinstance(target, tuple) and len(target) == 2):
-                raise ShapeMismatch("COR_2_7 takes an integer range (lo, hi)")
-            n_range = target
         return [_cor_2_7(*n_range)]
     if corpus is None:
         corpus = default_corpus()
     if statement_id == "COR_2_8":
-        if target is not None:
-            if not isinstance(target, CorpusEntry) or target.kind != "product":
-                raise ShapeMismatch("COR_2_8 takes a product corpus entry")
-            return [_cor_2_8(target)]
         return [_cor_2_8(e) for e in corpus if e.kind == "product"]
-    if statement_id not in RING_STATEMENTS:
-        raise ShapeMismatch(f"unknown statement {statement_id!r}")
     fn = RING_STATEMENTS[statement_id]
-    if target is not None:
-        if not isinstance(target, GradedRing):
-            raise ShapeMismatch(f"{statement_id} takes a single graded ring")
-        return [fn(target, target.label)]
     return [fn(entry.gr, entry.label) for entry in corpus]
 
 
@@ -700,12 +640,10 @@ def run_suite(
     corpus: Optional[list[CorpusEntry]] = None,
     n_range: tuple[int, int] = (2, 64),
 ) -> list[VerificationReport]:
+    """Run each statement in turn over one corpus, built once if not given."""
     if corpus is None:
         corpus = default_corpus()
-    reports: list[VerificationReport] = []
-    for sid in statement_ids:
-        reports.extend(verify(sid, corpus=corpus, n_range=n_range))
-    return reports
+    return [r for sid in statement_ids for r in verify(sid, corpus=corpus, n_range=n_range)]
 
 
 def search_counterexample(
@@ -723,10 +661,10 @@ def search_counterexample(
                 out.append(
                     {
                         "ring": entry.label,
-                        "ideal": _ideal_names(gr, p),
+                        "ideal": _names(gr, p),
                         "ideal_raw": p,
                         "graded_ring": gr,
-                        "witness": _elem_names(gr, witness) if witness else None,
+                        "witness": _names(gr, witness) if witness else None,
                         "witness_raw": witness,
                     }
                 )

@@ -43,7 +43,7 @@ def _prime_powers(lo: int, hi: int) -> set[int]:
 
 def test_criterion_1_prime_power_table():
     start = time.perf_counter()
-    (report,) = verify("COR_2_7", (2, 64))
+    (report,) = verify("COR_2_7", n_range=(2, 64))
     elapsed = time.perf_counter() - start
     expected = _prime_powers(2, 64)
     ok = (

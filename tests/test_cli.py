@@ -131,6 +131,8 @@ def test_usage_error_exit_code(capsys):
 CYCLIC_BAD_IDEAL = '{"ring": {"kind": "cyclic", "n": 4}, "ideals": {"I": ["abc"]}}'
 CYCLIC4 = '"ring": {"kind": "cyclic", "n": 4}'
 Z2_GROUP = '"group": {"kind": "finite_abelian", "factors": [2]}'
+F3_Z2 = '"ring": {"kind": "poly_quotient", "p": 3, "modulus": [2, 0, 1]}, ' + Z2_GROUP
+F3_CONST, F3_U = '["0", "1", "2"]', '["0", "u", "2u"]'
 DESCRIBE = ("ring", "describe", "{file}")
 CORPUS = ("verify", "all", "--corpus", "{file}")
 
@@ -219,6 +221,30 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             id="range-without-cor-2-7",
         ),
         pytest.param("[]", CORPUS, "corpus is empty", id="corpus-empty"),
+        pytest.param(
+            f'{{{F3_Z2}, "components": {{"0": ["0", "u"], "1": {F3_U}, "2": {F3_CONST}}}}}', DESCRIBE,
+            "$.components: keys '0' and '2' name one degree, 0", id="degree-keys-collide",
+        ),
+        pytest.param(
+            f'{{{F3_Z2}, "components": {{"0": ["0", "u"], "1": {F3_U}, "0": {F3_CONST}}}}}', DESCRIBE,
+            "key '0' given twice in one object", id="degree-key-twice",
+        ),
+        pytest.param(
+            f'{{{F3_Z2}, "components": {{"1_0": {F3_CONST}, "1": {F3_U}}}}}', DESCRIBE,
+            "$.components['1_0']: degree '1_0'", id="degree-digit-separator",
+        ),
+        pytest.param(
+            f'{{{F3_Z2}, "components": {{"0": {F3_CONST}, " 1": {F3_U}}}}}', DESCRIBE,
+            "$.components[' 1']: degree ' 1'", id="degree-padded",
+        ),
+        pytest.param(
+            '[{"ring": {"kind": "cyclic", "n": 9}}]', ("verify", "COR_2_7", "--corpus", "{file}"),
+            "--corpus does not apply to COR_2_7", id="corpus-with-cor-2-7",
+        ),
+        pytest.param(
+            None, ("verify", "COR_2_7", "--range", "1_0..1_2"), "--range '1_0..1_2'",
+            id="range-digit-separator",
+        ),
     ],
 )
 def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):

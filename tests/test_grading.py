@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from gradedrings.errors import IdentityNotInRe, NotDirectSum, NotMultiplicative, NotSubgroup
+from gradedrings.errors import (
+    IdentityNotInRe,
+    MalformedSpec,
+    NotDirectSum,
+    NotMultiplicative,
+    NotSubgroup,
+)
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import (
     TRIVIAL_GROUP,
@@ -103,6 +109,13 @@ def test_rejects_non_subgroup():
     ring = build_ring(GaussMod(2))
     with pytest.raises(NotSubgroup):
         attach_grading(ring, Z2, {(0,): {0, 1}, (1,): {0, 1, 2}})
+
+
+def test_rejects_two_keys_of_one_degree():
+    # (2,) is degree 0 of Z2: it must not silently replace the non-subgroup {0, u}
+    ring = build_ring(PolyQuotient(Cyclic(3), (2, 0, 1)))
+    with pytest.raises(MalformedSpec, match=r"keys \(0,\) and \(2,\) name one degree, 0"):
+        attach_grading(ring, Z2, {(0,): {0, 3}, (1,): {0, 3, 6}, (2,): {0, 1, 2}})
 
 
 def test_rejects_component_index_outside_carrier():

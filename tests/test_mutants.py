@@ -1,0 +1,76 @@
+"""The replay's failure reports under wrong kernels.
+
+Each mutant replaces one kernel by a wrong one, in `classify` and in
+`verifier`, which imports the kernels by name.  `run_suite()` on a fresh
+default corpus must then report FAIL, and the FAIL reports (counts per
+statement and a digest of their JSON, witnesses included) are pinned, so a
+change to the statement bodies that alters a failure witness shows here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections import Counter
+
+import pytest
+
+from gradedrings import classify, verifier
+from gradedrings.classify import (
+    is_graded_1abs_primary,
+    is_graded_primary,
+    is_graded_prime,
+)
+from gradedrings.ideals import graded_radical
+
+
+def strongly_escaping_into_grad_p(gr, p):
+    """The strongly kernel with Grad(P) in place of Grad({0}) as its escape."""
+    return classify._triple_kernel(
+        gr, p, "mutant strongly", gr.nonunit_homogeneous(),
+        lambda: classify._everywhere(gr, graded_radical(gr, p).elements),
+    )
+
+
+# both strongly mutants are the 1-absorbing kernel, so they fail alike
+STRONGLY = (
+    {
+        "COR_2_4": 5, "COR_2_7": 1, "COR_2_8": 2, "PROP_2_9": 5, "PROP_2_10": 5,
+        "PROP_2_12": 5, "PROP_2_14": 5, "THM_2_2": 5, "THM_2_6": 5,
+    },
+    "bd25fe30781074cb03b944feaf34c74727d948725dd62318f5cdcd6d89192566",
+)
+
+# name: (kernel name -> wrong kernel, FAIL reports per statement, sha256 of their JSON)
+MUTANTS = {
+    "strongly := 1-absorbing": (
+        {"is_graded_strongly_1abs_primary": is_graded_1abs_primary},
+        *STRONGLY,
+    ),
+    "strongly escaping into Grad(P)": (
+        {"is_graded_strongly_1abs_primary": strongly_escaping_into_grad_p},
+        *STRONGLY,
+    ),
+    "prime := primary": (
+        {"is_graded_prime": is_graded_primary},
+        {"COR_2_4": 10, "PROP_2_12": 3},
+        "bff31eceb27ceb22f79853ef0a4f42c2e8114d1fa97cf37ac8b68f86445f7e45",
+    ),
+    "primary := prime": (
+        {"is_graded_primary": is_graded_prime},
+        {"LEMMA_2_18": 6},
+        "20a9de34a96b6b33007373e6d2af4b3508de5f0a4ecfef71e9a1b0889fa4c235",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_replay_fails_under_kernel_mutant(monkeypatch, name):
+    rebind, counts, digest = MUTANTS[name]
+    for attr, kernel in rebind.items():
+        monkeypatch.setattr(classify, attr, kernel)
+        monkeypatch.setattr(verifier, attr, kernel)
+    fails = [r for r in verifier.run_suite(corpus=verifier.default_corpus()) if r.outcome == "FAIL"]
+    assert Counter(r.statement_id for r in fails) == counts
+    dump = json.dumps([r.to_dict() for r in fails], sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from gradedrings import verifier
 from gradedrings.errors import ShapeMismatch
 from gradedrings.finring import Cyclic, build_ring
 from gradedrings.grading import trivial_grading
 from gradedrings.verifier import (
     ALL_STATEMENTS,
+    CorpusEntry,
     _is_prime_power,
     default_corpus,
     run_suite,
@@ -19,6 +21,10 @@ from gradedrings.verifier import (
 
 def triv(n):
     return trivial_grading(build_ring(Cyclic(n)), label=f"Z/{n}")
+
+
+def one_ring(n):
+    return [CorpusEntry(f"Z/{n}", triv(n))]
 
 
 def test_default_corpus_shape(corpus):
@@ -42,26 +48,24 @@ def test_suite_has_no_failures(corpus):
 def test_thm_2_6_on_z6():
     # Z/6: not graded local and Grad({0}) = {0} is not prime, so no
     # graded strongly 1-absorbing primary ideal may exist
-    (report,) = verify("THM_2_6", triv(6))
+    (report,) = verify("THM_2_6", corpus=one_ring(6))
     assert report.outcome == "PASS"
     assert report.counters.get("existence_instances", 0) == 0
     assert any("strongly ideal exists: False" in n for n in report.notes)
 
 
 def test_thm_2_2_on_z9():
-    (report,) = verify("THM_2_2", triv(9))
+    (report,) = verify("THM_2_2", corpus=one_ring(9))
     assert report.outcome == "PASS"
     assert report.counters["strongly_instances"] >= 1
 
 
 def test_cor_2_7_prime_power_table():
-    (report,) = verify("COR_2_7", (2, 32))
+    (report,) = verify("COR_2_7", n_range=(2, 32))
     assert report.outcome == "PASS"
     expected = sum(1 for n in range(2, 33) if _is_prime_power(n))
     assert report.counters["existence_instances"] == expected
     assert report.counters["rings"] == 31
-    with pytest.raises(ShapeMismatch):
-        verify("COR_2_7", triv(6))
 
 
 def test_is_prime_power_oracle():
@@ -84,20 +88,17 @@ def test_cor_2_8_products_only(corpus):
     reports = verify("COR_2_8", corpus=corpus)
     assert len(reports) == sum(1 for e in corpus if e.kind == "product")
     assert all(r.outcome == "PASS" for r in reports)
-    non_product = next(e for e in corpus if e.kind != "product")
-    with pytest.raises(ShapeMismatch):
-        verify("COR_2_8", non_product)
 
 
-def test_unknown_statement_rejected():
+def test_unknown_statement_rejected(monkeypatch):
+    # rejected before the default corpus is built
+    monkeypatch.setattr(verifier, "default_corpus", lambda: pytest.fail("corpus built"))
     with pytest.raises(ShapeMismatch):
         verify("THM_9_9")
-    with pytest.raises(ShapeMismatch):
-        verify("THM_2_2", (2, 3))
 
 
 def test_prop_3_4_reduction_labels_derived_claims():
-    (report,) = verify("PROP_3_4_REDUCTION", triv(9))
+    (report,) = verify("PROP_3_4_REDUCTION", corpus=one_ring(9))
     assert report.outcome == "PASS"
     assert any("NOT independently verified" in n for n in report.notes)
 
@@ -141,7 +142,7 @@ def test_search_separating_examples(corpus):
 
 def test_verify_single_target_matches_corpus_entry(corpus):
     entry = next(e for e in corpus if e.label == "Z/9")
-    (solo,) = verify("THM_2_2", entry.gr)
+    (solo,) = verify("THM_2_2", corpus=[entry])
     from_corpus = next(
         r for r in verify("THM_2_2", corpus=corpus) if r.subject == "Z/9"
     )
@@ -160,8 +161,5 @@ def test_transport_statements_do_not_depend_on_order():
     expected = by_statement(ids)
     assert by_statement(ids[::-1]) == expected
     for sid in ids:
-        alone = [
-            {**verify(sid, target=entry.gr)[0].to_dict(), "subject": entry.label}
-            for entry in default_corpus()
-        ]
+        alone = [verify(sid, corpus=[entry])[0].to_dict() for entry in default_corpus()]
         assert alone == expected[sid], sid
