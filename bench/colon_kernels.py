@@ -1,4 +1,4 @@
-"""Cold in-process timings of the predicate kernels, before and after a change.
+"""In-process timings of the predicate kernels and the replay, before and after a change.
 
 Cold means a fresh graded ring for every sample: building the ring, its
 grading, the ideal and (for the rows over every proper ideal) the lattice
@@ -6,8 +6,12 @@ is not timed, but everything the kernels compute themselves (graded check,
 radical, masks) is.  `classify_ideal` is timed as a whole, because its
 kernels share memoized work that would be charged to whichever ran first.
 Its rows cover local rings, where every homogeneous element is nilpotent
-or a unit, and non-local ones.  `bench/harness.py` runs the rows on both
-checkouts and writes the record.  Standard library only.
+or a unit, and non-local ones.  The lattice rows time
+`enumerate_graded_ideals` on a fresh ring.  The replay rows time a
+statement or the whole suite on the default corpus: cold on a fresh corpus
+per sample (built untimed), warm on one corpus whose memos an untimed first
+call filled.  `bench/harness.py` runs the rows on both checkouts and writes
+the record.  Standard library only.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ def rows() -> dict:
     from gradedrings.classify import classify_ideal, is_graded_strongly_1abs_primary
     from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
     from gradedrings.grading import trivial_grading
-    from gradedrings.ideals import ideal_generated, proper_graded_ideals
-    from gradedrings.verifier import _cor_2_7
+    from gradedrings.ideals import enumerate_graded_ideals, ideal_generated, proper_graded_ideals
+    from gradedrings.verifier import _cor_2_7, default_corpus, run_suite, verify
 
     def classify(spec, generator):
         gr = trivial_grading(build_ring(spec))
@@ -31,6 +35,25 @@ def rows() -> dict:
         gr = trivial_grading(build_ring(spec))
         lattice = proper_graded_ideals(gr)
         return lambda: [kernel(gr, p) for p in lattice]
+
+    def lattice(spec):
+        gr = trivial_grading(build_ring(spec))
+        return lambda: enumerate_graded_ideals(gr)
+
+    def on_corpus(work, warm):
+        """A row timing `work(corpus)` on the default corpus, cold or warm."""
+        kept = []
+
+        def prepare():
+            if not warm:
+                corpus = default_corpus()
+                return lambda: work(corpus)
+            if not kept:
+                kept.append(default_corpus())
+                work(kept[0])
+            return lambda: work(kept[0])
+
+        return timed(prepare)
 
     table = {}
     for n in (256, 720):
@@ -51,6 +74,16 @@ def rows() -> dict:
     ):
         table[f"{label} classify_ideal on every proper ideal"] = timed(
             lambda spec=spec: on_every_proper_ideal(classify_ideal, spec)
+        )
+    for n in (1024, 720):
+        table[f"Z/{n} lattice, cold"] = timed(lambda n=n: lattice(Cyclic(n)))
+    for warm in (False, True):
+        state = "warm" if warm else "cold"
+        table[f"verify('LEMMA_2') on the default corpus, {state}"] = on_corpus(
+            lambda corpus: verify("LEMMA_2", corpus=corpus), warm
+        )
+        table[f"run_suite() on the default corpus, {state}"] = on_corpus(
+            lambda corpus: run_suite(corpus=corpus), warm
         )
     return table
 

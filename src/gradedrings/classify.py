@@ -7,12 +7,13 @@ ring and ideal element set.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
-from .finring import FinRing, Record, memo
+from .finring import Record, memo
 from .grading import GradedRing
 from .ideals import (
     IdealSet,
+    colon_masks,
     combine,
     graded_radical,
     product_contained,
@@ -34,20 +35,6 @@ FLAGS = (
 )
 
 
-def _colon_of(ring: FinRing, members: Iterable[int]) -> Callable[[Sequence[int]], int]:
-    """Masks into T = members: row -> the int with bit z set when row[z] is in T,
-    which on the multiplication row of w is the colon (T : w) = {z : wz in T}."""
-    digits = ["0"] * ring.size
-    for v in members:
-        digits[v] = "1"
-    return lambda row: int("".join(map(digits.__getitem__, reversed(row))), 2)
-
-
-def _mask(ring: FinRing, members: Iterable[int]) -> int:
-    """The set itself as a mask: its colon mask on the identity row."""
-    return _colon_of(ring, members)(ring.elements())
-
-
 def _least(mask: int) -> int:
     """The least element of a nonempty mask: its lowest set bit."""
     return (mask & -mask).bit_length() - 1
@@ -63,12 +50,13 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
     def compute():
         require_graded(gr, p, proper=True)
         ring, nonunits = gr.ring, gr.nonunit_homogeneous()
-        allowed = _mask(ring, nonunits) & ~_mask(ring, escape())
+        one = ring.one  # a set's own mask is its colon (T : 1)
+        allowed = colon_masks(ring, frozenset(nonunits))[one] & ~colon_masks(ring, escape())[one]
         if not allowed:
             return True, None
-        into_p = _colon_of(ring, p.elements)
+        into_p = colon_masks(ring, p.elements)
         for x in [x for x in nonunits if x not in p.elements]:
-            bad = into_p(ring.mul_rows[x]) & allowed
+            bad = into_p[x] & allowed
             if bad:
                 return False, (x, _least(bad))
         return True, None
@@ -81,8 +69,9 @@ def _triple_kernel(
 ) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in escape()[x] | escape()[y], over domain triples.
 
-    The bad z of a pair: the colon mask (P : xy) on the domain, built once per
-    product, minus the escape all pairs share, then minus the pair's own.
+    The bad z of a pair: the colon mask (P : xy) on the domain, read from P's
+    one table per ring, minus the escape all pairs share (once per product),
+    then minus the pair's own.
     Only z in `kept`, those that escape for no element, can be bad, so x and
     y run over the live elements, whose escape leaves some kept z: a pair
     with another element has no bad z.  With none live the ideal passes
@@ -93,19 +82,19 @@ def _triple_kernel(
         shared = -1  # every bit set
         for x in dom:
             shared &= esc[x]
-        kept = _mask(ring, dom) & ~shared
+        kept = colon_masks(ring, frozenset(dom))[ring.one] & ~shared
         live = [x for x in dom if kept & ~esc[x]]
-        into_p = _colon_of(ring, p.elements)
-        colon: dict[int, int] = {}
+        into_p = colon_masks(ring, p.elements)
+        kept_of: dict[int, int] = {}  # (P : xy) & kept, one big-int AND per product
         for x in live:
             row, esc_x = ring.mul_rows[x], esc[x]
             for y in live:
                 xy = row[y]
                 if xy in p.elements:
                     continue
-                bad = colon.get(xy)
+                bad = kept_of.get(xy)
                 if bad is None:
-                    bad = colon[xy] = into_p(ring.mul_rows[xy]) & kept
+                    bad = kept_of[xy] = into_p[xy] & kept
                 if bad and bad & ~(esc_x | esc[y]):
                     return False, (x, y, _least(bad & ~(esc_x | esc[y])))
         return True, None
@@ -124,7 +113,7 @@ def is_graded_primary(gr: GradedRing, q: IdealSet) -> tuple[bool, Witness]:
 
 
 def _everywhere(gr: GradedRing, escape: frozenset[int]) -> dict[int, int]:
-    return dict.fromkeys(gr.homogeneous(), _mask(gr.ring, escape))
+    return dict.fromkeys(gr.homogeneous(), colon_masks(gr.ring, escape)[gr.ring.one])
 
 
 def is_graded_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
@@ -153,9 +142,9 @@ def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
     """
     def rad_colons() -> dict[int, int]:  # xz in Grad(I) iff z is in (Grad(I) : x)
         rad = graded_radical(gr, i).elements
-        into_rad = _colon_of(gr.ring, rad)
+        into_rad = colon_masks(gr.ring, rad)
         return {
-            x: -1 if x in rad else into_rad(gr.ring.mul_rows[x])  # -1: every bit set
+            x: -1 if x in rad else into_rad[x]  # -1: every bit set
             for x in gr.nonunit_homogeneous()
         }
 

@@ -5,7 +5,7 @@ Ideals are carried as full element sets; equality is element-set equality.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import BudgetExceeded, NotAnIdeal, NotGraded, NotProper, RingMismatch
 from .finring import FinRing, memo
@@ -154,13 +154,45 @@ def graded_radical(gr: GradedRing, ideal: IdealSet) -> IdealSet:
     return IdealSet(gr.ring, gr.radical(ideal.elements))
 
 
+class ColonMasks(dict):
+    """w -> (T : w) = {z : wz in T} for one set T, as an int with bit z set
+    for each member z.  An entry is built on first read; T's own mask is
+    (T : 1).  Holds the multiplication rows, not the ring, so that a ring
+    in no reference cycle is still freed when dropped."""
+
+    __slots__ = ("_rows", "_digits")
+
+    def __init__(self, rows: Sequence[Sequence[int]], members: Iterable[int]):
+        super().__init__()
+        self._rows = rows
+        self._digits = ["0"] * len(rows)
+        for v in members:
+            self._digits[v] = "1"
+
+    def __missing__(self, w: int) -> int:
+        mask = self[w] = int("".join(map(self._digits.__getitem__, reversed(self._rows[w]))), 2)
+        return mask
+
+
+def colon_masks(ring: FinRing, members: frozenset[int]) -> ColonMasks:
+    """The table w -> (T : w) of T = `members`, one per ring and set."""
+    return memo(ring, ("colon", members), lambda: ColonMasks(ring.mul_rows, members))
+
+
+def _members(mask: int) -> list[int]:
+    """The elements of a mask, least first."""
+    return [z for z, bit in enumerate(reversed(format(mask, "b"))) if bit == "1"]
+
+
 def colon(ring: FinRing, p: IdealSet, k: IdealSet) -> IdealSet:
-    """(P : K) = {r : rK subset of P}."""
+    """(P : K) = {r : rK subset of P}, the intersection of (P : x) over x in K."""
     if p.ring is not ring or k.ring is not ring:
         raise RingMismatch("colon operands from different rings")
-    rows = ring.mul_rows
-    out = [r for r in ring.elements() if {rows[r][x] for x in k.elements} <= p.elements]
-    return IdealSet(ring, out)
+    masks = colon_masks(ring, p.elements)
+    out = (1 << ring.size) - 1
+    for x in k.elements:
+        out &= masks[x]
+    return IdealSet(ring, _members(out))
 
 
 CombineOp = Literal["sum", "product", "intersection"]
@@ -199,12 +231,30 @@ def _lattice_order(ideal: IdealSet) -> tuple:
 
 
 def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
-    """Ra for homogeneous a, deduplicated (least generator kept), sorted."""
-    seen: dict[frozenset[int], IdealSet] = {}
-    for a in sorted(gr.homogeneous()):
-        ideal = IdealSet(gr.ring, gr.ring.mul_rows[a], generators=(a,))  # row a is Ra, an ideal
-        seen.setdefault(ideal.elements, ideal)
-    return sorted(seen.values(), key=_lattice_order)
+    """Ra for homogeneous a, one per ideal with its least generator, sorted.
+
+    Row a of the multiplication table is Ra, and |Ra| = |R| / |Ann(a)|, so a
+    homogeneous b in Ra generates Ra exactly when its row has as many zeros
+    as row a: Rb lies in Ra and is as large.  Each Ra is built once, at its
+    least homogeneous generator, and each row's zeros are counted once."""
+    ring, homog = gr.ring, gr.homogeneous()
+    rows, zero = ring.mul_rows, ring.zero
+    zeros: dict[int, int] = {}
+
+    def annihilator_size(b: int) -> int:
+        if b not in zeros:
+            zeros[b] = rows[b].count(zero)
+        return zeros[b]
+
+    generated: set[int] = set()  # the homogeneous a whose Ra is built
+    out = []
+    for a in sorted(homog):
+        if a in generated:
+            continue
+        members, size = frozenset(rows[a]), annihilator_size(a)
+        generated.update(b for b in members & homog if b > a and annihilator_size(b) == size)
+        out.append(IdealSet(ring, members, generators=(a,)))
+    return sorted(out, key=_lattice_order)
 
 
 def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
@@ -213,7 +263,8 @@ def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
 
     Complete because a graded ideal is generated by its homogeneous
     elements, so it is a sum of such Ra.  Results are cached on the graded
-    ring and sorted for determinism.
+    ring and sorted for determinism.  Being such sums, the members are
+    graded by construction: each is recorded as graded, never re-checked.
     """
     def compute():
         # R0 = {0} is among the principal ideals, since 0 is homogeneous
@@ -225,10 +276,14 @@ def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
                 raise BudgetExceeded(f"graded ideal lattice exceeds cap {IDEAL_LATTICE_CAP}")
             current = frontier.pop()
             for principal in principals:
+                if principal.elements <= current.elements:
+                    continue
                 s = combine(current, principal, "sum")
                 if s.elements not in seen:
                     seen[s.elements] = s
                     frontier.append(s)
+        for members in seen:
+            memo(gr, ("graded", members), lambda: (True, None))
         return sorted(seen.values(), key=_lattice_order)
 
     return memo(gr, "graded_ideal_lattice", compute)

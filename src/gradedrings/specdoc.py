@@ -82,8 +82,12 @@ def _build_group(gdoc: dict, where: str) -> GradingGroup:
     if kind == "trivial":
         return TRIVIAL_GROUP
     if kind == "finite_abelian":
-        factors = _list_of(gdoc.get("factors", []), int, f"{where}.factors")
-        return GradingGroup("finite_abelian", tuple(factors))
+        at = f"{where}.factors"
+        factors = _list_of(gdoc.get("factors", []), int, at)
+        try:
+            return GradingGroup("finite_abelian", tuple(factors))
+        except MalformedSpec as exc:
+            raise MalformedSpec(f"{at}: {exc}") from None
     if kind == "integers":
         return GradingGroup("integers")
     raise MalformedSpec(f"{where}.kind: unknown group kind {kind!r}")
@@ -108,6 +112,8 @@ def _parse_degree(group: GradingGroup, key: str, where: str):
         return group.normalize(tuple(decimal(t) for t in parts))
     except ValueError:
         raise MalformedSpec(f"{where}: degree {key!r} is not comma-separated integers") from None
+    except MalformedSpec as exc:  # a degree of the wrong rank
+        raise MalformedSpec(f"{where}: {exc}") from None
 
 
 def _object(pairs: list[tuple[str, object]]) -> dict:

@@ -328,13 +328,24 @@ def colon(ring, p, k):
     })
 
 
-def enumerate_graded_ideals(gr):
-    """Principal ideals of homogeneous elements (least generator kept),
-    closed under the sum of every pair of ideals found so far."""
+def _lattice_order(ideal):
+    return len(ideal), ideal.sorted_elements()
+
+
+def principal_graded_ideals(gr):
+    """The ideal generated by each homogeneous element, each ideal once with
+    its least generator, sorted."""
     seen = {}
     for a in sorted(gr.homogeneous()):
         ideal = ideal_generated(gr.ring, (a,))
         seen.setdefault(ideal.elements, ideal)
+    return sorted(seen.values(), key=_lattice_order)
+
+
+def enumerate_graded_ideals(gr):
+    """Principal ideals of homogeneous elements (least generator kept),
+    closed under the sum of every pair of ideals found so far."""
+    seen = {ideal.elements: ideal for ideal in principal_graded_ideals(gr)}
     frontier = list(seen.values())
     while frontier:
         current = frontier.pop()
@@ -343,7 +354,7 @@ def enumerate_graded_ideals(gr):
             if s.elements not in seen:
                 seen[s.elements] = s
                 frontier.append(s)
-    return sorted(seen.values(), key=lambda ideal: (len(ideal), ideal.sorted_elements()))
+    return sorted(seen.values(), key=_lattice_order)
 
 
 def is_graded_prime(gr, p):

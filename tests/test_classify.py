@@ -4,7 +4,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 
-from gradedrings import classify
+from gradedrings import classify, ideals
 from gradedrings.classify import (
     classify_ideal,
     is_graded_1abs_primary,
@@ -161,15 +161,16 @@ def test_classify_reports():
 
 
 def count_masks(monkeypatch):
-    """A list that grows by one for every colon mask the kernels build."""
+    """A list that grows by (ring rows, set, w) for every colon mask (T : w)
+    built, whichever kernel or `colon` reads it first."""
     built = []
-    colon_of = classify._colon_of
+    missing = ideals.ColonMasks.__missing__
 
-    def counting(ring, members):
-        into = colon_of(ring, members)
-        return lambda row: built.append(row) or into(row)
+    def counting(table, w):
+        built.append((id(table._rows), "".join(table._digits), w))
+        return missing(table, w)
 
-    monkeypatch.setattr(classify, "_colon_of", counting)
+    monkeypatch.setattr(ideals.ColonMasks, "__missing__", counting)
     return built
 
 
@@ -188,17 +189,23 @@ def test_classify_builds_few_masks_on_a_local_ring(monkeypatch, generator, most)
 @pytest.mark.parametrize("generator", [2, 16])
 def test_kernels_scan_in_full_on_a_non_local_ring(monkeypatch, generator):
     # Z/720 has homogeneous elements neither nilpotent nor units: no early
-    # exit fires and a passing ideal costs the masks of the full scan
+    # exit fires and a passing ideal reads the masks of the full scan, each
+    # (T : w) built once per ring and set T, whichever kernel reads it first
     gr = triv(720)
     ring, nonunits = gr.ring, gr.nonunit_homogeneous()
     p = ideal_generated(ring, (generator,))
     built = count_masks(monkeypatch)
     assert is_graded_primary(gr, p)[0]
-    assert len(built) == 2 + len(set(nonunits) - p.elements)  # a (P : x) per nonunit x outside P
-    built.clear()
+    outside = set(nonunits) - p.elements
+    # (nonunits : 1) and (Grad(P) : 1), then a (P : x) per nonunit x outside P
+    assert len(built) == 2 + len(outside)
     assert is_graded_1abs_primary(gr, p)[0]
     products = {ring.mul(x, y) for x in nonunits for y in nonunits} - p.elements
-    assert len(built) == 2 + len(products)  # one (P : xy) per product outside P
+    # one (P : xy) per product outside P; the two sets' masks are shared
+    assert len(built) == len(set(built)) == 2 + len(outside | products)
+    for kernel in (is_graded_prime, is_graded_strongly_1abs_primary, is_graded_2abs_primary):
+        kernel(gr, p)
+    assert len(built) == len(set(built))
 
 
 def test_implication_chain_on_corpus(corpus):

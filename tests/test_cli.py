@@ -238,6 +238,15 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             "$.components[' 1']: degree ' 1'", id="degree-padded",
         ),
         pytest.param(
+            '{"ring": {"kind": "cyclic", "n": 4}, "group": {"kind": "finite_abelian", "factors": [0]}}',
+            DESCRIBE, "$.group.factors: invariant factors must be >= 2", id="group-factor-below-2",
+        ),
+        pytest.param(
+            f'{{"ring": {{"kind": "cyclic", "n": 4}}, {Z2_GROUP}, "components": {{"0,1": ["0", "1"]}}}}',
+            DESCRIBE, "$.components['0,1']: degree (0, 1) has wrong rank for factors (2,)",
+            id="degree-wrong-rank",
+        ),
+        pytest.param(
             '[{"ring": {"kind": "cyclic", "n": 9}}]', ("verify", "COR_2_7", "--corpus", "{file}"),
             "--corpus does not apply to COR_2_7", id="corpus-with-cor-2-7",
         ),

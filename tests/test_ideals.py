@@ -6,6 +6,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import graded_ring
 
 from gradedrings.errors import NotAnIdeal, NotGraded
 from gradedrings.finring import MAX_CARRIER, Cyclic, GaussMod, PolyQuotient, build_ring
@@ -19,6 +20,7 @@ from gradedrings.ideals import (
     graded_radical,
     ideal_generated,
     is_graded_ideal,
+    principal_graded_ideals,
     proper_graded_ideals,
     unit_ideal,
     zero_ideal,
@@ -250,6 +252,21 @@ def test_ideal_algebra_matches_oracle(corpus):
                     assert _snapshot(got) == _snapshot(want), (gr.label, i, j, op)
 
 
+def test_principal_graded_ideals_match_oracle(corpus):
+    # in a Z2-graded ring a principal ideal holds non-homogeneous elements,
+    # and its least generator is the least homogeneous one
+    rings = [e.gr for e in corpus if e.gr.group == Z2]
+    truncated = [  # F_p[u]/(u^k)
+        PolyQuotient(Cyclic(p), (0,) * k + (1,))
+        for p in (2, 3, 5, 7) for k in range(2, 7) if p**k <= 64
+    ]
+    for spec in [GaussMod(n) for n in range(2, 9)] + truncated:
+        rings += [graded_ring(spec, False), graded_ring(spec, True)]
+    for gr in rings:
+        got, want = principal_graded_ideals(gr), oracles.principal_graded_ideals(gr)
+        assert list(map(_snapshot, got)) == list(map(_snapshot, want)), gr.label
+
+
 def _poly_specs(p):
     # monic moduli of every degree d with p^d <= 64
     degrees = st.integers(1, max(d for d in range(1, 7) if p**d <= 64))
@@ -273,6 +290,16 @@ def test_additive_closure_matches_oracle(spec, data):
     ring = build_ring(spec)
     seed = data.draw(st.lists(st.integers(0, ring.size - 1), max_size=6))
     assert additive_closure(ring, seed) == oracles.additive_closure(ring, seed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=SMALL_RING_SPECS, data=st.data())
+def test_colon_matches_oracle_on_any_sets(spec, data):
+    # (P : K) is defined for any sets, and K may be empty: then it is R
+    ring = build_ring(spec)
+    subsets = st.frozensets(st.integers(0, ring.size - 1))
+    p, k = IdealSet(ring, data.draw(subsets)), IdealSet(ring, data.draw(subsets))
+    assert colon(ring, p, k) == oracles.colon(ring, p, k)
 
 
 def test_radical_and_colon_match_oracle(corpus):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import graded_ring, graded_specs
 
-from gradedrings import grading, specdoc, transport, verifier
+from gradedrings import grading, ideals, specdoc, transport, verifier
 from gradedrings.errors import GradedRingError, MalformedSpec
 from gradedrings.finring import Cyclic, FinRing, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import attach_grading, trivial_grading
@@ -135,6 +135,32 @@ def test_run_suite_validates_only_its_own_definitions(monkeypatch):
             monkeypatch.setattr(module, "attach_grading", attach)
     run_suite()
     assert calls == [("attach_grading", "_z2_graded")] * 6
+
+
+def test_run_suite_never_validates_a_lattice_member(monkeypatch):
+    # a lattice's members are sums of Ra, a homogeneous: graded ideals by
+    # construction, recorded as such when the lattice is built.  A set checked
+    # before its ring's lattice exists, such as the ideal a quotient is taken
+    # by, is checked at the boundary, not again
+    lattices: dict[FinRing, set] = {}  # ring -> the members of its lattices built so far
+    revalidated = []
+    enumerate_graded_ideals, validate = ideals.enumerate_graded_ideals, ideals.validate_ideal
+
+    def enumerating(gr):
+        lattice = enumerate_graded_ideals(gr)
+        lattices.setdefault(gr.ring, set()).update(i.elements for i in lattice)
+        return lattice
+
+    def validating(ring, elements):
+        if elements in lattices.get(ring, ()):
+            revalidated.append(elements)
+        return validate(ring, elements)
+
+    for module in (ideals, verifier):  # every binding of the name
+        monkeypatch.setattr(module, "enumerate_graded_ideals", enumerating)
+    monkeypatch.setattr(ideals, "validate_ideal", validating)
+    run_suite()
+    assert lattices and not revalidated
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
