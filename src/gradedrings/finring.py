@@ -10,6 +10,7 @@ without a function call per cell.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import MalformedSpec
@@ -70,6 +71,15 @@ class PolyQuotient(Record):
 RingSpec = Cyclic | GaussMod | PolyQuotient
 
 
+def gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """seq -> the tuple of seq[i] for i in `idx` (nonempty), read in C.  This
+    is `itemgetter(*idx)`, except that one index still gives a 1-tuple."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
 def memo(owner, key, compute: Callable):
     """`owner._cache[key]`, filled by `compute()` on first use.  An exception
     from `compute` is never stored, so it is raised again on every call."""
@@ -111,7 +121,7 @@ class FinRing:
         self.zero = zero
         self.one = one
         self.label = label
-        self._names = list(names) if names is not None else [str(i) for i in range(size)]
+        self._names = list(names if names is not None else map(str, range(size)))
         self._parse = parse
         self._add_table = add_rows
         self._mul_table = mul_rows
@@ -325,12 +335,14 @@ def product_rows(rows1: Sequence[Sequence[int]], rows2: Sequence[Sequence[int]])
     n2 = len(rows2)
     base = list(range(len(rows1) * n2))
     blocks = [base[a * n2:(a + 1) * n2] for a in range(len(rows1))]  # the pairs (a, *)
+    along = [gather(row2) for row2 in rows2]  # block (a, *) -> the pairs (a, b op d) over d
     out = []
     for row1 in rows1:
-        for row2 in rows2:
+        picked = gather(row1)(blocks)  # the blocks (a op c, *) over c
+        for at in along:
             row: list[int] = []
-            for block in map(blocks.__getitem__, row1):
-                row += map(block.__getitem__, row2)
+            for block in picked:
+                row += at(block)
             out.append(row)
     return out
 
@@ -350,8 +362,29 @@ def _digit_add_rows(m: int, d: int) -> list[list[int]]:
 
 
 def _cyclic_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication rows of Z/n.
+
+    Row i of the multiplication table holds ij mod n.  Only a prime i <= n/2
+    is computed cell by cell.  A composite i <= n/2 with least prime factor p
+    is row p read at row i/p, as ij = p((i/p)j); a row i > n/2 is row n-i
+    reflected, as (n-i)j = i(n-j).  Every cell is an object of `base`, so the
+    table holds one int object per value.
+    """
     base = list(range(n))
-    return _digit_add_rows(n, 1), [[base[i * j % n] for j in base] for i in base]
+    half = n // 2
+    least = [0] * (half + 1)  # the least prime factor of each i in 2..half
+    for i in range(2, half + 1):
+        if not least[i]:
+            for k in range(i, half + 1, i):
+                least[k] = least[k] or i
+    mul = [[base[0]] * n, base]
+    for i in range(2, half + 1):
+        p = least[i]
+        mul.append([base[i * j % n] for j in base] if p == i else list(gather(mul[i // p])(mul[p])))
+    for i in range(len(mul), n):
+        row = mul[n - i]
+        mul.append(row[:1] + row[:0:-1])
+    return _digit_add_rows(n, 1), mul
 
 
 def _poly_rows(m: int, mod: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -378,8 +411,9 @@ def _poly_rows(m: int, mod: Sequence[int]) -> tuple[list[list[int]], list[list[i
             for _ in range(m - 1):
                 multiples.append(add[multiples[-1]][xu])
             longer: list[int] = []
+            at_row = gather(row)
             for cxu in multiples:
-                longer += map(add[cxu].__getitem__, row)
+                longer += at_row(add[cxu])
             row, xu = longer, times_u[xu]
         mul.append(row)
     return add, mul
@@ -428,13 +462,15 @@ def _poly_ring(m: int, modulus: Sequence[int], var: str, label: str) -> FinRing:
     d = len(modulus) - 1
     size = m**d
     _check_carrier(size)
-    names = []
-    for x in range(size):
-        coeffs = []
-        for _ in range(d):
-            x, c = divmod(x, m)
-            coeffs.append(c)
-        names.append(_poly_name(coeffs, var))
+    names = None  # for d = 1 the name of c is str(c), FinRing's default
+    if d > 1:
+        names = []
+        for x in range(size):
+            coeffs = []
+            for _ in range(d):
+                x, c = divmod(x, m)
+                coeffs.append(c)
+            names.append(_poly_name(coeffs, var))
     return FinRing(
         size, *_poly_rows(m, modulus), one=1, label=label, names=names,
         parse=lambda text: _parse_poly(text, var, m, d),

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import BudgetExceeded, NotAnIdeal, NotGraded, NotProper, RingMismatch
-from .finring import FinRing, memo
+from .finring import FinRing, gather, memo
 from .grading import GradedRing
 
 IDEAL_LATTICE_CAP = 4096
@@ -170,7 +170,7 @@ class ColonMasks(dict):
             self._digits[v] = "1"
 
     def __missing__(self, w: int) -> int:
-        mask = self[w] = int("".join(map(self._digits.__getitem__, reversed(self._rows[w]))), 2)
+        mask = self[w] = int("".join(gather(self._rows[w])(self._digits))[::-1], 2)
         return mask
 
 
@@ -206,10 +206,10 @@ def combine(i: IdealSet, j: IdealSet, op: CombineOp) -> IdealSet:
         # with I the larger, I + J is the union of the cosets s + I, s in J;
         # the span so far is a union of I-cosets, so an s it covers adds nothing
         small, big = sorted((i.elements, j.elements), key=len)
-        span = set(big)
+        span, plus = set(big), gather(tuple(big))
         for s in small:
             if s not in span:
-                span.update(map(ring.add_rows[s].__getitem__, big))
+                span.update(plus(ring.add_rows[s]))
         return IdealSet(ring, span)
     if op == "product":
         rows = ring.mul_rows
@@ -233,27 +233,24 @@ def _lattice_order(ideal: IdealSet) -> tuple:
 def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
     """Ra for homogeneous a, one per ideal with its least generator, sorted.
 
-    Row a of the multiplication table is Ra, and |Ra| = |R| / |Ann(a)|, so a
-    homogeneous b in Ra generates Ra exactly when its row has as many zeros
-    as row a: Rb lies in Ra and is as large.  Each Ra is built once, at its
-    least homogeneous generator, and each row's zeros are counted once."""
-    ring, homog = gr.ring, gr.homogeneous()
-    rows, zero = ring.mul_rows, ring.zero
-    zeros: dict[int, int] = {}
+    Row a of the multiplication table is Ra, and Rb = Ra exactly when b = ua
+    for a unit u, so the generators of Ra are row a read at the units.  Each
+    Ra is built once, at its least homogeneous generator, and one gather
+    marks all its generators.
 
-    def annihilator_size(b: int) -> int:
-        if b not in zeros:
-            zeros[b] = rows[b].count(zero)
-        return zeros[b]
-
-    generated: set[int] = set()  # the homogeneous a whose Ra is built
+    "If" is clear.  "Only if": a finite ring is a product of local rings,
+    and a unit in each factor is a unit, so take one local factor.  Let
+    a = rb and b = sa.  If a = 0, then b = 0 = 1a.  Otherwise (1 - rs)a = 0
+    makes 1 - rs a nonunit; the nonunits of a local ring form an ideal, which
+    does not hold 1 = rs + (1 - rs), so rs is a unit, and so is s."""
+    ring = gr.ring
+    rows, at_units = ring.mul_rows, gather(sorted(ring.units()))
+    generated: set[int] = set()  # the b with Rb = Ra for an a already built
     out = []
-    for a in sorted(homog):
-        if a in generated:
-            continue
-        members, size = frozenset(rows[a]), annihilator_size(a)
-        generated.update(b for b in members & homog if b > a and annihilator_size(b) == size)
-        out.append(IdealSet(ring, members, generators=(a,)))
+    for a in sorted(gr.homogeneous()):
+        if a not in generated:
+            generated.update(at_units(rows[a]))
+            out.append(IdealSet(ring, rows[a], generators=(a,)))
     return sorted(out, key=_lattice_order)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NotSurjective,
     UnitNotPreserved,
 )
-from .finring import FinRing, Record, product_rows
+from .finring import FinRing, Record, gather, product_rows
 from .grading import GradedRing, _graded_ring
 from .ideals import IdealSet, require_graded
 
@@ -162,7 +162,8 @@ def _cosets(ring: FinRing, k: Iterable[int]) -> tuple[list[int], list[int]]:
 def _rows_through(rows, carrier: list[int], index_of) -> list[list[int]]:
     """The table on `carrier` (elements of the parent) that `rows` induce,
     each product renumbered by `index_of`: row i holds index_of[c_i op c_j]."""
-    return [list(map(index_of.__getitem__, map(rows[c].__getitem__, carrier))) for c in carrier]
+    along = gather(carrier)
+    return [list(gather(along(rows[c]))(index_of)) for c in carrier]
 
 
 def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:

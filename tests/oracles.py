@@ -334,11 +334,17 @@ def _lattice_order(ideal):
 
 def principal_graded_ideals(gr):
     """The ideal generated by each homogeneous element, each ideal once with
-    its least generator, sorted."""
+    its least generator, sorted.  As in `ideal_generated`, that is the
+    additive closure of the element's multiples; each distinct set of
+    multiples is closed once per call."""
+    ring = gr.ring
+    closures = {}
     seen = {}
     for a in sorted(gr.homogeneous()):
-        ideal = ideal_generated(gr.ring, (a,))
-        seen.setdefault(ideal.elements, ideal)
+        multiples = frozenset({ring.zero} | {ring.mul(r, a) for r in ring.elements()})
+        if multiples not in closures:
+            closures[multiples] = additive_closure(ring, multiples)
+        seen.setdefault(closures[multiples], IdealSet(ring, closures[multiples], generators=(a,)))
     return sorted(seen.values(), key=_lattice_order)
 
 

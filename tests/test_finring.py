@@ -131,6 +131,13 @@ def test_rings_above_256_elements(spec):
     ring.check_axioms()
 
 
+def test_cyclic_tables_share_one_int_per_value():
+    # composed and reflected rows hold the same int objects, not copies
+    ring = build_ring(Cyclic(1024))
+    for table in (ring.add_rows, ring.mul_rows):
+        assert len({id(v) for row in table for v in row}) == 1024
+
+
 @pytest.mark.parametrize(
     "spec",
     [Cyclic(1031), GaussMod(33), GaussMod(10**6), PolyQuotient(Cyclic(2), (1,) * 41)],

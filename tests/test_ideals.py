@@ -25,6 +25,7 @@ from gradedrings.ideals import (
     unit_ideal,
     zero_ideal,
 )
+from gradedrings.transport import product
 
 
 def gauss_z2(n):
@@ -254,8 +255,12 @@ def test_ideal_algebra_matches_oracle(corpus):
 
 def test_principal_graded_ideals_match_oracle(corpus):
     # in a Z2-graded ring a principal ideal holds non-homogeneous elements,
-    # and its least generator is the least homogeneous one
-    rings = [e.gr for e in corpus if e.gr.group == Z2]
+    # and its least generator is the least homogeneous one; Z/2 and
+    # Z/2 x Z/2 have one unit each, so their ideals are read at one index
+    z2 = trivial_grading(build_ring(Cyclic(2)))
+    rings = [e.gr for e in corpus if e.gr.group == Z2 or e.kind == "product"]
+    rings += [trivial_grading(build_ring(Cyclic(n))) for n in [*range(2, 129), 720]]
+    rings.append(product(z2, z2))
     truncated = [  # F_p[u]/(u^k)
         PolyQuotient(Cyclic(p), (0,) * k + (1,))
         for p in (2, 3, 5, 7) for k in range(2, 7) if p**k <= 64
