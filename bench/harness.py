@@ -11,7 +11,8 @@ per side, or SLOW_SAMPLES when a first sample takes a second or more.  The
 record holds the machine, each side's commit and `facts()`, and per row and
 side the median and quartiles of every metric and the samples, and
 `after_over_before`, the ratio of the medians of the first metric (`s` in
-process, `cpu_s` for a fresh process).  Standard library only.
+process, `cpu_s` for a fresh process).  Standard library only; `fresh`
+needs `os.posix_spawn` and `os.wait4` (Linux, macOS).
 """
 
 from __future__ import annotations
@@ -42,22 +43,37 @@ def timed(prepare):
     return sample
 
 
+# The process `fresh` starts, which starts the measured one and prints its
+# sample.  A process keeps across exec the resident high-water mark of the
+# process it was forked from, so the measured process is started by this
+# small one: started by the worker, it would report the worker's peak.
+_LAUNCHER = """
+import json, os, sys, time
+start = time.perf_counter()
+quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+argv = [sys.executable, *sys.argv[1:]]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({
+    "cpu_s": usage.ru_utime + usage.ru_stime,
+    "wall_s": time.perf_counter() - start,
+    "peak_rss_mb": usage.ru_maxrss / 1024,
+    "exit": os.waitstatus_to_exitcode(status),
+}))
+"""
+
+
 def fresh(args, env=None):
     """A row running `python3 *args` in a fresh process, in the worker's
     environment or `env`: its CPU time (user + system, from `wait4`), wall
-    time, peak RSS and exit status."""
+    time, peak RSS and exit status.  A small launcher process starts it and
+    waits for it, so the peak is the process's own."""
     def sample():
-        start = perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        out = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, *args], env=env, stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, check=True,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
-        return {
-            "cpu_s": usage.ru_utime + usage.ru_stime,
-            "wall_s": perf_counter() - start,
-            "peak_rss_mb": usage.ru_maxrss / 1024,
-            "exit": os.waitstatus_to_exitcode(status),
-        }
+        return json.loads(out.stdout)
 
     return sample
 

@@ -6,9 +6,10 @@ and identity subrings (each construction over the whole corpus in one
 sample), the corpus build and `run_suite`.  Every sample starts from fresh
 state (rings, corpus, ideals), built without timing it.  Each row comes
 twice: `[cold]` times the first call on that state, `[warm]` a second
-call, after an untimed first one has filled the memos.  Fresh process:
-`python3 -m gradedrings.cli`, always cold.  `bench/harness.py` runs the
-rows.  Standard library only.
+call, after an untimed first one has filled the memos.  The COR_2_7 sweep
+`_cor_2_7(2, N)` builds its own rings, so its rows are cold only.  Fresh
+process: `python3 -m gradedrings.cli`, always cold.  `bench/harness.py`
+runs the rows.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def rows() -> dict:
     from gradedrings.ideals import proper_graded_ideals
     from gradedrings.transport import enumerate_multiplicative_sets, identity_subring
     from gradedrings.transport import localize, quotient
-    from gradedrings.verifier import ALL_STATEMENTS, default_corpus, run_suite
+    from gradedrings.verifier import ALL_STATEMENTS, _cor_2_7, default_corpus, run_suite
 
     def graded():
         return [entry.gr for entry in default_corpus()]
@@ -79,6 +80,8 @@ def rows() -> dict:
     table |= cold_and_warm("run_suite()", lambda: suite(ALL_STATEMENTS))
     for ids in (*((sid,) for sid in TRANSPORT_STATEMENTS), TRANSPORT_STATEMENTS):
         table |= cold_and_warm(f"run_suite({' + '.join(ids)})", lambda ids=ids: suite(ids))
+    for hi in (64, 256):
+        table[f"_cor_2_7(2, {hi})"] = timed(lambda hi=hi: lambda: _cor_2_7(2, hi))
     for name, args in CLI_CASES:
         table[name] = fresh(["-m", "gradedrings.cli", *args])
     return table

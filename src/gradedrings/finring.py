@@ -93,8 +93,13 @@ class FinRing:
     """Immutable finite commutative ring; all operations are pure.
 
     The ring owns the addition and multiplication rows it is given: row x
-    holds x+y (resp. x*y) at index y.
+    holds x+y (resp. x*y) at index y.  `FinRing(...)` checks that a caller's
+    rows are `size` lists of `size` ints in range(size); the library's own
+    builders construct `_BuiltRing`, whose rows are well formed by
+    construction and not scanned again.
     """
+
+    _rows_checked = True  # False on `_BuiltRing`: rows well formed by construction
 
     def __init__(
         self,
@@ -115,8 +120,9 @@ class FinRing:
             raise MalformedSpec(f"zero {zero!r} or one {one!r} is not in range({size})")
         if names is not None and len(names) != size:
             raise MalformedSpec(f"{len(names)} names for {size} elements")
-        _check_rows(size, add_rows, "addition")
-        _check_rows(size, mul_rows, "multiplication")
+        if self._rows_checked:
+            _check_rows(size, add_rows, "addition")
+            _check_rows(size, mul_rows, "multiplication")
         self.size = size
         self.zero = zero
         self.one = one
@@ -125,11 +131,11 @@ class FinRing:
         self._parse = parse
         self._add_table = add_rows
         self._mul_table = mul_rows
-        self._neg_table = []
-        for i, row in enumerate(self._add_table):
-            if zero not in row:
-                raise MalformedSpec(f"{self._names[i]} has no additive inverse")
-            self._neg_table.append(row.index(zero))
+        try:
+            self._neg_table = [row.index(zero) for row in add_rows]
+        except ValueError:
+            i = next(i for i, row in enumerate(add_rows) if zero not in row)
+            raise MalformedSpec(f"{self._names[i]} has no additive inverse") from None
         # closures over the tables, not self: a ring in no reference cycle
         # is freed when dropped, not at the next full garbage collection
         add, mul, neg = self._add_table, self._mul_table, self._neg_table
@@ -183,17 +189,24 @@ class FinRing:
             x for x, row in enumerate(self._mul_table) if self.one in row
         ))
 
-    def high_power(self, x: int) -> int:
-        """x^(2^m) with 2^m > size.  An ideal holds it exactly when it holds some
-        power of x, because the least such power has exponent at most size."""
-        for _ in range(self.size.bit_length()):
-            x = self._mul_table[x][x]
-        return x
+    def high_powers(self) -> tuple[int, ...]:
+        """x -> x^(2^m) with 2^m > size, m = size.bit_length(): the diagonal
+        x -> x^2 composed m times, each step one gather.  An ideal holds
+        x^(2^m) exactly when it holds some power of x, because the least
+        such power has exponent at most size."""
+        def compute():
+            square = tuple(map(list.__getitem__, self._mul_table, range(self.size)))
+            powers = square
+            for _ in range(self.size.bit_length() - 1):
+                powers = gather(powers)(square)
+            return powers
+
+        return memo(self, "powers", compute)
 
     def nilradical(self) -> frozenset[int]:
         """The x with x^k = 0 for some k >= 1."""
         return memo(self, "nilradical", lambda: frozenset(
-            x for x in range(self.size) if self.high_power(x) == self.zero
+            x for x, power in enumerate(self.high_powers()) if power == self.zero
         ))
 
     def check_axioms(self) -> None:
@@ -245,6 +258,27 @@ class FinRing:
                 ):
                     k = next(k for k in ids if _triple_law(add, mul, i, j, k))
                     raise MalformedSpec(f"{_triple_law(add, mul, i, j, k)} at ({i},{j},{k})")
+
+
+class _BuiltRing(FinRing):
+    """A ring whose rows the library built: `FinRing.__init__` runs every
+    check but `_check_rows`.  Each builder's rows are `size` lists of `size`
+    ints in range(size), because every cell is read from a list of such ints:
+
+    - `_poly_ring`: one row of m^d cells per element; each addition cell is
+      an entry of a rotation of range(m) or a pair index of `product_rows`,
+      and each multiplication cell is 0, an entry of range(m) or an entry
+      of an addition row.
+    - `transport.quotient`, `localize` and `identity_subring`: `_rows_through`
+      gives one row per new element, each the parent's row read at the new
+      carrier and renumbered by a list (`coset_of`, the canonical map a ->
+      a/1) or a dict (`back`, over R_e, which holds its sums and products)
+      whose values are exactly range(new size).
+    - `transport.product`: `product_rows` gathers from `range(|R| |S|)`, one
+      row per pair.
+    """
+
+    _rows_checked = False
 
 
 def _additive_generators(add: list[list[int]], zero: int) -> list[int]:
@@ -471,7 +505,7 @@ def _poly_ring(m: int, modulus: Sequence[int], var: str, label: str) -> FinRing:
                 x, c = divmod(x, m)
                 coeffs.append(c)
             names.append(_poly_name(coeffs, var))
-    return FinRing(
+    return _BuiltRing(
         size, *_poly_rows(m, modulus), one=1, label=label, names=names,
         parse=lambda text: _parse_poly(text, var, m, d),
     )

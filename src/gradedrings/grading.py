@@ -126,10 +126,13 @@ class GradedRing:
         """Grad of the graded ideal `members`: the elements all of whose
         components have some power in it.  Memoized per element set."""
         def compute():
-            ring = self.ring
-            rooted = {h for h in self.homogeneous() if ring.high_power(h) in members}
+            powers = self.ring.high_powers()
+            rooted = frozenset(h for h in self.homogeneous() if powers[h] in members)
+            if len(self.support) == 1:  # every element is homogeneous
+                return rooted
             return frozenset(
-                x for x in ring.elements() if rooted.issuperset(self._decomposition[x].values())
+                x for x, parts in enumerate(self._decomposition)
+                if rooted.issuperset(parts.values())
             )
 
         return memo(self, ("grad", members), compute)

@@ -2,7 +2,8 @@
 
 Quotients, products, localizations and the identity-component subring are
 graded, and their canonical maps graded homomorphisms, by construction, so
-neither is checked; `hom_build` checks a caller's map.  Nothing
+neither is checked; `hom_build` checks a caller's map.  Their rows are well
+formed by construction too, so their rings are `_BuiltRing`s.  Nothing
 here is memoized: every call builds its ring again, so a caller that needs
 what a construction shows more than once keeps that result, not the ring
 (the verifier keeps counts and witness names per parent ring).
@@ -23,7 +24,7 @@ from .errors import (
     NotSurjective,
     UnitNotPreserved,
 )
-from .finring import FinRing, Record, gather, product_rows
+from .finring import FinRing, Record, _BuiltRing, gather, product_rows
 from .grading import GradedRing, _graded_ring
 from .ideals import IdealSet, require_graded
 
@@ -171,7 +172,7 @@ def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
     require_graded(gr, k, proper=True)
     ring = gr.ring
     coset_of, reps = _cosets(ring, k.elements)
-    qring = FinRing(
+    qring = _BuiltRing(
         len(reps),
         _rows_through(ring.add_rows, reps, coset_of),
         _rows_through(ring.mul_rows, reps, coset_of),
@@ -195,7 +196,7 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
     n2 = r2.size
     size = r1.size * n2
     names = [f"({r1.name(x // n2)},{r2.name(x % n2)})" for x in range(size)]
-    pring = FinRing(
+    pring = _BuiltRing(
         size,
         product_rows(r1.add_rows, r2.add_rows),
         product_rows(r1.mul_rows, r2.mul_rows),
@@ -223,58 +224,62 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
     by the coset of a*t^-1 mod K.  Classes are numbered by their least pair
     in (a, t) order, which is also their representative.  The grading
     places a/t in degree h*g(t)^-1 where a is homogeneous of degree h.
+
+    Everything is read by gathers: K is the union of the zeros of the rows
+    v in S; t^-1 is the first v whose product with t lies in the coset of 1;
+    the column of t holds the coset of a*t^-1 at each a.
     """
     ring = gr.ring
+    mul = ring.mul_rows
     slist = sorted(s.elements)
-    killed = [
-        d for d in ring.elements() if any(ring.mul(v, d) == ring.zero for v in slist)
-    ]
+    is_zero = ring.zero.__eq__
+    killed = set().union(*(
+        itertools.compress(ring.elements(), map(is_zero, mul[v])) for v in slist
+    ))
     coset_of, coset_reps = _cosets(ring, killed)
     one_coset = coset_of[ring.one]
-    inverse = {
-        t: next(v for v in ring.elements() if coset_of[ring.mul(t, v)] == one_coset)
-        for t in slist
-    }
+    inverse = {t: gather(mul[t])(coset_of).index(one_coset) for t in slist}
+    columns = [gather(mul[inverse[t]])(coset_of) for t in slist]
     class_of: list[Optional[int]] = [None] * len(coset_reps)
     reps: list[tuple[int, int]] = []
-    for a in ring.elements():
-        for t in slist:
-            key = coset_of[ring.mul(a, inverse[t])]
+    for a, keys in enumerate(zip(*columns)):
+        for t, key in zip(slist, keys):
             if class_of[key] is None:
                 class_of[key] = len(reps)
                 reps.append((a, t))
-
-    def cls(a: int, t: int) -> int:
-        return class_of[coset_of[ring.mul(a, inverse[t])]]
+        if len(reps) == len(coset_reps):
+            break
+    # the class of (a, t) at index a of t's entry: a column holds cosets,
+    # so it is read through class_of
+    classes = [gather(column)(class_of) for column in columns]
+    canonical = classes[slist.index(ring.one)]  # a -> a/1
 
     names = [
         ring.name(a) if t == ring.one else f"{ring.name(a)}/{ring.name(t)}"
         for a, t in reps
     ]
-    # a/t + b/u and (a/t)(b/u) lie in the classes of a t^-1 + b u^-1 and
-    # a t^-1 * b u^-1, so the parent's rows at those elements give both tables
-    class_index = [class_of[c] for c in coset_of]
-    values = [ring.mul(a, inverse[t]) for a, t in reps]
-    lring = FinRing(
+    # a/t + b/u and (a/t)(b/u) are the images of a t^-1 + b u^-1 and
+    # a t^-1 * b u^-1 under a -> a/1, so the parent's rows at those elements
+    # give both tables
+    values = [mul[a][inverse[t]] for a, t in reps]
+    lring = _BuiltRing(
         len(reps),
-        _rows_through(ring.add_rows, values, class_index),
-        _rows_through(ring.mul_rows, values, class_index),
-        one=cls(ring.one, ring.one),
-        zero=cls(ring.zero, ring.one),
+        _rows_through(ring.add_rows, values, canonical),
+        _rows_through(mul, values, canonical),
+        one=canonical[ring.one],
+        zero=canonical[ring.zero],
         label=f"Localize({gr.label}, {{{','.join(ring.name(t) for t in slist)}}})",
         names=names,
     )
     group = gr.group
+    shifts = [group.inv(gr.degree_of(t)) for t in slist]
     components: dict = {}
     for h in gr.support:
-        for t in slist:
-            dt = gr.degree_of(t)
-            g = group.op(h, group.inv(dt))
-            comp = components.setdefault(g, set())
-            for a in gr.component(h):
-                comp.add(cls(a, t))
+        for shift, column in zip(shifts, classes):
+            comp = components.setdefault(group.op(h, shift), set())
+            comp.update(map(column.__getitem__, gr.component(h)))
     lgr = _graded_ring(lring, group, {g: frozenset(c) for g, c in components.items()}, lring.label)
-    return lgr, GradedHom(gr, lgr, tuple(cls(a, ring.one) for a in ring.elements()))
+    return lgr, GradedHom(gr, lgr, canonical)
 
 
 def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
@@ -283,7 +288,7 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
     e = gr.group.identity
     carrier = sorted(gr.component(e))
     back = {x: i for i, x in enumerate(carrier)}
-    sring = FinRing(
+    sring = _BuiltRing(
         len(carrier),
         _rows_through(ring.add_rows, carrier, back),
         _rows_through(ring.mul_rows, carrier, back),

@@ -183,9 +183,9 @@ def product_tables(gr, gs):
     )
 
 
-def localize_tables(gr, s):
-    """Classes of pairs (a, t), numbered by their least pair; sums and
-    products from the fraction formulas."""
+def _localize_classes(gr, s):
+    """The classes of pairs (a, t), numbered by their least pair: their
+    least pairs, and the class of a pair."""
     ring = gr.ring
     slist = sorted(s.elements)
     killed = [d for d in ring.elements() if any(ring.mul(v, d) == ring.zero for v in slist)]
@@ -205,6 +205,14 @@ def localize_tables(gr, s):
     def cls(a, t):
         return class_of[coset_of[ring.mul(a, inverse[t])]]
 
+    return reps, cls
+
+
+def localize_tables(gr, s):
+    """Sums and products of S^-1 R from the fraction formulas."""
+    ring = gr.ring
+    reps, cls = _localize_classes(gr, s)
+
     def add(i, j):
         (a, t1), (b, t2) = reps[i], reps[j]
         return cls(ring.add(ring.mul(a, t2), ring.mul(b, t1)), ring.mul(t1, t2))
@@ -214,6 +222,22 @@ def localize_tables(gr, s):
         return cls(ring.mul(a, b), ring.mul(t1, t2))
 
     return tables(len(reps), add, mul)
+
+
+def localize_grading(gr, s):
+    """The element names of S^-1 R (a class is named a or a/t after its
+    least pair), its components (a/t, a of degree h, in degree h g(t)^-1)
+    and the canonical map a -> a/1."""
+    ring, group = gr.ring, gr.group
+    reps, cls = _localize_classes(gr, s)
+    names = [ring.name(a) if t == ring.one else f"{ring.name(a)}/{ring.name(t)}" for a, t in reps]
+    components = {}
+    for h in gr.support:
+        for t in s.elements:
+            g = group.op(h, group.inv(gr.degree_of(t)))
+            components.setdefault(g, set()).update(cls(a, t) for a in gr.component(h))
+    canonical = tuple(cls(a, ring.one) for a in ring.elements())
+    return names, {g: frozenset(c) for g, c in components.items()}, canonical
 
 
 def identity_subring_tables(gr):

@@ -1,6 +1,7 @@
 """bench/harness.py on two trivial rows, with both sides at this checkout:
 the side that goes first alternates, the record has one shape, and the
-sample rule gives a row whose first sample takes a second 3 samples."""
+sample rule gives a row whose first sample takes a second 3 samples.  A
+fresh-process row reports that process's own peak memory."""
 
 import json
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import harness  # noqa: E402
 
 SCRIPT = '''
 """Two rows of build_ring(Cyclic(4)); a stubbed timer makes the second take 1.5 s."""
@@ -88,3 +91,14 @@ def test_harness_alternates_sides_and_writes_one_record_shape(tmp_path):
             assert (first == before_pid) == (i % 2 == 0)
             at += 2
     assert at == len(lines)
+
+
+def test_fresh_reports_the_process_own_peak():
+    # a process forked by a large one keeps its resident peak across exec;
+    # the sample must be that of the small process, not of this one
+    held = b"\x01" * (64 << 20)
+    sample = harness.fresh(["-c", "print('unseen')"])()
+    assert list(sample) == ["cpu_s", "wall_s", "peak_rss_mb", "exit"]
+    assert sample["exit"] == 0 and sample["cpu_s"] > 0 and sample["wall_s"] > 0
+    assert sample["peak_rss_mb"] < 40 < len(held) / 2**20
+    assert harness.fresh(["-c", "raise SystemExit(3)"])()["exit"] == 3

@@ -8,13 +8,14 @@ and witnesses exactly.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from strategies import graded_ring, graded_specs
 
-from gradedrings import grading, ideals, specdoc, transport, verifier
+from gradedrings import cli, finring, grading, ideals, specdoc, transport, verifier
 from gradedrings.errors import GradedRingError, MalformedSpec
 from gradedrings.finring import Cyclic, FinRing, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import attach_grading, trivial_grading
@@ -27,7 +28,7 @@ from gradedrings.transport import (
     product,
     quotient,
 )
-from gradedrings.verifier import _z2_graded, run_suite
+from gradedrings.verifier import _cor_2_7, _z2_graded, run_suite
 
 POLY_SPECS = [
     PolyQuotient(Cyclic(p), modulus)
@@ -39,6 +40,7 @@ POLY_SPECS = [
 ]
 SPECS = [Cyclic(n) for n in range(2, 65)] + [GaussMod(n) for n in (2, 3, 4, 5, 6, 9, 11)]
 SPECS += POLY_SPECS
+Z256 = str(Path(__file__).resolve().parent.parent / "specs" / "cyclic256.json")
 
 LAWS = (
     "additive identity", "multiplicative identity", "addition not commutative",
@@ -144,6 +146,36 @@ def test_run_suite_validates_only_its_own_definitions(monkeypatch):
             monkeypatch.setattr(module, "attach_grading", attach)
     run_suite()
     assert calls == [("attach_grading", "_z2_graded")] * 6
+
+
+def test_only_a_callers_rows_are_checked(monkeypatch):
+    # the library's builders make well-formed rows; FinRing(...) checks a caller's
+    checked = []
+    check_rows = finring._check_rows
+
+    def counting(size, rows, what):
+        checked.append(what)
+        return check_rows(size, rows, what)
+
+    monkeypatch.setattr(finring, "_check_rows", counting)
+    run_suite()
+    assert cli.main(["ring", "describe", Z256]) == 0
+    assert cli.main(["ideal", "classify", Z256, "--ideal", "2"]) == 0
+    _cor_2_7(2, 64)
+    assert checked == []
+    FinRing(3, ADD3, MUL3, one=1)
+    assert checked == ["addition", "multiplication"]
+
+
+def test_library_rings_are_fin_rings(corpus):
+    gr = next(entry.gr for entry in corpus if entry.label == "Z/2[i] x Z/2[i]")
+    built = [gr.ring, build_ring(Cyclic(256)), quotient(gr, proper_graded_ideals(gr)[1])[0].ring]
+    built += [localize(gr, enumerate_multiplicative_sets(gr)[-1])[0].ring]
+    built += [identity_subring(gr)[0].ring]
+    for ring in built:
+        add, mul = rows(ring)
+        again = FinRing(ring.size, add, mul, one=ring.one, zero=ring.zero, label=ring.label)
+        assert isinstance(ring, FinRing) and repr(ring) == repr(again), ring
 
 
 def test_run_suite_never_validates_a_lattice_member(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import oracles
 import pytest
 
 from gradedrings.errors import (
@@ -25,6 +26,7 @@ from gradedrings.transport import (
     product,
     quotient,
 )
+from gradedrings.verifier import _z2_graded
 
 
 def triv(n):
@@ -160,6 +162,33 @@ def test_localize_classes_match_union_find(corpus):
                 assert lgr.ring.name(idx) == rep, (entry.label, s, cls)
                 for b, u in cls:
                     assert lgr.ring.mul(idx, canonical(u)) == canonical(b), (entry.label, s, b, u)
+
+
+def test_localize_matches_oracle_where_one_is_not_index_1(corpus):
+    # products put 1 at index |S| + 1, and their multiplicative sets hold
+    # non-units, so K and the classes are not those of an element order
+    by_label = {entry.label: entry.gr for entry in corpus}
+    rings = [
+        by_label["Z/4 x Z/9"],
+        by_label["Z/2[i] x Z/2[i]"],
+        product(
+            _z2_graded(GaussMod(2), "Z/2[i]/Z2"),
+            _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2"),
+        ),
+    ]
+    for gr in rings:
+        ring = gr.ring
+        mult_sets = enumerate_multiplicative_sets(gr)
+        assert ring.one != 1 and any(s.elements - ring.units() for s in mult_sets), gr
+        for s in mult_sets:
+            lgr, canonical = localize(gr, s)
+            lring = lgr.ring
+            tables = [list(r) for r in lring.add_rows], [list(r) for r in lring.mul_rows]
+            assert tables == oracles.localize_tables(gr, s), (gr, s)
+            names, components, mapping = oracles.localize_grading(gr, s)
+            assert [lring.name(x) for x in lring.elements()] == names, (gr, s)
+            assert lgr.components == components, (gr, s)
+            assert canonical.mapping == mapping, (gr, s)
 
 
 def test_localize_graded_ring():
