@@ -7,9 +7,11 @@ sample), the corpus build and `run_suite`.  Every sample starts from fresh
 state (rings, corpus, ideals), built without timing it.  Each row comes
 twice: `[cold]` times the first call on that state, `[warm]` a second
 call, after an untimed first one has filled the memos.  The COR_2_7 sweep
-`_cor_2_7(2, N)` builds its own rings, so its rows are cold only.  Fresh
-process: `python3 -m gradedrings.cli`, always cold.  `bench/harness.py`
-runs the rows.  Standard library only.
+`_cor_2_7(2, N)` builds its own rings, so its rows are cold only, as are
+the multiplicative-set search over the corpus and `trivial_grading` of
+Z/1024, each on rings no earlier call has read.  Fresh process:
+`python3 -m gradedrings.cli`, always cold.  `bench/harness.py` runs the
+rows.  Standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def cold_and_warm(name: str, prepare) -> dict:
 
 def rows() -> dict:
     from gradedrings.finring import Cyclic, PolyQuotient, build_ring
+    from gradedrings.grading import trivial_grading
     from gradedrings.ideals import proper_graded_ideals
     from gradedrings.transport import enumerate_multiplicative_sets, identity_subring
     from gradedrings.transport import localize, quotient
@@ -57,6 +60,14 @@ def rows() -> dict:
     def localizations():
         mult_sets = [(gr, s) for gr in graded() for s in enumerate_multiplicative_sets(gr)]
         return lambda: [localize(gr, s) for gr, s in mult_sets]
+
+    def multiplicative_sets():
+        rings = graded()
+        return lambda: [enumerate_multiplicative_sets(gr) for gr in rings]
+
+    def trivial_grading_1024():
+        ring = build_ring(Cyclic(1024))
+        return lambda: trivial_grading(ring)
 
     def identity_subrings():
         rings = graded()
@@ -75,6 +86,8 @@ def rows() -> dict:
     table |= cold_and_warm("quotient by every proper graded ideal of the corpus", quotients)
     table |= cold_and_warm("localize by every multiplicative set of the corpus", localizations)
     table |= cold_and_warm("identity_subring of every corpus ring", identity_subrings)
+    table["enumerate_multiplicative_sets of every corpus ring [cold]"] = timed(multiplicative_sets)
+    table["trivial_grading Z/1024 [cold]"] = timed(trivial_grading_1024)
     table |= cold_and_warm("default_corpus()", lambda: default_corpus)
     table |= cold_and_warm("run_suite() building its own corpus", lambda: run_suite)
     table |= cold_and_warm("run_suite()", lambda: suite(ALL_STATEMENTS))

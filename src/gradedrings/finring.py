@@ -89,6 +89,27 @@ def memo(owner, key, compute: Callable):
     return cache[key]
 
 
+def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
+    """The additive subgroup generated by `seed`, as a sum of cyclic subgroups.
+
+    Each seed element s outside the span so far contributes its multiples
+    s, 2s, ... up to the first one that lies in the span; the new span is
+    the union of the old span's translates by those multiples.
+    """
+    rows = ring.add_rows
+    out = {ring.zero}
+    for s in seed:
+        if s in out:
+            continue
+        multiples = [ring.zero]
+        plus_s, c = rows[s], s
+        while c not in out:
+            multiples.append(c)
+            c = plus_s[c]
+        out = out.union(*(map(rows[m].__getitem__, out) for m in multiples))
+    return frozenset(out)
+
+
 class FinRing:
     """Immutable finite commutative ring; all operations are pure.
 

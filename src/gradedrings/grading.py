@@ -1,9 +1,11 @@
 """Grading groups, attachment and validation of gradings, decomposition.
 
-A grading is supplied as explicit component subsets; the decomposition
-table is built by enumerating the Cartesian product of the supported
-components.  `attach_grading` validates a caller's components; the
-library's constructions, graded by construction, only build the table.
+A graded ring is its ring and its components, explicit subsets.  Graded
+ideals and Grad(I) are additive spans of homogeneous elements, so nothing
+else is stored: the decomposition of every element, the sums of one part
+per supported component, is built only by the first `decompose` call and by
+`attach_grading`, which needs it to check that the sum is direct.  The
+library's constructions are graded by construction and build no table.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     NotMultiplicative,
     NotSubgroup,
 )
-from .finring import FinRing, Record, memo
+from .finring import FinRing, Record, additive_closure, memo
 
 Degree = Union[tuple[int, ...], int]
 
@@ -73,20 +75,19 @@ Z_GRADING = GradingGroup("integers")
 
 
 class GradedRing:
-    """A FinRing plus its grading, checked by `attach_grading` or graded by construction."""
+    """A FinRing and its components R_g, keyed by normalized degree, whose
+    direct sum it is: checked by `attach_grading`, or graded by construction."""
 
     def __init__(
         self,
         ring: FinRing,
         group: GradingGroup,
         components: Mapping[Degree, frozenset[int]],
-        decomposition: list[dict[Degree, int]],
         label: str = "",
     ):
         self.ring = ring
         self.group = group
         self.components = dict(components)
-        self._decomposition = decomposition
         self.label = label or ring.label
         self.support: tuple[Degree, ...] = tuple(
             sorted(g for g, c in self.components.items() if c != frozenset({ring.zero}))
@@ -100,8 +101,23 @@ class GradedRing:
         return self.components.get(g, frozenset({self.ring.zero}))
 
     def decompose(self, x: int) -> dict[Degree, int]:
-        """The unique componentwise parts of x, over the support."""
-        return dict(self._decomposition[x])
+        """The unique componentwise parts of x, over the support.  The first
+        call builds the parts of every element."""
+        return dict(memo(self, "decomposition", self._decomposition_table)[x])
+
+    def _decomposition_table(self) -> list[dict[Degree, int]]:
+        """The parts of every element: each sum of one part per supported
+        component.  Only an element reached twice is rejected (NotDirectSum)."""
+        ring, add_rows = self.ring, self.ring.add_rows
+        table: list[dict[Degree, int] | None] = [None] * ring.size
+        for parts in itertools.product(*(sorted(self.components[g]) for g in self.support)):
+            total = ring.zero
+            for part in parts:
+                total = add_rows[total][part]
+            if table[total] is not None:
+                raise NotDirectSum(f"element {ring.name(total)} has two decompositions")
+            table[total] = dict(zip(self.support, parts))
+        return table
 
     def homogeneous(self) -> frozenset[int]:
         """h(R): the union of all components."""
@@ -123,17 +139,20 @@ class GradedRing:
         ))
 
     def radical(self, members: frozenset[int]) -> frozenset[int]:
-        """Grad of the graded ideal `members`: the elements all of whose
-        components have some power in it.  Memoized per element set."""
+        """Grad of the graded ideal I = `members`: the elements all of whose
+        components have some power in I.  Memoized per element set.
+
+        This is the span of the rooted elements, the homogeneous h with a
+        power in I.  Those of one degree g form a subgroup of R_g: 0 is
+        rooted, and if a^m, b^n lie in I, each term of (a - b)^(m+n) holds
+        a^i with i >= m or b^j with j >= n, so it lies in I.  The span of
+        these subgroups is their sum, the x whose every component is rooted."""
         def compute():
             powers = self.ring.high_powers()
             rooted = frozenset(h for h in self.homogeneous() if powers[h] in members)
             if len(self.support) == 1:  # every element is homogeneous
                 return rooted
-            return frozenset(
-                x for x, parts in enumerate(self._decomposition)
-                if rooted.issuperset(parts.values())
-            )
+            return additive_closure(self.ring, rooted)
 
         return memo(self, ("grad", members), compute)
 
@@ -188,8 +207,10 @@ def attach_grading(
         raise NotDirectSum(
             f"component sizes multiply to {sizes}, carrier has {ring.size} elements"
         )
-    # surjective once the table is built: the count above plus injectivity
-    gr = _graded_ring(ring, group, comps, label)
+    gr = GradedRing(ring, group, comps, label)
+    # building the decomposition table checks injectivity; with the count
+    # above, the sum is then direct
+    gr.decompose(ring.zero)
     for g in gr.support:
         for h in gr.support:
             gh = group.op(g, h)
@@ -207,27 +228,6 @@ def attach_grading(
     return gr
 
 
-def _graded_ring(
-    ring: FinRing, group: GradingGroup, components: Mapping[Degree, frozenset[int]], label: str
-) -> GradedRing:
-    """`ring` graded by `components` (normalized degrees) whose direct sum it is,
-    with the decomposition of each sum of one part per supported component.
-    Only an element reached twice is rejected (NotDirectSum)."""
-    supported = sorted(g for g, c in components.items() if c != frozenset({ring.zero}))
-    decomposition: list[dict[Degree, int] | None] = [None] * ring.size
-    add_rows = ring.add_rows
-    for parts in itertools.product(*(sorted(components[g]) for g in supported)):
-        total = ring.zero
-        for part in parts:
-            total = add_rows[total][part]
-        if decomposition[total] is not None:
-            raise NotDirectSum(f"element {ring.name(total)} has two decompositions")
-        decomposition[total] = dict(zip(supported, parts))
-    return GradedRing(ring, group, components, decomposition, label=label)
-
-
 def trivial_grading(ring: FinRing, group: GradingGroup = TRIVIAL_GROUP, label: str = "") -> GradedRing:
     """Everything in degree e; recovers ungraded ring theory.  Graded by construction."""
-    e = group.identity
-    decomposition = [{e: x} for x in ring.elements()]
-    return GradedRing(ring, group, {e: frozenset(ring.elements())}, decomposition, label=label)
+    return GradedRing(ring, group, {group.identity: frozenset(ring.elements())}, label=label)

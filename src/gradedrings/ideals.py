@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import BudgetExceeded, NotAnIdeal, NotGraded, NotProper, RingMismatch
-from .finring import FinRing, gather, memo
+from .finring import FinRing, additive_closure, gather, memo
 from .grading import GradedRing
 
 IDEAL_LATTICE_CAP = 4096
@@ -79,27 +79,6 @@ def validate_ideal(ring: FinRing, elements: frozenset[int]) -> None:
             raise NotAnIdeal(f"not absorbing at {ring.name(r)}*{ring.name(x)}")
 
 
-def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
-    """The additive subgroup generated by `seed`, as a sum of cyclic subgroups.
-
-    Each seed element s outside the span so far contributes its multiples
-    s, 2s, ... up to the first one that lies in the span; the new span is
-    the union of the old span's translates by those multiples.
-    """
-    rows = ring.add_rows
-    out = {ring.zero}
-    for s in seed:
-        if s in out:
-            continue
-        multiples = [ring.zero]
-        plus_s, c = rows[s], s
-        while c not in out:
-            multiples.append(c)
-            c = plus_s[c]
-        out = out.union(*(map(rows[m].__getitem__, out) for m in multiples))
-    return frozenset(out)
-
-
 def ideal_generated(ring: FinRing, gens: Iterable[int]) -> IdealSet:
     """Least ideal containing the generators: additive closure of all multiples."""
     gens = tuple(gens)
@@ -121,6 +100,12 @@ def is_graded_ideal(gr: GradedRing, ideal: IdealSet) -> tuple[bool, Optional[int
 
     On failure returns the least violating element as witness.  Memoized per
     element set; a set that is not an ideal raises NotAnIdeal on every call.
+
+    The members whose components all lie in I are exactly the span of the
+    homogeneous members, the direct sum of the I cap R_g: such a member is
+    the sum of its components, and a sum of homogeneous members has as
+    component of degree g the sum of its terms of degree g, a member.  So
+    the violators are the members outside that span.
     """
     if ideal.ring is not gr.ring:
         raise RingMismatch("ideal belongs to a different ring")
@@ -128,8 +113,8 @@ def is_graded_ideal(gr: GradedRing, ideal: IdealSet) -> tuple[bool, Optional[int
 
     def compute():
         validate_ideal(gr.ring, members)
-        ungraded = (x for x in members if not members.issuperset(gr.decompose(x).values()))
-        witness = min(ungraded, default=None)
+        span = additive_closure(gr.ring, members & gr.homogeneous())
+        witness = min(members - span, default=None)
         return witness is None, witness
 
     return memo(gr, ("graded", members), compute)

@@ -25,7 +25,7 @@ from .errors import (
     UnitNotPreserved,
 )
 from .finring import FinRing, Record, _BuiltRing, gather, product_rows
-from .grading import GradedRing, _graded_ring
+from .grading import GradedRing
 from .ideals import IdealSet, require_graded
 
 MAX_MULT_SET_SIZE = 8
@@ -184,7 +184,7 @@ def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
     components = {
         g: frozenset(coset_of[x] for x in gr.component(g)) for g in gr.support
     }
-    qgr = _graded_ring(qring, gr.group, components, qring.label)
+    qgr = GradedRing(qring, gr.group, components)
     return qgr, GradedHom(gr, qgr, tuple(coset_of))
 
 
@@ -212,7 +212,7 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
         )
         for g in degrees
     }
-    return _graded_ring(pring, gr.group, components, pring.label)
+    return GradedRing(pring, gr.group, components)
 
 
 def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHom]:
@@ -278,7 +278,7 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
         for shift, column in zip(shifts, classes):
             comp = components.setdefault(group.op(h, shift), set())
             comp.update(map(column.__getitem__, gr.component(h)))
-    lgr = _graded_ring(lring, group, {g: frozenset(c) for g, c in components.items()}, lring.label)
+    lgr = GradedRing(lring, group, {g: frozenset(c) for g, c in components.items()})
     return lgr, GradedHom(gr, lgr, canonical)
 
 
@@ -297,49 +297,38 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
         label=f"({gr.label})_e",
         names=[ring.name(x) for x in carrier],
     )
-    sgr = _graded_ring(sring, gr.group, {e: frozenset(range(len(carrier)))}, sring.label)
+    sgr = GradedRing(sring, gr.group, {e: frozenset(range(len(carrier)))})
     return sgr, GradedHom(sgr, gr, tuple(carrier))
 
 
 def enumerate_multiplicative_sets(gr: GradedRing) -> list[MultiplicativeSet]:
     """All multiplicatively closed subsets of h(R)\\{0} with 1, of size <= MAX_MULT_SET_SIZE.
 
-    Complete because any such set is a union of the closures of its own
-    elements, reachable by the union-and-close fixpoint below.
+    Found from {1} by one-element extensions: S<a> = {a^k s : k >= 0, s in S}
+    for a nonzero homogeneous a outside S, the least closed set holding S
+    and a, built layer by layer (the next layer is a times the new elements
+    of the last), and dropped once it reaches 0 or passes the cap.  Complete:
+    a closed T is {1} extended by its own elements one at a time, and every
+    step stays inside T, so never reaches 0 or passes the cap.
     """
     ring = gr.ring
     homog = sorted(x for x in gr.homogeneous() if x != ring.zero)
-
-    def closure(seed: frozenset[int]) -> Optional[frozenset[int]]:
-        out = set(seed) | {ring.one}
-        frontier = list(out)
-        while frontier:
-            x = frontier.pop()
-            for y in list(out):
-                p = ring.mul(x, y)
-                if p == ring.zero:
-                    return None
-                if p not in out:
-                    if len(out) >= MAX_MULT_SET_SIZE:
-                        return None
-                    out.add(p)
-                    frontier.append(p)
-        return frozenset(out)
-
-    found: set[frozenset[int]] = set()
-    base = closure(frozenset())
-    if base is not None:
-        found.add(base)
-    for a in homog:
-        c = closure(frozenset({a}))
-        if c is not None and len(c) <= MAX_MULT_SET_SIZE:
-            found.add(c)
-    changed = True
-    while changed:
-        changed = False
-        for s1, s2 in itertools.combinations(sorted(found, key=sorted), 2):
-            c = closure(s1 | s2)
-            if c is not None and len(c) <= MAX_MULT_SET_SIZE and c not in found:
-                found.add(c)
-                changed = True
+    found = {frozenset({ring.one})}
+    todo = list(found)
+    while todo:
+        s = todo.pop()
+        for a in homog:
+            if a in s:
+                continue
+            grown, new, times_a = set(s), s, ring.mul_rows[a]
+            while new:
+                new = set(gather(tuple(new))(times_a)).difference(grown)
+                grown |= new
+                if ring.zero in new or len(grown) > MAX_MULT_SET_SIZE:
+                    break
+            else:
+                closed = frozenset(grown)
+                if closed not in found:
+                    found.add(closed)
+                    todo.append(closed)
     return [MultiplicativeSet(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]

@@ -336,6 +336,17 @@ def has_power_in(ring, x, target):
     return False
 
 
+def is_graded_ideal(gr, ideal):
+    """Graded iff every component of every member is a member, by the
+    decomposition of each member; the witness is the least member with a
+    component outside the ideal."""
+    members = ideal.elements
+    for x in sorted(members):
+        if any(part not in members for part in gr.decompose(x).values()):
+            return False, x
+    return True, None
+
+
 def graded_radical(gr, ideal):
     ring = gr.ring
     if not ideal.is_proper():

@@ -10,7 +10,7 @@ from strategies import graded_ring
 
 from gradedrings.errors import NotAnIdeal, NotGraded
 from gradedrings.finring import MAX_CARRIER, Cyclic, GaussMod, PolyQuotient, build_ring
-from gradedrings.grading import Z2, attach_grading, trivial_grading
+from gradedrings.grading import Z2, Z_GRADING, GradingGroup, attach_grading, trivial_grading
 from gradedrings.ideals import (
     IdealSet,
     additive_closure,
@@ -125,6 +125,37 @@ def test_is_graded_ideal_rejects_non_ideals(make_graded, elements, message):
     for _ in range(2):  # an exception is never memoized: the second call raises too
         with pytest.raises(NotAnIdeal, match=message):
             is_graded_ideal(gr, IdealSet(gr.ring, elements))
+
+
+def test_is_graded_ideal_matches_oracle_on_ungraded_ideals(corpus):
+    # Ra for every a, homogeneous or not, and the sums of two of them: the
+    # span of the homogeneous members against each member's decomposition.
+    # F2[u]/(u^3) (deg u = 1 in Z) and F2[u]/(u^3-1) (deg u = 1 in Z/3) have
+    # three supported degrees; the second has ungraded ideals, the first not
+    rings = [e.gr for e in corpus if e.gr.group == Z2]
+    z3 = GradingGroup("finite_abelian", (3,))
+    three_degrees = [
+        (PolyQuotient(Cyclic(2), (0, 0, 0, 1)), Z_GRADING, (0, 1, 2)),
+        (PolyQuotient(Cyclic(2), (1, 0, 0, 1)), z3, ((0,), (1,), (2,))),
+    ]
+    for spec, group, degrees in three_degrees:
+        ring = build_ring(spec)
+        rings.append(attach_grading(ring, group, dict(zip(degrees, ({0, 1}, {0, 2}, {0, 4})))))
+    rejected = set()
+    for gr in rings:
+        ring = gr.ring
+        principals = {ideal_generated(ring, (a,)).elements for a in ring.elements()}
+        sums = {
+            combine(IdealSet(ring, i), IdealSet(ring, j), "sum").elements
+            for i, j in combinations(principals, 2)
+        }
+        for members in sorted(principals | sums, key=sorted):
+            ideal = IdealSet(ring, members)
+            expected = oracles.is_graded_ideal(gr, ideal)
+            assert is_graded_ideal(gr, ideal) == expected, (gr.label, ideal)
+            if not expected[0]:
+                rejected.add(gr.label)
+    assert rejected >= {"Z/2[i]/Z2 x Z/2[i]/Z2", rings[-1].label}, rejected
 
 
 def test_ideal_generated_rejects_index_outside_carrier():

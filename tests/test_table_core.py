@@ -148,6 +148,28 @@ def test_run_suite_validates_only_its_own_definitions(monkeypatch):
     assert calls == [("attach_grading", "_z2_graded")] * 6
 
 
+def test_decomposition_tables_only_where_read(monkeypatch):
+    # a graded ring is its components: only `attach_grading`, checking that a
+    # caller's sum is direct, and `decompose` build a decomposition table
+    built = []
+    build = grading.GradedRing._decomposition_table
+
+    def counting(gr):
+        # frames: this, memo, decompose, decompose's caller
+        built.append((gr.label, sys._getframe(3).f_code.co_name))
+        return build(gr)
+
+    monkeypatch.setattr(grading.GradedRing, "_decomposition_table", counting)
+    run_suite()
+    z2_labels = [f"Z/{n}[i]/Z2" for n in (2, 3, 4, 9)] + [f"F{p}[u]/(u^2-1)/Z2" for p in (3, 5)]
+    assert built == [(label, "attach_grading") for label in z2_labels]
+    built.clear()
+    _cor_2_7(2, 64)
+    assert cli.main(["ring", "describe", Z256]) == 0
+    assert cli.main(["ideal", "classify", Z256, "--ideal", "2"]) == 0
+    assert built == []
+
+
 def test_only_a_callers_rows_are_checked(monkeypatch):
     # the library's builders make well-formed rows; FinRing(...) checks a caller's
     checked = []

@@ -17,6 +17,7 @@ from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import Z2, attach_grading, trivial_grading
 from gradedrings.ideals import IdealSet, ideal_generated, zero_ideal
 from gradedrings.transport import (
+    MAX_MULT_SET_SIZE,
     MultiplicativeSet,
     enumerate_multiplicative_sets,
     hom_build,
@@ -215,12 +216,15 @@ def test_multiplicative_set_validation():
 
 
 def test_enumerate_multiplicative_sets_matches_brute_force():
-    for gr in (triv(6), triv(9)):
+    # Z/17's 16 units are the closed set the cap excludes; in F5[u]/(u^2-1)
+    # graded by Z2 only the homogeneous elements count
+    f5 = _z2_graded(PolyQuotient(Cyclic(5), (4, 0, 1)), "F5[u]/(u^2-1)/Z2")
+    for gr in (triv(6), triv(9), triv(12), triv(17), f5):
         ring = gr.ring
-        nonzero = [x for x in ring.elements() if x != ring.zero]
+        others = sorted(gr.homogeneous() - {ring.zero, ring.one})
         expected = set()
-        for k in range(len(nonzero) + 1):
-            for subset in combinations(nonzero, k):
+        for k in range(MAX_MULT_SET_SIZE):
+            for subset in combinations(others, k):
                 s = frozenset(subset) | {ring.one}
                 if all(ring.mul(a, b) in s for a in s for b in s):
                     expected.add(s)
