@@ -6,8 +6,12 @@ is not timed, but everything the kernels compute themselves (graded check,
 radical, masks) is.  `classify_ideal` is timed as a whole, because its
 kernels share memoized work that would be charged to whichever ran first.
 Its rows cover local rings, where every homogeneous element is nilpotent
-or a unit, and non-local ones.  The lattice rows time
-`enumerate_graded_ideals` on a fresh ring.  The replay rows time a
+or a unit, and non-local ones.  Each kernel is also timed alone on every
+proper ideal of a non-local Z/n, with the lattice and the radicals warm.
+The lattice rows time `enumerate_graded_ideals` on a fresh ring.  The
+COR_2_7 step rows time one step of the sweep over Z/2..128 (the rings, their
+units, their lattices, the strongly kernel up to the first strongly ideal),
+the earlier steps done untimed.  The replay rows time a
 statement or the whole suite on the default corpus: cold on a fresh corpus
 per sample (built untimed), warm on one corpus whose memos an untimed first
 call filled.  `bench/harness.py` runs the rows on both checkouts and writes
@@ -20,10 +24,16 @@ from harness import main, timed
 
 
 def rows() -> dict:
+    from gradedrings import classify as kernels
     from gradedrings.classify import classify_ideal, is_graded_strongly_1abs_primary
     from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
     from gradedrings.grading import trivial_grading
-    from gradedrings.ideals import enumerate_graded_ideals, ideal_generated, proper_graded_ideals
+    from gradedrings.ideals import (
+        enumerate_graded_ideals,
+        graded_radical,
+        ideal_generated,
+        proper_graded_ideals,
+    )
     from gradedrings.verifier import _cor_2_7, default_corpus, run_suite, verify
 
     def classify(spec, generator):
@@ -35,6 +45,37 @@ def rows() -> dict:
         gr = trivial_grading(build_ring(spec))
         lattice = proper_graded_ideals(gr)
         return lambda: [kernel(gr, p) for p in lattice]
+
+    def kernel_alone(kernel, n):
+        gr = trivial_grading(build_ring(Cyclic(n)))
+        lattice = proper_graded_ideals(gr)
+        for p in lattice:
+            graded_radical(gr, p)
+        return lambda: [kernel(gr, p) for p in lattice]
+
+    def cor_2_7_step(step):
+        """Z/2..128 through the sweep's steps before `step`, untimed, and
+        then `step` as the timed call."""
+        def prepare():
+            def build():
+                return [trivial_grading(build_ring(Cyclic(n))) for n in range(2, 129)]
+
+            if step == "rings":
+                return build
+            grs = build()
+            if step == "units":
+                return lambda: [gr.ring.units() for gr in grs]
+            for gr in grs:
+                gr.ring.units()
+            if step == "lattices":
+                return lambda: [enumerate_graded_ideals(gr) for gr in grs]
+            lattices = [proper_graded_ideals(gr) for gr in grs]
+            return lambda: [
+                any(is_graded_strongly_1abs_primary(gr, p)[0] for p in lattice)
+                for gr, lattice in zip(grs, lattices)
+            ]
+
+        return prepare
 
     def lattice(spec):
         gr = trivial_grading(build_ring(spec))
@@ -65,6 +106,16 @@ def rows() -> dict:
         lambda: on_every_proper_ideal(is_graded_strongly_1abs_primary, Cyclic(1024))
     )
     table["verifier._cor_2_7(2, 128)"] = timed(lambda: lambda: _cor_2_7(2, 128))
+    for step in ("rings", "units", "lattices", "strongly"):
+        table[f"COR_2_7 steps over Z/2..128: {step}"] = timed(cor_2_7_step(step))
+    for n in (720, 840, 1000):
+        for name in (
+            "is_graded_prime", "is_graded_primary", "is_graded_1abs_primary",
+            "is_graded_strongly_1abs_primary", "is_graded_2abs_primary",
+        ):
+            table[f"Z/{n} {name} on every proper ideal, warm lattice and radicals"] = timed(
+                lambda n=n, name=name: kernel_alone(getattr(kernels, name), n)
+            )
     for label, spec in (
         ("Z/1024", Cyclic(1024)),
         ("F2[u]/(u^10)", PolyQuotient(Cyclic(2), (0,) * 10 + (1,))),

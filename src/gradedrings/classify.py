@@ -7,23 +7,22 @@ ring and ideal element set.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .finring import Record, memo
 from .grading import GradedRing
 from .ideals import (
     IdealSet,
     colon_masks,
-    combine,
     graded_radical,
-    product_contained,
+    principal_graded_ideals,
     proper_graded_ideals,
     require_graded,
 )
 
 Witness = Optional[tuple[int, ...]]
 Escape = Callable[[], frozenset[int]]  # computed only when the kernel runs
-EscapeMasks = Callable[[], dict[int, int]]  # likewise; one mask per domain element
+EscapeMasks = Callable[[list[int]], dict[int, int]]  # likewise; one mask per representative
 
 FLAGS = (
     "graded_prime",
@@ -40,13 +39,24 @@ def _least(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _representatives(gr: GradedRing) -> list[int]:
+    """The least homogeneous generator of each proper principal ideal,
+    ascending, as `principal_graded_ideals` found it: one per class
+    {b : Rb = Ra}.  The kernels read x and y only through Rx and Ry: xy is
+    in P iff R(xy) = (Rx)(Ry) is, x in P (or Grad(I)) iff Rx is, and x is a
+    nonunit iff Rx is proper.  So replacing x, then y, of a violating tuple
+    by its representative, which is no larger, keeps it violating: the
+    least one has representatives as x and y.  z is read off full masks."""
+    return sorted(ra.generators[0] for ra in principal_graded_ideals(gr) if ra.is_proper())
+
+
 def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple[bool, Witness]:
     """xy in P forces x in P or y in escape(), over homogeneous pairs.
 
     Only nonunits y outside escape() can complete a violation: for a unit y,
     xy in P gives x = xy y^-1 in P.  When there are none, the ideal passes
     before any colon mask is built.  Likewise only nonunits x: for a unit x,
-    xy in P gives y in P, inside escape()."""
+    xy in P gives y in P, inside escape(); and only representatives x."""
     def compute():
         require_graded(gr, p, proper=True)
         ring, nonunits = gr.ring, gr.nonunit_homogeneous()
@@ -55,7 +65,7 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
         if not allowed:
             return True, None
         into_p = colon_masks(ring, p.elements)
-        for x in [x for x in nonunits if x not in p.elements]:
+        for x in [x for x in _representatives(gr) if x not in p.elements]:
             bad = into_p[x] & allowed
             if bad:
                 return False, (x, _least(bad))
@@ -64,26 +74,26 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
     return memo(gr, (key, p.elements), compute)
 
 
-def _triple_kernel(
-    gr: GradedRing, p: IdealSet, key: str, domain: Iterable[int], escape: EscapeMasks
-) -> tuple[bool, Witness]:
-    """xyz in P forces xy in P or z in escape()[x] | escape()[y], over domain triples.
+def _triple_kernel(gr: GradedRing, p: IdealSet, key: str, escape: EscapeMasks) -> tuple[bool, Witness]:
+    """xyz in P forces xy in P or z in esc[x] | esc[y], over nonunit
+    homogeneous triples, with esc = escape(the representatives).
 
-    The bad z of a pair: the colon mask (P : xy) on the domain, read from P's
-    one table per ring, minus the escape all pairs share (once per product),
-    then minus the pair's own.
+    x and y run over representatives only.  The bad z of a pair: the colon
+    mask (P : xy) on the domain, read from P's one table per ring, minus
+    the escape all pairs share (once per product), then minus the pair's own.
     Only z in `kept`, those that escape for no element, can be bad, so x and
     y run over the live elements, whose escape leaves some kept z: a pair
     with another element has no bad z.  With none live the ideal passes
     before any pair is scanned."""
     def compute():
         require_graded(gr, p, proper=True)
-        ring, dom, esc = gr.ring, sorted(domain), escape()
+        ring, reps = gr.ring, _representatives(gr)
+        esc = escape(reps)
         shared = -1  # every bit set
-        for x in dom:
+        for x in reps:
             shared &= esc[x]
-        kept = colon_masks(ring, frozenset(dom))[ring.one] & ~shared
-        live = [x for x in dom if kept & ~esc[x]]
+        kept = colon_masks(ring, frozenset(gr.nonunit_homogeneous()))[ring.one] & ~shared
+        live = [x for x in reps if kept & ~esc[x]]
         into_p = colon_masks(ring, p.elements)
         kept_of: dict[int, int] = {}  # (P : xy) & kept, one big-int AND per product
         for x in live:
@@ -112,22 +122,18 @@ def is_graded_primary(gr: GradedRing, q: IdealSet) -> tuple[bool, Witness]:
     return _pair_kernel(gr, q, "primary", lambda: graded_radical(gr, q).elements)
 
 
-def _everywhere(gr: GradedRing, escape: frozenset[int]) -> dict[int, int]:
-    return dict.fromkeys(gr.homogeneous(), colon_masks(gr.ring, escape)[gr.ring.one])
+def _everywhere(gr: GradedRing, escape: Escape) -> EscapeMasks:
+    return lambda reps: dict.fromkeys(reps, colon_masks(gr.ring, escape())[gr.ring.one])
 
 
 def is_graded_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad(P), over nonunit homogeneous triples."""
-    return _triple_kernel(
-        gr, p, "1abs", gr.nonunit_homogeneous(), lambda: _everywhere(gr, graded_radical(gr, p).elements)
-    )
+    return _triple_kernel(gr, p, "1abs", _everywhere(gr, lambda: graded_radical(gr, p).elements))
 
 
 def is_graded_strongly_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad({0}), over nonunit homogeneous triples."""
-    return _triple_kernel(
-        gr, p, "strongly", gr.nonunit_homogeneous(), lambda: _everywhere(gr, gr.graded_nilradical())
-    )
+    return _triple_kernel(gr, p, "strongly", _everywhere(gr, gr.graded_nilradical))
 
 
 def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
@@ -140,32 +146,35 @@ def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
     An x in Grad(I) escapes for every z, (Grad(I) : x) = R, so its colon
     mask is never built.
     """
-    def rad_colons() -> dict[int, int]:  # xz in Grad(I) iff z is in (Grad(I) : x)
+    def rad_colons(reps: list[int]) -> dict[int, int]:  # xz in Grad(I) iff z is in (Grad(I) : x)
         rad = graded_radical(gr, i).elements
         into_rad = colon_masks(gr.ring, rad)
-        return {
-            x: -1 if x in rad else into_rad[x]  # -1: every bit set
-            for x in gr.nonunit_homogeneous()
-        }
+        return {x: -1 if x in rad else into_rad[x] for x in reps}  # -1: every bit set
 
-    return _triple_kernel(gr, i, "2abs", gr.nonunit_homogeneous(), rad_colons)
+    return _triple_kernel(gr, i, "2abs", rad_colons)
 
 
 def strongly_1abs_ideal_form(
     gr: GradedRing, p: IdealSet
 ) -> tuple[bool, Optional[tuple[IdealSet, IdealSet, IdealSet]]]:
     """Ideal-form test: IJK in P forces IJ in P or K in Grad({0}),
-    over all proper graded ideals I, J, K."""
+    over all proper graded ideals I, J, K.
+
+    IJ is never built: the products gh of the g spanning I and the h
+    spanning J span it, so IJ lies in the ideal P iff they do, and IJK
+    does iff every product of one of them with a k spanning K does."""
     require_graded(gr, p, proper=True)
-    grad_zero = gr.graded_nilradical()
+    grad_zero, rows, members = gr.graded_nilradical(), gr.ring.mul_rows, p.elements
     lattice = proper_graded_ideals(gr)
     for i in lattice:
         for j in lattice:
-            ij = combine(i, j, "product")
-            if ij <= p:
+            ij = {rows[g][h] for g in i.spanning for h in j.spanning}
+            if ij <= members:
                 continue
             for k in lattice:
-                if not k.elements <= grad_zero and product_contained(ij, k, p):
+                if not k.elements <= grad_zero and all(
+                    members.issuperset(map(rows[t].__getitem__, k.spanning)) for t in ij
+                ):
                     return False, (i, j, k)
     return True, None
 

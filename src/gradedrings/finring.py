@@ -205,10 +205,18 @@ class FinRing:
             raise MalformedSpec(f"cannot parse {text!r} as an element of {self.label}") from None
 
     def units(self) -> frozenset[int]:
-        """Exactly the x with xy = 1 for some y."""
-        return memo(self, "units", lambda: frozenset(
-            x for x, row in enumerate(self._mul_table) if self.one in row
-        ))
+        """Exactly the x with xy = 1 for some y.  A row without 1 is the
+        principal ideal Rx of a nonunit x, and holds only nonunits: were rx
+        a unit u, then x(ru^-1) = 1.  So one `set.update` marks the whole
+        row, and the rows of the elements it marks are never scanned."""
+        def compute():
+            nonunits: set[int] = set()
+            for x, row in enumerate(self._mul_table):
+                if x not in nonunits and self.one not in row:
+                    nonunits.update(row)
+            return frozenset(self.elements()).difference(nonunits)
+
+        return memo(self, "units", compute)
 
     def high_powers(self) -> tuple[int, ...]:
         """x -> x^(2^m) with 2^m > size, m = size.bit_length(): the diagonal

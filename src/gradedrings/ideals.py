@@ -15,14 +15,20 @@ IDEAL_LATTICE_CAP = 4096
 
 
 class IdealSet:
-    """An ideal as its full element set, with optional generators."""
+    """An ideal as its full element set, with optional generators (its name
+    in `describe`), and `spanning`, elements that generate it: the
+    generators, a lattice sum's principals' generators, or every member."""
 
-    __slots__ = ("ring", "elements", "generators")
+    __slots__ = ("ring", "elements", "generators", "spanning")
 
-    def __init__(self, ring: FinRing, elements: Iterable[int], generators: Optional[tuple[int, ...]] = None):
+    def __init__(self, ring: FinRing, elements: Iterable[int], generators: Optional[tuple[int, ...]] = None,
+                 spanning: Optional[tuple[int, ...]] = None):
         self.ring = ring
         self.elements = frozenset(elements)
         self.generators = generators
+        if spanning is None:
+            spanning = self.elements if generators is None else generators
+        self.spanning = spanning
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealSet):
@@ -170,12 +176,13 @@ def _members(mask: int) -> list[int]:
 
 
 def colon(ring: FinRing, p: IdealSet, k: IdealSet) -> IdealSet:
-    """(P : K) = {r : rK subset of P}, the intersection of (P : x) over x in K."""
+    """(P : K) = {r : rK subset of P}, the AND of (P : g) over the g spanning
+    K: for an ideal P, each rg in P gives r(s_1 g_1 + ... + s_m g_m) in P."""
     if p.ring is not ring or k.ring is not ring:
         raise RingMismatch("colon operands from different rings")
     masks = colon_masks(ring, p.elements)
     out = (1 << ring.size) - 1
-    for x in k.elements:
+    for x in k.spanning:
         out &= masks[x]
     return IdealSet(ring, _members(out))
 
@@ -206,9 +213,10 @@ def combine(i: IdealSet, j: IdealSet, op: CombineOp) -> IdealSet:
 
 
 def product_contained(i: IdealSet, j: IdealSet, p: IdealSet) -> bool:
-    """IJ subset of P, decided on generators (valid since P is an ideal)."""
+    """IJ subset of P, decided on the products gh of the g spanning I and
+    the h spanning J: they span IJ, and P is an ideal."""
     rows = i.ring.mul_rows
-    return all(p.elements.issuperset(map(rows[x].__getitem__, j.elements)) for x in i.elements)
+    return all(p.elements.issuperset(map(rows[g].__getitem__, j.spanning)) for g in i.spanning)
 
 
 def _lattice_order(ideal: IdealSet) -> tuple:
@@ -217,6 +225,7 @@ def _lattice_order(ideal: IdealSet) -> tuple:
 
 def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
     """Ra for homogeneous a, one per ideal with its least generator, sorted.
+    Memoized per graded ring; callers only read the list.
 
     Row a of the multiplication table is Ra, and Rb = Ra exactly when b = ua
     for a unit u, so the generators of Ra are row a read at the units.  Each
@@ -228,15 +237,18 @@ def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
     a = rb and b = sa.  If a = 0, then b = 0 = 1a.  Otherwise (1 - rs)a = 0
     makes 1 - rs a nonunit; the nonunits of a local ring form an ideal, which
     does not hold 1 = rs + (1 - rs), so rs is a unit, and so is s."""
-    ring = gr.ring
-    rows, at_units = ring.mul_rows, gather(sorted(ring.units()))
-    generated: set[int] = set()  # the b with Rb = Ra for an a already built
-    out = []
-    for a in sorted(gr.homogeneous()):
-        if a not in generated:
-            generated.update(at_units(rows[a]))
-            out.append(IdealSet(ring, rows[a], generators=(a,)))
-    return sorted(out, key=_lattice_order)
+    def compute():
+        ring = gr.ring
+        rows, at_units = ring.mul_rows, gather(sorted(ring.units()))
+        generated: set[int] = set()  # the b with Rb = Ra for an a already built
+        out = []
+        for a in sorted(gr.homogeneous()):
+            if a not in generated:
+                generated.update(at_units(rows[a]))
+                out.append(IdealSet(ring, rows[a], generators=(a,)))
+        return sorted(out, key=_lattice_order)
+
+    return memo(gr, "principal_graded_ideals", compute)
 
 
 def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
@@ -247,29 +259,47 @@ def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
     elements, so it is a sum of such Ra.  Results are cached on the graded
     ring and sorted for determinism.  Being such sums, the members are
     graded by construction: each is recorded as graded, never re-checked.
+
+    Members are int masks, each spanned by the least generators of the
+    principals it sums.  As additive groups (I + Ra)/Ra is I/(I cap Ra), so
+    |I + Ra| = |I| |Ra| / |I cap Ra|, and I + Ra, the least ideal holding I
+    and Ra, is any member of that order holding both.  Only when there is
+    none is the sum built, and it is new.
     """
     def compute():
+        ring = gr.ring
         # R0 = {0} is among the principal ideals, since 0 is homogeneous
         principals = principal_graded_ideals(gr)
-        seen = {ideal.elements: ideal for ideal in principals}
-        frontier = list(principals)
+        masks = [sum(map((1).__lshift__, ra.elements)) for ra in principals]
+        members, of_order = list(principals), {}  # of_order: the members' masks by order
+        for ra, m in zip(principals, masks):
+            of_order.setdefault(len(ra), []).append(m)
+        frontier = list(zip(principals, masks))
         while frontier:
-            if len(seen) > IDEAL_LATTICE_CAP:
+            if len(members) > IDEAL_LATTICE_CAP:
                 raise BudgetExceeded(f"graded ideal lattice exceeds cap {IDEAL_LATTICE_CAP}")
-            current = frontier.pop()
-            for principal in principals:
-                if principal.elements <= current.elements:
+            current, cm = frontier.pop()
+            for ra, m in zip(principals, masks):
+                both = cm | m
+                if both == cm or both == m:  # I + Ra is I or Ra
                     continue
-                s = combine(current, principal, "sum")
-                if s.elements not in seen:
-                    seen[s.elements] = s
-                    frontier.append(s)
-        for members in seen:
-            memo(gr, ("graded", members), lambda: (True, None))
-        return sorted(seen.values(), key=_lattice_order)
+                order = len(current) * len(ra) // (cm & m).bit_count()
+                for k in of_order.get(order, ()):
+                    if k & both == both:  # I + Ra is a member
+                        break
+                else:
+                    s = IdealSet(ring, combine(current, ra, "sum").elements,
+                                 spanning=(*current.spanning, *ra.spanning))
+                    frontier.append((s, sum(map((1).__lshift__, s.elements))))
+                    of_order.setdefault(order, []).append(frontier[-1][1])
+                    members.append(s)
+        for s in members:
+            memo(gr, ("graded", s.elements), lambda: (True, None))
+        return sorted(members, key=_lattice_order)
 
     return memo(gr, "graded_ideal_lattice", compute)
 
 
 def proper_graded_ideals(gr: GradedRing) -> list[IdealSet]:
-    return [ideal for ideal in enumerate_graded_ideals(gr) if ideal.is_proper()]
+    """The proper lattice members, memoized next to the lattice; callers only read it."""
+    return memo(gr, "proper", lambda: [i for i in enumerate_graded_ideals(gr) if i.is_proper()])

@@ -475,3 +475,20 @@ def is_graded_2abs_primary(gr, i):
                 ):
                     return False, (x, y, z)
     return True, None
+
+
+def strongly_1abs_ideal_form(gr, p):
+    """IJK in P forces IJ in P or K in Grad({0}), over the proper members
+    of the oracle lattice, with IJ and IJK built as products."""
+    require_graded(gr, p, proper=True)
+    grad_zero = graded_radical(gr, IdealSet(gr.ring, {gr.ring.zero})).elements
+    lattice = [i for i in enumerate_graded_ideals(gr) if i.is_proper()]
+    for i in lattice:
+        for j in lattice:
+            ij = combine(i, j, "product")
+            if ij.elements <= p.elements:
+                continue
+            for k in lattice:
+                if not k.elements <= grad_zero and combine(ij, k, "product").elements <= p.elements:
+                    return False, (i, j, k)
+    return True, None

@@ -189,20 +189,23 @@ def test_classify_builds_few_masks_on_a_local_ring(monkeypatch, generator, most)
 @pytest.mark.parametrize("generator", [2, 16])
 def test_kernels_scan_in_full_on_a_non_local_ring(monkeypatch, generator):
     # Z/720 has homogeneous elements neither nilpotent nor units: no early
-    # exit fires and a passing ideal reads the masks of the full scan, each
+    # exit fires and a passing ideal reads the masks of the full scan over
+    # the class representatives, the divisors d < 720 of 720 and 0, each
     # (T : w) built once per ring and set T, whichever kernel reads it first
+    primary, one_abs = {2: (7, 16), 16: (25, 50)}[generator]  # masks built
     gr = triv(720)
-    ring, nonunits = gr.ring, gr.nonunit_homogeneous()
+    ring, reps = gr.ring, classify._representatives(gr)
+    assert reps == [0] + [d for d in range(2, 720) if 720 % d == 0]
     p = ideal_generated(ring, (generator,))
     built = count_masks(monkeypatch)
     assert is_graded_primary(gr, p)[0]
-    outside = set(nonunits) - p.elements
-    # (nonunits : 1) and (Grad(P) : 1), then a (P : x) per nonunit x outside P
-    assert len(built) == 2 + len(outside)
+    outside = set(reps) - p.elements
+    # (nonunits : 1) and (Grad(P) : 1), then a (P : x) per representative x outside P
+    assert len(built) == 2 + len(outside) == primary
     assert is_graded_1abs_primary(gr, p)[0]
-    products = {ring.mul(x, y) for x in nonunits for y in nonunits} - p.elements
+    products = {ring.mul(x, y) for x in reps for y in reps} - p.elements
     # one (P : xy) per product outside P; the two sets' masks are shared
-    assert len(built) == len(set(built)) == 2 + len(outside | products)
+    assert len(built) == len(set(built)) == 2 + len(outside | products) == one_abs
     for kernel in (is_graded_prime, is_graded_strongly_1abs_primary, is_graded_2abs_primary):
         kernel(gr, p)
     assert len(built) == len(set(built))
