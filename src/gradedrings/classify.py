@@ -74,25 +74,33 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
     return memo(gr, (key, p.elements), compute)
 
 
-def _triple_kernel(gr: GradedRing, p: IdealSet, key: str, escape: EscapeMasks) -> tuple[bool, Witness]:
+def _triple_kernel(
+    gr: GradedRing, p: IdealSet, key: str, escape: Escape, by_x: Optional[EscapeMasks] = None
+) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in esc[x] | esc[y], over nonunit
-    homogeneous triples, with esc = escape(the representatives).
+    homogeneous triples: esc[x] is escape(), or by_x(representatives)[x]
+    when given, a colon (escape() : x), which holds the ideal escape().
 
-    x and y run over representatives only.  The bad z of a pair: the colon
-    mask (P : xy) on the domain, read from P's one table per ring, minus
-    the escape all pairs share (once per product), then minus the pair's own.
-    Only z in `kept`, those that escape for no element, can be bad, so x and
-    y run over the live elements, whose escape leaves some kept z: a pair
-    with another element has no bad z.  With none live the ideal passes
-    before any pair is scanned."""
+    Only z in `kept` can be bad: outside escape(), then outside the escape
+    all elements share.  With none the ideal passes before the
+    representatives are read.  x and y run over the live representatives,
+    whose escape leaves some kept z: a pair with another element has no
+    bad z.  The bad z of a pair: the colon mask (P : xy) on the domain,
+    read from P's one table per ring, minus the shared escape (once per
+    product), then minus the pair's own."""
     def compute():
         require_graded(gr, p, proper=True)
-        ring, reps = gr.ring, _representatives(gr)
-        esc = escape(reps)
+        ring, one = gr.ring, gr.ring.one
+        floor = colon_masks(ring, escape())[one]
+        kept = colon_masks(ring, frozenset(gr.nonunit_homogeneous()))[one] & ~floor
+        if not kept:
+            return True, None
+        reps = _representatives(gr)
+        esc = dict.fromkeys(reps, floor) if by_x is None else by_x(reps)
         shared = -1  # every bit set
         for x in reps:
             shared &= esc[x]
-        kept = colon_masks(ring, frozenset(gr.nonunit_homogeneous()))[ring.one] & ~shared
+        kept &= ~shared
         live = [x for x in reps if kept & ~esc[x]]
         into_p = colon_masks(ring, p.elements)
         kept_of: dict[int, int] = {}  # (P : xy) & kept, one big-int AND per product
@@ -122,18 +130,14 @@ def is_graded_primary(gr: GradedRing, q: IdealSet) -> tuple[bool, Witness]:
     return _pair_kernel(gr, q, "primary", lambda: graded_radical(gr, q).elements)
 
 
-def _everywhere(gr: GradedRing, escape: Escape) -> EscapeMasks:
-    return lambda reps: dict.fromkeys(reps, colon_masks(gr.ring, escape())[gr.ring.one])
-
-
 def is_graded_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad(P), over nonunit homogeneous triples."""
-    return _triple_kernel(gr, p, "1abs", _everywhere(gr, lambda: graded_radical(gr, p).elements))
+    return _triple_kernel(gr, p, "1abs", lambda: graded_radical(gr, p).elements)
 
 
 def is_graded_strongly_1abs_primary(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
     """xyz in P forces xy in P or z in Grad({0}), over nonunit homogeneous triples."""
-    return _triple_kernel(gr, p, "strongly", _everywhere(gr, gr.graded_nilradical))
+    return _triple_kernel(gr, p, "strongly", gr.graded_nilradical)
 
 
 def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
@@ -151,7 +155,7 @@ def is_graded_2abs_primary(gr: GradedRing, i: IdealSet) -> tuple[bool, Witness]:
         into_rad = colon_masks(gr.ring, rad)
         return {x: -1 if x in rad else into_rad[x] for x in reps}  # -1: every bit set
 
-    return _triple_kernel(gr, i, "2abs", rad_colons)
+    return _triple_kernel(gr, i, "2abs", lambda: graded_radical(gr, i).elements, rad_colons)
 
 
 def strongly_1abs_ideal_form(

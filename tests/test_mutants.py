@@ -26,9 +26,7 @@ from gradedrings.ideals import graded_radical
 
 def strongly_escaping_into_grad_p(gr, p):
     """The strongly kernel with Grad(P) in place of Grad({0}) as its escape."""
-    return classify._triple_kernel(
-        gr, p, "mutant strongly", classify._everywhere(gr, lambda: graded_radical(gr, p).elements)
-    )
+    return classify._triple_kernel(gr, p, "mutant strongly", lambda: graded_radical(gr, p).elements)
 
 
 # both strongly mutants are the 1-absorbing kernel, so they fail alike
