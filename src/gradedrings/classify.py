@@ -257,7 +257,7 @@ def ring_predicates(gr: GradedRing) -> RingProfile:
 
 
 class ClassificationReport(Record):
-    __slots__ = ("ideal", "flags", "witnesses", "radical", "ring_label")
+    __slots__ = ("ideal", "flags", "witnesses", "radical")
 
     def __init__(
         self,
@@ -265,18 +265,16 @@ class ClassificationReport(Record):
         flags: dict[str, bool],
         witnesses: dict[str, tuple[int, ...]],
         radical: IdealSet,
-        ring_label: str = "",
     ):
         self.ideal = ideal
         self.flags = flags
         self.witnesses = witnesses
         self.radical = radical
-        self.ring_label = ring_label
 
     def to_dict(self, gr: GradedRing) -> dict:
         name = gr.ring.name
         return {
-            "ring": self.ring_label or gr.label,
+            "ring": gr.label,
             "ideal": sorted(name(x) for x in self.ideal.elements),
             "flags": dict(self.flags),
             "witnesses": {
@@ -295,26 +293,13 @@ def classify_ideal(gr: GradedRing, p: IdealSet) -> ClassificationReport:
         flags[flag], witness = flag_value(gr, p, flag)
         if witness is not None:
             witnesses[flag] = witness
-    return ClassificationReport(
-        ideal=p,
-        flags=flags,
-        witnesses=witnesses,
-        radical=graded_radical(gr, p),
-        ring_label=gr.label,
-    )
+    return ClassificationReport(p, flags, witnesses, graded_radical(gr, p))
 
 
 def flag_value(gr: GradedRing, p: IdealSet, flag: str) -> tuple[bool, Witness]:
-    """Evaluate one classification flag by name."""
-    # built per call so that rebinding a module-level kernel takes effect
-    table = {
-        "graded_prime": is_graded_prime,
-        "graded_primary": is_graded_primary,
-        "graded_1abs_primary": is_graded_1abs_primary,
-        "graded_2abs_primary": is_graded_2abs_primary,
-        "graded_strongly_1abs_primary": is_graded_strongly_1abs_primary,
-        "graded_maximal": lambda gr, p: (is_graded_maximal(gr, p), None),
-    }
-    if flag not in table:
+    """Evaluate one classification flag by name with the kernel `is_<flag>`,
+    read from this module on each call, so that a rebound kernel is used."""
+    if flag not in FLAGS:
         raise ValueError(f"unknown flag {flag!r}; choose from {FLAGS}")
-    return table[flag](gr, p)
+    value = globals()[f"is_{flag}"](gr, p)
+    return (value, None) if flag == "graded_maximal" else value

@@ -133,14 +133,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
-    from .verifier import ALL_STATEMENTS, run_suite
+    from .verifier import ALL_STATEMENTS, DEFAULT_RANGE, run_suite
 
     if args.range and args.statement not in ("COR_2_7", "all"):
         raise MalformedSpec(f"--range applies to COR_2_7 and all, not to {args.statement}")
     if args.corpus and args.statement == "COR_2_7":
         raise MalformedSpec("--corpus does not apply to COR_2_7, which sweeps Z/n over --range")
     corpus = _load_corpus(args.corpus)
-    n_range = _parse_range(args.range) if args.range else (2, 64)
+    n_range = _parse_range(args.range) if args.range else DEFAULT_RANGE
     ids = ALL_STATEMENTS if args.statement == "all" else (args.statement,)
     reports = run_suite(ids, corpus=corpus, n_range=n_range)
     if args.format == "json":

@@ -291,20 +291,16 @@ class FinRing:
 
 class _BuiltRing(FinRing):
     """A ring whose rows the library built: `FinRing.__init__` runs every
-    check but `_check_rows`.  Each builder's rows are `size` lists of `size`
-    ints in range(size), because every cell is read from a list of such ints:
+    check but `_check_rows`.  Each of the three builders makes `size` rows
+    of `size` cells, and every cell is read from a list of ints in
+    range(size):
 
-    - `_poly_ring`: one row of m^d cells per element; each addition cell is
-      an entry of a rotation of range(m) or a pair index of `product_rows`,
-      and each multiplication cell is 0, an entry of range(m) or an entry
-      of an addition row.
-    - `transport.quotient`, `localize` and `identity_subring`: `_rows_through`
-      gives one row per new element, each the parent's row read at the new
-      carrier and renumbered by a list (`coset_of`, the canonical map a ->
-      a/1) or a dict (`back`, over R_e, which holds its sums and products)
-      whose values are exactly range(new size).
-    - `transport.product`: `product_rows` gathers from `range(|R| |S|)`, one
-      row per pair.
+    - `_poly_ring`: each addition cell is an entry of a rotation of range(m)
+      or a pair index of `product_rows`, and each multiplication cell is 0,
+      an entry of range(m) or an entry of an addition row.
+    - `induced_ring`: each cell is a value of `index_of`, and it checks
+      those values itself.
+    - `product_ring`: `product_rows` gathers from `range(|R| |S|)`.
     """
 
     _rows_checked = False
@@ -367,11 +363,16 @@ def _check_rows(size: int, rows, what: str) -> None:
         and all(isinstance(row, list) and len(row) == size for row in rows)
     ):
         raise MalformedSpec(f"{what} table is not {size} lists of {size} entries")
+    if not _ints_in_range(size, rows):
+        raise MalformedSpec(f"{what} table has an entry that is not an int in range({size})")
+
+
+def _ints_in_range(size: int, rows) -> bool:
+    """Whether every entry of every row is an int in range(size)."""
     values = frozenset(range(size))
     # 1.0, Fraction(1) or Decimal(1) would pass the membership test, as they
     # equal an int in range; any of them makes the sum something else than an int
-    if not all(map(values.issuperset, rows)) or type(sum(map(sum, rows))) is not int:
-        raise MalformedSpec(f"{what} table has an entry that is not an int in range({size})")
+    return all(map(values.issuperset, rows)) and type(sum(map(sum, rows))) is int
 
 
 def _check_carrier(size: int) -> None:
@@ -408,6 +409,35 @@ def product_rows(rows1: Sequence[Sequence[int]], rows2: Sequence[Sequence[int]])
                 row += at(block)
             out.append(row)
     return out
+
+
+def induced_ring(
+    ring: FinRing, carrier: Sequence[int], index_of, *, label: str, names: Sequence[str]
+) -> FinRing:
+    """The ring on `carrier`, elements of `ring`: element i is carrier[i], and
+    i op j is index_of[carrier[i] op carrier[j]], `index_of` a list over the
+    parent or a dict over the carrier's sums and products.  Every cell is a
+    value of `index_of`, so one check of those values checks the rows."""
+    size, along = len(carrier), gather(carrier)
+    if not _ints_in_range(size, [index_of.values() if isinstance(index_of, dict) else index_of]):
+        raise MalformedSpec(f"{label}: index_of holds a value that is not an int in range({size})")
+    add, mul = (
+        [list(gather(along(rows[c]))(index_of)) for c in carrier]
+        for rows in (ring.add_rows, ring.mul_rows)
+    )
+    return _BuiltRing(
+        size, add, mul, one=index_of[ring.one], zero=index_of[ring.zero], label=label, names=names
+    )
+
+
+def product_ring(r1: FinRing, r2: FinRing, label: str) -> FinRing:
+    """R x S, the pair (a, b) at index a*|S| + b, named (a,b)."""
+    n2, size = r2.size, r1.size * r2.size
+    return _BuiltRing(
+        size, product_rows(r1.add_rows, r2.add_rows), product_rows(r1.mul_rows, r2.mul_rows),
+        one=r1.one * n2 + r2.one, zero=r1.zero * n2 + r2.zero, label=label,
+        names=[f"({r1.name(x // n2)},{r2.name(x % n2)})" for x in range(size)],
+    )
 
 
 def _digit_add_rows(m: int, d: int) -> list[list[int]]:

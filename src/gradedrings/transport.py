@@ -2,11 +2,12 @@
 
 Quotients, products, localizations and the identity-component subring are
 graded, and their canonical maps graded homomorphisms, by construction, so
-neither is checked; `hom_build` checks a caller's map.  Their rows are well
-formed by construction too, so their rings are `_BuiltRing`s.  Nothing
-here is memoized: every call builds its ring again, so a caller that needs
-what a construction shows more than once keeps that result, not the ring
-(the verifier keeps counts and witness names per parent ring).
+neither is checked; `hom_build` checks a caller's map.  This module finds
+their cosets, classes, components and canonical maps, and `finring` builds
+their tables (`induced_ring`, `product_ring`).  Nothing here is memoized:
+every call builds its ring again, so a caller that needs what a
+construction shows more than once keeps that result, not the ring (the
+verifier keeps counts and witness names per parent ring).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NotSurjective,
     UnitNotPreserved,
 )
-from .finring import FinRing, Record, _BuiltRing, gather, product_rows
+from .finring import FinRing, Record, gather, induced_ring, product_ring
 from .grading import GradedRing
 from .ideals import IdealSet, require_graded
 
@@ -160,26 +161,14 @@ def _cosets(ring: FinRing, k: Iterable[int]) -> tuple[list[int], list[int]]:
     return coset_of, reps
 
 
-def _rows_through(rows, carrier: list[int], index_of) -> list[list[int]]:
-    """The table on `carrier` (elements of the parent) that `rows` induce,
-    each product renumbered by `index_of`: row i holds index_of[c_i op c_j]."""
-    along = gather(carrier)
-    return [list(gather(along(rows[c]))(index_of)) for c in carrier]
-
-
 def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
     """R/K with (R/K)_g = (R_g + K)/K, plus the projection."""
     require_graded(gr, k, proper=True)
     ring = gr.ring
     coset_of, reps = _cosets(ring, k.elements)
-    qring = _BuiltRing(
-        len(reps),
-        _rows_through(ring.add_rows, reps, coset_of),
-        _rows_through(ring.mul_rows, reps, coset_of),
-        one=coset_of[ring.one],
-        zero=coset_of[ring.zero],
-        label=f"{gr.label}/{k.describe()}",
-        names=[f"[{ring.name(r)}]" for r in reps],
+    qring = induced_ring(
+        ring, reps, coset_of,
+        label=f"{gr.label}/{k.describe()}", names=[f"[{ring.name(r)}]" for r in reps],
     )
     components = {
         g: frozenset(coset_of[x] for x in gr.component(g)) for g in gr.support
@@ -192,19 +181,8 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
     """R x S with (R x S)_g = R_g x S_g."""
     if gr.group != gs.group:
         raise GroupMismatch("product requires the same grading group")
-    r1, r2 = gr.ring, gs.ring
-    n2 = r2.size
-    size = r1.size * n2
-    names = [f"({r1.name(x // n2)},{r2.name(x % n2)})" for x in range(size)]
-    pring = _BuiltRing(
-        size,
-        product_rows(r1.add_rows, r2.add_rows),
-        product_rows(r1.mul_rows, r2.mul_rows),
-        one=r1.one * n2 + r2.one,
-        zero=r1.zero * n2 + r2.zero,
-        label=f"{gr.label} x {gs.label}",
-        names=names,
-    )
+    pring = product_ring(gr.ring, gs.ring, f"{gr.label} x {gs.label}")
+    n2 = gs.ring.size
     degrees = sorted(set(gr.support) | set(gs.support))
     components = {
         g: frozenset(
@@ -262,12 +240,8 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
     # a t^-1 * b u^-1 under a -> a/1, so the parent's rows at those elements
     # give both tables
     values = [mul[a][inverse[t]] for a, t in reps]
-    lring = _BuiltRing(
-        len(reps),
-        _rows_through(ring.add_rows, values, canonical),
-        _rows_through(mul, values, canonical),
-        one=canonical[ring.one],
-        zero=canonical[ring.zero],
+    lring = induced_ring(
+        ring, values, canonical,
         label=f"Localize({gr.label}, {{{','.join(ring.name(t) for t in slist)}}})",
         names=names,
     )
@@ -288,14 +262,8 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
     e = gr.group.identity
     carrier = sorted(gr.component(e))
     back = {x: i for i, x in enumerate(carrier)}
-    sring = _BuiltRing(
-        len(carrier),
-        _rows_through(ring.add_rows, carrier, back),
-        _rows_through(ring.mul_rows, carrier, back),
-        one=back[ring.one],
-        zero=back[ring.zero],
-        label=f"({gr.label})_e",
-        names=[ring.name(x) for x in carrier],
+    sring = induced_ring(
+        ring, carrier, back, label=f"({gr.label})_e", names=[ring.name(x) for x in carrier]
     )
     sgr = GradedRing(sring, gr.group, {e: frozenset(range(len(carrier)))})
     return sgr, GradedHom(sgr, gr, tuple(carrier))

@@ -53,21 +53,13 @@ from .transport import (
 class VerificationReport(Record):
     __slots__ = ("statement_id", "subject", "outcome", "counters", "witnesses", "notes")
 
-    def __init__(
-        self,
-        statement_id: str,
-        subject: str,
-        outcome: str = "PASS",  # PASS | FAIL | VACUOUS
-        counters: Optional[dict[str, int]] = None,
-        witnesses: Optional[list[dict]] = None,
-        notes: Optional[list[str]] = None,
-    ):
+    def __init__(self, statement_id: str, subject: str):
         self.statement_id = statement_id
         self.subject = subject
-        self.outcome = outcome
-        self.counters = {} if counters is None else counters
-        self.witnesses = [] if witnesses is None else witnesses
-        self.notes = [] if notes is None else notes
+        self.outcome = "PASS"  # PASS | FAIL | VACUOUS
+        self.counters: dict[str, int] = {}
+        self.witnesses: list[dict] = []
+        self.notes: list[str] = []
 
     def fail(self, **witness) -> None:
         self.outcome = "FAIL"
@@ -615,13 +607,14 @@ RING_STATEMENTS: dict[str, RingStatement] = {
 }
 
 ALL_STATEMENTS = tuple(sorted(RING_STATEMENTS)) + ("COR_2_7", "COR_2_8")
+DEFAULT_RANGE = (2, 64)  # the n of the Z/n that COR_2_7 sweeps unless told otherwise
 
 
 def verify(
     statement_id: str,
     *,
     corpus: Optional[list[CorpusEntry]] = None,
-    n_range: tuple[int, int] = (2, 64),
+    n_range: tuple[int, int] = DEFAULT_RANGE,
 ) -> list[VerificationReport]:
     """Run one statement over the corpus (by default `default_corpus()`);
     COR_2_7 sweeps Z/n for n in `n_range` instead and reads no corpus."""
@@ -640,7 +633,7 @@ def verify(
 def run_suite(
     statement_ids: Iterable[str] = ALL_STATEMENTS,
     corpus: Optional[list[CorpusEntry]] = None,
-    n_range: tuple[int, int] = (2, 64),
+    n_range: tuple[int, int] = DEFAULT_RANGE,
 ) -> list[VerificationReport]:
     """Run each statement in turn over one corpus, built once if not given."""
     if corpus is None:

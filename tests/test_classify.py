@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import oracles
 import pytest
 from hypothesis import given, settings
 
-from gradedrings import classify, ideals
+from gradedrings import classify, ideals, verifier
 from gradedrings.classify import (
     classify_ideal,
     is_graded_1abs_primary,
@@ -314,3 +316,24 @@ def test_kernels_match_oracles_on_generated_rings(gr):
                      "is_graded_strongly_1abs_primary", "is_graded_2abs_primary"):
             expected = getattr(oracles, name)(gr, p)
             assert getattr(classify, name)(gr, p) == expected, (gr.label, p, name)
+
+
+def test_unknown_flag_names_the_flags():
+    g6 = triv(6)
+    with pytest.raises(ValueError, match=re.escape(str(classify.FLAGS))):
+        classify.flag_value(g6, IdealSet(g6.ring, {0, 3}), "graded_semiprime")
+
+
+def test_a_rebound_kernel_is_seen_by_every_flag_reader(monkeypatch):
+    # flag_value reads `is_<flag>` from classify on each call, so one
+    # rebinding reaches classify_ideal and the counterexample search
+    g6 = triv(6)
+    monkeypatch.setattr(classify, "is_graded_prime", lambda gr, p: (False, (0, 0)))
+    report = classify_ideal(g6, IdealSet(g6.ring, {0, 3}))
+    assert (report.flags["graded_prime"], report.witnesses["graded_prime"]) == (False, (0, 0))
+    found = verifier.search_counterexample(
+        [verifier.CorpusEntry("Z/6", g6)], "graded_maximal", "graded_prime"
+    )
+    assert [(hit["ideal"], hit["witness"]) for hit in found] == [
+        (["0", "3"], ["0", "0"]), (["0", "2", "4"], ["0", "0"])
+    ]

@@ -424,3 +424,23 @@ def test_malformed_rows_rejected(add_rows):
 def test_identities_outside_the_carrier_rejected(zero, one):
     with pytest.raises(MalformedSpec, match="not in range"):
         FinRing(3, ADD3, MUL3, zero=zero, one=one)
+
+
+@pytest.mark.parametrize(
+    "index_of",
+    [[0, 1, 0, -1], [0, 1, 0, 2], [0, 1, 0, 1.0], {0: 0, 1: 1, 2: 0, 3: 2}],
+    ids=["negative", "size", "float", "dict-size"],
+)
+def test_induced_ring_rejects_a_renumbering_out_of_range(index_of):
+    # Z/4 onto {0, 1} by x -> x mod 2: a value outside range(2) would reach the rows
+    z4 = build_ring(Cyclic(4))
+    with pytest.raises(MalformedSpec, match=r"not an int in range\(2\)"):
+        finring.induced_ring(z4, [0, 1], index_of, label="Z/4/(2)", names=["[0]", "[1]"])
+
+
+def test_induced_ring_renumbers_the_parent_rows():
+    z4 = build_ring(Cyclic(4))
+    for index_of in ([0, 1, 0, 1], {0: 0, 1: 1, 2: 0, 3: 1}):
+        z2 = finring.induced_ring(z4, [0, 1], index_of, label="Z/4/(2)", names=["[0]", "[1]"])
+        assert rows(z2) == rows(build_ring(Cyclic(2)))
+        assert (z2.one, z2.zero, z2.label, z2.name(1)) == (1, 0, "Z/4/(2)", "[1]")
