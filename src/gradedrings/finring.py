@@ -418,11 +418,13 @@ def induced_ring(
     i op j is index_of[carrier[i] op carrier[j]], `index_of` a list over the
     parent or a dict over the carrier's sums and products.  Every cell is a
     value of `index_of`, so one check of those values checks the rows."""
-    size, along = len(carrier), gather(carrier)
+    size = len(carrier)
+    _check_carrier(size)  # size >= 2, so itemgetter gives tuples, as `gather` does
     if not _ints_in_range(size, [index_of.values() if isinstance(index_of, dict) else index_of]):
         raise MalformedSpec(f"{label}: index_of holds a value that is not an int in range({size})")
+    along = itemgetter(*carrier)
     add, mul = (
-        [list(gather(along(rows[c]))(index_of)) for c in carrier]
+        [list(itemgetter(*along(rows[c]))(index_of)) for c in carrier]
         for rows in (ring.add_rows, ring.mul_rows)
     )
     return _BuiltRing(

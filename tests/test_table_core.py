@@ -436,11 +436,3 @@ def test_induced_ring_rejects_a_renumbering_out_of_range(index_of):
     z4 = build_ring(Cyclic(4))
     with pytest.raises(MalformedSpec, match=r"not an int in range\(2\)"):
         finring.induced_ring(z4, [0, 1], index_of, label="Z/4/(2)", names=["[0]", "[1]"])
-
-
-def test_induced_ring_renumbers_the_parent_rows():
-    z4 = build_ring(Cyclic(4))
-    for index_of in ([0, 1, 0, 1], {0: 0, 1: 1, 2: 0, 3: 1}):
-        z2 = finring.induced_ring(z4, [0, 1], index_of, label="Z/4/(2)", names=["[0]", "[1]"])
-        assert rows(z2) == rows(build_ring(Cyclic(2)))
-        assert (z2.one, z2.zero, z2.label, z2.name(1)) == (1, 0, "Z/4/(2)", "[1]")
