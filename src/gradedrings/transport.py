@@ -12,6 +12,7 @@ verifier keeps counts and witness names per parent ring).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Literal, Optional
 
@@ -61,17 +62,22 @@ class MultiplicativeSet(Record):
 
 class GradedHom:
     """A degree-preserving ring homomorphism: a caller's map checked by
-    `hom_build`, or the canonical map of a construction."""
+    `hom_build`, or the canonical map of a construction.  Its image and
+    kernel are computed when first read."""
 
     def __init__(self, source: GradedRing, target: GradedRing, mapping: tuple[int, ...]):
         self.source = source
         self.target = target
         self.mapping = mapping
-        self.image = frozenset(mapping)
-        kernel_elems = frozenset(
-            x for x in source.ring.elements() if mapping[x] == target.ring.zero
-        )
-        self.kernel = IdealSet(source.ring, kernel_elems)
+
+    @functools.cached_property
+    def image(self) -> frozenset[int]:
+        return frozenset(self.mapping)
+
+    @functools.cached_property
+    def kernel(self) -> IdealSet:
+        ring, mapping, zero = self.source.ring, self.mapping, self.target.ring.zero
+        return IdealSet(ring, (x for x in ring.elements() if mapping[x] == zero))
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]

@@ -1,5 +1,7 @@
 """Replays each numbered statement as an executable check over a ring corpus.
 
+`verify()` makes each ring statement's report, named by its id in
+`RING_STATEMENTS` and by the corpus entry's label, for the body to fill in.
 Biconditionals are split into two implications with separate instance
 counters, so a PASS discloses whether both directions were nontrivially
 exercised; branches with zero realizable instances are flagged in the
@@ -109,18 +111,15 @@ class VerificationReport(Record):
 
 
 class CorpusEntry(Record):
-    __slots__ = ("label", "gr", "kind", "parents")
+    """A graded ring under the label its reports name.  A product R1 x R2
+    carries its factors as `parents` (R1, R2), and COR_2_8 runs on exactly
+    the entries that have them."""
 
-    def __init__(
-        self,
-        label: str,
-        gr: GradedRing,
-        kind: str = "base",  # base | product | quotient | localization
-        parents: tuple = (),
-    ):
+    __slots__ = ("label", "gr", "parents")
+
+    def __init__(self, label: str, gr: GradedRing, parents: tuple = ()):
         self.label = label
         self.gr = gr
-        self.kind = kind
         self.parents = parents
 
 
@@ -150,25 +149,21 @@ def default_corpus() -> list[CorpusEntry]:
     base = {e.label: e.gr for e in entries}
 
     c4, c9 = base["Z/4"], base["Z/9"]
-    prod1 = product(c4, c9)
-    entries.append(CorpusEntry("Z/4 x Z/9", prod1, kind="product", parents=(c4, c9)))
+    entries.append(CorpusEntry("Z/4 x Z/9", product(c4, c9), parents=(c4, c9)))
     g2 = base["Z/2[i]/Z2"]
-    prod2 = product(g2, g2)
-    entries.append(
-        CorpusEntry("Z/2[i] x Z/2[i]", prod2, kind="product", parents=(g2, g2))
-    )
+    entries.append(CorpusEntry("Z/2[i] x Z/2[i]", product(g2, g2), parents=(g2, g2)))
 
     g4 = base["Z/4[i]/Z2"]
     two_r = ideal_generated(g4.ring, (g4.ring.parse("2"), g4.ring.parse("2i")))
     q1, _ = quotient(g4, two_r)
-    entries.append(CorpusEntry("Z/4[i]/2R", q1, kind="quotient"))
+    entries.append(CorpusEntry("Z/4[i]/2R", q1))
     c12 = base["Z/12"]
     q2, _ = quotient(c12, ideal_generated(c12.ring, (4,)))
-    entries.append(CorpusEntry("Z/12 / 4R", q2, kind="quotient"))
+    entries.append(CorpusEntry("Z/12 / 4R", q2))
 
     s = MultiplicativeSet.create(c12, {1, 3, 9})
     loc, _ = localize(c12, s)
-    entries.append(CorpusEntry("Localize(Z/12,{1,3,9})", loc, kind="localization"))
+    entries.append(CorpusEntry("Localize(Z/12,{1,3,9})", loc))
     return entries
 
 
@@ -257,8 +252,7 @@ def _names(gr: GradedRing, xs) -> list[str]:
 # ---------------------------------------------------------------- statements
 
 
-def _thm_2_2(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("THM_2_2", label)
+def _thm_2_2(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     grad_zero = gr.graded_nilradical()
     ls = local_structure(gr)
     for p in proper_graded_ideals(gr):
@@ -281,8 +275,7 @@ def _thm_2_2(gr: GradedRing, label: str) -> VerificationReport:
     )
 
 
-def _cor_2_4(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("COR_2_4", label)
+def _cor_2_4(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     grad_zero = gr.graded_nilradical()
     ls = local_structure(gr)
     for p in _ideals_where(gr, is_graded_prime):
@@ -295,8 +288,7 @@ def _cor_2_4(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["primes", "branch1_instances", "branch2_instances"])
 
 
-def _lemma_grad_prime(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("LEMMA_GRAD_PRIME", label)
+def _lemma_grad_prime(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     for p in _ideals_where(gr, is_graded_1abs_primary):
         rep.bump("one_abs_instances")
         ok, witness = is_graded_prime(gr, graded_radical(gr, p))
@@ -305,8 +297,7 @@ def _lemma_grad_prime(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["one_abs_instances"])
 
 
-def _lemma_2(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("LEMMA_2", label)
+def _lemma_2(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     lattice = enumerate_graded_ideals(gr)
     for p in lattice:
         for k in lattice:
@@ -318,8 +309,7 @@ def _lemma_2(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["pairs"])
 
 
-def _thm_2_6(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("THM_2_6", label)
+def _thm_2_6(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     exists = bool(_ideals_where(gr, is_graded_strongly_1abs_primary))
     prime0 = _grad_zero_prime(gr)[1]
     local = local_structure(gr).is_graded_local
@@ -369,23 +359,19 @@ def _cor_2_8(entry: CorpusEntry) -> VerificationReport:
     rep.bump("graded_ideals_scanned", len(proper_graded_ideals(gr)))
     for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
         rep.fail(ideal=_names(gr, p))
-    if entry.parents:
-        left, right = entry.parents
-        n2 = right.ring.size
-        combined = frozenset(
-            a * n2 + b
-            for a in left.graded_nilradical()
-            for b in right.graded_nilradical()
-        )
-        if combined != gr.graded_nilradical():
-            rep.fail(note="Grad({0}) of product differs from componentwise product")
-        else:
-            rep.bump("grad_zero_product_identity")
+    left, right = entry.parents
+    n2 = right.ring.size
+    combined = frozenset(
+        a * n2 + b for a in left.graded_nilradical() for b in right.graded_nilradical()
+    )
+    if combined != gr.graded_nilradical():
+        rep.fail(note="Grad({0}) of product differs from componentwise product")
+    else:
+        rep.bump("grad_zero_product_identity")
     return rep.finish(["product_rings"])
 
 
-def _prop_2_9(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_2_9", label)
+def _prop_2_9(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     lattice = proper_graded_ideals(gr)
     if len(lattice) > 64:
         rep.notes.append(f"lattice has {len(lattice)} ideals (> 64), skipped")
@@ -400,8 +386,7 @@ def _prop_2_9(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["ideals"])
 
 
-def _prop_2_10(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_2_10", label)
+def _prop_2_10(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
     for p in strongly:
         for k in strongly:
@@ -410,8 +395,7 @@ def _prop_2_10(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["pairs"])
 
 
-def _prop_2_11(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_2_11", label)
+def _prop_2_11(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     profile = ring_predicates(gr)
     if not profile.every_homogeneous_nilpotent_or_unit:
         rep.notes.append("hypothesis (homogeneous elements nilpotent or unit) not met")
@@ -424,8 +408,7 @@ def _prop_2_11(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["principal_instances", "all_proper_instances"])
 
 
-def _prop_2_12(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_2_12", label)
+def _prop_2_12(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     primes = _ideals_where(gr, is_graded_prime)
     lhs = all(is_graded_strongly_1abs_primary(gr, p)[0] for p in primes)
     non_maximal = _non_maximal_primes(gr)
@@ -439,8 +422,7 @@ def _prop_2_12(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["rings", "lhs_instances", "rhs_instances"])
 
 
-def _prop_2_14(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_2_14", label)
+def _prop_2_14(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     primaries = _ideals_where(gr, is_graded_primary)
     lhs = all(is_graded_strongly_1abs_primary(gr, p)[0] for p in primaries)
     cond1 = ring_predicates(gr).every_homogeneous_nilpotent_or_unit
@@ -462,8 +444,7 @@ def _prop_2_14(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["rings", "lhs_instances", "branch1_instances", "branch2_instances"])
 
 
-def _prop_2_17(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_2_17", label)
+def _prop_2_17(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     lhs = _ideals_where(gr, is_graded_strongly_1abs_primary) == [zero_ideal(gr.ring)]
     profile = ring_predicates(gr)
     domain_not_local = profile.graded_domain and not local_structure(gr).is_graded_local
@@ -482,8 +463,7 @@ def _prop_2_17(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["rings", "lhs_instances", "branch1_instances", "branch2_instances"])
 
 
-def _lemma_2_18(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("LEMMA_2_18", label)
+def _lemma_2_18(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     lattice = proper_graded_ideals(gr)
     for p in _ideals_where(gr, is_graded_1abs_primary):
         for k in lattice:
@@ -496,8 +476,7 @@ def _lemma_2_18(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["instances"])
 
 
-def _prop_2_19(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_2_19", label)
+def _prop_2_19(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     lattice = proper_graded_ideals(gr)
     for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
         rad = graded_radical(gr, p)
@@ -509,27 +488,23 @@ def _prop_2_19(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["instances"])
 
 
-def _prop_3_1(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_3_1", label)
+def _prop_3_1(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     _report_tally(rep, "epimorphism_instances", _epimorphism_tally(gr))
     _report_tally(rep, "monomorphism_instances", _monomorphism_tally(gr))
     return rep.finish(["epimorphism_instances", "monomorphism_instances"])
 
 
-def _cor_3_2(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("COR_3_2", label)
+def _cor_3_2(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     _report_tally(rep, "quotient_instances", _epimorphism_tally(gr))
     return rep.finish(["quotient_instances"])
 
 
-def _cor_re(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("COR_RE", label)
+def _cor_re(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     _report_tally(rep, "instances", _monomorphism_tally(gr))
     return rep.finish(["instances"])
 
 
-def _prop_3_3(gr: GradedRing, label: str) -> VerificationReport:
-    rep = VerificationReport("PROP_3_3", label)
+def _prop_3_3(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
     if not strongly:
         rep.notes.append("no graded strongly 1-absorbing primary ideals in this ring")
@@ -555,13 +530,12 @@ def _prop_3_3(gr: GradedRing, label: str) -> VerificationReport:
     return rep.finish(["instances"])
 
 
-def prop_3_4_reduction(gr: GradedRing, label: str = "") -> VerificationReport:
+def prop_3_4_reduction(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     """R-side conditions of the polynomial-extension statements.
 
     The conclusions about R[X] are derived from the statement's equivalences
     and explicitly labeled as not independently verified (R[X] is infinite).
     """
-    rep = VerificationReport("PROP_3_4_REDUCTION", label or gr.label)
     grad_zero, prime0 = _grad_zero_prime(gr)
     rep.bump_if(rings=True, grad_zero_prime_instances=prime0)
     verdict = "has" if prime0 else "has no"
@@ -583,7 +557,7 @@ def prop_3_4_reduction(gr: GradedRing, label: str = "") -> VerificationReport:
 
 # ------------------------------------------------------------------ registry
 
-RingStatement = Callable[[GradedRing, str], VerificationReport]
+RingStatement = Callable[[VerificationReport, GradedRing], VerificationReport]
 
 RING_STATEMENTS: dict[str, RingStatement] = {
     "THM_2_2": _thm_2_2,
@@ -625,9 +599,9 @@ def verify(
     if corpus is None:
         corpus = default_corpus()
     if statement_id == "COR_2_8":
-        return [_cor_2_8(e) for e in corpus if e.kind == "product"]
+        return [_cor_2_8(e) for e in corpus if e.parents]
     fn = RING_STATEMENTS[statement_id]
-    return [fn(entry.gr, entry.label) for entry in corpus]
+    return [fn(VerificationReport(statement_id, e.label), e.gr) for e in corpus]
 
 
 def run_suite(

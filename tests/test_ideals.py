@@ -289,7 +289,7 @@ def test_principal_graded_ideals_match_oracle(corpus):
     # and its least generator is the least homogeneous one; Z/2 and
     # Z/2 x Z/2 have one unit each, so their ideals are read at one index
     z2 = trivial_grading(build_ring(Cyclic(2)))
-    rings = [e.gr for e in corpus if e.gr.group == Z2 or e.kind == "product"]
+    rings = [e.gr for e in corpus if e.gr.group == Z2 or e.parents]
     rings += [trivial_grading(build_ring(Cyclic(n))) for n in [*range(2, 129), 720]]
     rings.append(product(z2, z2))
     truncated = [  # F_p[u]/(u^k)

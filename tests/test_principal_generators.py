@@ -53,7 +53,7 @@ def small_rings(corpus):
     """Rings where the oracles run: the Z2-graded corpus rings and both
     products, Z/2..64 and F_p[u]/(u^k) trivially and parity graded (each of
     at most 64 elements), and products of parity-graded rings."""
-    rings = [e.gr for e in corpus if e.gr.group == Z2 or e.kind == "product"]
+    rings = [e.gr for e in corpus if e.gr.group == Z2 or e.parents]
     rings += [trivial_grading(build_ring(Cyclic(n))) for n in range(2, 65)]
     rings += [graded_ring(spec, z2) for spec in TRUNCATED for z2 in (False, True)]
     return [gr for gr in rings if gr.ring.size <= 64] + _parity_products()

@@ -279,6 +279,23 @@ def test_hom_transport_preimage_and_image():
         hom_transport(proj, IdealSet(g12.ring, {0, 6}), "image")
 
 
+def test_canonical_maps_read_image_and_kernel_lazily():
+    g12 = triv(12)
+    s = MultiplicativeSet.create(g12, {1, 3, 9})
+    maps = [
+        quotient(g12, ideal_generated(g12.ring, (4,)))[1],
+        localize(g12, s)[1],
+        identity_subring(gauss_z2(4))[1],
+    ]
+    for hom in maps:
+        assert "image" not in vars(hom) and "kernel" not in vars(hom)
+        assert hom.image == frozenset(hom.mapping)
+        zero = hom.target.ring.zero
+        kernel = {x for x in hom.source.ring.elements() if hom(x) == zero}
+        assert hom.kernel == IdealSet(hom.source.ring, kernel)
+        assert {"image", "kernel"} <= vars(hom).keys()
+
+
 # ------------------------------------------------------- identity component
 
 

@@ -30,11 +30,10 @@ def one_ring(n):
 def test_default_corpus_shape(corpus):
     labels = [e.label for e in corpus]
     assert len(labels) == len(set(labels))
-    kinds = {e.kind for e in corpus}
-    assert kinds == {"base", "product", "quotient", "localization"}
-    for entry in corpus:
-        if entry.kind == "product":
-            assert len(entry.parents) == 2
+    products = {e.label: e.parents for e in corpus if e.parents}
+    assert sorted(products) == ["Z/2[i] x Z/2[i]", "Z/4 x Z/9"]
+    assert all(len(parents) == 2 for parents in products.values())
+    assert {"Z/4[i]/2R", "Z/12 / 4R", "Localize(Z/12,{1,3,9})"} <= set(labels)
 
 
 def test_suite_has_no_failures(corpus):
@@ -86,7 +85,7 @@ def test_is_prime_power_oracle():
 
 def test_cor_2_8_products_only(corpus):
     reports = verify("COR_2_8", corpus=corpus)
-    assert len(reports) == sum(1 for e in corpus if e.kind == "product")
+    assert len(reports) == sum(1 for e in corpus if e.parents)
     assert all(r.outcome == "PASS" for r in reports)
 
 
@@ -95,6 +94,14 @@ def test_unknown_statement_rejected(monkeypatch):
     monkeypatch.setattr(verifier, "default_corpus", lambda: pytest.fail("corpus built"))
     with pytest.raises(ShapeMismatch):
         verify("THM_9_9")
+
+
+def test_reports_name_the_registry_id_and_the_entry_label():
+    # the ring's own label differs from the entry's, which the reports name
+    corpus = [CorpusEntry("custom", triv(9))]
+    for sid in verifier.RING_STATEMENTS:
+        (report,) = verify(sid, corpus=corpus)
+        assert (report.statement_id, report.subject) == (sid, "custom")
 
 
 def test_prop_3_4_reduction_labels_derived_claims():
