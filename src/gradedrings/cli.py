@@ -18,20 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .classify import (
-    FLAGS,
-    classify_ideal,
-    local_structure,
-    ring_predicates,
-)
+from .classify import FLAGS, classify_ideal, local_structure, ring_predicates
 from .errors import GradedRingError, MalformedSpec
 from .ideals import proper_graded_ideals
-from .specdoc import decimal, expect, load_spec, parse_spec, read_json, resolve_ideal
-
-if TYPE_CHECKING:
-    from .verifier import CorpusEntry
+from .specdoc import decimal, load_spec, read_json, resolve_ideal
 
 
 def _names(gr, xs) -> str:
@@ -98,24 +90,6 @@ def _cmd_ideal_classify(args) -> int:
     return 0
 
 
-def _load_corpus(path: Optional[str]) -> list[CorpusEntry]:
-    from .verifier import CorpusEntry, default_corpus
-
-    if path is None:
-        return default_corpus()
-    docs = expect(read_json(path), list, "$")
-    if not docs:
-        raise MalformedSpec(f"{path}: the corpus is empty")
-    entries = []
-    for i, doc in enumerate(docs):
-        where = f"$[{i}]"
-        doc = expect(doc, dict, where)
-        label = expect(doc.get("label", f"corpus[{i}]"), str, f"{where}.label")
-        spec = parse_spec(doc, label=label, where=where)
-        entries.append(CorpusEntry(spec.graded_ring.label, spec.graded_ring))
-    return entries
-
-
 # Largest HI for `verify COR_2_7 --range`: one fresh process took 2.1 s of
 # CPU for 2..512 and 18.9 s for 2..1024 (CPython 3.11.7, 2-vCPU x86_64).
 MAX_RANGE_HI = 512
@@ -133,13 +107,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
-    from .verifier import ALL_STATEMENTS, DEFAULT_RANGE, run_suite
+    from .verifier import ALL_STATEMENTS, DEFAULT_RANGE, parse_corpus, run_suite
 
     if args.range and args.statement not in ("COR_2_7", "all"):
         raise MalformedSpec(f"--range applies to COR_2_7 and all, not to {args.statement}")
     if args.corpus and args.statement == "COR_2_7":
         raise MalformedSpec("--corpus does not apply to COR_2_7, which sweeps Z/n over --range")
-    corpus = _load_corpus(args.corpus)
+    corpus = parse_corpus(read_json(args.corpus)) if args.corpus else None
     n_range = _parse_range(args.range) if args.range else DEFAULT_RANGE
     ids = ALL_STATEMENTS if args.statement == "all" else (args.statement,)
     reports = run_suite(ids, corpus=corpus, n_range=n_range)
@@ -156,9 +130,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .verifier import search_counterexample
+    from .verifier import default_corpus, parse_corpus, search_counterexample
 
-    corpus = _load_corpus(args.corpus)
+    corpus = parse_corpus(read_json(args.corpus)) if args.corpus else default_corpus()
     found = search_counterexample(corpus, args.hypothesis, args.conclusion)
     rows = [
         {"ring": w["ring"], "ideal": w["ideal"], "witness": w["witness"]} for w in found
@@ -197,14 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="replay the statement suite over a corpus")
     ver.add_argument("statement", help="statement id or 'all'; see --list via 'all'")
-    ver.add_argument("--corpus", help="JSON file with a list of ring spec documents")
+    ver.add_argument("--corpus", help="JSON corpus: ring specs and constructions on them")
     ver.add_argument("--range", help="n range for COR_2_7, e.g. 2..64")
     ver.set_defaults(func=_cmd_verify)
 
     search = sub.add_parser("search", help="find flag-separating witnesses")
     search.add_argument("--hypothesis", required=True, choices=FLAGS)
     search.add_argument("--conclusion", required=True, choices=FLAGS)
-    search.add_argument("--corpus", help="JSON file with a list of ring spec documents")
+    search.add_argument("--corpus", help="JSON corpus: ring specs and constructions on them")
     search.set_defaults(func=_cmd_search)
     return parser
 

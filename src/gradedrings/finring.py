@@ -435,6 +435,7 @@ def induced_ring(
 def product_ring(r1: FinRing, r2: FinRing, label: str) -> FinRing:
     """R x S, the pair (a, b) at index a*|S| + b, named (a,b)."""
     n2, size = r2.size, r1.size * r2.size
+    _check_carrier(size)  # before the rows, which take size^2 cells each
     return _BuiltRing(
         size, product_rows(r1.add_rows, r2.add_rows), product_rows(r1.mul_rows, r2.mul_rows),
         one=r1.one * n2 + r2.one, zero=r1.zero * n2 + r2.zero, label=label,

@@ -18,6 +18,18 @@ Degrees are comma-separated decimal integers for finite abelian groups
 syntax: signed sums of integers ("2+3", "-1") for cyclic rings, "a+b*i"
 for gauss_mod, polynomials in u for poly_quotient.  Omitting "components"
 means the trivial grading (everything in the identity degree).
+
+A corpus (`verify --corpus`, `search --corpus`, `verifier.DEFAULT_CORPUS`)
+is a JSON list of entries, each with a "label" unique in the corpus
+(default "corpus[<index>]"): a document as above, or a construction on
+entries above it, which it names by label:
+    {"kind": "product", "of": ["<label>", "<label>"]}
+    {"kind": "quotient", "of": "<label>", "by": ["<generator expr>", ...]}
+    {"kind": "localize", "of": "<label>", "at": ["<element expr>", ...]}
+A product's two factors are its `parents`; a quotient is by the ideal the
+expressions generate, a localization at the homogeneous elements listed
+and 1, which must be closed under multiplication and miss 0.
+`verifier.parse_corpus` reads a corpus.
 """
 
 from __future__ import annotations
@@ -53,11 +65,11 @@ def expect(value, kind: type, where: str):
     return value
 
 
-def _list_of(value, kind: type, where: str) -> list:
+def list_of(value, kind: type, where: str) -> list:
     return [expect(v, kind, f"{where}[{i}]") for i, v in enumerate(expect(value, list, where))]
 
 
-def _field(doc: dict, key: str, kind: type, where: str):
+def field(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise MalformedSpec(f"{where}: missing {key!r}")
     return expect(doc[key], kind, f"{where}.{key}")
@@ -66,12 +78,12 @@ def _field(doc: dict, key: str, kind: type, where: str):
 def _build_ring(rdoc: dict, where: str):
     kind = rdoc.get("kind")
     if kind == "cyclic":
-        spec = Cyclic(_field(rdoc, "n", int, where))
+        spec = Cyclic(field(rdoc, "n", int, where))
     elif kind == "gauss_mod":
-        spec = GaussMod(_field(rdoc, "n", int, where))
+        spec = GaussMod(field(rdoc, "n", int, where))
     elif kind == "poly_quotient":
-        modulus = _list_of(_field(rdoc, "modulus", list, where), int, f"{where}.modulus")
-        spec = PolyQuotient(Cyclic(_field(rdoc, "p", int, where)), tuple(modulus))
+        modulus = list_of(field(rdoc, "modulus", list, where), int, f"{where}.modulus")
+        spec = PolyQuotient(Cyclic(field(rdoc, "p", int, where)), tuple(modulus))
     else:
         raise MalformedSpec(f"{where}.kind: unknown ring kind {kind!r}")
     return build_ring(spec)
@@ -83,7 +95,7 @@ def _build_group(gdoc: dict, where: str) -> GradingGroup:
         return TRIVIAL_GROUP
     if kind == "finite_abelian":
         at = f"{where}.factors"
-        factors = _list_of(gdoc.get("factors", []), int, at)
+        factors = list_of(gdoc.get("factors", []), int, at)
         try:
             return GradingGroup("finite_abelian", tuple(factors))
         except MalformedSpec as exc:
@@ -146,11 +158,11 @@ def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument
     """The document `doc`; MalformedSpec names the JSON path of any fault,
     rooted at `where`."""
     expect(doc, dict, where)
-    ring = _build_ring(_field(doc, "ring", dict, where), f"{where}.ring")
+    ring = _build_ring(field(doc, "ring", dict, where), f"{where}.ring")
     group = _build_group(expect(doc.get("group", {}), dict, f"{where}.group"), f"{where}.group")
 
     def parse_elements(value, at: str) -> list[int]:
-        return [ring.parse(e) for e in _list_of(value, str, at)]
+        return [ring.parse(e) for e in list_of(value, str, at)]
 
     label = label or ring.label
     components = doc.get("components")

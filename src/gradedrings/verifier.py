@@ -7,48 +7,29 @@ counters, so a PASS discloses whether both directions were nontrivially
 exercised; branches with zero realizable instances are flagged in the
 notes and a statement with no instances at all reports VACUOUS.
 PROP_3_1, COR_3_2 and COR_RE report from one memoized check per ring.
+A corpus is a document that `parse_corpus` reads, the default one too.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from typing import Callable, Iterable, Optional
 
 from .classify import (
-    is_graded_1abs_primary,
-    is_graded_maximal,
-    is_graded_primary,
-    is_graded_prime,
-    is_graded_strongly_1abs_primary,
-    flag_value,
-    local_structure,
-    ring_predicates,
-    strongly_1abs_ideal_form,
+    flag_value, is_graded_1abs_primary, is_graded_maximal, is_graded_primary, is_graded_prime,
+    is_graded_strongly_1abs_primary, local_structure, ring_predicates, strongly_1abs_ideal_form,
 )
-from .errors import ShapeMismatch
-from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring, memo
-from .grading import Z2, GradedRing, attach_grading, trivial_grading
+from .errors import GradedRingError, MalformedSpec, ShapeMismatch
+from .finring import Cyclic, Record, build_ring, memo
+from .grading import GradedRing, trivial_grading
 from .ideals import (
-    IdealSet,
-    colon,
-    combine,
-    enumerate_graded_ideals,
-    graded_radical,
-    ideal_generated,
-    is_graded_ideal,
-    principal_graded_ideals,
-    product_contained,
-    proper_graded_ideals,
-    zero_ideal,
+    IdealSet, colon, combine, enumerate_graded_ideals, graded_radical, ideal_generated,
+    is_graded_ideal, principal_graded_ideals, product_contained, proper_graded_ideals, zero_ideal,
 )
+from .specdoc import expect, field, list_of, parse_spec
 from .transport import (
-    MultiplicativeSet,
-    enumerate_multiplicative_sets,
-    hom_transport,
-    identity_subring,
-    localize,
-    product,
-    quotient,
+    MultiplicativeSet, enumerate_multiplicative_sets, hom_transport, identity_subring, localize,
+    product, quotient,
 )
 
 
@@ -123,48 +104,85 @@ class CorpusEntry(Record):
         self.parents = parents
 
 
-def _z2_graded(spec: GaussMod | PolyQuotient, label: str) -> GradedRing:
-    """(Z/m)[v]/(v^2 - c), a + b*v at index a + b*m, graded by Z2: the
-    constants in degree 0 and the multiples of v in degree 1."""
-    ring = build_ring(spec)
-    m = math.isqrt(ring.size)
-    constants = frozenset(range(m))
-    v_multiples = frozenset(b * m for b in range(m))
-    return attach_grading(ring, Z2, {(0,): constants, (1,): v_multiples}, label=label)
+# The default corpus, a corpus document (`specdoc`): Z/n, (Z/m)[v]/(v^2 - c) graded by
+# Z2 with the constants in degree 0 and the multiples of v in degree 1, and constructions.
+DEFAULT_CORPUS = """[
+{"label": "Z/4", "ring": {"kind": "cyclic", "n": 4}}, {"label": "Z/6", "ring": {"kind": "cyclic", "n": 6}},
+{"label": "Z/8", "ring": {"kind": "cyclic", "n": 8}}, {"label": "Z/9", "ring": {"kind": "cyclic", "n": 9}},
+{"label": "Z/12", "ring": {"kind": "cyclic", "n": 12}}, {"label": "Z/16", "ring": {"kind": "cyclic", "n": 16}},
+{"label": "Z/25", "ring": {"kind": "cyclic", "n": 25}}, {"label": "Z/27", "ring": {"kind": "cyclic", "n": 27}},
+{"label": "Z/36", "ring": {"kind": "cyclic", "n": 36}},
+{"label": "Z/2[i]/Z2", "ring": {"kind": "gauss_mod", "n": 2}, "group": {"kind": "finite_abelian", "factors": [2]},
+ "components": {"0": ["0", "1"], "1": ["0", "i"]}},
+{"label": "Z/3[i]/Z2", "ring": {"kind": "gauss_mod", "n": 3}, "group": {"kind": "finite_abelian", "factors": [2]},
+ "components": {"0": ["0", "1", "2"], "1": ["0", "i", "2i"]}},
+{"label": "Z/4[i]/Z2", "ring": {"kind": "gauss_mod", "n": 4}, "group": {"kind": "finite_abelian", "factors": [2]},
+ "components": {"0": ["0", "1", "2", "3"], "1": ["0", "i", "2i", "3i"]}},
+{"label": "Z/9[i]/Z2", "ring": {"kind": "gauss_mod", "n": 9}, "group": {"kind": "finite_abelian", "factors": [2]},
+ "components": {"0": ["0", "1", "2", "3", "4", "5", "6", "7", "8"],
+                "1": ["0", "i", "2i", "3i", "4i", "5i", "6i", "7i", "8i"]}},
+{"label": "F3[u]/(u^2-1)/Z2", "ring": {"kind": "poly_quotient", "p": 3, "modulus": [2, 0, 1]},
+ "group": {"kind": "finite_abelian", "factors": [2]}, "components": {"0": ["0", "1", "2"], "1": ["0", "u", "2u"]}},
+{"label": "F5[u]/(u^2-1)/Z2", "ring": {"kind": "poly_quotient", "p": 5, "modulus": [4, 0, 1]},
+ "group": {"kind": "finite_abelian", "factors": [2]},
+ "components": {"0": ["0", "1", "2", "3", "4"], "1": ["0", "u", "2u", "3u", "4u"]}},
+{"label": "Z/4 x Z/9", "kind": "product", "of": ["Z/4", "Z/9"]},
+{"label": "Z/2[i] x Z/2[i]", "kind": "product", "of": ["Z/2[i]/Z2", "Z/2[i]/Z2"]},
+{"label": "Z/4[i]/2R", "kind": "quotient", "of": "Z/4[i]/Z2", "by": ["2", "2i"]},
+{"label": "Z/12 / 4R", "kind": "quotient", "of": "Z/12", "by": ["4"]},
+{"label": "Localize(Z/12,{1,3,9})", "kind": "localize", "of": "Z/12", "at": ["1", "3", "9"]}
+]"""
+
+
+def parse_corpus(docs) -> list[CorpusEntry]:
+    """The entries of the corpus document `docs` (schema in `specdoc`), in
+    order; each fault names its JSON path."""
+    entries: dict[str, CorpusEntry] = {}
+    for i, doc in enumerate(expect(docs, list, "$")):
+        where = f"$[{i}]"
+        label = expect(expect(doc, dict, where).get("label", f"corpus[{i}]"), str, f"{where}.label")
+        if label in entries:
+            raise MalformedSpec(f"{where}.label: {label!r} labels an earlier entry")
+        if "kind" in doc:
+            entries[label] = _construction(doc, label, entries, where)
+        else:
+            entries[label] = CorpusEntry(label, parse_spec(doc, label, where).graded_ring)
+    if not entries:
+        raise MalformedSpec("$: the corpus is empty")
+    return list(entries.values())
+
+
+def _construction(doc: dict, label: str, earlier: dict[str, CorpusEntry], where: str) -> CorpusEntry:
+    """The product, quotient or localization entry `doc`, built by `transport`."""
+    kind, at = doc["kind"], f"{where}.of"
+    if kind == "product":
+        names = list_of(field(doc, "of", list, where), str, at)
+        if len(names) != 2:
+            raise MalformedSpec(f"{at}: a product names 2 entries, not {len(names)}")
+    elif kind in ("quotient", "localize"):
+        names, key = [field(doc, "of", str, where)], "by" if kind == "quotient" else "at"
+        exprs = list_of(field(doc, key, list, where), str, f"{where}.{key}")
+    else:
+        raise MalformedSpec(f"{where}.kind: unknown entry kind {kind!r}")
+    for name in names:
+        if name not in earlier:
+            raise MalformedSpec(f"{at}: no earlier entry is labelled {name!r}")
+    parents = tuple(earlier[name].gr for name in names)
+    try:
+        if kind == "product":
+            return CorpusEntry(label, product(*parents), parents)
+        gr, at = parents[0], f"{where}.{key}"
+        elements = tuple(gr.ring.parse(e) for e in exprs)
+        if kind == "quotient":
+            return CorpusEntry(label, quotient(gr, ideal_generated(gr.ring, elements))[0])
+        return CorpusEntry(label, localize(gr, MultiplicativeSet.create(gr, elements))[0])
+    except GradedRingError as exc:  # GroupMismatch, NotGraded, NotProper, InvalidSet, ...
+        raise type(exc)(f"{at}: {exc}") from None
 
 
 def default_corpus() -> list[CorpusEntry]:
-    """Fixed, versioned corpus; every member passes the structural validators.
-
-    The products, quotients and the localization are built from the base
-    entries themselves, so each spec ring is built once."""
-    entries: list[CorpusEntry] = []
-    for n in (4, 6, 8, 9, 12, 16, 25, 27, 36):
-        gr = trivial_grading(build_ring(Cyclic(n)), label=f"Z/{n}")
-        entries.append(CorpusEntry(f"Z/{n}", gr))
-    z2_specs = [(GaussMod(n), f"Z/{n}[i]/Z2") for n in (2, 3, 4, 9)]
-    z2_specs += [(PolyQuotient(Cyclic(p), (p - 1, 0, 1)), f"F{p}[u]/(u^2-1)/Z2") for p in (3, 5)]
-    for spec, label in z2_specs:
-        entries.append(CorpusEntry(label, _z2_graded(spec, label)))
-    base = {e.label: e.gr for e in entries}
-
-    c4, c9 = base["Z/4"], base["Z/9"]
-    entries.append(CorpusEntry("Z/4 x Z/9", product(c4, c9), parents=(c4, c9)))
-    g2 = base["Z/2[i]/Z2"]
-    entries.append(CorpusEntry("Z/2[i] x Z/2[i]", product(g2, g2), parents=(g2, g2)))
-
-    g4 = base["Z/4[i]/Z2"]
-    two_r = ideal_generated(g4.ring, (g4.ring.parse("2"), g4.ring.parse("2i")))
-    q1, _ = quotient(g4, two_r)
-    entries.append(CorpusEntry("Z/4[i]/2R", q1))
-    c12 = base["Z/12"]
-    q2, _ = quotient(c12, ideal_generated(c12.ring, (4,)))
-    entries.append(CorpusEntry("Z/12 / 4R", q2))
-
-    s = MultiplicativeSet.create(c12, {1, 3, 9})
-    loc, _ = localize(c12, s)
-    entries.append(CorpusEntry("Localize(Z/12,{1,3,9})", loc))
-    return entries
+    """The fixed, versioned corpus: `DEFAULT_CORPUS` read as `--corpus` reads a file."""
+    return parse_corpus(json.loads(DEFAULT_CORPUS))
 
 
 def _ideals_where(
@@ -599,7 +617,12 @@ def verify(
     if corpus is None:
         corpus = default_corpus()
     if statement_id == "COR_2_8":
-        return [_cor_2_8(e) for e in corpus if e.parents]
+        reports = [_cor_2_8(e) for e in corpus if e.parents]
+        if not reports:
+            rep = VerificationReport("COR_2_8", "corpus")
+            rep.notes.append("no entry of the corpus is a product")
+            reports.append(rep.finish(["product_rings"]))
+        return reports
     fn = RING_STATEMENTS[statement_id]
     return [fn(VerificationReport(statement_id, e.label), e.gr) for e in corpus]
 

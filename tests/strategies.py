@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
@@ -16,6 +18,14 @@ def parity_components(base, d):
             if all(x // base**k % base == 0 for k in range(d) if k % 2 != parity)
         )
     return {(0,): part(0), (1,): part(1)}
+
+
+def z2_graded(spec, label: str = ""):
+    """(Z/m)[v]/(v^2 - c), a + b*v at index a + b*m, graded by Z2: the
+    constants in degree 0 and the multiples of v in degree 1, as in the
+    default corpus."""
+    ring = build_ring(spec)
+    return attach_grading(ring, Z2, parity_components(math.isqrt(ring.size), 2), label=label)
 
 
 @st.composite

@@ -29,8 +29,7 @@ from gradedrings.ideals import (
     proper_graded_ideals,
     unit_ideal,
 )
-from gradedrings.verifier import _z2_graded
-from strategies import graded_rings
+from strategies import graded_rings, z2_graded
 
 
 def triv(n):
@@ -97,7 +96,7 @@ def test_graded_maximal():
     assert is_graded_maximal(g9, IdealSet(g9.ring, {0, 3, 6}))
     g12 = triv(12)
     assert not is_graded_maximal(g12, IdealSet(g12.ring, {0, 4, 8}))
-    gf = _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
+    gf = z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
     assert is_graded_maximal(gf, IdealSet(gf.ring, {0}))
 
 
@@ -111,7 +110,7 @@ def test_local_structure():
         frozenset({0, 2, 4}),
         frozenset({0, 3}),
     }
-    g4 = _z2_graded(GaussMod(4), "Z/4[i]/Z2")
+    g4 = z2_graded(GaussMod(4), "Z/4[i]/Z2")
     ls = local_structure(g4)
     assert ls.is_graded_local
     two = g4.ring.parse("2")
@@ -124,7 +123,7 @@ def test_local_structure():
 
 
 def test_ring_predicates():
-    gf = _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
+    gf = z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
     profile = ring_predicates(gf)
     assert profile.graded_field
     # the underlying ring is not a field: it has zero divisors
@@ -294,7 +293,7 @@ def test_kernels_match_definitional_oracles(corpus):
     cyclic = [trivial_grading(build_ring(Cyclic(n))) for n in range(2, 65)]
     rings = [e.gr for e in corpus] + cyclic
     rings += [trivial_grading(build_ring(spec)) for spec in EXIT_SPECS]
-    rings += [_z2_graded(spec, f"{spec}/Z2") for spec in Z2_EXIT_SPECS]
+    rings += [z2_graded(spec, f"{spec}/Z2") for spec in Z2_EXIT_SPECS]
     for gr in rings:
         for p in proper_graded_ideals(gr):
             for name in (

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gradedrings import verifier
 from gradedrings.cli import main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -297,6 +298,152 @@ def test_json_output_matches_golden(tmp_path, capsys, golden):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert out.encode() == expected
+
+
+def test_shipped_corpus_document_is_the_default_corpus(tmp_path, capsys):
+    # the default corpus and `--corpus FILE` are one parser: the shipped
+    # document, read from a file, replays byte-identically to the golden
+    document = tmp_path / "default-corpus.json"
+    document.write_text(verifier.DEFAULT_CORPUS)
+    expected = (Path(__file__).resolve().parent.parent / "perfbench/golden/verify-all.out").read_bytes()
+    code, out, _ = run(capsys, "--format", "json", "verify", "all", "--corpus", str(document))
+    assert code == 0
+    assert out.encode() == expected
+
+    def shape(corpus):
+        label_of = {id(e.gr): e.label for e in corpus}
+        return [(e.label, [label_of[id(p)] for p in e.parents]) for e in corpus]
+
+    from_file = verifier.parse_corpus(json.loads(document.read_text()))
+    assert shape(from_file) == shape(verifier.default_corpus())
+    assert [p for _, p in shape(from_file) if p] == [["Z/4", "Z/9"], ["Z/2[i]/Z2", "Z/2[i]/Z2"]]
+
+
+Z9_CORPUS = '[{"label": "Z/9", "ring": {"kind": "cyclic", "n": 9}}]'
+
+
+@pytest.mark.parametrize("statement", ("COR_2_8", "all"))
+def test_cor_2_8_without_a_product_is_vacuous(tmp_path, capsys, statement):
+    corpus = tmp_path / "z9.json"
+    corpus.write_text(Z9_CORPUS)
+    code, out, _ = run(capsys, "--format", "json", "verify", statement, "--corpus", str(corpus))
+    assert code == 0
+    (report,) = [r for r in json.loads(out) if r["statement_id"] == "COR_2_8"]
+    assert report["outcome"] == "VACUOUS"
+    assert report["notes"] == ["no entry of the corpus is a product"]
+    code, out, _ = run(capsys, "verify", statement, "--corpus", str(corpus))
+    assert "COR_2_8 [corpus] -> VACUOUS" in out
+    assert out.endswith("0 FAIL, 1 VACUOUS\n" if statement == "COR_2_8" else "0 FAIL, 2 VACUOUS\n")
+
+
+def test_family_file_replays_without_failure(capsys):
+    # Z/30, Z/60, Z/210 and (Z/2 x Z/3) x Z/5 have three or more maximal ideals
+    family = SPECS / "family-three-maximal.json"
+    code, out, _ = run(capsys, "--format", "json", "verify", "all", "--corpus", str(family))
+    assert code == 0
+    reports = json.loads(out)
+    assert not [r for r in reports if r["outcome"] == "FAIL"]
+    cor_2_8 = {r["subject"]: r["outcome"] for r in reports if r["statement_id"] == "COR_2_8"}
+    assert cor_2_8 == {"Z/2 x Z/3": "PASS", "(Z/2 x Z/3) x Z/5": "PASS"}
+
+
+ZN = '{{"label": "Z/{0}", "ring": {{"kind": "cyclic", "n": {0}}}}}'
+G2 = (
+    '{"label": "G", "ring": {"kind": "gauss_mod", "n": 2}, '
+    '"group": {"kind": "finite_abelian", "factors": [2]}, '
+    '"components": {"0": ["0", "1"], "1": ["0", "i"]}}'
+)
+
+
+SEARCH_FLAGS = ("--hypothesis", "graded_prime", "--conclusion", "graded_maximal")
+
+
+def corpus_of(*entries: str) -> str:
+    return "[" + ", ".join(entries) + "]"
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "product", "of": ["Z/4", "Z/5"]}'),
+            "MalformedSpec: $[1].of: no earlier entry is labelled 'Z/5'", id="unknown-label",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "product", "of": ["Z/4", "Z/5"]}', ZN.format(5)),
+            "MalformedSpec: $[1].of: no earlier entry is labelled 'Z/5'", id="later-entry",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"label": "Q", "kind": "quotient", "of": "Q", "by": []}'),
+            "MalformedSpec: $[1].of: no earlier entry is labelled 'Q'", id="itself",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), G2, '{"kind": "product", "of": ["Z/4", "G"]}'),
+            "GroupMismatch: $[2].of: ", id="product-group-mismatch",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "product", "of": ["Z/4"]}'),
+            "MalformedSpec: $[1].of: a product names 2 entries, not 1", id="product-one-factor",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(64), '{"kind": "product", "of": ["Z/64", "Z/64"]}'),
+            "MalformedSpec: $[1].of: carrier size 4096 exceeds cap 1024", id="product-above-cap",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "quotient", "of": "Z/4", "by": ["1"]}'),
+            "NotProper: $[1].by: ", id="quotient-improper",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "quotient", "of": "Z/4", "by": ["3"]}'),
+            "NotProper: $[1].by: ", id="quotient-by-a-unit",
+        ),
+        pytest.param(
+            corpus_of(G2, '{"kind": "quotient", "of": "G", "by": ["1+i"]}'),
+            "NotGraded: $[1].by: ideal not graded; witness 1+i", id="quotient-not-graded",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "quotient", "of": "Z/4", "by": ["x"]}'),
+            "MalformedSpec: $[1].by: cannot parse 'x'", id="quotient-bad-element",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "quotient", "of": "Z/4", "by": "2"}'),
+            "MalformedSpec: $[1].by: expected a list", id="quotient-generators-string",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(12), '{"kind": "localize", "of": "Z/12", "at": ["2", "3"]}'),
+            "InvalidSet: $[1].at: not closed under multiplication at 2*2", id="localize-not-closed",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(12), '{"kind": "localize", "of": "Z/12", "at": ["0"]}'),
+            "InvalidSet: $[1].at: 0 in multiplicative set", id="localize-zero",
+        ),
+        pytest.param(
+            corpus_of(G2, '{"kind": "localize", "of": "G", "at": ["1+i"]}'),
+            "InvalidSet: $[1].at: 1+i is not homogeneous", id="localize-not-homogeneous",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "localize", "of": "Z/4"}'),
+            "MalformedSpec: $[1]: missing 'at'", id="localize-missing-set",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "power", "of": "Z/4"}'),
+            "MalformedSpec: $[1].kind: unknown entry kind 'power'", id="unknown-kind",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), ZN.format(4)),
+            "MalformedSpec: $[1].label: 'Z/4' labels an earlier entry", id="label-twice",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ("verify", "search"))
+def test_construction_error_exit_code(tmp_path, capsys, content, error, command):
+    path = tmp_path / "corpus.json"
+    path.write_text(content)
+    argv = ("verify", "all") if command == "verify" else ("search", *SEARCH_FLAGS)
+    code, out, err = run(capsys, *argv, "--corpus", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {error}")
+    assert out == "" and "Traceback" not in err
 
 
 LAZY_LAYERS = ("gradedrings.verifier", "gradedrings.transport", "dataclasses", "inspect")

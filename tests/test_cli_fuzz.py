@@ -1,8 +1,9 @@
-"""Fuzz test of `cli.main`: arbitrary JSON spec and corpus documents and
-argument lists over every subcommand.  Whatever the input, the exit status
-is 0 or 2 (1 would claim a counterexample to a theorem) and no traceback
-escapes.  Rings stay at most 64 elements and `--range` within 2..16, so that
-no example builds a slow ring."""
+"""Fuzz test of `cli.main`: arbitrary JSON spec and corpus documents, the
+latter with product, quotient and localization entries, and argument lists
+over every subcommand.  Whatever the input, the exit status is 0 or 2 (1
+would claim a counterexample to a theorem) and no traceback escapes.  Rings
+stay at most 81 elements and `--range` within 2..16, so that no example
+builds a slow ring."""
 
 from __future__ import annotations
 
@@ -73,15 +74,18 @@ ANY_SPEC = st.fixed_dictionaries(
 
 
 @st.composite
-def valid_specs(draw) -> dict:
-    """A well-formed document, so that examples reach the ring and its ideals."""
+def valid_specs(draw, small: bool = False) -> dict:
+    """A well-formed document, so that examples reach the ring and its ideals;
+    a `small` ring has at most 9 elements."""
     kind = draw(st.sampled_from(("cyclic", "gauss_mod", "poly_quotient")))
     if kind == "cyclic":
-        ring, words = {"kind": kind, "n": draw(st.integers(2, 64))}, ("1", "2", "3", "4", "6", "-1")
+        n = draw(st.integers(2, 9 if small else 64))
+        ring, words = {"kind": kind, "n": n}, ("1", "2", "3", "4", "6", "-1")
     elif kind == "gauss_mod":
-        ring, words = {"kind": kind, "n": draw(st.integers(2, 8))}, ("1", "2", "i", "1+i", "2i")
+        n = draw(st.integers(2, 3 if small else 8))
+        ring, words = {"kind": kind, "n": n}, ("1", "2", "i", "1+i", "2i")
     else:
-        p = draw(st.sampled_from((2, 3, 5, 7)))
+        p = draw(st.sampled_from((2, 3) if small else (2, 3, 5, 7)))
         low = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2))
         ring, words = {"kind": kind, "p": p, "modulus": [*low, 1]}, ("1", "2", "u", "1+u", "u^2")
     names = st.sampled_from(("I", "M", "P"))
@@ -115,9 +119,33 @@ def corrupted(draw, docs) -> object:
     return doc
 
 
+@st.composite
+def constructed_corpora(draw) -> list:
+    """A well-formed corpus of small labelled rings and constructions that
+    name earlier entries: a product only of rings, so none passes 81 elements."""
+    docs = [{**doc, "label": f"R{i}"} for i, doc in enumerate(draw(
+        st.lists(valid_specs(small=True), min_size=1, max_size=2)
+    ))]
+    rings = [doc["label"] for doc in docs]
+    for i in range(len(docs), len(docs) + draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("product", "quotient", "localize")))
+        if kind == "product":
+            doc = {"kind": kind, "of": draw(st.lists(st.sampled_from(rings), min_size=2, max_size=2))}
+        else:
+            words = st.sampled_from(("0", "1", "2", "3", "4", "-1", "i", "u", "1+i", "u+1"))
+            key = "by" if kind == "quotient" else "at"
+            of = draw(st.sampled_from([d["label"] for d in docs]))
+            doc = {"kind": kind, "of": of, key: draw(st.lists(words, max_size=2))}
+        docs.append({"label": f"C{i}", **doc})
+    return docs
+
+
 SPEC = st.one_of(valid_specs(), corrupted(valid_specs()), ANY_SPEC)
 VALID_CORPUS = st.lists(valid_specs(), min_size=1, max_size=2)
-CORPUS = st.one_of(VALID_CORPUS, corrupted(VALID_CORPUS), st.lists(SPEC, max_size=2))
+CORPUS = st.one_of(
+    VALID_CORPUS, corrupted(VALID_CORPUS), st.lists(SPEC, max_size=2),
+    constructed_corpora(), corrupted(constructed_corpora()),
+)
 
 RANGE = st.one_of(
     st.integers(2, 16).flatmap(lambda lo: st.integers(lo, 16).map(lambda hi: f"{lo}..{hi}")),

@@ -6,7 +6,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import graded_ring
+from strategies import graded_ring, z2_graded
 
 from gradedrings.errors import NotAnIdeal, NotGraded
 from gradedrings.finring import MAX_CARRIER, Cyclic, GaussMod, PolyQuotient, build_ring
@@ -247,9 +247,8 @@ def test_enumerate_matches_divisor_lattice():
 
 
 def test_enumerate_graded_field():
-    from gradedrings.verifier import _z2_graded
-
-    gr = _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
+    
+    gr = z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2")
     assert [len(i) for i in enumerate_graded_ideals(gr)] == [1, 9]
 
 

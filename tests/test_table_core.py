@@ -13,7 +13,7 @@ from pathlib import Path
 import oracles
 import pytest
 from hypothesis import given, settings
-from strategies import graded_ring, graded_specs
+from strategies import graded_ring, graded_specs, z2_graded
 
 from gradedrings import cli, finring, grading, ideals, specdoc, transport, verifier
 from gradedrings.errors import GradedRingError, MalformedSpec
@@ -28,7 +28,7 @@ from gradedrings.transport import (
     product,
     quotient,
 )
-from gradedrings.verifier import _cor_2_7, _z2_graded, run_suite
+from gradedrings.verifier import _cor_2_7, run_suite
 
 POLY_SPECS = [
     PolyQuotient(Cyclic(p), modulus)
@@ -106,8 +106,8 @@ def test_corpus_and_derived_rows_match_oracle(corpus):
     other_products = [
         (trivial_grading(build_ring(Cyclic(3))), trivial_grading(build_ring(Cyclic(5)))),
         (
-            _z2_graded(GaussMod(2), "Z/2[i]/Z2"),
-            _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2"),
+            z2_graded(GaussMod(2), "Z/2[i]/Z2"),
+            z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2"),
         ),
     ]
     for left, right in other_products:
@@ -145,7 +145,7 @@ def test_run_suite_validates_only_its_own_definitions(monkeypatch):
         if hasattr(module, "attach_grading"):
             monkeypatch.setattr(module, "attach_grading", attach)
     run_suite()
-    assert calls == [("attach_grading", "_z2_graded")] * 6
+    assert calls == [("attach_grading", "parse_spec")] * 6
 
 
 def test_decomposition_tables_only_where_read(monkeypatch):
@@ -372,7 +372,7 @@ def test_hom_build_matches_oracle_on_corrupted_maps(corpus):
 def test_hom_build_matches_oracle_on_additive_maps(n):
     # a + b*i -> a + b*w is additive and keeps 1; it is multiplicative iff
     # w^2 = -1, and graded iff moreover w lies in degree 1
-    gr = _z2_graded(GaussMod(n), f"Z/{n}[i]/Z2")
+    gr = z2_graded(GaussMod(n), f"Z/{n}[i]/Z2")
     ring = gr.ring
     seen = set()
     for w in ring.elements():

@@ -27,7 +27,7 @@ from gradedrings.transport import (
     product,
     quotient,
 )
-from gradedrings.verifier import _z2_graded
+from strategies import z2_graded
 
 
 def triv(n):
@@ -173,8 +173,8 @@ def test_localize_matches_oracle_where_one_is_not_index_1(corpus):
         by_label["Z/4 x Z/9"],
         by_label["Z/2[i] x Z/2[i]"],
         product(
-            _z2_graded(GaussMod(2), "Z/2[i]/Z2"),
-            _z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2"),
+            z2_graded(GaussMod(2), "Z/2[i]/Z2"),
+            z2_graded(PolyQuotient(Cyclic(3), (2, 0, 1)), "F3[u]/(u^2-1)/Z2"),
         ),
     ]
     for gr in rings:
@@ -218,7 +218,7 @@ def test_multiplicative_set_validation():
 def test_enumerate_multiplicative_sets_matches_brute_force():
     # Z/17's 16 units are the closed set the cap excludes; in F5[u]/(u^2-1)
     # graded by Z2 only the homogeneous elements count
-    f5 = _z2_graded(PolyQuotient(Cyclic(5), (4, 0, 1)), "F5[u]/(u^2-1)/Z2")
+    f5 = z2_graded(PolyQuotient(Cyclic(5), (4, 0, 1)), "F5[u]/(u^2-1)/Z2")
     for gr in (triv(6), triv(9), triv(12), triv(17), f5):
         ring = gr.ring
         others = sorted(gr.homogeneous() - {ring.zero, ring.one})

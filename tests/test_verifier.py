@@ -8,11 +8,14 @@ from gradedrings import verifier
 from gradedrings.errors import ShapeMismatch
 from gradedrings.finring import Cyclic, build_ring
 from gradedrings.grading import trivial_grading
+from gradedrings.ideals import ideal_generated
+from gradedrings.transport import MultiplicativeSet, localize, product, quotient
 from gradedrings.verifier import (
     ALL_STATEMENTS,
     CorpusEntry,
     _is_prime_power,
     default_corpus,
+    parse_corpus,
     run_suite,
     search_counterexample,
     verify,
@@ -87,6 +90,39 @@ def test_cor_2_8_products_only(corpus):
     reports = verify("COR_2_8", corpus=corpus)
     assert len(reports) == sum(1 for e in corpus if e.parents)
     assert all(r.outcome == "PASS" for r in reports)
+
+
+def test_cor_2_8_on_a_corpus_without_products_is_one_vacuous_report():
+    (report,) = verify("COR_2_8", corpus=one_ring(9))
+    assert (report.subject, report.outcome) == ("corpus", "VACUOUS")
+    assert report.notes == ["no entry of the corpus is a product"]
+
+
+def test_parse_corpus_builds_each_construction_from_earlier_entries():
+    cyclic = [{"label": f"Z/{n}", "ring": {"kind": "cyclic", "n": n}} for n in (4, 9, 12)]
+    corpus = parse_corpus([
+        *cyclic,
+        {"kind": "product", "of": ["Z/4", "Z/9"]},
+        {"label": "Z/12 / 4R", "kind": "quotient", "of": "Z/12", "by": ["4"]},
+        {"kind": "localize", "of": "Z/12", "at": ["3", "9"]},
+    ])
+    assert [e.label for e in corpus] == [
+        "Z/4", "Z/9", "Z/12", "corpus[3]", "Z/12 / 4R", "corpus[5]",
+    ]
+    c4, c9, c12 = (e.gr for e in corpus[:3])
+    assert corpus[3].parents == (c4, c9) and corpus[3].parents[0] is c4
+    assert [e.parents for e in corpus if e is not corpus[3]] == [()] * 5
+    z12 = triv(12)
+    expected = [
+        product(triv(4), triv(9)),
+        quotient(z12, ideal_generated(z12.ring, (4,)))[0],
+        localize(z12, MultiplicativeSet.create(z12, {3, 9}))[0],
+    ]
+    for entry, gr in zip(corpus[3:], expected):
+        built = entry.gr
+        assert built.ring.label == gr.ring.label, entry.label
+        assert built.ring.add_rows == gr.ring.add_rows and built.ring.mul_rows == gr.ring.mul_rows
+        assert built.components == gr.components
 
 
 def test_unknown_statement_rejected(monkeypatch):
