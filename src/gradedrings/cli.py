@@ -7,7 +7,7 @@ Subcommands:
     search --hypothesis F --conclusion G       separating witnesses between flags
 
 Exit status: 0 when every outcome is PASS/VACUOUS, 1 on any FAIL,
-2 on usage or spec errors.
+2 on usage or spec errors and when the output cannot be written.
 
 Only `verify` and `search` import the verifier, and with it the transport
 layer, when they run; `ring describe` and `ideal classify` never load them.
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
 from .classify import FLAGS, classify_ideal, local_structure, ring_predicates
 from .errors import GradedRingError, MalformedSpec
 from .ideals import proper_graded_ideals
-from .specdoc import decimal, load_spec, read_json, resolve_ideal
+from .specdoc import decimal, load_corpus, load_spec, resolve_ideal
 
 
 def _names(gr, xs) -> str:
@@ -107,13 +108,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
-    from .verifier import ALL_STATEMENTS, DEFAULT_RANGE, parse_corpus, run_suite
+    from .verifier import ALL_STATEMENTS, DEFAULT_RANGE, run_suite
 
     if args.range and args.statement not in ("COR_2_7", "all"):
         raise MalformedSpec(f"--range applies to COR_2_7 and all, not to {args.statement}")
     if args.corpus and args.statement == "COR_2_7":
         raise MalformedSpec("--corpus does not apply to COR_2_7, which sweeps Z/n over --range")
-    corpus = parse_corpus(read_json(args.corpus)) if args.corpus else None
+    corpus = load_corpus(args.corpus) if args.corpus else None
     n_range = _parse_range(args.range) if args.range else DEFAULT_RANGE
     ids = ALL_STATEMENTS if args.statement == "all" else (args.statement,)
     reports = run_suite(ids, corpus=corpus, n_range=n_range)
@@ -130,9 +131,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .verifier import default_corpus, parse_corpus, search_counterexample
+    from .verifier import default_corpus, search_counterexample
 
-    corpus = parse_corpus(read_json(args.corpus)) if args.corpus else default_corpus()
+    corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
     found = search_counterexample(corpus, args.hypothesis, args.conclusion)
     rows = [
         {"ring": w["ring"], "ideal": w["ideal"], "witness": w["witness"]} for w in found
@@ -190,9 +191,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except GradedRingError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a full disk or a closed pipe fails here
+        return status
+    except (GradedRingError, OSError) as exc:  # OSError: the output failed
+        # the interpreter flushes a failed stream again at exit: let it write nowhere
+        if isinstance(exc, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        except OSError:  # stderr failed too (`2>&1 | head`): the status alone tells
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return 2
 
 

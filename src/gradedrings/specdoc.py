@@ -1,4 +1,4 @@
-"""Ring-spec documents: JSON files describing a graded ring and named ideals.
+"""Ring-spec and corpus documents: their JSON schema, and the one reader of both.
 
 Schema:
     {
@@ -29,17 +29,17 @@ entries above it, which it names by label:
 A product's two factors are its `parents`; a quotient is by the ideal the
 expressions generate, a localization at the homogeneous elements listed
 and 1, which must be closed under multiplication and miss 0.
-`verifier.parse_corpus` reads a corpus.
+Each error in a document names its JSON path first: `$.ideals['I']: ...`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
 
-from .errors import MalformedSpec
+from .errors import GradedRingError, MalformedSpec
 from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring
 from .grading import GradedRing, GradingGroup, TRIVIAL_GROUP, attach_grading, trivial_grading
 from .ideals import IdealSet, ideal_generated
@@ -48,15 +48,37 @@ from .ideals import IdealSet, ideal_generated
 class RingSpecDocument(Record):
     __slots__ = ("graded_ring", "ideals")
 
-    def __init__(self, graded_ring: GradedRing, ideals: Optional[dict[str, IdealSet]] = None):
+    def __init__(self, graded_ring: GradedRing, ideals: dict[str, IdealSet]):
         self.graded_ring = graded_ring
-        self.ideals = {} if ideals is None else ideals
+        self.ideals = ideals
+
+
+class CorpusEntry(Record):
+    """A graded ring under the label its reports name.  A product R1 x R2
+    carries its factors as `parents` (R1, R2), and COR_2_8 runs on exactly
+    the entries that have them."""
+
+    __slots__ = ("label", "gr", "parents")
+
+    def __init__(self, label: str, gr: GradedRing, parents: tuple = ()):
+        self.label = label
+        self.gr = gr
+        self.parents = parents
+
+
+@contextmanager
+def _at(where: str):
+    """Re-raise a `GradedRingError` of the block as its class, prefixed `where: `."""
+    try:
+        yield
+    except GradedRingError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
-def expect(value, kind: type, where: str):
+def _expect(value, kind: type, where: str):
     """`value` if it is a JSON value of exactly `kind`, else MalformedSpec
     naming the JSON path `where` (so a boolean is never an integer)."""
     if type(value) is not kind:
@@ -65,28 +87,36 @@ def expect(value, kind: type, where: str):
     return value
 
 
-def list_of(value, kind: type, where: str) -> list:
-    return [expect(v, kind, f"{where}[{i}]") for i, v in enumerate(expect(value, list, where))]
+def _list_of(value, kind: type, where: str) -> list:
+    return [_expect(v, kind, f"{where}[{i}]") for i, v in enumerate(_expect(value, list, where))]
 
 
-def field(doc: dict, key: str, kind: type, where: str):
+def _field(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise MalformedSpec(f"{where}: missing {key!r}")
-    return expect(doc[key], kind, f"{where}.{key}")
+    return _expect(doc[key], kind, f"{where}.{key}")
+
+
+def _elements(ring, value, where: str) -> tuple[int, ...]:
+    """The elements of `ring` that the JSON list of expressions `value` names."""
+    exprs = _list_of(value, str, where)
+    with _at(where):
+        return tuple(ring.parse(e) for e in exprs)
 
 
 def _build_ring(rdoc: dict, where: str):
     kind = rdoc.get("kind")
     if kind == "cyclic":
-        spec = Cyclic(field(rdoc, "n", int, where))
+        spec = Cyclic(_field(rdoc, "n", int, where))
     elif kind == "gauss_mod":
-        spec = GaussMod(field(rdoc, "n", int, where))
+        spec = GaussMod(_field(rdoc, "n", int, where))
     elif kind == "poly_quotient":
-        modulus = list_of(field(rdoc, "modulus", list, where), int, f"{where}.modulus")
-        spec = PolyQuotient(Cyclic(field(rdoc, "p", int, where)), tuple(modulus))
+        modulus = _list_of(_field(rdoc, "modulus", list, where), int, f"{where}.modulus")
+        spec = PolyQuotient(Cyclic(_field(rdoc, "p", int, where)), tuple(modulus))
     else:
         raise MalformedSpec(f"{where}.kind: unknown ring kind {kind!r}")
-    return build_ring(spec)
+    with _at(where):
+        return build_ring(spec)
 
 
 def _build_group(gdoc: dict, where: str) -> GradingGroup:
@@ -95,11 +125,9 @@ def _build_group(gdoc: dict, where: str) -> GradingGroup:
         return TRIVIAL_GROUP
     if kind == "finite_abelian":
         at = f"{where}.factors"
-        factors = list_of(gdoc.get("factors", []), int, at)
-        try:
+        factors = _list_of(gdoc.get("factors", []), int, at)
+        with _at(at):
             return GradingGroup("finite_abelian", tuple(factors))
-        except MalformedSpec as exc:
-            raise MalformedSpec(f"{at}: {exc}") from None
     if kind == "integers":
         return GradingGroup("integers")
     raise MalformedSpec(f"{where}.kind: unknown group kind {kind!r}")
@@ -117,15 +145,14 @@ def decimal(text: str) -> int:
 
 
 def _parse_degree(group: GradingGroup, key: str, where: str):
-    try:
-        if group.kind == "integers":
-            return decimal(key)
-        parts = key.split(",") if key not in ("", "e") else []
-        return group.normalize(tuple(decimal(t) for t in parts))
-    except ValueError:
-        raise MalformedSpec(f"{where}: degree {key!r} is not comma-separated integers") from None
-    except MalformedSpec as exc:  # a degree of the wrong rank
-        raise MalformedSpec(f"{where}: {exc}") from None
+    with _at(where):  # also a degree of the wrong rank
+        try:
+            if group.kind == "integers":
+                return decimal(key)
+            parts = key.split(",") if key not in ("", "e") else []
+            return group.normalize(tuple(decimal(t) for t in parts))
+        except ValueError:
+            raise MalformedSpec(f"degree {key!r} is not comma-separated integers") from None
 
 
 def _object(pairs: list[tuple[str, object]]) -> dict:
@@ -139,39 +166,39 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def read_json(path: str | Path):
-    """The JSON document in the file at `path`; MalformedSpec if unreadable."""
+def _json(source: str | Path, text: str | None = None):
+    """The JSON document `text`, or else the one in the file at `source`;
+    MalformedSpec naming `source` if it cannot be read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8") if text is None else text
         return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
-        raise MalformedSpec(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        raise MalformedSpec(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except (OSError, ValueError) as exc:  # ValueError: text not UTF-8, or a key given twice
-        raise MalformedSpec(f"{path}: {exc}") from exc
+        raise MalformedSpec(f"{source}: {exc}") from exc
 
 
 def load_spec(path: str | Path) -> RingSpecDocument:
-    return parse_spec(read_json(path), label=Path(path).stem)
+    return parse_spec(_json(path), label=Path(path).stem)
+
+
+def load_corpus(path: str | Path) -> list[CorpusEntry]:
+    return parse_corpus(_expect(_json(path), list, "$"))
 
 
 def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument:
     """The document `doc`; MalformedSpec names the JSON path of any fault,
     rooted at `where`."""
-    expect(doc, dict, where)
-    ring = _build_ring(field(doc, "ring", dict, where), f"{where}.ring")
-    group = _build_group(expect(doc.get("group", {}), dict, f"{where}.group"), f"{where}.group")
-
-    def parse_elements(value, at: str) -> list[int]:
-        return [ring.parse(e) for e in list_of(value, str, at)]
-
-    label = label or ring.label
+    _expect(doc, dict, where)
+    ring = _build_ring(_field(doc, "ring", dict, where), f"{where}.ring")
+    group = _build_group(_expect(doc.get("group", {}), dict, f"{where}.group"), f"{where}.group")
     components = doc.get("components")
     if components is None:
         gr = trivial_grading(ring, group, label=label)
     else:
         at = f"{where}.components"
         comps, key_of = {}, {}
-        for key, exprs in expect(components, dict, at).items():
+        for key, exprs in _expect(components, dict, at).items():
             degree = _parse_degree(group, key, f"{at}[{key!r}]")
             if degree in key_of:
                 raise MalformedSpec(
@@ -179,14 +206,65 @@ def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument
                     f"{group.describe(degree)}"
                 )
             key_of[degree] = key
-            comps[degree] = frozenset(parse_elements(exprs, f"{at}[{key!r}]"))
-        gr = attach_grading(ring, group, comps, label=label)
+            comps[degree] = frozenset(_elements(ring, exprs, f"{at}[{key!r}]"))
+        with _at(at):  # not a direct sum of subgroups that multiply by degree
+            gr = attach_grading(ring, group, comps, label=label)
     at = f"{where}.ideals"
     ideals = {
-        name: ideal_generated(ring, tuple(parse_elements(gens, f"{at}[{name!r}]")))
-        for name, gens in expect(doc.get("ideals", {}), dict, at).items()
+        name: ideal_generated(ring, _elements(ring, gens, f"{at}[{name!r}]"))
+        for name, gens in _expect(doc.get("ideals", {}), dict, at).items()
     }
     return RingSpecDocument(graded_ring=gr, ideals=ideals)
+
+
+def parse_corpus(docs) -> list[CorpusEntry]:
+    """The entries of the corpus document `docs`, its JSON text or the value
+    parsed from it, in order."""
+    if isinstance(docs, str):
+        docs = _json("$", docs)
+    entries: dict[str, CorpusEntry] = {}
+    for i, doc in enumerate(_expect(docs, list, "$")):
+        where = f"$[{i}]"
+        label = _expect(_expect(doc, dict, where).get("label", f"corpus[{i}]"), str, f"{where}.label")
+        if label in entries:
+            raise MalformedSpec(f"{where}.label: {label!r} labels an earlier entry")
+        if "kind" in doc:
+            entries[label] = _construction(doc, label, entries, where)
+        else:
+            entries[label] = CorpusEntry(label, parse_spec(doc, label, where).graded_ring)
+    if not entries:
+        raise MalformedSpec("$: the corpus is empty")
+    return list(entries.values())
+
+
+def _construction(doc: dict, label: str, earlier: dict[str, CorpusEntry], where: str) -> CorpusEntry:
+    """The product, quotient or localization entry `doc`, built by `transport`."""
+    from . import transport  # loaded by constructions only, never by `ring describe`
+
+    kind, at = doc["kind"], f"{where}.of"
+    if kind == "product":
+        names = _list_of(_field(doc, "of", list, where), str, at)
+        if len(names) != 2:
+            raise MalformedSpec(f"{at}: a product names 2 entries, not {len(names)}")
+    elif kind in ("quotient", "localize"):
+        names, key = [_field(doc, "of", str, where)], "by" if kind == "quotient" else "at"
+        exprs = _field(doc, key, list, where)
+    else:
+        raise MalformedSpec(f"{where}.kind: unknown entry kind {kind!r}")
+    for name in names:
+        if name not in earlier:
+            raise MalformedSpec(f"{at}: no earlier entry is labelled {name!r}")
+    parents = tuple(earlier[name].gr for name in names)
+    gr = parents[0]
+    if kind != "product":
+        at = f"{where}.{key}"
+        elements = _elements(gr.ring, exprs, at)
+    with _at(at):  # GroupMismatch, a carrier above the cap, NotProper, NotGraded, InvalidSet
+        if kind == "product":
+            return CorpusEntry(label, transport.product(*parents), parents)
+        if kind == "quotient":
+            return CorpusEntry(label, transport.quotient(gr, ideal_generated(gr.ring, elements))[0])
+        return CorpusEntry(label, transport.localize(gr, transport.MultiplicativeSet.create(gr, elements))[0])
 
 
 def resolve_ideal(spec: RingSpecDocument, text: str) -> IdealSet:

@@ -7,30 +7,26 @@ counters, so a PASS discloses whether both directions were nontrivially
 exercised; branches with zero realizable instances are flagged in the
 notes and a statement with no instances at all reports VACUOUS.
 PROP_3_1, COR_3_2 and COR_RE report from one memoized check per ring.
-A corpus is a document that `parse_corpus` reads, the default one too.
+A corpus is a document that `specdoc.parse_corpus` reads, the default one too.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Iterable, Optional
 
 from .classify import (
     flag_value, is_graded_1abs_primary, is_graded_maximal, is_graded_primary, is_graded_prime,
     is_graded_strongly_1abs_primary, local_structure, ring_predicates, strongly_1abs_ideal_form,
 )
-from .errors import GradedRingError, MalformedSpec, ShapeMismatch
+from .errors import ShapeMismatch
 from .finring import Cyclic, Record, build_ring, memo
 from .grading import GradedRing, trivial_grading
 from .ideals import (
     IdealSet, colon, combine, enumerate_graded_ideals, graded_radical, ideal_generated,
     is_graded_ideal, principal_graded_ideals, product_contained, proper_graded_ideals, zero_ideal,
 )
-from .specdoc import expect, field, list_of, parse_spec
-from .transport import (
-    MultiplicativeSet, enumerate_multiplicative_sets, hom_transport, identity_subring, localize,
-    product, quotient,
-)
+from .specdoc import CorpusEntry, parse_corpus
+from .transport import enumerate_multiplicative_sets, hom_transport, identity_subring, localize, quotient
 
 
 class VerificationReport(Record):
@@ -91,19 +87,6 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-class CorpusEntry(Record):
-    """A graded ring under the label its reports name.  A product R1 x R2
-    carries its factors as `parents` (R1, R2), and COR_2_8 runs on exactly
-    the entries that have them."""
-
-    __slots__ = ("label", "gr", "parents")
-
-    def __init__(self, label: str, gr: GradedRing, parents: tuple = ()):
-        self.label = label
-        self.gr = gr
-        self.parents = parents
-
-
 # The default corpus, a corpus document (`specdoc`): Z/n, (Z/m)[v]/(v^2 - c) graded by
 # Z2 with the constants in degree 0 and the multiples of v in degree 1, and constructions.
 DEFAULT_CORPUS = """[
@@ -134,55 +117,9 @@ DEFAULT_CORPUS = """[
 ]"""
 
 
-def parse_corpus(docs) -> list[CorpusEntry]:
-    """The entries of the corpus document `docs` (schema in `specdoc`), in
-    order; each fault names its JSON path."""
-    entries: dict[str, CorpusEntry] = {}
-    for i, doc in enumerate(expect(docs, list, "$")):
-        where = f"$[{i}]"
-        label = expect(expect(doc, dict, where).get("label", f"corpus[{i}]"), str, f"{where}.label")
-        if label in entries:
-            raise MalformedSpec(f"{where}.label: {label!r} labels an earlier entry")
-        if "kind" in doc:
-            entries[label] = _construction(doc, label, entries, where)
-        else:
-            entries[label] = CorpusEntry(label, parse_spec(doc, label, where).graded_ring)
-    if not entries:
-        raise MalformedSpec("$: the corpus is empty")
-    return list(entries.values())
-
-
-def _construction(doc: dict, label: str, earlier: dict[str, CorpusEntry], where: str) -> CorpusEntry:
-    """The product, quotient or localization entry `doc`, built by `transport`."""
-    kind, at = doc["kind"], f"{where}.of"
-    if kind == "product":
-        names = list_of(field(doc, "of", list, where), str, at)
-        if len(names) != 2:
-            raise MalformedSpec(f"{at}: a product names 2 entries, not {len(names)}")
-    elif kind in ("quotient", "localize"):
-        names, key = [field(doc, "of", str, where)], "by" if kind == "quotient" else "at"
-        exprs = list_of(field(doc, key, list, where), str, f"{where}.{key}")
-    else:
-        raise MalformedSpec(f"{where}.kind: unknown entry kind {kind!r}")
-    for name in names:
-        if name not in earlier:
-            raise MalformedSpec(f"{at}: no earlier entry is labelled {name!r}")
-    parents = tuple(earlier[name].gr for name in names)
-    try:
-        if kind == "product":
-            return CorpusEntry(label, product(*parents), parents)
-        gr, at = parents[0], f"{where}.{key}"
-        elements = tuple(gr.ring.parse(e) for e in exprs)
-        if kind == "quotient":
-            return CorpusEntry(label, quotient(gr, ideal_generated(gr.ring, elements))[0])
-        return CorpusEntry(label, localize(gr, MultiplicativeSet.create(gr, elements))[0])
-    except GradedRingError as exc:  # GroupMismatch, NotGraded, NotProper, InvalidSet, ...
-        raise type(exc)(f"{at}: {exc}") from None
-
-
 def default_corpus() -> list[CorpusEntry]:
     """The fixed, versioned corpus: `DEFAULT_CORPUS` read as `--corpus` reads a file."""
-    return parse_corpus(json.loads(DEFAULT_CORPUS))
+    return parse_corpus(DEFAULT_CORPUS)
 
 
 def _ideals_where(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,12 @@ import pytest
 
 from gradedrings import verifier
 from gradedrings.cli import main
+from gradedrings.errors import MalformedSpec
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
+# the spec's file stem is the ring label, which the golden outputs print
+Z256 = '{"ring": {"kind": "cyclic", "n": 256}, "group": {"kind": "trivial"}}'
 
 
 def run(capsys, *argv):
@@ -134,6 +139,7 @@ CYCLIC4 = '"ring": {"kind": "cyclic", "n": 4}'
 Z2_GROUP = '"group": {"kind": "finite_abelian", "factors": [2]}'
 F3_Z2 = '"ring": {"kind": "poly_quotient", "p": 3, "modulus": [2, 0, 1]}, ' + Z2_GROUP
 F3_CONST, F3_U = '["0", "1", "2"]', '["0", "u", "2u"]'
+GAUSS3_Z2 = '"ring": {"kind": "gauss_mod", "n": 3}, ' + Z2_GROUP
 DESCRIBE = ("ring", "describe", "{file}")
 CORPUS = ("verify", "all", "--corpus", "{file}")
 
@@ -255,6 +261,26 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             None, ("verify", "COR_2_7", "--range", "1_0..1_2"), "--range '1_0..1_2'",
             id="range-digit-separator",
         ),
+        pytest.param(
+            f'{{{CYCLIC4}, "ideals": {{"I": ["u"]}}}}', DESCRIBE,
+            "$.ideals['I']: term 'u': degree >= 1", id="ideal-element-path",
+        ),
+        pytest.param(
+            f'{{{GAUSS3_Z2}, "components": {{"0": ["0", "1", "2"], "1": ["0", "i", "2j"]}}}}', DESCRIBE,
+            "$.components['1']: cannot parse '2j'", id="component-element-path",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "cyclic", "n": 1}}', DESCRIBE, "$.ring: Cyclic(1): need n >= 2",
+            id="ring-n-path",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "poly_quotient", "p": 4, "modulus": [1, 1]}}', DESCRIBE,
+            "$.ring: PolyQuotient base Z/4: 4 is not a prime", id="ring-p-path",
+        ),
+        pytest.param(
+            '[{"ring": {"kind": "cyclic", "n": 0}}]', CORPUS, "$[0].ring: Cyclic(0): need n >= 2",
+            id="corpus-ring-path",
+        ),
     ],
 )
 def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):
@@ -290,10 +316,9 @@ GOLDEN_ARGV = {
 
 @pytest.mark.parametrize("golden", GOLDEN_ARGV)
 def test_json_output_matches_golden(tmp_path, capsys, golden):
-    # the spec's file stem is the ring label, which the golden outputs print
     z256 = tmp_path / "z256.json"
-    z256.write_text('{"ring": {"kind": "cyclic", "n": 256}, "group": {"kind": "trivial"}}')
-    expected = (Path(__file__).resolve().parent.parent / f"perfbench/golden/{golden}.out").read_bytes()
+    z256.write_text(Z256)
+    expected = (ROOT / f"perfbench/golden/{golden}.out").read_bytes()
     argv = (a.replace("{z256}", str(z256)) for a in GOLDEN_ARGV[golden])
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
@@ -317,6 +342,21 @@ def test_shipped_corpus_document_is_the_default_corpus(tmp_path, capsys):
     from_file = verifier.parse_corpus(json.loads(document.read_text()))
     assert shape(from_file) == shape(verifier.default_corpus())
     assert [p for _, p in shape(from_file) if p] == [["Z/4", "Z/9"], ["Z/2[i]/Z2", "Z/2[i]/Z2"]]
+
+
+def test_corpus_key_given_twice_is_rejected_as_text_and_as_file(tmp_path, capsys, monkeypatch):
+    # `json.loads` alone would keep the last 'label' and read "b"
+    text = '[{"label": "a", "label": "b", "ring": {"kind": "cyclic", "n": 4}}]'
+    message = "key 'label' given twice in one object"
+    with pytest.raises(MalformedSpec, match=re.escape(f"$: {message}")):
+        verifier.parse_corpus(text)
+    monkeypatch.setattr(verifier, "DEFAULT_CORPUS", text)
+    with pytest.raises(MalformedSpec, match=re.escape(f"$: {message}")):
+        verifier.default_corpus()
+    path = tmp_path / "corpus.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "all", "--corpus", str(path))
+    assert (code, out, err) == (2, "", f"error: MalformedSpec: {path}: {message}\n")
 
 
 Z9_CORPUS = '[{"label": "Z/9", "ring": {"kind": "cyclic", "n": 9}}]'
@@ -449,14 +489,17 @@ def test_construction_error_exit_code(tmp_path, capsys, content, error, command)
 LAZY_LAYERS = ("gradedrings.verifier", "gradedrings.transport", "dataclasses", "inspect")
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a fresh process that imports this checkout's package."""
+    paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def _loaded_modules(*argv: str) -> set[str]:
     """Modules one CLI invocation loads beyond a fresh interpreter's start-up set."""
-    root = Path(__file__).resolve().parent.parent
-    paths = (str(root / "src"), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
-        [sys.executable, str(root / "bench" / "modules_loaded.py"), *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, str(ROOT / "bench" / "modules_loaded.py"), *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
@@ -483,3 +526,60 @@ def test_verify_loads_verifier(tmp_path):
     corpus.write_text(json.dumps([json.loads((SPECS / "cyclic9.json").read_text())]))
     loaded = _loaded_modules("verify", "THM_2_2", "--corpus", str(corpus))
     assert {"gradedrings.verifier", "gradedrings.transport"} <= loaded
+
+
+# `--format json` commands whose output, a golden file, is larger than a
+# one-page pipe holds
+OUTPUT_ARGV = {
+    "describe-z256": ("--format", "json", "ring", "describe", "{z256}"),
+    "verify-all": ("--format", "json", "verify", "all"),
+}
+
+
+def _cli(tmp_path, golden: str, stdout, stderr=subprocess.PIPE) -> subprocess.Popen:
+    z256 = tmp_path / "z256.json"
+    z256.write_text(Z256)
+    argv = [a.replace("{z256}", str(z256)) for a in OUTPUT_ARGV[golden]]
+    return subprocess.Popen(
+        [sys.executable, "-m", "gradedrings.cli", *argv],
+        env=_child_env(), stdout=stdout, stderr=stderr, text=True,
+    )
+
+
+def _one_error_line(err: str, name: str) -> None:
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+# an output failure exits 2, never 1, which would claim a counterexample
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("golden", OUTPUT_ARGV)
+def test_full_disk_exits_2_without_traceback(tmp_path, golden):
+    with open("/dev/full", "w") as full:
+        proc = _cli(tmp_path, golden, full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    _one_error_line(err, "OSError")
+
+
+@pytest.mark.parametrize("merged", (False, True), ids=("stdout", "stdout-and-stderr"))
+@pytest.mark.parametrize("golden", OUTPUT_ARGV)
+def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, merged):
+    # merged: `2>&1 | head -c 1`, so that the error line cannot be written either
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe's capacity cannot be set")
+    read_end, write_end = os.pipe()
+    capacity = fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    if capacity + 1 >= (ROOT / f"perfbench/golden/{golden}.out").stat().st_size:
+        os.close(read_end)
+        os.close(write_end)
+        pytest.skip(f"a pipe of {capacity} bytes holds the whole output")
+    proc = _cli(tmp_path, golden, write_end, subprocess.STDOUT if merged else subprocess.PIPE)
+    os.close(write_end)
+    assert len(os.read(read_end, 1)) == 1
+    os.close(read_end)  # the output does not fit: the writer is still writing
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    if not merged:
+        _one_error_line(err, "BrokenPipeError")

@@ -1,7 +1,8 @@
 """Fuzz test of `cli.main`: arbitrary JSON spec and corpus documents, the
 latter with product, quotient and localization entries, and argument lists
 over every subcommand.  Whatever the input, the exit status is 0 or 2 (1
-would claim a counterexample to a theorem) and no traceback escapes.  Rings
+would claim a counterexample to a theorem) and no traceback escapes; an
+element expression that does not parse exits 2 naming its JSON path.  Rings
 stay at most 81 elements and `--range` within 2..16, so that no example
 builds a slow ring."""
 
@@ -11,6 +12,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -94,6 +96,23 @@ def valid_specs(draw, small: bool = False) -> dict:
     return draw(st.fixed_dictionaries({"ring": st.just(ring)}, optional={"group": group, "ideals": ideals}))
 
 
+# No ring parses an "x": element variables are "u" and "i".
+UNPARSABLE = st.builds("{}x{}".format, TEXT, TEXT)
+
+
+@st.composite
+def with_unparsable_element(draw) -> dict:
+    """A well-formed document but for one element expression, in a component
+    or in an ideal's generators, that no ring parses."""
+    doc = draw(valid_specs())
+    exprs = draw(st.lists(st.sampled_from(("0", "1")), max_size=2))
+    exprs.insert(draw(st.integers(0, len(exprs))), draw(UNPARSABLE))
+    if draw(st.booleans()):  # under a degree key that the group accepts
+        key = "0" if doc.get("group", {}).get("kind") == "integers" else "e"
+        return {**doc, "components": {key: exprs}}
+    return {**doc, "ideals": {**doc.get("ideals", {}), "B": exprs}}
+
+
 def _paths(value, path=()):
     yield path
     items = ()
@@ -140,7 +159,7 @@ def constructed_corpora(draw) -> list:
     return docs
 
 
-SPEC = st.one_of(valid_specs(), corrupted(valid_specs()), ANY_SPEC)
+SPEC = st.one_of(valid_specs(), corrupted(valid_specs()), with_unparsable_element(), ANY_SPEC)
 VALID_CORPUS = st.lists(valid_specs(), min_size=1, max_size=2)
 CORPUS = st.one_of(
     VALID_CORPUS, corrupted(VALID_CORPUS), st.lists(SPEC, max_size=2),
@@ -193,3 +212,27 @@ def test_main_exits_0_or_2_without_traceback(command, data, spec, corpus):
     event(f"exit {status}")
     assert status in (0, 2), (argv_, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+ELEMENT_PATH = re.compile(
+    r"error: MalformedSpec: \$(\[0\])?\.(components\['(0|e)'\]|ideals\['B'\]): (cannot parse|term )"
+)
+
+
+@pytest.mark.parametrize("command", ("describe", "classify", "verify"))
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(spec=with_unparsable_element())
+def test_unparsable_element_names_its_json_path(command, spec):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work, "doc.json")
+        path.write_text(json.dumps([spec] if command == "verify" else spec))
+        argv_ = {
+            "describe": ["ring", "describe", str(path)],
+            "classify": ["ideal", "classify", str(path), "--ideal", "0"],
+            "verify": ["verify", "all", "--corpus", str(path)],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv_)
+    assert status == 2
+    assert ELEMENT_PATH.match(err.getvalue()), err.getvalue()
