@@ -189,7 +189,7 @@ def is_graded_maximal(gr: GradedRing, m: IdealSet) -> bool:
     def compute():
         require_graded(gr, m, proper=True)
         ring = gr.ring
-        one_plus_m = {ring.add(ring.one, x) for x in m.elements}  # 1 - ra in M iff ra in 1 + M
+        one_plus_m = {ring.add_rows[ring.one][x] for x in m.elements}  # 1 - ra in M iff ra in 1 + M
         outside = gr.homogeneous() - m.elements
         return all(not one_plus_m.isdisjoint(ring.mul_rows[a]) for a in outside)
 

@@ -149,8 +149,13 @@ def _cmd_search(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops a failed write
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradedrings",
         description="Finite graded commutative rings: ideal classification and theorem replay.",
     )
@@ -185,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        status = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # a usage error, or the help text of -h
+            status = 2 if exc.code not in (0, None) else 0
+        else:
+            status = args.func(args)
         sys.stdout.flush()  # so that a full disk or a closed pipe fails here
         return status
     except (GradedRingError, OSError) as exc:  # OSError: the output failed

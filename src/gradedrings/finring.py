@@ -115,9 +115,10 @@ class FinRing:
 
     The ring owns the addition and multiplication rows it is given: row x
     holds x+y (resp. x*y) at index y.  `FinRing(...)` checks that a caller's
-    rows are `size` lists of `size` ints in range(size); the library's own
-    builders construct `_BuiltRing`, whose rows are well formed by
-    construction and not scanned again.
+    rows are `size` lists of `size` ints in range(size) and that every
+    element has an additive inverse; the library's own builders construct
+    `_BuiltRing`, whose rows are well formed by construction and not
+    scanned again.
     """
 
     _rows_checked = True  # False on `_BuiltRing`: rows well formed by construction
@@ -141,28 +142,20 @@ class FinRing:
             raise MalformedSpec(f"zero {zero!r} or one {one!r} is not in range({size})")
         if names is not None and len(names) != size:
             raise MalformedSpec(f"{len(names)} names for {size} elements")
+        self._names = list(names if names is not None else map(str, range(size)))
         if self._rows_checked:
             _check_rows(size, add_rows, "addition")
             _check_rows(size, mul_rows, "multiplication")
+            for i, row in enumerate(add_rows):
+                if zero not in row:
+                    raise MalformedSpec(f"{self._names[i]} has no additive inverse")
         self.size = size
         self.zero = zero
         self.one = one
         self.label = label
-        self._names = list(names if names is not None else map(str, range(size)))
         self._parse = parse
         self._add_table = add_rows
         self._mul_table = mul_rows
-        try:
-            self._neg_table = [row.index(zero) for row in add_rows]
-        except ValueError:
-            i = next(i for i, row in enumerate(add_rows) if zero not in row)
-            raise MalformedSpec(f"{self._names[i]} has no additive inverse") from None
-        # closures over the tables, not self: a ring in no reference cycle
-        # is freed when dropped, not at the next full garbage collection
-        add, mul, neg = self._add_table, self._mul_table, self._neg_table
-        self.add = lambda i, j: add[i][j]
-        self.mul = lambda i, j: mul[i][j]
-        self.neg = lambda i: neg[i]
         self._cache: dict = {}
 
     def __repr__(self) -> str:
@@ -189,9 +182,6 @@ class FinRing:
                 raise error(
                     f"{x!r} is not an element of {self.label}, an int in range({self.size})"
                 )
-
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
 
     def name(self, x: int) -> str:
         return self._names[x]
@@ -290,17 +280,19 @@ class FinRing:
 
 
 class _BuiltRing(FinRing):
-    """A ring whose rows the library built: `FinRing.__init__` runs every
-    check but `_check_rows`.  Each of the three builders makes `size` rows
-    of `size` cells, and every cell is read from a list of ints in
-    range(size):
+    """A ring whose rows the library built: `FinRing.__init__` skips
+    `_check_rows` and the additive inverses.  Each of the three builders
+    makes `size` rows of `size` cells, every cell read from a list of ints
+    in range(size), and an addition that is a group:
 
-    - `_poly_ring`: each addition cell is an entry of a rotation of range(m)
-      or a pair index of `product_rows`, and each multiplication cell is 0,
-      an entry of range(m) or an entry of an addition row.
-    - `induced_ring`: each cell is a value of `index_of`, and it checks
-      those values itself.
-    - `product_ring`: `product_rows` gathers from `range(|R| |S|)`.
+    - `_poly_ring`: (Z/m)^d, digit by digit.  Each addition cell is an entry
+      of a rotation of range(m) or a pair index of `product_rows`, and each
+      multiplication cell is 0, an entry of range(m) or of an addition row.
+    - `induced_ring`: the parent's sums read through the cosets of a
+      quotient, the subgroup R_e or the classes of a localization.  Each
+      cell is a value of `index_of`, and it checks those values itself.
+    - `product_ring`: a product of two groups; `product_rows` gathers from
+      `range(|R| |S|)`.
     """
 
     _rows_checked = False

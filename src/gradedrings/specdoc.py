@@ -176,6 +176,8 @@ def _json(source: str | Path, text: str | None = None):
         raise MalformedSpec(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except (OSError, ValueError) as exc:  # ValueError: text not UTF-8, or a key given twice
         raise MalformedSpec(f"{source}: {exc}") from exc
+    except RecursionError:
+        raise MalformedSpec(f"{source}: JSON nested too deeply") from None
 
 
 def load_spec(path: str | Path) -> RingSpecDocument:

@@ -1,10 +1,11 @@
 """Definitional loops: the reference the library's fast paths must match.
 
-Ring arithmetic is one function call per table cell: the constructors'
-coefficient formulas and per-kind element names, the closures of the
-derived rings (quotient, product, localization, identity subring), and
-the axiom, ideal and homomorphism checks through `ring.add` / `ring.mul`,
-each raising the first failure in scan order. The ideal algebra is the
+Ring arithmetic goes one table cell at a time: the constructors'
+coefficient formulas and per-kind element names and the closures of the
+derived rings (quotient, product, localization, identity subring) are one
+function call per cell, and the axiom, ideal and homomorphism checks read
+`ring.add_rows[x][y]` / `ring.mul_rows[x][y]`, each raising the first
+failure in scan order. The ideal algebra is the
 frontier-search additive closure and the lattice closed under sums of
 every pair of ideals found so far; radicals, Grad({0}) included, search
 the powers x, x^2, ..., x^|R| one by one; colons test every product. Each
@@ -127,27 +128,27 @@ def spec_names(spec):
 def check_axioms(ring):
     """Scan the commutative-ring axioms cell by cell, every triple in (i, j, k) order."""
     for i in ring.elements():
-        if ring.add(i, ring.zero) != i:
+        if ring.add_rows[i][ring.zero] != i:
             raise MalformedSpec(f"additive identity fails at {ring.name(i)}")
-        if ring.mul(i, ring.one) != i:
+        if ring.mul_rows[i][ring.one] != i:
             raise MalformedSpec(f"multiplicative identity fails at {ring.name(i)}")
     for i in ring.elements():
         for j in ring.elements():
-            if ring.add(i, j) != ring.add(j, i):
+            if ring.add_rows[i][j] != ring.add_rows[j][i]:
                 raise MalformedSpec(f"addition not commutative at ({i},{j})")
-            if ring.mul(i, j) != ring.mul(j, i):
+            if ring.mul_rows[i][j] != ring.mul_rows[j][i]:
                 raise MalformedSpec(f"multiplication not commutative at ({i},{j})")
-    add, mul = ring.add, ring.mul
+    add, mul = ring.add_rows, ring.mul_rows
     for i in ring.elements():
         for j in ring.elements():
-            i_plus_j, i_times_j = add(i, j), mul(i, j)
+            i_plus_j, i_times_j = add[i][j], mul[i][j]
             for k in ring.elements():
-                j_plus_k = add(j, k)
-                if add(i_plus_j, k) != add(i, j_plus_k):
+                j_plus_k = add[j][k]
+                if add[i_plus_j][k] != add[i][j_plus_k]:
                     raise MalformedSpec(f"addition not associative at ({i},{j},{k})")
-                if mul(i_times_j, k) != mul(i, mul(j, k)):
+                if mul[i_times_j][k] != mul[i][mul[j][k]]:
                     raise MalformedSpec(f"multiplication not associative at ({i},{j},{k})")
-                if mul(i, j_plus_k) != add(i_times_j, mul(i, k)):
+                if mul[i][j_plus_k] != add[i_times_j][mul[i][k]]:
                     raise MalformedSpec(f"distributivity fails at ({i},{j},{k})")
 
 
@@ -159,7 +160,7 @@ def cosets(ring, k):
         if coset_of[x] is None:
             reps.append(x)
             for d in k:
-                coset_of[ring.add(x, d)] = len(reps) - 1
+                coset_of[ring.add_rows[x][d]] = len(reps) - 1
     return coset_of, reps
 
 
@@ -168,8 +169,8 @@ def quotient_tables(gr, k):
     coset_of, reps = cosets(ring, k.elements)
     return tables(
         len(reps),
-        lambda i, j: coset_of[ring.add(reps[i], reps[j])],
-        lambda i, j: coset_of[ring.mul(reps[i], reps[j])],
+        lambda i, j: coset_of[ring.add_rows[reps[i]][reps[j]]],
+        lambda i, j: coset_of[ring.mul_rows[reps[i]][reps[j]]],
     )
 
 
@@ -178,8 +179,8 @@ def product_tables(gr, gs):
     n2 = r2.size
     return tables(
         r1.size * n2,
-        lambda x, y: r1.add(x // n2, y // n2) * n2 + r2.add(x % n2, y % n2),
-        lambda x, y: r1.mul(x // n2, y // n2) * n2 + r2.mul(x % n2, y % n2),
+        lambda x, y: r1.add_rows[x // n2][y // n2] * n2 + r2.add_rows[x % n2][y % n2],
+        lambda x, y: r1.mul_rows[x // n2][y // n2] * n2 + r2.mul_rows[x % n2][y % n2],
     )
 
 
@@ -188,22 +189,22 @@ def _localize_classes(gr, s):
     least pairs, and the class of a pair."""
     ring = gr.ring
     slist = sorted(s.elements)
-    killed = [d for d in ring.elements() if any(ring.mul(v, d) == ring.zero for v in slist)]
+    killed = [d for d in ring.elements() if any(ring.mul_rows[v][d] == ring.zero for v in slist)]
     coset_of, _ = cosets(ring, killed)
     one_coset = coset_of[ring.one]
     inverse = {
-        t: next(v for v in ring.elements() if coset_of[ring.mul(t, v)] == one_coset) for t in slist
+        t: next(v for v in ring.elements() if coset_of[ring.mul_rows[t][v]] == one_coset) for t in slist
     }
     class_of, reps = {}, []
     for a in ring.elements():
         for t in slist:
-            key = coset_of[ring.mul(a, inverse[t])]
+            key = coset_of[ring.mul_rows[a][inverse[t]]]
             if key not in class_of:
                 class_of[key] = len(reps)
                 reps.append((a, t))
 
     def cls(a, t):
-        return class_of[coset_of[ring.mul(a, inverse[t])]]
+        return class_of[coset_of[ring.mul_rows[a][inverse[t]]]]
 
     return reps, cls
 
@@ -215,11 +216,11 @@ def localize_tables(gr, s):
 
     def add(i, j):
         (a, t1), (b, t2) = reps[i], reps[j]
-        return cls(ring.add(ring.mul(a, t2), ring.mul(b, t1)), ring.mul(t1, t2))
+        return cls(ring.add_rows[ring.mul_rows[a][t2]][ring.mul_rows[b][t1]], ring.mul_rows[t1][t2])
 
     def mul(i, j):
         (a, t1), (b, t2) = reps[i], reps[j]
-        return cls(ring.mul(a, b), ring.mul(t1, t2))
+        return cls(ring.mul_rows[a][b], ring.mul_rows[t1][t2])
 
     return tables(len(reps), add, mul)
 
@@ -246,8 +247,8 @@ def identity_subring_tables(gr):
     back = {x: i for i, x in enumerate(carrier)}
     return tables(
         len(carrier),
-        lambda i, j: back[ring.add(carrier[i], carrier[j])],
-        lambda i, j: back[ring.mul(carrier[i], carrier[j])],
+        lambda i, j: back[ring.add_rows[carrier[i]][carrier[j]]],
+        lambda i, j: back[ring.mul_rows[carrier[i]][carrier[j]]],
     )
 
 
@@ -256,10 +257,10 @@ def validate_ideal(ring, elements):
         raise NotAnIdeal("missing 0")
     for x in elements:
         for y in elements:
-            if ring.add(x, y) not in elements:
+            if ring.add_rows[x][y] not in elements:
                 raise NotAnIdeal(f"not closed under addition at {ring.name(x)}+{ring.name(y)}")
         for r in ring.elements():
-            if ring.mul(r, x) not in elements:
+            if ring.mul_rows[r][x] not in elements:
                 raise NotAnIdeal(f"not absorbing at {ring.name(r)}*{ring.name(x)}")
 
 
@@ -275,11 +276,11 @@ def hom_check(source, target, mapping):
         raise UnitNotPreserved(f"f(1) = {rt.name(f[rs.one])} != 1", (rs.one,))
     for x in rs.elements():
         for y in rs.elements():
-            if f[rs.add(x, y)] != rt.add(f[x], f[y]):
+            if f[rs.add_rows[x][y]] != rt.add_rows[f[x]][f[y]]:
                 raise NotAdditive(
                     f"f({rs.name(x)}+{rs.name(y)}) != f({rs.name(x)})+f({rs.name(y)})", (x, y)
                 )
-            if f[rs.mul(x, y)] != rt.mul(f[x], f[y]):
+            if f[rs.mul_rows[x][y]] != rt.mul_rows[f[x]][f[y]]:
                 raise NotMultiplicativeMap(
                     f"f({rs.name(x)}*{rs.name(y)}) != f({rs.name(x)})*f({rs.name(y)})", (x, y)
                 )
@@ -298,7 +299,7 @@ def additive_closure(ring, seed):
     while frontier:
         x = frontier.pop()
         for y in list(out):
-            s = ring.add(x, y)
+            s = ring.add_rows[x][y]
             if s not in out:
                 out.add(s)
                 frontier.append(s)
@@ -307,7 +308,7 @@ def additive_closure(ring, seed):
 
 def ideal_generated(ring, gens):
     gens = tuple(gens)
-    multiples = {ring.zero} | {ring.mul(r, g) for g in gens for r in ring.elements()}
+    multiples = {ring.zero} | {ring.mul_rows[r][g] for g in gens for r in ring.elements()}
     return IdealSet(ring, additive_closure(ring, multiples), generators=gens)
 
 
@@ -316,7 +317,7 @@ def combine(i, j, op):
     if op == "sum":
         return IdealSet(ring, additive_closure(ring, i.elements | j.elements))
     if op == "product":
-        prods = {ring.mul(x, y) for x in i.elements for y in j.elements}
+        prods = {ring.mul_rows[x][y] for x in i.elements for y in j.elements}
         return IdealSet(ring, additive_closure(ring, prods))
     assert op == "intersection"
     return IdealSet(ring, i.elements & j.elements)
@@ -332,7 +333,7 @@ def has_power_in(ring, x, target):
     for _ in range(ring.size):
         if p in target:
             return True
-        p = ring.mul(p, x)
+        p = ring.mul_rows[p][x]
     return False
 
 
@@ -359,7 +360,7 @@ def graded_radical(gr, ideal):
 
 def colon(ring, p, k):
     return IdealSet(ring, {
-        r for r in ring.elements() if all(ring.mul(r, x) in p.elements for x in k.elements)
+        r for r in ring.elements() if all(ring.mul_rows[r][x] in p.elements for x in k.elements)
     })
 
 
@@ -376,7 +377,7 @@ def principal_graded_ideals(gr):
     closures = {}
     seen = {}
     for a in sorted(gr.homogeneous()):
-        multiples = frozenset({ring.zero} | {ring.mul(r, a) for r in ring.elements()})
+        multiples = frozenset({ring.zero} | {ring.mul_rows[r][a] for r in ring.elements()})
         if multiples not in closures:
             closures[multiples] = additive_closure(ring, multiples)
         seen.setdefault(closures[multiples], IdealSet(ring, closures[multiples], generators=(a,)))
@@ -401,12 +402,12 @@ def enumerate_graded_ideals(gr):
 def is_graded_prime(gr, p):
     require_graded(gr, p, proper=True)
     homog = sorted(gr.homogeneous())
-    mul = gr.ring.mul
+    mul = gr.ring.mul_rows
     for x in homog:
         if x in p.elements:
             continue
         for y in homog:
-            if mul(x, y) in p.elements and y not in p.elements:
+            if mul[x][y] in p.elements and y not in p.elements:
                 return False, (x, y)
     return True, None
 
@@ -415,12 +416,12 @@ def is_graded_primary(gr, q):
     require_graded(gr, q, proper=True)
     rad = graded_radical(gr, q).elements
     homog = sorted(gr.homogeneous())
-    mul = gr.ring.mul
+    mul = gr.ring.mul_rows
     for x in homog:
         if x in q.elements:
             continue
         for y in homog:
-            if mul(x, y) in q.elements and y not in rad:
+            if mul[x][y] in q.elements and y not in rad:
                 return False, (x, y)
     return True, None
 
@@ -429,14 +430,14 @@ def is_graded_1abs_primary(gr, p):
     require_graded(gr, p, proper=True)
     rad = graded_radical(gr, p).elements
     nonunits = gr.nonunit_homogeneous()
-    mul = gr.ring.mul
+    mul = gr.ring.mul_rows
     for x in nonunits:
         for y in nonunits:
-            xy = mul(x, y)
+            xy = mul[x][y]
             if xy in p.elements:
                 continue
             for z in nonunits:
-                if mul(xy, z) in p.elements and z not in rad:
+                if mul[xy][z] in p.elements and z not in rad:
                     return False, (x, y, z)
     return True, None
 
@@ -445,14 +446,14 @@ def is_graded_strongly_1abs_primary(gr, p):
     require_graded(gr, p, proper=True)
     grad_zero = graded_radical(gr, IdealSet(gr.ring, {gr.ring.zero})).elements
     nonunits = gr.nonunit_homogeneous()
-    mul = gr.ring.mul
+    mul = gr.ring.mul_rows
     for x in nonunits:
         for y in nonunits:
-            xy = mul(x, y)
+            xy = mul[x][y]
             if xy in p.elements:
                 continue
             for z in nonunits:
-                if mul(xy, z) in p.elements and z not in grad_zero:
+                if mul[xy][z] in p.elements and z not in grad_zero:
                     return False, (x, y, z)
     return True, None
 
@@ -461,17 +462,17 @@ def is_graded_2abs_primary(gr, i):
     require_graded(gr, i, proper=True)
     rad = graded_radical(gr, i).elements
     homog = sorted(gr.homogeneous())
-    mul = gr.ring.mul
+    mul = gr.ring.mul_rows
     for x in homog:
         for y in homog:
-            xy = mul(x, y)
+            xy = mul[x][y]
             if xy in i.elements:
                 continue
             for z in homog:
                 if (
-                    mul(xy, z) in i.elements
-                    and mul(x, z) not in rad
-                    and mul(y, z) not in rad
+                    mul[xy][z] in i.elements
+                    and mul[x][z] not in rad
+                    and mul[y][z] not in rad
                 ):
                     return False, (x, y, z)
     return True, None

@@ -74,7 +74,7 @@ def test_criterion_3_graded_field_with_zero_divisors():
         ring, Z2, {(0,): frozenset({0, 1, 2}), (1,): frozenset({0, 3, 6})}
     )
     profile = ring_predicates(gr)
-    has_zero_divisors = ring.mul(ring.parse("1+u"), ring.parse("1-u")) == ring.zero
+    has_zero_divisors = ring.mul_rows[ring.parse("1+u")][ring.parse("1-u")] == ring.zero
     ok = profile.graded_field and has_zero_divisors
     _report(3, ok, "F3[u]/(u^2-1) with Z2 grading is a graded field yet (1+u)(1-u)=0")
 
@@ -204,8 +204,8 @@ def test_criterion_8_separation_witnesses(corpus):
     grad_zero = gr6.graded_nilradical()
     z6_valid = (
         z6["witness"] == ["2", "2", "3"]
-        and r6.mul(r6.mul(x, y), z) in z6["ideal_raw"].elements
-        and r6.mul(x, y) not in z6["ideal_raw"].elements
+        and r6.mul_rows[r6.mul_rows[x][y]][z] in z6["ideal_raw"].elements
+        and r6.mul_rows[x][y] not in z6["ideal_raw"].elements
         and z not in grad_zero
         and is_graded_prime(gr6, z6["ideal_raw"])[0]
     )
@@ -220,8 +220,8 @@ def test_criterion_8_separation_witnesses(corpus):
     rad = graded_radical(gr36, z36["ideal_raw"]).elements
     z36_valid = (
         z36["witness"] == ["2", "2", "3"]
-        and r36.mul(r36.mul(x, y), z) in z36["ideal_raw"].elements
-        and r36.mul(x, y) not in z36["ideal_raw"].elements
+        and r36.mul_rows[r36.mul_rows[x][y]][z] in z36["ideal_raw"].elements
+        and r36.mul_rows[x][y] not in z36["ideal_raw"].elements
         and z not in rad
         and is_graded_2abs_primary(gr36, z36["ideal_raw"])[0]
         and not is_graded_1abs_primary(gr36, z36["ideal_raw"])[0]

@@ -281,6 +281,14 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             '[{"ring": {"kind": "cyclic", "n": 0}}]', CORPUS, "$[0].ring: Cyclic(0): need n >= 2",
             id="corpus-ring-path",
         ),
+        pytest.param(
+            "[" * 100_000 + "]" * 100_000, CORPUS, "input.json: JSON nested too deeply",
+            id="corpus-nested-too-deeply",
+        ),
+        pytest.param(
+            '{"ring": ' + "[" * 100_000 + "]" * 100_000 + "}", DESCRIBE,
+            "input.json: JSON nested too deeply", id="spec-nested-too-deeply",
+        ),
     ],
 )
 def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):
@@ -560,6 +568,21 @@ def test_full_disk_exits_2_without_traceback(tmp_path, golden):
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     _one_error_line(err, "OSError")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", (("-h",), ("verify", "-h")), ids=("help", "verify-help"))
+def test_lost_help_text_exits_2(argv, buffered):
+    # buffered, the help text fails when flushed; unbuffered, when written
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    cmd = [sys.executable, *(() if buffered else ("-u",)), "-m", "gradedrings.cli", *argv]
+    shown = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: ")
+    with open("/dev/full", "w") as full:
+        lost = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert lost.returncode == 2
+    _one_error_line(lost.stderr, "OSError")
 
 
 @pytest.mark.parametrize("merged", (False, True), ids=("stdout", "stdout-and-stderr"))

@@ -86,7 +86,7 @@ def test_decompose_reconstructs_every_element():
         total = ring.zero
         for g, part in gr.decompose(x).items():
             assert part in gr.component(g)
-            total = ring.add(total, part)
+            total = ring.add_rows[total][part]
         assert total == x
 
 
@@ -109,6 +109,13 @@ def test_rejects_non_subgroup():
     ring = build_ring(GaussMod(2))
     with pytest.raises(NotSubgroup):
         attach_grading(ring, Z2, {(0,): {0, 1}, (1,): {0, 1, 2}})
+
+
+def test_component_without_negatives_fails_closure_under_addition():
+    # {0, 1} lacks -1 = 2 = 1+1; closure under + implies closure under negation
+    ring = build_ring(Cyclic(3))
+    with pytest.raises(NotSubgroup, match=r"^component 1 not closed under addition at 1\+1$"):
+        attach_grading(ring, Z2, {(0,): {0, 1, 2}, (1,): {0, 1}})
 
 
 def test_rejects_two_keys_of_one_degree():
@@ -147,7 +154,7 @@ def test_integer_grading_out_of_support_products_must_vanish():
     # F2[u]/(u^2): deg(u) = 1, u*u = 0 lands in the empty degree 2
     ring = build_ring(PolyQuotient(Cyclic(2), (0, 0, 1)))
     gr = attach_grading(ring, Z_GRADING, {0: {0, 1}, 1: {0, ring.parse("u")}})
-    assert gr.ring.mul(ring.parse("u"), ring.parse("u")) == ring.zero
+    assert gr.ring.mul_rows[ring.parse("u")][ring.parse("u")] == ring.zero
     # genuine violation: u^2 = 1 cannot live in the empty degree 2
     ring2 = build_ring(PolyQuotient(Cyclic(2), (1, 0, 1)))
     with pytest.raises(NotMultiplicative):

@@ -41,7 +41,7 @@ def gauss_z2(n):
 
 
 def oracle_is_ideal(ring, s):
-    return all(ring.mul(r, x) in s for x in s for r in ring.elements())
+    return all(ring.mul_rows[r][x] in s for x in s for r in ring.elements())
 
 
 def oracle_is_graded(gr, s):
@@ -76,7 +76,7 @@ def test_ideal_generated_examples():
     two_i = gr.ring.parse("2i")
     ideal = ideal_generated(gr.ring, (two, two_i))
     # oracle: 2*R by direct scan
-    assert ideal.elements == {gr.ring.mul(two, x) for x in gr.ring.elements()}
+    assert ideal.elements == {gr.ring.mul_rows[two][x] for x in gr.ring.elements()}
     assert len(ideal) == 4
 
 
