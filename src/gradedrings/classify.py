@@ -18,6 +18,7 @@ from .ideals import (
     principal_graded_ideals,
     proper_graded_ideals,
     require_graded,
+    zero_ideal,
 )
 
 Witness = Optional[tuple[int, ...]]
@@ -197,27 +198,16 @@ def is_graded_maximal(gr: GradedRing, m: IdealSet) -> bool:
 
 
 class LocalStructure(Record):
-    __slots__ = ("graded_maximal_ideals", "is_graded_local", "the_maximal")
+    """`graded_maximal_ideals` a list of IdealSet; `the_maximal` the only one, or None."""
 
-    def __init__(
-        self,
-        graded_maximal_ideals: list[IdealSet],
-        is_graded_local: bool,
-        the_maximal: Optional[IdealSet],
-    ):
-        self.graded_maximal_ideals = graded_maximal_ideals
-        self.is_graded_local = is_graded_local
-        self.the_maximal = the_maximal
+    __slots__ = ("graded_maximal_ideals", "is_graded_local", "the_maximal")
 
 
 def local_structure(gr: GradedRing) -> LocalStructure:
     def compute():
         maximals = [m for m in proper_graded_ideals(gr) if is_graded_maximal(gr, m)]
-        return LocalStructure(
-            graded_maximal_ideals=maximals,
-            is_graded_local=len(maximals) == 1,
-            the_maximal=maximals[0] if len(maximals) == 1 else None,
-        )
+        local = len(maximals) == 1
+        return LocalStructure(maximals, local, maximals[0] if local else None)
 
     return memo(gr, ("local_structure",), compute)
 
@@ -225,51 +215,30 @@ def local_structure(gr: GradedRing) -> LocalStructure:
 class RingProfile(Record):
     __slots__ = ("graded_field", "graded_domain", "every_homogeneous_nilpotent_or_unit")
 
-    def __init__(
-        self,
-        graded_field: bool,
-        graded_domain: bool,
-        every_homogeneous_nilpotent_or_unit: bool,
-    ):
-        self.graded_field = graded_field
-        self.graded_domain = graded_domain
-        self.every_homogeneous_nilpotent_or_unit = every_homogeneous_nilpotent_or_unit
-
     def to_dict(self) -> dict[str, bool]:
         return {k: getattr(self, k) for k in self.__slots__}
 
 
 def ring_predicates(gr: GradedRing) -> RingProfile:
+    """Graded field: (0) is graded maximal, as Ra = R iff a is a unit.  Graded
+    domain: (0) is graded prime, by definition.  Every homogeneous element
+    nilpotent or a unit: Grad({0}) holds the nonunit homogeneous elements, as
+    a homogeneous element, its own component, is in Grad({0}) iff nilpotent."""
     def compute():
-        ring = gr.ring
-        homog = gr.homogeneous()
-        units = ring.units()
-        nil = ring.nilradical()
-        nonzero = [x for x in homog if x != ring.zero]
-        graded_field = all(x in units for x in nonzero)
-        graded_domain = not any(
-            ring.zero in map(ring.mul_rows[x].__getitem__, nonzero) for x in nonzero
+        zero = zero_ideal(gr.ring)
+        return RingProfile(
+            is_graded_maximal(gr, zero),
+            is_graded_prime(gr, zero)[0],
+            gr.graded_nilradical().issuperset(gr.nonunit_homogeneous()),
         )
-        nil_or_unit = all(x in units or x in nil for x in homog)
-        return RingProfile(graded_field, graded_domain, nil_or_unit)
 
     return memo(gr, ("ring_profile",), compute)
 
 
 class ClassificationReport(Record):
-    __slots__ = ("ideal", "flags", "witnesses", "radical")
+    """`flags` maps each flag to a bool, `witnesses` a false one to a tuple of elements."""
 
-    def __init__(
-        self,
-        ideal: IdealSet,
-        flags: dict[str, bool],
-        witnesses: dict[str, tuple[int, ...]],
-        radical: IdealSet,
-    ):
-        self.ideal = ideal
-        self.flags = flags
-        self.witnesses = witnesses
-        self.radical = radical
+    __slots__ = ("ideal", "flags", "witnesses", "radical")
 
     def to_dict(self, gr: GradedRing) -> dict:
         name = gr.ring.name
@@ -285,8 +254,7 @@ class ClassificationReport(Record):
 
 
 def classify_ideal(gr: GradedRing, p: IdealSet) -> ClassificationReport:
-    """All flags with witnesses plus Grad(P) for one proper graded ideal."""
-    require_graded(gr, p, proper=True)
+    """All flags with witnesses plus Grad(P) for one proper graded ideal, checked by a kernel."""
     flags: dict[str, bool] = {}
     witnesses: dict[str, tuple[int, ...]] = {}
     for flag in FLAGS:

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.set_defaults(func=_cmd_ideal_classify)
 
     ver = sub.add_parser("verify", help="replay the statement suite over a corpus")
-    ver.add_argument("statement", help="statement id or 'all'; see --list via 'all'")
+    ver.add_argument("statement", help="statement id or 'all'; an unknown id lists the statements")
     ver.add_argument("--corpus", help="JSON corpus: ring specs and constructions on them")
     ver.add_argument("--range", help="n range for COR_2_7, e.g. 2..64")
     ver.set_defaults(func=_cmd_verify)

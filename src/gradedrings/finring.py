@@ -19,10 +19,19 @@ MAX_CARRIER = 1024
 
 
 class Record:
-    """Base of the library's small records: equality, hash and a
-    `Name(field=value, ...)` repr over the fields named in `__slots__`."""
+    """Base of the library's small records: a constructor that takes each
+    field named in `__slots__` once, by position or by name, equality, hash
+    and a `Name(field=value, ...)` repr over those fields."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = {**dict(zip(fields, args)), **kwargs}
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes each of {fields} once, by position or by name")
+        for k in fields:
+            setattr(self, k, values[k])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, k) for k in self.__slots__)
@@ -45,27 +54,17 @@ class Cyclic(Record):
 
     __slots__ = ("n",)
 
-    def __init__(self, n: int):
-        self.n = n
-
 
 class GaussMod(Record):
     """Z/nZ with an adjoined square root of -1; element (a, b) is a + b*i."""
 
     __slots__ = ("n",)
 
-    def __init__(self, n: int):
-        self.n = n
-
 
 class PolyQuotient(Record):
-    """(Z/pZ)[u] / (modulus), modulus monic, coefficients ascending."""
+    """(Z/pZ)[u] / (modulus), base Cyclic(p), modulus monic, coefficients ascending."""
 
     __slots__ = ("base", "modulus")
-
-    def __init__(self, base: Cyclic, modulus: tuple[int, ...]):
-        self.base = base
-        self.modulus = modulus
 
 
 RingSpec = Cyclic | GaussMod | PolyQuotient
@@ -113,12 +112,12 @@ def additive_closure(ring: FinRing, seed: Iterable[int]) -> frozenset[int]:
 class FinRing:
     """Immutable finite commutative ring; all operations are pure.
 
-    The ring owns the addition and multiplication rows it is given: row x
-    holds x+y (resp. x*y) at index y.  `FinRing(...)` checks that a caller's
-    rows are `size` lists of `size` ints in range(size) and that every
-    element has an additive inverse; the library's own builders construct
-    `_BuiltRing`, whose rows are well formed by construction and not
-    scanned again.
+    The ring owns the rows it is given, `add_rows` and `mul_rows`, read
+    only: row x holds x+y (resp. x*y) at index y.  `FinRing(...)` checks
+    that a caller's rows are `size` lists of `size` ints in range(size) and
+    that every element has an additive inverse; the library's own builders
+    construct `_BuiltRing`, whose rows are well formed by construction and
+    not scanned again.
     """
 
     _rows_checked = True  # False on `_BuiltRing`: rows well formed by construction
@@ -154,8 +153,8 @@ class FinRing:
         self.one = one
         self.label = label
         self._parse = parse
-        self._add_table = add_rows
-        self._mul_table = mul_rows
+        self.add_rows = add_rows
+        self.mul_rows = mul_rows
         self._cache: dict = {}
 
     def __repr__(self) -> str:
@@ -163,16 +162,6 @@ class FinRing:
 
     def elements(self) -> range:
         return range(self.size)
-
-    @property
-    def add_rows(self) -> Sequence[Sequence[int]]:
-        """The addition table: row x holds x+y at index y.  Read only."""
-        return self._add_table
-
-    @property
-    def mul_rows(self) -> Sequence[Sequence[int]]:
-        """The multiplication table: row x holds x*y at index y.  Read only."""
-        return self._mul_table
 
     def require_elements(self, xs: Iterable, error: type[Exception]) -> None:
         """Raise `error` naming the first of `xs` that is not an element
@@ -201,7 +190,7 @@ class FinRing:
         row, and the rows of the elements it marks are never scanned."""
         def compute():
             nonunits: set[int] = set()
-            for x, row in enumerate(self._mul_table):
+            for x, row in enumerate(self.mul_rows):
                 if x not in nonunits and self.one not in row:
                     nonunits.update(row)
             return frozenset(self.elements()).difference(nonunits)
@@ -214,7 +203,7 @@ class FinRing:
         x^(2^m) exactly when it holds some power of x, because the least
         such power has exponent at most size."""
         def compute():
-            square = tuple(map(list.__getitem__, self._mul_table, range(self.size)))
+            square = tuple(map(list.__getitem__, self.mul_rows, range(self.size)))
             powers = square
             for _ in range(self.size.bit_length() - 1):
                 powers = gather(powers)(square)
@@ -251,7 +240,7 @@ class FinRing:
         fails, so the message names the first failing element, pair or
         triple in (i, j, k) order.
         """
-        n, add, mul = self.size, self._add_table, self._mul_table
+        n, add, mul = self.size, self.add_rows, self.mul_rows
         ids = list(range(n))
         if [row[self.zero] for row in add] != ids or [row[self.one] for row in mul] != ids:
             i = next(i for i in ids if add[i][self.zero] != i or mul[i][self.one] != i)
@@ -404,15 +393,16 @@ def product_rows(rows1: Sequence[Sequence[int]], rows2: Sequence[Sequence[int]])
 
 
 def induced_ring(
-    ring: FinRing, carrier: Sequence[int], index_of, *, label: str, names: Sequence[str]
+    ring: FinRing, carrier: Sequence[int], index_of: Sequence[int], *, label: str,
+    names: Sequence[str],
 ) -> FinRing:
     """The ring on `carrier`, elements of `ring`: element i is carrier[i], and
-    i op j is index_of[carrier[i] op carrier[j]], `index_of` a list over the
-    parent or a dict over the carrier's sums and products.  Every cell is a
-    value of `index_of`, so one check of those values checks the rows."""
+    i op j is index_of[carrier[i] op carrier[j]], `index_of` a sequence over
+    the parent.  Every cell is a value of `index_of`, so one check of those
+    values checks the rows."""
     size = len(carrier)
     _check_carrier(size)  # size >= 2, so itemgetter gives tuples, as `gather` does
-    if not _ints_in_range(size, [index_of.values() if isinstance(index_of, dict) else index_of]):
+    if not _ints_in_range(size, [index_of]):
         raise MalformedSpec(f"{label}: index_of holds a value that is not an int in range({size})")
     along = itemgetter(*carrier)
     add, mul = (

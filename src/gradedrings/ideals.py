@@ -195,14 +195,7 @@ def combine(i: IdealSet, j: IdealSet, op: CombineOp) -> IdealSet:
         raise RingMismatch("combine operands from different rings")
     ring = i.ring
     if op == "sum":
-        # with I the larger, I + J is the union of the cosets s + I, s in J;
-        # the span so far is a union of I-cosets, so an s it covers adds nothing
-        small, big = sorted((i.elements, j.elements), key=len)
-        span, plus = set(big), gather(tuple(big))
-        for s in small:
-            if s not in span:
-                span.update(plus(ring.add_rows[s]))
-        return IdealSet(ring, span)
+        return IdealSet(ring, additive_closure(ring, i.elements | j.elements))
     if op == "product":
         rows = ring.mul_rows
         prods = set().union(*(map(rows[x].__getitem__, j.elements) for x in i.elements))

@@ -29,6 +29,7 @@ entries above it, which it names by label:
 A product's two factors are its `parents`; a quotient is by the ideal the
 expressions generate, a localization at the homogeneous elements listed
 and 1, which must be closed under multiplication and miss 0.
+A key that its object does not read, such as a misspelling, is an error.
 Each error in a document names its JSON path first: `$.ideals['I']: ...`.
 """
 
@@ -46,11 +47,9 @@ from .ideals import IdealSet, ideal_generated
 
 
 class RingSpecDocument(Record):
-    __slots__ = ("graded_ring", "ideals")
+    """`ideals` maps each name to an IdealSet."""
 
-    def __init__(self, graded_ring: GradedRing, ideals: dict[str, IdealSet]):
-        self.graded_ring = graded_ring
-        self.ideals = ideals
+    __slots__ = ("graded_ring", "ideals")
 
 
 class CorpusEntry(Record):
@@ -104,33 +103,52 @@ def _elements(ring, value, where: str) -> tuple[int, ...]:
         return tuple(ring.parse(e) for e in exprs)
 
 
+# the keys that a spec, and each kind of object, reads
+_SPEC_KEYS = ("ring", "group", "components", "ideals")
+_RING_KEYS = {"cyclic": ("kind", "n"), "gauss_mod": ("kind", "n"), "poly_quotient": ("kind", "p", "modulus")}
+_GROUP_KEYS = {"trivial": ("kind",), "integers": ("kind",), "finite_abelian": ("kind", "factors")}
+_ENTRY_KEYS = {"product": ("label", "kind", "of"), "quotient": ("label", "kind", "of", "by"),
+               "localize": ("label", "kind", "of", "at")}
+
+
+def _only(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    """MalformedSpec naming the first key of `doc` outside `keys`, such as a misspelling."""
+    for key in doc:
+        if key not in keys:
+            raise MalformedSpec(f"{where}: unknown key {key!r}; expected {', '.join(map(repr, keys))}")
+
+
+def _kind(doc: dict, kinds: dict, what: str, where: str, default=None) -> str:
+    """The kind of the object `doc`, a key of `kinds`, once `doc` is known to
+    hold only the keys that `kinds` lists for it."""
+    kind = doc.get("kind", default)
+    if not (type(kind) is str and kind in kinds):
+        raise MalformedSpec(f"{where}.kind: unknown {what} kind {kind!r}")
+    _only(doc, kinds[kind], where)
+    return kind
+
+
 def _build_ring(rdoc: dict, where: str):
-    kind = rdoc.get("kind")
-    if kind == "cyclic":
-        spec = Cyclic(_field(rdoc, "n", int, where))
-    elif kind == "gauss_mod":
-        spec = GaussMod(_field(rdoc, "n", int, where))
-    elif kind == "poly_quotient":
+    kind = _kind(rdoc, _RING_KEYS, "ring", where)
+    if kind == "poly_quotient":
         modulus = _list_of(_field(rdoc, "modulus", list, where), int, f"{where}.modulus")
         spec = PolyQuotient(Cyclic(_field(rdoc, "p", int, where)), tuple(modulus))
     else:
-        raise MalformedSpec(f"{where}.kind: unknown ring kind {kind!r}")
+        spec = (Cyclic if kind == "cyclic" else GaussMod)(_field(rdoc, "n", int, where))
     with _at(where):
         return build_ring(spec)
 
 
 def _build_group(gdoc: dict, where: str) -> GradingGroup:
-    kind = gdoc.get("kind", "trivial")
+    kind = _kind(gdoc, _GROUP_KEYS, "group", where, default="trivial")
     if kind == "trivial":
         return TRIVIAL_GROUP
-    if kind == "finite_abelian":
-        at = f"{where}.factors"
-        factors = _list_of(gdoc.get("factors", []), int, at)
-        with _at(at):
-            return GradingGroup("finite_abelian", tuple(factors))
     if kind == "integers":
         return GradingGroup("integers")
-    raise MalformedSpec(f"{where}.kind: unknown group kind {kind!r}")
+    at = f"{where}.factors"
+    factors = _list_of(gdoc.get("factors", []), int, at)
+    with _at(at):
+        return GradingGroup("finite_abelian", tuple(factors))
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -191,7 +209,7 @@ def load_corpus(path: str | Path) -> list[CorpusEntry]:
 def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument:
     """The document `doc`; MalformedSpec names the JSON path of any fault,
     rooted at `where`."""
-    _expect(doc, dict, where)
+    _only(_expect(doc, dict, where), _SPEC_KEYS, where)
     ring = _build_ring(_field(doc, "ring", dict, where), f"{where}.ring")
     group = _build_group(_expect(doc.get("group", {}), dict, f"{where}.group"), f"{where}.group")
     components = doc.get("components")
@@ -233,7 +251,9 @@ def parse_corpus(docs) -> list[CorpusEntry]:
         if "kind" in doc:
             entries[label] = _construction(doc, label, entries, where)
         else:
-            entries[label] = CorpusEntry(label, parse_spec(doc, label, where).graded_ring)
+            _only(doc, ("label", *_SPEC_KEYS), where)
+            spec = {k: v for k, v in doc.items() if k != "label"}
+            entries[label] = CorpusEntry(label, parse_spec(spec, label, where).graded_ring)
     if not entries:
         raise MalformedSpec("$: the corpus is empty")
     return list(entries.values())
@@ -243,16 +263,14 @@ def _construction(doc: dict, label: str, earlier: dict[str, CorpusEntry], where:
     """The product, quotient or localization entry `doc`, built by `transport`."""
     from . import transport  # loaded by constructions only, never by `ring describe`
 
-    kind, at = doc["kind"], f"{where}.of"
+    kind, at = _kind(doc, _ENTRY_KEYS, "entry", where), f"{where}.of"
     if kind == "product":
         names = _list_of(_field(doc, "of", list, where), str, at)
         if len(names) != 2:
             raise MalformedSpec(f"{at}: a product names 2 entries, not {len(names)}")
-    elif kind in ("quotient", "localize"):
+    else:
         names, key = [_field(doc, "of", str, where)], "by" if kind == "quotient" else "at"
         exprs = _field(doc, key, list, where)
-    else:
-        raise MalformedSpec(f"{where}.kind: unknown entry kind {kind!r}")
     for name in names:
         if name not in earlier:
             raise MalformedSpec(f"{at}: no earlier entry is labelled {name!r}")

@@ -34,12 +34,9 @@ MAX_MULT_SET_SIZE = 8
 
 
 class MultiplicativeSet(Record):
-    """Multiplicatively closed subset of h(R), containing 1, excluding 0."""
+    """Multiplicatively closed subset of h(R), containing 1, excluding 0: a frozenset."""
 
     __slots__ = ("elements",)
-
-    def __init__(self, elements: frozenset[int]):
-        self.elements = elements
 
     @staticmethod
     def create(gr: GradedRing, elements: Iterable[int]) -> "MultiplicativeSet":
@@ -267,7 +264,8 @@ def identity_subring(gr: GradedRing) -> tuple[GradedRing, GradedHom]:
     ring = gr.ring
     e = gr.group.identity
     carrier = sorted(gr.component(e))
-    back = {x: i for i, x in enumerate(carrier)}
+    rank = {x: i for i, x in enumerate(carrier)}
+    back = [rank.get(x, 0) for x in ring.elements()]  # 0 outside R_e, never read
     sring = induced_ring(
         ring, carrier, back, label=f"({gr.label})_e", names=[ring.name(x) for x in carrier]
     )

@@ -548,7 +548,8 @@ def verify(
     """Run one statement over the corpus (by default `default_corpus()`);
     COR_2_7 sweeps Z/n for n in `n_range` instead and reads no corpus."""
     if statement_id not in ALL_STATEMENTS:
-        raise ShapeMismatch(f"unknown statement {statement_id!r}")
+        choices = ", ".join(ALL_STATEMENTS)
+        raise ShapeMismatch(f"unknown statement {statement_id!r}; choose from {choices}")
     if statement_id == "COR_2_7":
         return [_cor_2_7(*n_range)]
     if corpus is None:

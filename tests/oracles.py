@@ -11,8 +11,9 @@ every pair of ideals found so far; radicals, Grad({0}) included, search
 the powers x, x^2, ..., x^|R| one by one; colons test every product. Each
 predicate scans its quantifier domain in lexicographic order and returns
 the first violating tuple, exactly as the predicates did before they were
-merged into shared kernels. Nothing here is memoized, so a comparison
-never reads back a value the library cached.
+merged into shared kernels. The ring flags test their definitions on
+pairs of elements. Nothing here is memoized, so a comparison never reads
+back a value the library cached.
 """
 
 from __future__ import annotations
@@ -493,3 +494,23 @@ def strongly_1abs_ideal_form(gr, p):
                 if not k.elements <= grad_zero and combine(ij, k, "product").elements <= p.elements:
                     return False, (i, j, k)
     return True, None
+
+
+def ring_profile(gr):
+    """The three ring flags by their definitions, over pairs of elements: every
+    nonzero homogeneous element a unit; no product of two nonzero homogeneous
+    elements 0; every homogeneous element nilpotent or a unit."""
+    ring = gr.ring
+    homog = sorted(gr.homogeneous())
+    nonzero = [x for x in homog if x != ring.zero]
+
+    def is_unit(x):
+        return any(ring.mul_rows[x][y] == ring.one for y in ring.elements())
+
+    return {
+        "graded_field": all(is_unit(x) for x in nonzero),
+        "graded_domain": all(ring.mul_rows[x][y] != ring.zero for x in nonzero for y in nonzero),
+        "every_homogeneous_nilpotent_or_unit": all(
+            is_unit(x) or has_power_in(ring, x, {ring.zero}) for x in homog
+        ),
+    }

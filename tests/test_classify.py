@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from gradedrings import classify, ideals, verifier
 from gradedrings.classify import (
+    RingProfile,
     classify_ideal,
     is_graded_1abs_primary,
     is_graded_2abs_primary,
@@ -19,7 +20,7 @@ from gradedrings.classify import (
     ring_predicates,
     strongly_1abs_ideal_form,
 )
-from gradedrings.errors import NotProper
+from gradedrings.errors import NotGraded, NotProper
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import trivial_grading
 from gradedrings.ideals import (
@@ -29,6 +30,7 @@ from gradedrings.ideals import (
     proper_graded_ideals,
     unit_ideal,
 )
+from gradedrings.transport import identity_subring, quotient
 from strategies import graded_rings, z2_graded
 
 
@@ -133,6 +135,33 @@ def test_ring_predicates():
     assert p9.every_homogeneous_nilpotent_or_unit
     p6 = ring_predicates(triv(6))
     assert not (p6.graded_field or p6.graded_domain or p6.every_homogeneous_nilpotent_or_unit)
+
+
+def test_ring_predicates_match_their_definitions(corpus):
+    # read off (0) and Grad({0}) by the kernels, against the definitions
+    # scanned pair by pair, on rings where each flag is true and false
+    rings = [e.gr for e in corpus]
+    for gr in list(rings):
+        rings += [quotient(gr, k)[0] for k in proper_graded_ideals(gr) if len(k) > 1]
+        rings.append(identity_subring(gr)[0])
+    rings += [triv(n) for n in range(2, 129)]
+    rings += [z2_graded(spec, f"{spec}/Z2") for spec in Z2_EXIT_SPECS]
+    flags = {name: set() for name in RingProfile.__slots__}
+    for gr in rings:
+        profile = ring_predicates(gr).to_dict()
+        assert profile == oracles.ring_profile(gr), gr.label
+        for name, value in profile.items():
+            flags[name].add(value)
+    assert all(values == {True, False} for values in flags.values())
+
+
+def test_classify_ideal_checks_its_ideal_through_the_kernels():
+    g6 = triv(6)
+    with pytest.raises(NotProper, match="operation requires a proper ideal"):
+        classify_ideal(g6, unit_ideal(g6.ring))
+    g2 = z2_graded(GaussMod(2), "Z/2[i]/Z2")
+    with pytest.raises(NotGraded, match="ideal not graded; witness 1\\+i"):
+        classify_ideal(g2, ideal_generated(g2.ring, [g2.ring.parse("1+i")]))
 
 
 def test_classify_reports():

@@ -12,6 +12,7 @@ import pytest
 from gradedrings import verifier
 from gradedrings.cli import main
 from gradedrings.errors import MalformedSpec
+from gradedrings.specdoc import load_corpus, load_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -289,6 +290,55 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             '{"ring": ' + "[" * 100_000 + "]" * 100_000 + "}", DESCRIBE,
             "input.json: JSON nested too deeply", id="spec-nested-too-deeply",
         ),
+        pytest.param(
+            f'{{{CYCLIC4}, "grup": {{"kind": "trivial"}}}}', DESCRIBE,
+            "$: unknown key 'grup'; expected 'ring', 'group', 'components', 'ideals'",
+            id="spec-unknown-key",
+        ),
+        pytest.param(
+            f'{{"label": "Z/4", {CYCLIC4}}}', DESCRIBE, "$: unknown key 'label'", id="spec-label",
+        ),
+        pytest.param(
+            f'[{{"label": "G", {GAUSS3_Z2}, "component": {{"0": ["0", "1", "2"]}}}}]', CORPUS,
+            "$[0]: unknown key 'component'; expected 'label', 'ring', 'group', 'components', 'ideals'",
+            id="corpus-entry-unknown-key",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "cyclic", "n": 4, "p": 2}}', DESCRIBE,
+            "$.ring: unknown key 'p'; expected 'kind', 'n'", id="cyclic-unknown-key",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "gauss_mod", "m": 4}}', DESCRIBE,
+            "$.ring: unknown key 'm'; expected 'kind', 'n'", id="gauss-unknown-key",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "poly_quotient", "p": 3, "modulus": [2, 0, 1], "n": 9}}', DESCRIBE,
+            "$.ring: unknown key 'n'; expected 'kind', 'p', 'modulus'", id="poly-unknown-key",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"kind": "trivial", "factors": [2]}}}}', DESCRIBE,
+            "$.group: unknown key 'factors'; expected 'kind'", id="trivial-group-unknown-key",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"factors": [2]}}}}', DESCRIBE,
+            "$.group: unknown key 'factors'; expected 'kind'", id="default-group-unknown-key",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"kind": "integers", "factor": []}}}}', DESCRIBE,
+            "$.group: unknown key 'factor'; expected 'kind'", id="integers-unknown-key",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"kind": "finite_abelian", "factor": [2]}}}}', DESCRIBE,
+            "$.group: unknown key 'factor'; expected 'kind', 'factors'", id="abelian-unknown-key",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "cyclc", "m": 4}}', DESCRIBE, "$.ring.kind: unknown ring kind 'cyclc'",
+            id="unknown-ring-kind-before-keys",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"kind": "z2", "factor": [2]}}}}', DESCRIBE,
+            "$.group.kind: unknown group kind 'z2'", id="unknown-group-kind-before-keys",
+        ),
     ],
 )
 def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):
@@ -306,6 +356,26 @@ def test_unknown_statement_exit_code(capsys):
     code, _, err = run(capsys, "verify", "THM_0_0")
     assert code == 2
     assert "ShapeMismatch" in err
+    # the error lists the statements, as the help text says
+    choices = ", ".join(verifier.ALL_STATEMENTS)
+    assert err == f"error: ShapeMismatch: unknown statement 'THM_0_0'; choose from {choices}\n"
+    code, out, _ = run(capsys, "verify", "-h")
+    assert code == 0
+    assert "an unknown id lists the statements" in " ".join(out.split())
+    assert "--list" not in out
+
+
+@pytest.mark.parametrize(
+    "document", sorted(p.name for p in SPECS.glob("*.json")) + ["DEFAULT_CORPUS"]
+)
+def test_shipped_documents_load(document):
+    # every key a shipped document holds is one its object reads
+    if document == "DEFAULT_CORPUS":
+        assert verifier.parse_corpus(verifier.DEFAULT_CORPUS)
+    elif (SPECS / document).read_text().lstrip().startswith("["):
+        assert load_corpus(SPECS / document)
+    else:
+        assert load_spec(SPECS / document).graded_ring.ring.size >= 2
 
 
 def test_output_is_deterministic(capsys):
@@ -480,6 +550,25 @@ def corpus_of(*entries: str) -> str:
         pytest.param(
             corpus_of(ZN.format(4), ZN.format(4)),
             "MalformedSpec: $[1].label: 'Z/4' labels an earlier entry", id="label-twice",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "product", "of": ["Z/4", "Z/4"], "by": ["2"]}'),
+            "MalformedSpec: $[1]: unknown key 'by'; expected 'label', 'kind', 'of'",
+            id="product-unknown-key",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "quotient", "of": "Z/4", "at": ["2"]}'),
+            "MalformedSpec: $[1]: unknown key 'at'; expected 'label', 'kind', 'of', 'by'",
+            id="quotient-unknown-key",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "localize", "of": "Z/4", "at": ["1"], "ring": {}}'),
+            "MalformedSpec: $[1]: unknown key 'ring'; expected 'label', 'kind', 'of', 'at'",
+            id="localize-unknown-key",
+        ),
+        pytest.param(
+            corpus_of(ZN.format(4), '{"kind": "power", "of": "Z/4", "by": ["2"]}'),
+            "MalformedSpec: $[1].kind: unknown entry kind 'power'", id="unknown-kind-before-keys",
         ),
     ],
 )

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedrings.classify import ClassificationReport, LocalStructure, RingProfile
 from gradedrings.errors import MalformedSpec
 from gradedrings.finring import (
     Cyclic,
     FinRing,
     GaussMod,
     PolyQuotient,
+    Record,
     build_ring,
 )
+from gradedrings.specdoc import RingSpecDocument
+from gradedrings.transport import MultiplicativeSet
 
 
 def brute_force_units(ring):
@@ -224,3 +228,28 @@ def test_gauss_rings_pass_axioms(n):
     ring = build_ring(GaussMod(n))
     ring.check_axioms()
     assert ring.nilradical() == frozenset(brute_force_nilradical(ring))
+
+
+RECORDS = (
+    Cyclic, GaussMod, PolyQuotient, LocalStructure, RingProfile, ClassificationReport,
+    RingSpecDocument, MultiplicativeSet,
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_constructor_takes_each_field_once(record):
+    assert record.__init__ is Record.__init__
+    fields = record.__slots__
+    values = tuple(range(len(fields)))
+    by_position, by_name = record(*values), record(**dict(zip(fields, values)))
+    assert by_position == by_name
+    assert tuple(getattr(by_name, k) for k in fields) == values
+    assert record(*values[:1], **dict(zip(fields[1:], values[1:]))) == by_position
+    for args, kwargs in (
+        (values[:-1], {}),  # missing
+        ((*values, 0), {}),  # extra
+        (values, {"bogus": 0}),  # unknown
+        (values, {fields[0]: 0}),  # doubled
+    ):
+        with pytest.raises(TypeError, match=rf"^{record.__name__}\(\) takes each of"):
+            record(*args, **kwargs)
