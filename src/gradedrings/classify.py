@@ -2,7 +2,7 @@
 
 Witnesses are the lexicographically least violating tuple of element
 indices, so reports are deterministic.  Results are memoized per graded
-ring and ideal element set.
+ring and ideal.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
                 return False, (x, _least(bad))
         return True, None
 
-    return memo(gr, (key, p.elements), compute)
+    return memo(gr, (key, p), compute)
 
 
 def _triple_kernel(
@@ -118,7 +118,7 @@ def _triple_kernel(
                     return False, (x, y, _least(bad & ~(esc_x | esc[y])))
         return True, None
 
-    return memo(gr, (key, p.elements), compute)
+    return memo(gr, (key, p), compute)
 
 
 def is_graded_prime(gr: GradedRing, p: IdealSet) -> tuple[bool, Witness]:
@@ -194,7 +194,7 @@ def is_graded_maximal(gr: GradedRing, m: IdealSet) -> bool:
         outside = gr.homogeneous() - m.elements
         return all(not one_plus_m.isdisjoint(ring.mul_rows[a]) for a in outside)
 
-    return memo(gr, ("maximal", m.elements), compute)
+    return memo(gr, ("maximal", m), compute)
 
 
 class LocalStructure(Record):

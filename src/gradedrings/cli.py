@@ -23,7 +23,7 @@ from typing import Optional
 
 from .classify import FLAGS, classify_ideal, local_structure, ring_predicates
 from .errors import GradedRingError, MalformedSpec
-from .ideals import proper_graded_ideals
+from .ideals import enumerate_graded_ideals
 from .specdoc import decimal, load_corpus, load_spec, resolve_ideal
 
 
@@ -46,8 +46,7 @@ def _cmd_ring_describe(args) -> int:
         "grad_zero": _names(gr, grad0),
         "grad_zero_equals_nilradical": grad0 == nil,  # recorded, never asserted
         "homogeneous_elements": _names(gr, gr.homogeneous()),
-        "graded_ideals": [_names(gr, i.elements) for i in proper_graded_ideals(gr)]
-        + [_names(gr, frozenset(ring.elements()))],
+        "graded_ideals": [_names(gr, i.elements) for i in enumerate_graded_ideals(gr)],
         "graded_maximal_ideals": [_names(gr, m.elements) for m in ls.graded_maximal_ideals],
         "is_graded_local": ls.is_graded_local,
         "profile": ring_predicates(gr).to_dict(),

@@ -10,6 +10,7 @@ without a function call per cell.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -349,11 +350,11 @@ def _check_rows(size: int, rows, what: str) -> None:
 
 
 def _ints_in_range(size: int, rows) -> bool:
-    """Whether every entry of every row is an int in range(size)."""
-    values = frozenset(range(size))
-    # 1.0, Fraction(1) or Decimal(1) would pass the membership test, as they
-    # equal an int in range; any of them makes the sum something else than an int
-    return all(map(values.issuperset, rows)) and type(sum(map(sum, rows))) is int
+    """Whether every entry of every row is an int in range(size); True, 1.0
+    or Fraction(1) equal an int in range, so the types are read first."""
+    return set(map(type, chain.from_iterable(rows))) == {int} and all(
+        map(frozenset(range(size)).issuperset, rows)
+    )
 
 
 def _check_carrier(size: int) -> None:

@@ -4,7 +4,7 @@ Quotients, products, localizations and the identity-component subring are
 graded, and their canonical maps graded homomorphisms, by construction, so
 neither is checked; `hom_build` checks a caller's map.  This module finds
 their cosets, classes, components and canonical maps, and `finring` builds
-their tables (`induced_ring`, `product_ring`).  Nothing here is memoized:
+their tables (`induced_ring`, `product_ring`).  No construction is memoized:
 every call builds its ring again, so a caller that needs what a
 construction shows more than once keeps that result, not the ring (the
 verifier keeps counts and witness names per parent ring).
@@ -12,9 +12,8 @@ verifier keeps counts and witness names per parent ring).
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import (
     GroupMismatch,
@@ -26,7 +25,7 @@ from .errors import (
     NotSurjective,
     UnitNotPreserved,
 )
-from .finring import FinRing, Record, gather, induced_ring, product_ring
+from .finring import FinRing, Record, gather, induced_ring, memo, product_ring
 from .grading import GradedRing
 from .ideals import IdealSet, require_graded
 
@@ -66,15 +65,19 @@ class GradedHom:
         self.source = source
         self.target = target
         self.mapping = mapping
+        self._cache: dict = {}
 
-    @functools.cached_property
+    @property
     def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
+        return memo(self, "image", lambda: frozenset(self.mapping))
 
-    @functools.cached_property
+    @property
     def kernel(self) -> IdealSet:
-        ring, mapping, zero = self.source.ring, self.mapping, self.target.ring.zero
-        return IdealSet(ring, (x for x in ring.elements() if mapping[x] == zero))
+        def compute():
+            ring, mapping, zero = self.source.ring, self.mapping, self.target.ring.zero
+            return IdealSet(ring, (x for x in ring.elements() if mapping[x] == zero))
+
+        return memo(self, "kernel", compute)
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -164,6 +167,11 @@ def _cosets(ring: FinRing, k: Iterable[int]) -> tuple[list[int], list[int]]:
     return coset_of, reps
 
 
+def _images(gr: GradedRing, mapping: Sequence[int]) -> dict:
+    """The components of R's image under `mapping`: the image of each R_g."""
+    return {g: frozenset(map(mapping.__getitem__, gr.component(g))) for g in gr.support}
+
+
 def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
     """R/K with (R/K)_g = (R_g + K)/K, plus the projection."""
     require_graded(gr, k, proper=True)
@@ -173,10 +181,7 @@ def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
         ring, reps, coset_of,
         label=f"{gr.label}/{k.describe()}", names=[f"[{ring.name(r)}]" for r in reps],
     )
-    components = {
-        g: frozenset(coset_of[x] for x in gr.component(g)) for g in gr.support
-    }
-    qgr = GradedRing(qring, gr.group, components)
+    qgr = GradedRing(qring, gr.group, _images(gr, coset_of))
     return qgr, GradedHom(gr, qgr, tuple(coset_of))
 
 
@@ -203,8 +208,13 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
     in K = {d : vd = 0 for some v in S}, the kernel of R -> S^-1 R.  As R is
     finite, every t in S is a unit modulo K, so the class of (a,t) is keyed
     by the coset of a*t^-1 mod K.  Classes are numbered by their least pair
-    in (a, t) order, which is also their representative.  The grading
-    places a/t in degree h*g(t)^-1 where a is homogeneous of degree h.
+    in (a, t) order, which is also their representative.
+
+    The grading puts a/t, a of degree h, in degree h*g(t)^-1: it is R/K's,
+    the image of R's components under a -> a/1.  K is graded: v in S is
+    homogeneous, so vd = 0 gives v*d_g = 0.  So t is a homogeneous unit of
+    R/K, and its inverse is homogeneous of degree g(t)^-1.  So a/t = a*t^-1
+    is the image of an element of degree h*g(t)^-1.
 
     Everything is read by gathers: K is the union of the zeros of the rows
     v in S; t^-1 is the first v whose product with t lies in the coset of 1;
@@ -230,10 +240,7 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
                 reps.append((a, t))
         if len(reps) == len(coset_reps):
             break
-    # the class of (a, t) at index a of t's entry: a column holds cosets,
-    # so it is read through class_of
-    classes = [gather(column)(class_of) for column in columns]
-    canonical = classes[slist.index(ring.one)]  # a -> a/1
+    canonical = gather(coset_of)(class_of)  # a -> a/1, the class of a's coset
 
     names = [
         ring.name(a) if t == ring.one else f"{ring.name(a)}/{ring.name(t)}"
@@ -248,14 +255,7 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
         label=f"Localize({gr.label}, {{{','.join(ring.name(t) for t in slist)}}})",
         names=names,
     )
-    group = gr.group
-    shifts = [group.inv(gr.degree_of(t)) for t in slist]
-    components: dict = {}
-    for h in gr.support:
-        for shift, column in zip(shifts, classes):
-            comp = components.setdefault(group.op(h, shift), set())
-            comp.update(map(column.__getitem__, gr.component(h)))
-    lgr = GradedRing(lring, group, {g: frozenset(c) for g, c in components.items()})
+    lgr = GradedRing(lring, gr.group, _images(gr, canonical))
     return lgr, GradedHom(gr, lgr, canonical)
 
 

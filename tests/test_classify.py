@@ -20,7 +20,7 @@ from gradedrings.classify import (
     ring_predicates,
     strongly_1abs_ideal_form,
 )
-from gradedrings.errors import NotGraded, NotProper
+from gradedrings.errors import NotGraded, NotProper, RingMismatch
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import trivial_grading
 from gradedrings.ideals import (
@@ -344,6 +344,17 @@ def test_kernels_match_oracles_on_generated_rings(gr):
                      "is_graded_strongly_1abs_primary", "is_graded_2abs_primary"):
             expected = getattr(oracles, name)(gr, p)
             assert getattr(classify, name)(gr, p) == expected, (gr.label, p, name)
+
+
+@pytest.mark.parametrize("flag", classify.FLAGS)
+def test_a_kernel_checks_the_ring_after_a_memo_hit(flag):
+    # two separately built Z/6: h's (3) has the elements of g's (3), which
+    # the kernel has already classified, but belongs to another ring
+    g, h = triv(6), triv(6)
+    kernel = getattr(classify, f"is_{flag}")
+    kernel(g, IdealSet(g.ring, {0, 3}))
+    with pytest.raises(RingMismatch):
+        kernel(g, IdealSet(h.ring, {0, 3}))
 
 
 def test_unknown_flag_names_the_flags():

@@ -1,12 +1,15 @@
-"""The package's public names: bound at import or resolved on first use,
-always the submodule's own object."""
+"""The package's public names: resolved on first use, always the
+submodule's own object."""
 
 from __future__ import annotations
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_cli import _child_env
 
 import gradedrings
 
@@ -91,5 +94,31 @@ def test_lazy_names_follow_tracer_rebinding(monkeypatch):
         t.uninstall()
     for name, original in originals.items():
         assert getattr(gradedrings, name) is original, name
-    lazy = {name for module in ("transport", "verifier") for name in EXPORTS[module]}
-    assert not lazy & set(vars(gradedrings))  # read through, never copied in
+    assert not {name for _, name in NAMES} & set(vars(gradedrings))  # read through, never copied in
+
+
+def test_every_name_follows_a_rebinding_in_its_submodule(monkeypatch):
+    def patched(gr, p):
+        return False, None
+
+    monkeypatch.setattr(importlib.import_module("gradedrings.classify"), "is_graded_prime", patched)
+    assert gradedrings.is_graded_prime is patched
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        pytest.param("import gradedrings", set(), id="import"),
+        pytest.param(
+            "from gradedrings import FinRing", {"gradedrings.errors", "gradedrings.finring"},
+            id="from-import-finring",
+        ),
+    ],
+)
+def test_import_loads_only_the_submodules_a_name_needs(statement, loaded):
+    code = f"import sys; {statement}; print(*(m for m in sys.modules if m.startswith('gradedrings.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loaded

@@ -412,8 +412,12 @@ MUL3 = [[i * j % 3 for j in range(3)] for i in range(3)]
         [[0, 1, 2], [1, 2, -3], [2, 0, 1]],
         [[0, 1, 2], [1, 2, 0.0], [2, 0, 1]],
         [[0, 1, 2], [1, 2, "0"], [2, 0, 1]],
+        [[0, 1, 2], [1, 2, False], [2, 0, 1]],
     ],
-    ids=["two-rows", "short-row", "tuples", "string", "out-of-range", "negative", "float", "str-entry"],
+    ids=[
+        "two-rows", "short-row", "tuples", "string", "out-of-range", "negative", "float",
+        "str-entry", "bool",
+    ],
 )
 def test_malformed_rows_rejected(add_rows):
     with pytest.raises(MalformedSpec, match="addition table"):
@@ -422,7 +426,7 @@ def test_malformed_rows_rejected(add_rows):
         FinRing(3, ADD3, add_rows, one=1)
 
 
-@pytest.mark.parametrize("zero, one", [(0, 3), (-1, 1), (0, 1.0)])
+@pytest.mark.parametrize("zero, one", [(0, 3), (-1, 1), (0, 1.0), (0, True)])
 def test_identities_outside_the_carrier_rejected(zero, one):
     with pytest.raises(MalformedSpec, match="not in range"):
         FinRing(3, ADD3, MUL3, zero=zero, one=one)
@@ -430,8 +434,8 @@ def test_identities_outside_the_carrier_rejected(zero, one):
 
 @pytest.mark.parametrize(
     "index_of",
-    [[0, 1, 0, -1], [0, 1, 0, 2], [0, 1, 0, 1.0], {0: 0, 1: 1, 2: 0, 3: 2}],
-    ids=["negative", "size", "float", "dict-size"],
+    [[0, 1, 0, -1], [0, 1, 0, 2], [0, 1, 0, 1.0], (0, 1, 0, 2), [0, 1, 0, True]],
+    ids=["negative", "size", "float", "tuple-size", "bool"],
 )
 def test_induced_ring_rejects_a_renumbering_out_of_range(index_of):
     # Z/4 onto {0, 1} by x -> x mod 2: a value outside range(2) would reach the rows

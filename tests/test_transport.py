@@ -14,7 +14,7 @@ from gradedrings.errors import (
     UnitNotPreserved,
 )
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient, build_ring
-from gradedrings.grading import Z2, attach_grading, trivial_grading
+from gradedrings.grading import Z2, GradingGroup, attach_grading, trivial_grading
 from gradedrings.ideals import IdealSet, ideal_generated, zero_ideal
 from gradedrings.transport import (
     MAX_MULT_SET_SIZE,
@@ -194,6 +194,33 @@ def test_localize_matches_oracle_where_one_is_not_index_1(corpus):
             assert canonical.mapping == mapping, (gr, s)
 
 
+def test_localize_grading_where_a_shift_leaves_the_support():
+    # A = F3[u]/(u^2-1) with deg u = (1,0) and B the same ring with deg u = (0,1),
+    # over Z2 x Z2.  S = {1, (u,0), (1,0)} kills B, so B's u, shifted by
+    # deg (u,0)^-1, names degree (1,1), where S^-1(A x B) has only 0
+    group = GradingGroup("finite_abelian", (2, 2))
+    ring = build_ring(PolyQuotient(Cyclic(3), (2, 0, 1)))
+    u = ring.parse("u")
+    scalars, multiples = range(3), {0, u, ring.mul_rows[u][2]}
+    a = attach_grading(ring, group, {(0, 0): scalars, (1, 0): multiples}, label="A")
+    b = attach_grading(ring, group, {(0, 0): scalars, (0, 1): multiples}, label="B")
+    gr = product(a, b)
+    n = ring.size
+    # (u,0) and (1,0): the pair (a, b) is at index a*|B| + b
+    s = MultiplicativeSet.create(gr, {u * n + ring.zero, ring.one * n + ring.zero})
+    lgr, canonical = localize(gr, s)
+    lring, zero = lgr.ring, lgr.ring.zero
+    tables = [list(r) for r in lring.add_rows], [list(r) for r in lring.mul_rows]
+    assert tables == oracles.localize_tables(gr, s)
+    names, components, mapping = oracles.localize_grading(gr, s)
+    assert [lring.name(x) for x in lring.elements()] == names
+    assert canonical.mapping == mapping
+    assert components[(1, 1)] == {zero}
+    assert lgr.support == tuple(sorted(g for g, c in components.items() if c != {zero}))
+    for g in {*components, *lgr.components}:
+        assert lgr.component(g) == components.get(g, frozenset({zero})), g
+
+
 def test_localize_graded_ring():
     g4 = gauss_z2(4)
     s = MultiplicativeSet.create(g4, {g4.ring.parse("1"), g4.ring.parse("3")})
@@ -290,12 +317,24 @@ def test_canonical_maps_read_image_and_kernel_lazily():
         identity_subring(gauss_z2(4))[1],
     ]
     for hom in maps:
-        assert "image" not in vars(hom) and "kernel" not in vars(hom)
+        assert "image" not in hom._cache and "kernel" not in hom._cache
         assert hom.image == frozenset(hom.mapping)
         zero = hom.target.ring.zero
         kernel = {x for x in hom.source.ring.elements() if hom(x) == zero}
         assert hom.kernel == IdealSet(hom.source.ring, kernel)
-        assert {"image", "kernel"} <= vars(hom).keys()
+        assert {"image", "kernel"} <= hom._cache.keys()
+
+
+def test_image_and_kernel_are_computed_once():
+    g12 = triv(12)
+    homs = [
+        quotient(g12, ideal_generated(g12.ring, (4,)))[1],
+        localize(g12, MultiplicativeSet.create(g12, {1, 3, 9}))[1],
+        hom_build(g12, triv(4), tuple(x % 4 for x in range(12))),
+    ]
+    for hom in homs:
+        assert hom.image is hom.image
+        assert hom.kernel is hom.kernel
 
 
 # ------------------------------------------------------- identity component
