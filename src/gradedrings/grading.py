@@ -50,11 +50,6 @@ class GradingGroup(Record):
             return g + h
         return tuple((a + b) % f for a, b, f in zip(g, h, self.factors))
 
-    def inv(self, g: Degree) -> Degree:
-        if self.kind == "integers":
-            return -g
-        return tuple((-a) % f for a, f in zip(g, self.factors))
-
     def normalize(self, g) -> Degree:
         if self.kind == "integers":
             return int(g)
@@ -122,15 +117,6 @@ class GradedRing:
     def homogeneous(self) -> frozenset[int]:
         """h(R): the union of all components."""
         return memo(self, "homog", lambda: frozenset().union(*self.components.values()))
-
-    def degree_of(self, x: int) -> Degree | None:
-        """Degree of a nonzero homogeneous element, else None."""
-        if x == self.ring.zero:
-            return None
-        for g in self.support:
-            if x in self.component(g):
-                return g
-        return None
 
     def nonunit_homogeneous(self) -> tuple[int, ...]:
         """Nonunit elements of h(R), sorted (includes 0)."""

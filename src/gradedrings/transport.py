@@ -85,9 +85,6 @@ class GradedHom:
     def is_surjective(self) -> bool:
         return len(self.image) == self.target.ring.size
 
-    def is_injective(self) -> bool:
-        return len(self.kernel) == 1
-
 
 def hom_build(source: GradedRing, target: GradedRing, mapping: Iterable[int]) -> GradedHom:
     """Validate additivity, multiplicativity, unit and degree preservation.
@@ -201,6 +198,16 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
     return GradedRing(pring, gr.group, components)
 
 
+def localization_kernel(gr: GradedRing, s: MultiplicativeSet) -> frozenset[int]:
+    """K_S = {d : vd = 0 for some v in S}, the kernel of R -> S^-1 R: the
+    union of the zero positions of the rows v in S."""
+    ring = gr.ring
+    is_zero = ring.zero.__eq__
+    return frozenset().union(*(
+        itertools.compress(ring.elements(), map(is_zero, ring.mul_rows[v])) for v in s.elements
+    ))
+
+
 def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHom]:
     """S^-1 R by explicit equivalence classes of pairs (a, t).
 
@@ -216,18 +223,14 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
     R/K, and its inverse is homogeneous of degree g(t)^-1.  So a/t = a*t^-1
     is the image of an element of degree h*g(t)^-1.
 
-    Everything is read by gathers: K is the union of the zeros of the rows
-    v in S; t^-1 is the first v whose product with t lies in the coset of 1;
-    the column of t holds the coset of a*t^-1 at each a.
+    Everything is read by gathers: K is `localization_kernel(gr, s)`; t^-1
+    is the first v whose product with t lies in the coset of 1; the column
+    of t holds the coset of a*t^-1 at each a.
     """
     ring = gr.ring
     mul = ring.mul_rows
     slist = sorted(s.elements)
-    is_zero = ring.zero.__eq__
-    killed = set().union(*(
-        itertools.compress(ring.elements(), map(is_zero, mul[v])) for v in slist
-    ))
-    coset_of, coset_reps = _cosets(ring, killed)
+    coset_of, coset_reps = _cosets(ring, localization_kernel(gr, s))
     one_coset = coset_of[ring.one]
     inverse = {t: gather(mul[t])(coset_of).index(one_coset) for t in slist}
     columns = [gather(mul[inverse[t]])(coset_of) for t in slist]

@@ -13,11 +13,16 @@ predicate scans its quantifier domain in lexicographic order and returns
 the first violating tuple, exactly as the predicates did before they were
 merged into shared kernels. The ring flags test their definitions on
 pairs of elements. Nothing here is memoized, so a comparison never reads
-back a value the library cached.
+back a value the library cached.  The one exception is PROP_3_3, replayed
+on the library's kernels and localizations as it was before they were
+shared: one localization for each multiplicative set.
 """
 
 from __future__ import annotations
 
+import itertools
+
+from gradedrings import verifier
 from gradedrings.errors import (
     GroupMismatch,
     MalformedSpec,
@@ -29,6 +34,7 @@ from gradedrings.errors import (
 )
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient
 from gradedrings.ideals import IdealSet, require_graded
+from gradedrings.transport import enumerate_multiplicative_sets, localize
 
 
 def tables(size, add, mul):
@@ -226,6 +232,16 @@ def localize_tables(gr, s):
     return tables(len(reps), add, mul)
 
 
+def _inverse(group, g):
+    """The degree h with gh = e: -g in Z, else the one found by trying every
+    degree of the finite group."""
+    if group.kind == "integers":
+        return -g
+    return next(
+        h for h in itertools.product(*map(range, group.factors)) if group.op(g, h) == group.identity
+    )
+
+
 def localize_grading(gr, s):
     """The element names of S^-1 R (a class is named a or a/t after its
     least pair), its components (a/t, a of degree h, in degree h g(t)^-1)
@@ -236,7 +252,8 @@ def localize_grading(gr, s):
     components = {}
     for h in gr.support:
         for t in s.elements:
-            g = group.op(h, group.inv(gr.degree_of(t)))
+            degree = next(g for g in gr.support if t in gr.component(g))
+            g = group.op(h, _inverse(group, degree))
             components.setdefault(g, set()).update(cls(a, t) for a in gr.component(h))
     canonical = tuple(cls(a, ring.one) for a in ring.elements())
     return names, {g: frozenset(c) for g, c in components.items()}, canonical
@@ -514,3 +531,33 @@ def ring_profile(gr):
             is_unit(x) or has_power_in(ring, x, {ring.zero}) for x in homog
         ),
     }
+
+
+def prop_3_3(rep, gr):
+    """PROP_3_3 localizing once per multiplicative set: for each S that
+    misses a strongly ideal, S^-1 R is built, each t in S is checked to map
+    to a unit, and each S^-1 P, P strongly with S cap P empty, is checked.
+    The kernels are read through `verifier`, so a rebinding there is seen."""
+    strongly = verifier._ideals_where(gr, verifier.is_graded_strongly_1abs_primary)
+    if not strongly:
+        rep.notes.append("no graded strongly 1-absorbing primary ideals in this ring")
+        return rep.finish(["instances"])
+    for s in enumerate_multiplicative_sets(gr):
+        disjoint = [p for p in strongly if not (p.elements & s.elements)]
+        if not disjoint:
+            continue
+        lgr, canonical = localize(gr, s)
+        for t in s.elements:
+            if canonical(t) not in lgr.ring.units():
+                rep.fail(note="canonical map fails to invert S", element=gr.ring.name(t))
+        for p in disjoint:
+            sp = ideal_generated(lgr.ring, tuple(canonical(x) for x in sorted(p.elements)))
+            if sp.is_proper():
+                verifier._expect_strongly(
+                    rep, "instances", lgr, sp,
+                    ideal=verifier._names(gr, p), mult_set=verifier._names(gr, sorted(s.elements)),
+                )
+            else:
+                rep.bump("instances")
+                rep.fail(ideal=verifier._names(gr, p), note="S^-1 P not proper")
+    return rep.finish(["instances"])

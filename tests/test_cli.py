@@ -455,10 +455,12 @@ def test_cor_2_8_without_a_product_is_vacuous(tmp_path, capsys, statement):
 
 
 def test_family_file_replays_without_failure(capsys):
-    # Z/30, Z/60, Z/210 and (Z/2 x Z/3) x Z/5 have three or more maximal ideals
+    # Z/30, Z/60, Z/210 and (Z/2 x Z/3) x Z/5 have three or more maximal ideals;
+    # the output is pinned byte for byte, as the default corpus's is
     family = SPECS / "family-three-maximal.json"
     code, out, _ = run(capsys, "--format", "json", "verify", "all", "--corpus", str(family))
     assert code == 0
+    assert out.encode() == (ROOT / "tests/golden/verify-all-family.out").read_bytes()
     reports = json.loads(out)
     assert not [r for r in reports if r["outcome"] == "FAIL"]
     cor_2_8 = {r["subject"]: r["outcome"] for r in reports if r["statement_id"] == "COR_2_8"}

@@ -5,6 +5,8 @@ Each mutant replaces one kernel by a wrong one, in `classify` and in
 default corpus must then report FAIL, and the FAIL reports (counts per
 statement and a digest of their JSON, witnesses included) are pinned, so a
 change to the statement bodies that alters a failure witness shows here.
+PROP_3_3, which checks one localization per kernel K_S, must report as the
+per-set oracle does under the real kernels and under each mutant.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
+import oracles
 import pytest
 
 from gradedrings import classify, verifier
@@ -22,6 +26,8 @@ from gradedrings.classify import (
     is_graded_prime,
 )
 from gradedrings.ideals import graded_radical
+from gradedrings.specdoc import load_corpus
+from gradedrings.transport import enumerate_multiplicative_sets
 
 
 def strongly_escaping_into_grad_p(gr, p):
@@ -61,13 +67,71 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name", MUTANTS)
-def test_replay_fails_under_kernel_mutant(monkeypatch, name):
-    rebind, counts, digest = MUTANTS[name]
+def _rebind(monkeypatch, rebind):
     for attr, kernel in rebind.items():
         monkeypatch.setattr(classify, attr, kernel)
         monkeypatch.setattr(verifier, attr, kernel)
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_replay_fails_under_kernel_mutant(monkeypatch, name):
+    rebind, counts, digest = MUTANTS[name]
+    _rebind(monkeypatch, rebind)
     fails = [r for r in verifier.run_suite(corpus=verifier.default_corpus()) if r.outcome == "FAIL"]
     assert Counter(r.statement_id for r in fails) == counts
     dump = json.dumps([r.to_dict() for r in fails], sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+CORPORA = {
+    "default": verifier.default_corpus,
+    "family": lambda: load_corpus(Path(__file__).resolve().parent.parent / "specs/family-three-maximal.json"),
+}
+_MULT_SETS: dict = {}  # (corpus, label) -> the entry's multiplicative sets, which no kernel changes
+
+
+def strongly_failing_off_corpus(corpus):
+    """The strongly kernel, but rejecting every ideal of an even-sized ring
+    outside `corpus`, such as a localization, with the witness (0,)."""
+    rings, real = {id(e.gr) for e in corpus}, classify.is_graded_strongly_1abs_primary
+
+    def kernel(gr, p):
+        if id(gr) not in rings and gr.ring.size % 2 == 0:
+            return False, (gr.ring.zero,)
+        return real(gr, p)
+
+    return kernel
+
+
+def _shape(report):
+    """A report but for the names of kernel witnesses: those name elements of
+    whichever localization at an S with the same K_S gave the verdict."""
+    return (
+        report.outcome, report.counters, report.notes,
+        [{k: v for k, v in w.items() if k != "witness"} for w in report.witnesses],
+    )
+
+
+@pytest.mark.parametrize("corpus_name", CORPORA)
+@pytest.mark.parametrize("name", [None, *MUTANTS, "strongly failing off the corpus"])
+def test_prop_3_3_matches_the_per_set_oracle(monkeypatch, corpus_name, name):
+    corpus = CORPORA[corpus_name]()
+    if name in MUTANTS:
+        _rebind(monkeypatch, MUTANTS[name][0])
+    elif name is not None:
+        _rebind(monkeypatch, {"is_graded_strongly_1abs_primary": strongly_failing_off_corpus(corpus)})
+    label_of = {id(e.gr): e.label for e in corpus}
+
+    def mult_sets(gr):
+        key = (corpus_name, label_of[id(gr)])
+        if key not in _MULT_SETS:
+            _MULT_SETS[key] = enumerate_multiplicative_sets(gr)
+        return _MULT_SETS[key]
+
+    for module in (verifier, oracles):
+        monkeypatch.setattr(module, "enumerate_multiplicative_sets", mult_sets)
+    new = verifier.verify("PROP_3_3", corpus=corpus)
+    old = [oracles.prop_3_3(verifier.VerificationReport("PROP_3_3", e.label), e.gr) for e in corpus]
+    assert [_shape(r) for r in new] == [_shape(r) for r in old]
+    if name == "strongly failing off the corpus":
+        assert any(r.outcome == "FAIL" for r in new)

@@ -227,7 +227,7 @@ def test_localize_graded_ring():
     lgr, canonical = localize(g4, s)
     # S consists of units, so localization is an isomorphic copy
     assert lgr.ring.size == 16
-    assert canonical.is_injective() and canonical.is_surjective()
+    assert len(canonical.kernel) == 1 and canonical.is_surjective()
     assert len(lgr.component((0,))) * len(lgr.component((1,))) == 16
 
 
@@ -344,7 +344,7 @@ def test_identity_subring():
     g4 = gauss_z2(4)
     sub, inclusion = identity_subring(g4)
     assert sub.ring.size == 4
-    assert inclusion.is_injective()
+    assert len(inclusion.kernel) == 1
     two_r = ideal_generated(g4.ring, (g4.ring.parse("2"), g4.ring.parse("2i")))
     restricted = hom_transport(inclusion, two_r, "preimage")
     assert {sub.ring.name(x) for x in restricted.elements} == {"0", "2"}

@@ -206,3 +206,31 @@ def test_transport_statements_do_not_depend_on_order():
     for sid in ids:
         alone = [verify(sid, corpus=[entry])[0].to_dict() for entry in default_corpus()]
         assert alone == expected[sid], sid
+
+
+def test_prop_3_3_localizes_once_per_kernel(monkeypatch):
+    # 59 multiplicative sets of the default corpus miss a strongly ideal, and
+    # they have 15 kernels K_S: one localization each
+    calls = {"localize": 0, "localization_kernel": 0}
+    for name in calls:
+        def counted(gr, s, name=name, real=getattr(verifier, name)):
+            calls[name] += 1
+            return real(gr, s)
+
+        monkeypatch.setattr(verifier, name, counted)
+    reports = verify("PROP_3_3", corpus=default_corpus())
+    assert calls == {"localize": 15, "localization_kernel": 59}
+    assert sum(r.counters.get("instances", 0) for r in reports) == 123
+    outcomes = [r.outcome for r in reports]
+    assert (outcomes.count("PASS"), outcomes.count("VACUOUS")) == (15, 5)
+
+
+def test_prop_2_9_runs_on_a_ring_with_127_proper_ideals():
+    # (Z/2)^7, a product nested six deep, has 2^7 - 1 proper graded ideals
+    document = [{"label": "(Z/2)^1", "ring": {"kind": "cyclic", "n": 2}}] + [
+        {"label": f"(Z/2)^{k}", "kind": "product", "of": [f"(Z/2)^{k - 1}", "(Z/2)^1"]}
+        for k in range(2, 8)
+    ]
+    report = verify("PROP_2_9", corpus=parse_corpus(document))[-1]
+    assert (report.subject, report.outcome, report.counters) == ("(Z/2)^7", "PASS", {"ideals": 127})
+    assert report.notes == []
