@@ -123,10 +123,18 @@ def _row(workers: dict, name: str) -> dict:
 
 
 def _commit(root: str) -> str:
-    out = subprocess.run(
-        ["git", "-C", root, "describe", "--always", "--dirty"], capture_output=True, text=True
-    )
-    return out.stdout.strip() or "unknown"
+    """The commit checked out at `root`, read only when `root` is the top of a
+    git work tree: a copy made by `git archive` is not one, and inside another
+    work tree it would read that tree's commit."""
+    def git(*args):
+        return subprocess.run(["git", "-C", root, *args], capture_output=True, text=True).stdout.strip()
+
+    top = git("rev-parse", "--show-toplevel")
+    if not top or os.path.realpath(top) != os.path.realpath(root):
+        print(f"warning: {root} is not a git work tree; make it with git clone to record its "
+              "commit", file=sys.stderr)
+        return "not a git work tree"
+    return git("describe", "--always", "--dirty") or "unknown"
 
 
 def _compare(script: str, what: str, roots: dict) -> dict:

@@ -499,7 +499,8 @@ def _poly_rows(m: int, mod: Sequence[int]) -> tuple[list[list[int]], list[list[i
 
 
 def _parse_poly(text: str, var: str, p: int, d: int) -> int:
-    """Index sum(c_k * p^k) of a signed sum of terms c, c*var, c*var^k with k < d."""
+    """Index sum(c_k * p^k) of a signed sum of terms c, c*var, c*var^k with k < d,
+    c and k written in the digits 0-9."""
     s = text.strip().replace(" ", "").replace("-", "+-")
     if s.startswith("+"):
         s = s[1:]
@@ -508,11 +509,11 @@ def _parse_poly(text: str, var: str, p: int, d: int) -> int:
         sign = 1
         if term.startswith("-"):
             sign, term = -1, term[1:]
-        m = re.fullmatch(rf"(\d*)\*?{var}(?:\^(\d+))?", term)
+        m = re.fullmatch(rf"([0-9]*)\*?{var}(?:\^([0-9]+))?", term)
         if m:
             c = int(m.group(1)) if m.group(1) else 1
             k = int(m.group(2)) if m.group(2) else 1
-        elif term.isdigit():
+        elif re.fullmatch("[0-9]+", term):
             c, k = int(term), 0
         else:
             raise MalformedSpec(f"cannot parse {text!r} as a polynomial in {var}")

@@ -1,16 +1,12 @@
-"""Grading groups, attachment and validation of gradings, decomposition.
+"""Grading groups, and attachment and validation of gradings.
 
 A graded ring is its ring and its components, explicit subsets.  Graded
-ideals and Grad(I) are additive spans of homogeneous elements, so nothing
-else is stored: the decomposition of every element, the sums of one part
-per supported component, is built only by the first `decompose` call and by
-`attach_grading`, which needs it to check that the sum is direct.  The
-library's constructions are graded by construction and build no table.
+ideals and Grad(I) are additive spans of homogeneous elements, and so is the
+check that a caller's sum of components is direct, so nothing else is stored.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping, Union
 
@@ -95,25 +91,6 @@ class GradedRing:
     def component(self, g: Degree) -> frozenset[int]:
         return self.components.get(g, frozenset({self.ring.zero}))
 
-    def decompose(self, x: int) -> dict[Degree, int]:
-        """The unique componentwise parts of x, over the support.  The first
-        call builds the parts of every element."""
-        return dict(memo(self, "decomposition", self._decomposition_table)[x])
-
-    def _decomposition_table(self) -> list[dict[Degree, int]]:
-        """The parts of every element: each sum of one part per supported
-        component.  Only an element reached twice is rejected (NotDirectSum)."""
-        ring, add_rows = self.ring, self.ring.add_rows
-        table: list[dict[Degree, int] | None] = [None] * ring.size
-        for parts in itertools.product(*(sorted(self.components[g]) for g in self.support)):
-            total = ring.zero
-            for part in parts:
-                total = add_rows[total][part]
-            if table[total] is not None:
-                raise NotDirectSum(f"element {ring.name(total)} has two decompositions")
-            table[total] = dict(zip(self.support, parts))
-        return table
-
     def homogeneous(self) -> frozenset[int]:
         """h(R): the union of all components."""
         return memo(self, "homog", lambda: frozenset().union(*self.components.values()))
@@ -155,8 +132,13 @@ def attach_grading(
 ) -> GradedRing:
     """Validate a caller's component subsets and build the graded ring.  Raises
     MalformedSpec (a degree of the wrong rank, or two keys of one degree),
-    NotSubgroup, IdentityNotInRe, NotDirectSum (component sizes, then an element
-    with two decompositions) and NotMultiplicative, checked in that order."""
+    NotSubgroup, IdentityNotInRe, NotDirectSum (component sizes, then the least
+    element outside their span) and NotMultiplicative, checked in that order.
+
+    The sum is direct once the sizes multiply to |R| and the components span R:
+    the sum map from the outer direct sum of the R_g onto R is additive, with
+    the span of their union as its image, and both sides have prod |R_g| = |R|
+    elements, so the map is onto exactly when it is one-to-one."""
     comps: dict[Degree, frozenset[int]] = {}
     for g, elems in components.items():
         d = group.normalize(g)
@@ -191,9 +173,10 @@ def attach_grading(
             f"component sizes multiply to {sizes}, carrier has {ring.size} elements"
         )
     gr = GradedRing(ring, group, comps, label)
-    # building the decomposition table checks injectivity; with the count
-    # above, the sum is then direct
-    gr.decompose(ring.zero)
+    span = additive_closure(ring, gr.homogeneous())
+    if len(span) < ring.size:
+        x = next(x for x in ring.elements() if x not in span)
+        raise NotDirectSum(f"element {ring.name(x)} is not a sum of components")
     for g in gr.support:
         for h in gr.support:
             gh = group.op(g, h)

@@ -144,14 +144,6 @@ def _non_maximal_primes(gr: GradedRing) -> list[IdealSet]:
     return [p for p in _ideals_where(gr, is_graded_prime) if not is_graded_maximal(gr, p)]
 
 
-def _expect_strongly(
-    rep: VerificationReport, counter: str, gr: GradedRing, ideal: IdealSet, /, **where
-) -> None:
-    """Count one instance of `counter`; fail with `where` and the witness
-    unless `ideal` is graded strongly 1-absorbing primary in `gr`."""
-    _report_tally(rep, counter, _tally([(gr, ideal, where)]))
-
-
 def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> tuple[int, list[dict]]:
     """How many (ring, ideal, where) `cases` there are, and `where` with the
     witness of each ideal that is not graded strongly 1-absorbing primary."""
@@ -343,10 +335,10 @@ def _prop_2_9(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
 
 def _prop_2_10(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
-    for p in strongly:
-        for k in strongly:
-            inter = combine(p, k, "intersection")
-            _expect_strongly(rep, "pairs", gr, inter, p=_names(gr, p), k=_names(gr, k))
+    _report_tally(rep, "pairs", _tally(
+        (gr, combine(p, k, "intersection"), {"p": _names(gr, p), "k": _names(gr, k)})
+        for p in strongly for k in strongly
+    ))
     return rep.finish(["pairs"])
 
 
@@ -355,11 +347,12 @@ def _prop_2_11(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     if not profile.every_homogeneous_nilpotent_or_unit:
         rep.notes.append("hypothesis (homogeneous elements nilpotent or unit) not met")
         return rep.finish(["principal_instances"])
-    for ra in principal_graded_ideals(gr):
-        if ra.is_proper():
-            _expect_strongly(rep, "principal_instances", gr, ra, ideal=_names(gr, ra))
-    for p in proper_graded_ideals(gr):
-        _expect_strongly(rep, "all_proper_instances", gr, p, ideal=_names(gr, p))
+    _report_tally(rep, "principal_instances", _tally(
+        (gr, ra, {"ideal": _names(gr, ra)}) for ra in principal_graded_ideals(gr) if ra.is_proper()
+    ))
+    _report_tally(rep, "all_proper_instances", _tally(
+        (gr, p, {"ideal": _names(gr, p)}) for p in proper_graded_ideals(gr)
+    ))
     return rep.finish(["principal_instances", "all_proper_instances"])
 
 
@@ -432,14 +425,15 @@ def _lemma_2_18(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
 
 
 def _prop_2_19(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
-    lattice = proper_graded_ideals(gr)
-    for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
-        rad = graded_radical(gr, p)
-        for k in lattice:
-            if k <= rad:
-                continue
-            c = colon(gr.ring, p, k)
-            _expect_strongly(rep, "instances", gr, c, p=_names(gr, p), k=_names(gr, k))
+    def cases():
+        lattice = proper_graded_ideals(gr)
+        for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
+            rad = graded_radical(gr, p)
+            for k in lattice:
+                if not k <= rad:
+                    yield gr, colon(gr.ring, p, k), {"p": _names(gr, p), "k": _names(gr, k)}
+
+    _report_tally(rep, "instances", _tally(cases()))
     return rep.finish(["instances"])
 
 

@@ -1,7 +1,8 @@
 """bench/harness.py on two trivial rows, with both sides at this checkout:
 the side that goes first alternates, the record has one shape, and the
 sample rule gives a row whose first sample takes a second 3 samples.  A
-fresh-process row reports that process's own peak memory."""
+fresh-process row reports that process's own peak memory, and a checkout's
+commit is recorded only when it is the top of a git work tree."""
 
 import json
 import subprocess
@@ -102,3 +103,25 @@ def test_fresh_reports_the_process_own_peak():
     assert sample["exit"] == 0 and sample["cpu_s"] > 0 and sample["wall_s"] > 0
     assert sample["peak_rss_mb"] < 40 < len(held) / 2**20
     assert harness.fresh(["-c", "raise SystemExit(3)"])()["exit"] == 3
+
+
+def test_commit_is_read_only_at_the_top_of_a_work_tree(tmp_path, capsys):
+    # an unpacked `git archive` copy inside another work tree must not
+    # record that tree's commit
+    repo, copy = tmp_path / "repo", tmp_path / "repo" / "archive"
+    copy.mkdir(parents=True)
+    (copy / "file").write_text("x\n")
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    assert harness._commit(str(repo)) == git("rev-parse", "--short", "HEAD")
+    assert capsys.readouterr().err == ""
+    assert harness._commit(str(copy)) == "not a git work tree"
+    assert f"{copy} is not a git work tree" in capsys.readouterr().err

@@ -266,6 +266,11 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             f'{{{CYCLIC4}, "ideals": {{"I": ["u"]}}}}', DESCRIBE,
             "$.ideals['I']: term 'u': degree >= 1", id="ideal-element-path",
         ),
+        pytest.param(  # an Arabic-Indic three is a Unicode digit, not one of 0-9
+            '{"ring": {"kind": "cyclic", "n": 6}, "ideals": {"I": ["\\u0663"]}}',
+            ("ideal", "classify", "{file}", "--ideal", "I"),
+            "$.ideals['I']: cannot parse '٣'", id="ideal-element-non-ascii-digit",
+        ),
         pytest.param(
             f'{{{GAUSS3_Z2}, "components": {{"0": ["0", "1", "2"], "1": ["0", "i", "2j"]}}}}', DESCRIBE,
             "$.components['1']: cannot parse '2j'", id="component-element-path",

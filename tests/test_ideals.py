@@ -45,7 +45,8 @@ def oracle_is_ideal(ring, s):
 
 
 def oracle_is_graded(gr, s):
-    return all(part in s for x in s for part in gr.decompose(x).values())
+    table = oracles.decomposition(gr.ring, gr.components)
+    return all(part in s for x in s for part in table[x].values())
 
 
 def brute_force_graded_ideals(gr):
