@@ -288,9 +288,14 @@ def _construction(doc: dict, label: str, earlier: dict[str, CorpusEntry], where:
 
 
 def resolve_ideal(spec: RingSpecDocument, text: str) -> IdealSet:
-    """An ideal by document name or by comma-separated generator expressions."""
+    """An ideal by document name or by comma-separated generator expressions.
+
+    An empty generator (`''`, `,`, `2,,3`) is MalformedSpec: read as no
+    generator, an unset shell variable would classify (0)."""
     if text in spec.ideals:
         return spec.ideals[text]
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise MalformedSpec(f"--ideal {text!r}: empty generator; give a name or generators, e.g. 2,3")
     ring = spec.graded_ring.ring
-    gens = tuple(ring.parse(part) for part in text.split(",") if part.strip())
-    return ideal_generated(ring, gens)
+    return ideal_generated(ring, tuple(ring.parse(part) for part in parts))

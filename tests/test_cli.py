@@ -168,6 +168,18 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             id="ideal-cyclic-variable",
         ),
         pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", ""), "--ideal ''",
+            id="ideal-empty",
+        ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", ","), "--ideal ','",
+            id="ideal-comma-only",
+        ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "3,,6"), "--ideal '3,,6'",
+            id="ideal-empty-generator",
+        ),
+        pytest.param(
             None, ("ideal", "classify", f"{SPECS}/gauss4-z2.json", "--ideal", "xyz"), "'xyz'",
             id="ideal-gauss-bad-element",
         ),
@@ -640,13 +652,23 @@ OUTPUT_ARGV = {
 }
 
 
-def _cli(tmp_path, golden: str, stdout, stderr=subprocess.PIPE) -> subprocess.Popen:
+def _python(buffered: bool) -> tuple[list[str], dict[str, str]]:
+    """A fresh interpreter's command prefix and environment, its output buffered
+    or not whatever the parent process's `PYTHONUNBUFFERED`."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    return [sys.executable, *(() if buffered else ("-u",))], env
+
+
+BUFFERING = pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+
+
+def _cli(tmp_path, golden: str, stdout, stderr=subprocess.PIPE, *, buffered: bool) -> subprocess.Popen:
     z256 = tmp_path / "z256.json"
     z256.write_text(Z256)
     argv = [a.replace("{z256}", str(z256)) for a in OUTPUT_ARGV[golden]]
+    python, env = _python(buffered)
     return subprocess.Popen(
-        [sys.executable, "-m", "gradedrings.cli", *argv],
-        env=_child_env(), stdout=stdout, stderr=stderr, text=True,
+        [*python, "-m", "gradedrings.cli", *argv], env=env, stdout=stdout, stderr=stderr, text=True,
     )
 
 
@@ -655,24 +677,33 @@ def _one_error_line(err: str, name: str) -> None:
     assert "Traceback" not in err
 
 
+# each output golden unbuffered, under its own id, and buffered, where the
+# output fails at the final flush and not at a write
+OUTPUT_BUFFERING = [
+    pytest.param(golden, buffered, id=f"{golden}-buffered" if buffered else golden)
+    for golden in OUTPUT_ARGV
+    for buffered in (False, True)
+]
+
+
 # an output failure exits 2, never 1, which would claim a counterexample
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
-@pytest.mark.parametrize("golden", OUTPUT_ARGV)
-def test_full_disk_exits_2_without_traceback(tmp_path, golden):
+@pytest.mark.parametrize("golden, buffered", OUTPUT_BUFFERING)
+def test_full_disk_exits_2_without_traceback(tmp_path, golden, buffered):
     with open("/dev/full", "w") as full:
-        proc = _cli(tmp_path, golden, full)
+        proc = _cli(tmp_path, golden, full, buffered=buffered)
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     _one_error_line(err, "OSError")
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
-@pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+@BUFFERING
 @pytest.mark.parametrize("argv", (("-h",), ("verify", "-h")), ids=("help", "verify-help"))
 def test_lost_help_text_exits_2(argv, buffered):
     # buffered, the help text fails when flushed; unbuffered, when written
-    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
-    cmd = [sys.executable, *(() if buffered else ("-u",)), "-m", "gradedrings.cli", *argv]
+    python, env = _python(buffered)
+    cmd = [*python, "-m", "gradedrings.cli", *argv]
     shown = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
     assert shown.returncode == 0 and shown.stdout.startswith("usage: ")
     with open("/dev/full", "w") as full:
@@ -681,9 +712,23 @@ def test_lost_help_text_exits_2(argv, buffered):
     _one_error_line(lost.stderr, "OSError")
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@BUFFERING
+def test_lost_usage_error_exits_2(buffered):
+    # argparse drops its failed write of the usage; buffered, the text is still
+    # held, and the last flush before the process ends fails
+    python, env = _python(buffered)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [*python, "-m", "gradedrings.cli", "frobnicate"],
+            env=env, stdout=subprocess.PIPE, stderr=full, text=True, timeout=60,
+        )
+    assert proc.returncode == 2 and proc.stdout == ""
+
+
 @pytest.mark.parametrize("merged", (False, True), ids=("stdout", "stdout-and-stderr"))
-@pytest.mark.parametrize("golden", OUTPUT_ARGV)
-def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, merged):
+@pytest.mark.parametrize("golden, buffered", OUTPUT_BUFFERING)
+def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, buffered, merged):
     # merged: `2>&1 | head -c 1`, so that the error line cannot be written either
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
@@ -694,7 +739,10 @@ def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, 
         os.close(read_end)
         os.close(write_end)
         pytest.skip(f"a pipe of {capacity} bytes holds the whole output")
-    proc = _cli(tmp_path, golden, write_end, subprocess.STDOUT if merged else subprocess.PIPE)
+    proc = _cli(
+        tmp_path, golden, write_end, subprocess.STDOUT if merged else subprocess.PIPE,
+        buffered=buffered,
+    )
     os.close(write_end)
     assert len(os.read(read_end, 1)) == 1
     os.close(read_end)  # the output does not fit: the writer is still writing
@@ -702,3 +750,34 @@ def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, 
     assert proc.returncode == 2
     if not merged:
         _one_error_line(err, "BrokenPipeError")
+
+
+# A buffered process holds all of an output but verify-all's in its buffer
+# until the end, and ends without the interpreter's exit-time flush: each
+# output, error and status below is there only if the CLI flushed it itself.
+@pytest.mark.parametrize("golden", GOLDEN_ARGV)
+def test_buffered_process_writes_golden_into_a_pipe(tmp_path, golden):
+    z256 = tmp_path / "z256.json"
+    z256.write_text(Z256)
+    argv = [a.replace("{z256}", str(z256)) for a in GOLDEN_ARGV[golden]]
+    python, env = _python(buffered=True)
+    proc = subprocess.run(
+        [*python, "-m", "gradedrings.cli", "--format", "json", *argv],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (ROOT / f"perfbench/golden/{golden}.out").read_bytes()
+
+
+def test_buffered_process_reports_errors_with_status_2(tmp_path):
+    python, env = _python(buffered=True)
+    cli = [*python, "-m", "gradedrings.cli"]
+    missing = subprocess.run(
+        [*cli, "ring", "describe", str(tmp_path / "missing.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert missing.returncode == 2 and missing.stdout == ""
+    _one_error_line(missing.stderr, "MalformedSpec")
+    usage = subprocess.run([*cli, "frobnicate"], env=env, capture_output=True, text=True, timeout=60)
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert usage.stderr.startswith("usage: gradedrings ") and "invalid choice: 'frobnicate'" in usage.stderr
