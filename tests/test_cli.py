@@ -752,9 +752,9 @@ def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, 
         _one_error_line(err, "BrokenPipeError")
 
 
-# A buffered process holds all of an output but verify-all's in its buffer
-# until the end, and ends without the interpreter's exit-time flush: each
-# output, error and status below is there only if the CLI flushed it itself.
+# Buffered, every output but verify-all's fits in the 8 KB buffer and stays
+# there until flushed, and the process ends without the interpreter's exit-time
+# flush: each output, error and status below is there only if the CLI flushed it.
 @pytest.mark.parametrize("golden", GOLDEN_ARGV)
 def test_buffered_process_writes_golden_into_a_pipe(tmp_path, golden):
     z256 = tmp_path / "z256.json"
