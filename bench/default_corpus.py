@@ -20,7 +20,7 @@ import os
 import subprocess
 import sys
 
-from harness import main
+from harness import main, refuse_pycache
 
 PROBE = """
 import json, time
@@ -48,10 +48,7 @@ def cold():
 
 
 def rows() -> dict:
-    src = os.environ["PYTHONPATH"]  # the checkout's src/, as the harness sets it
-    for dirpath, dirnames, _ in os.walk(src):
-        if "__pycache__" in dirnames:
-            sys.exit(f"{dirpath}/__pycache__ would be read instead of compiling; remove it")
+    refuse_pycache("instead of compiling")
     return {"default_corpus() cold, fresh process": cold()}
 
 

@@ -78,6 +78,15 @@ def fresh(args, env=None):
     return sample
 
 
+def refuse_pycache(instead: str) -> None:
+    """Exit naming the first `__pycache__` under the checkout's src/, the
+    worker's PYTHONPATH as `_compare` sets it: a fresh process would read it
+    `instead` of what the script measures."""
+    for dirpath, dirnames, _ in os.walk(os.environ["PYTHONPATH"]):
+        if "__pycache__" in dirnames:
+            sys.exit(f"{dirpath}/__pycache__ would be read {instead}; remove it")
+
+
 def _serve(rows, facts) -> None:
     """The worker: announce the row names and facts, then answer each row
     name read from stdin with one sample of that row."""

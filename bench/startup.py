@@ -24,7 +24,7 @@ import subprocess
 import sys
 import tempfile
 
-from harness import fresh, main
+from harness import fresh, main, refuse_pycache
 
 BENCH = os.path.dirname(os.path.abspath(__file__))
 Z256 = os.path.join(BENCH, "..", "specs", "cyclic256.json")
@@ -39,10 +39,7 @@ CASES = (  # (name, python arguments); from the second on, args[2:] are the CLI'
 
 
 def rows() -> dict:
-    src = os.environ["PYTHONPATH"]  # the checkout's src/, as the harness sets it
-    for dirpath, dirnames, _ in os.walk(src):
-        if "__pycache__" in dirnames:
-            sys.exit(f"{dirpath}/__pycache__ would be read in the no_cache mode; remove it")
+    refuse_pycache("in the no_cache mode")
     pycache = tempfile.mkdtemp()
     atexit.register(shutil.rmtree, pycache)
     env = dict(os.environ)

@@ -184,15 +184,15 @@ def strongly_1abs_ideal_form(
     return True, None
 
 
-def is_graded_maximal(gr: GradedRing, m: IdealSet) -> bool:
+def is_graded_maximal(gr: GradedRing, m: IdealSet) -> tuple[bool, None]:
     """No graded ideal strictly between M and R: M + Ra = R for every
-    homogeneous a outside M."""
+    homogeneous a outside M.  A failure has no element witness."""
     def compute():
         require_graded(gr, m, proper=True)
         ring = gr.ring
         one_plus_m = {ring.add_rows[ring.one][x] for x in m.elements}  # 1 - ra in M iff ra in 1 + M
         outside = gr.homogeneous() - m.elements
-        return all(not one_plus_m.isdisjoint(ring.mul_rows[a]) for a in outside)
+        return all(not one_plus_m.isdisjoint(ring.mul_rows[a]) for a in outside), None
 
     return memo(gr, ("maximal", m), compute)
 
@@ -205,7 +205,7 @@ class LocalStructure(Record):
 
 def local_structure(gr: GradedRing) -> LocalStructure:
     def compute():
-        maximals = [m for m in proper_graded_ideals(gr) if is_graded_maximal(gr, m)]
+        maximals = [m for m in proper_graded_ideals(gr) if is_graded_maximal(gr, m)[0]]
         local = len(maximals) == 1
         return LocalStructure(maximals, local, maximals[0] if local else None)
 
@@ -227,7 +227,7 @@ def ring_predicates(gr: GradedRing) -> RingProfile:
     def compute():
         zero = zero_ideal(gr.ring)
         return RingProfile(
-            is_graded_maximal(gr, zero),
+            is_graded_maximal(gr, zero)[0],
             is_graded_prime(gr, zero)[0],
             gr.graded_nilradical().issuperset(gr.nonunit_homogeneous()),
         )
@@ -269,5 +269,4 @@ def flag_value(gr: GradedRing, p: IdealSet, flag: str) -> tuple[bool, Witness]:
     read from this module on each call, so that a rebound kernel is used."""
     if flag not in FLAGS:
         raise ValueError(f"unknown flag {flag!r}; choose from {FLAGS}")
-    value = globals()[f"is_{flag}"](gr, p)
-    return (value, None) if flag == "graded_maximal" else value
+    return globals()[f"is_{flag}"](gr, p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .errors import MalformedSpec
 
@@ -415,6 +415,12 @@ def induced_ring(
     )
 
 
+def pairs(xs: Iterable[int], ys: Collection[int], n2: int) -> frozenset[int]:
+    """The pairs (a, b) of R x S, a in `xs` and b in `ys`, at their indices
+    a*|S| + b, |S| = `n2`."""
+    return frozenset(a * n2 + b for a in xs for b in ys)
+
+
 def product_ring(r1: FinRing, r2: FinRing, label: str) -> FinRing:
     """R x S, the pair (a, b) at index a*|S| + b, named (a,b)."""
     n2, size = r2.size, r1.size * r2.size
@@ -500,15 +506,16 @@ def _poly_rows(m: int, mod: Sequence[int]) -> tuple[list[list[int]], list[list[i
 
 def _parse_poly(text: str, var: str, p: int, d: int) -> int:
     """Index sum(c_k * p^k) of a signed sum of terms c, c*var, c*var^k with k < d,
-    c and k written in the digits 0-9."""
-    s = text.strip().replace(" ", "").replace("-", "+-")
+    c and k written in the digits 0-9.  Spaces may stand around a sign, not
+    inside a term: "1 + 2" is 3, "1 2" is an error."""
+    s = text.strip().replace("-", "+-")
     if s.startswith("+"):
         s = s[1:]
     coeffs = [0] * d
     for term in s.split("+"):
-        sign = 1
+        sign, term = 1, term.strip()
         if term.startswith("-"):
-            sign, term = -1, term[1:]
+            sign, term = -1, term[1:].lstrip()
         m = re.fullmatch(rf"([0-9]*)\*?{var}(?:\^([0-9]+))?", term)
         if m:
             c = int(m.group(1)) if m.group(1) else 1

@@ -8,7 +8,7 @@ check that a caller's sum of components is direct, so nothing else is stored.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import (
     IdentityNotInRe,
@@ -19,50 +19,43 @@ from .errors import (
 )
 from .finring import FinRing, Record, additive_closure, memo
 
-Degree = Union[tuple[int, ...], int]
+Degree = tuple[int, ...]
 
 
 class GradingGroup(Record):
-    """Abelian grading group: finite abelian (invariant factors) or Z."""
+    """The abelian group Z/f1 x ... x Z/fk of its invariant factors, where a
+    factor 0 is a copy of Z (Z/0 = Z).  A degree is a tuple of ints, one per
+    factor, each reduced mod its factor when that is nonzero."""
 
-    __slots__ = ("kind", "factors")
+    __slots__ = ("factors",)
 
-    def __init__(self, kind: str, factors: tuple[int, ...] = ()):
-        if kind not in ("finite_abelian", "integers"):
-            raise MalformedSpec(f"unknown group kind {kind!r}")
-        if any(f < 2 for f in factors):
-            raise MalformedSpec("invariant factors must be >= 2")
-        self.kind = kind  # "finite_abelian" | "integers"
-        self.factors = factors
+    def __init__(self, factors: tuple[int, ...]):
+        if any(f < 0 or f == 1 for f in factors):
+            raise MalformedSpec("invariant factors must be 0 (a copy of Z) or >= 2")
+        self.factors = tuple(factors)
 
     @property
     def identity(self) -> Degree:
-        if self.kind == "integers":
-            return 0
         return (0,) * len(self.factors)
 
     def op(self, g: Degree, h: Degree) -> Degree:
-        if self.kind == "integers":
-            return g + h
-        return tuple((a + b) % f for a, b, f in zip(g, h, self.factors))
+        return self.normalize(tuple(a + b for a, b in zip(g, h)))
 
     def normalize(self, g) -> Degree:
-        if self.kind == "integers":
-            return int(g)
-        g = tuple(g)
+        """`g` reduced; MalformedSpec unless it is a tuple of ints of the group's rank."""
+        if type(g) is not tuple or any(type(a) is not int for a in g):
+            raise MalformedSpec(f"degree {g!r} is not a tuple of ints")
         if len(g) != len(self.factors):
             raise MalformedSpec(f"degree {g} has wrong rank for factors {self.factors}")
-        return tuple(a % f for a, f in zip(g, self.factors))
+        return tuple(a % f if f else a for a, f in zip(g, self.factors))
 
     def describe(self, g: Degree) -> str:
-        if self.kind == "integers":
-            return str(g)
         return ",".join(map(str, g)) if g else "e"
 
 
-TRIVIAL_GROUP = GradingGroup("finite_abelian", ())
-Z2 = GradingGroup("finite_abelian", (2,))
-Z_GRADING = GradingGroup("integers")
+TRIVIAL_GROUP = GradingGroup(())
+Z2 = GradingGroup((2,))
+Z_GRADING = GradingGroup((0,))
 
 
 class GradedRing:

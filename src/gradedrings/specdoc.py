@@ -12,9 +12,10 @@ Schema:
       "ideals": {"<name>": ["<generator expr>", ...], ...}
     }
 
-Degrees are comma-separated decimal integers for finite abelian groups
-("0", "1", "0,1"), plain decimal integers for Z; two keys of one degree
-("0" and "2" under Z2) are an error.  Element expressions use the ring's own
+Degrees are comma-separated decimal integers, one per invariant factor
+("0", "1", "0,1"; "e" or "" under the trivial group), and a single
+integer under Z, the factor 0 ("-1"); two keys of one degree ("0" and "2"
+under Z2) are an error.  Element expressions use the ring's own
 syntax: signed sums of integers ("2+3", "-1") for cyclic rings, "a+b*i"
 for gauss_mod, polynomials in u for poly_quotient.  Omitting "components"
 means the trivial grading (everything in the identity degree).
@@ -42,7 +43,7 @@ from pathlib import Path
 
 from .errors import GradedRingError, MalformedSpec
 from .finring import Cyclic, GaussMod, PolyQuotient, Record, build_ring
-from .grading import GradedRing, GradingGroup, TRIVIAL_GROUP, attach_grading, trivial_grading
+from .grading import GradedRing, GradingGroup, TRIVIAL_GROUP, Z_GRADING, attach_grading, trivial_grading
 from .ideals import IdealSet, ideal_generated
 
 
@@ -144,11 +145,12 @@ def _build_group(gdoc: dict, where: str) -> GradingGroup:
     if kind == "trivial":
         return TRIVIAL_GROUP
     if kind == "integers":
-        return GradingGroup("integers")
+        return Z_GRADING
     at = f"{where}.factors"
     factors = _list_of(gdoc.get("factors", []), int, at)
-    with _at(at):
-        return GradingGroup("finite_abelian", tuple(factors))
+    if any(f < 2 for f in factors):  # a factor 0, a copy of Z, is the kind "integers"
+        raise MalformedSpec(f"{at}: invariant factors must be >= 2")
+    return GradingGroup(tuple(factors))
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -165,8 +167,6 @@ def decimal(text: str) -> int:
 def _parse_degree(group: GradingGroup, key: str, where: str):
     with _at(where):  # also a degree of the wrong rank
         try:
-            if group.kind == "integers":
-                return decimal(key)
             parts = key.split(",") if key not in ("", "e") else []
             return group.normalize(tuple(decimal(t) for t in parts))
         except ValueError:

@@ -25,7 +25,7 @@ from .errors import (
     NotSurjective,
     UnitNotPreserved,
 )
-from .finring import FinRing, Record, gather, induced_ring, memo, product_ring
+from .finring import FinRing, Record, gather, induced_ring, memo, pairs, product_ring
 from .grading import GradedRing
 from .ideals import IdealSet, require_graded
 
@@ -187,14 +187,8 @@ def product(gr: GradedRing, gs: GradedRing) -> GradedRing:
     if gr.group != gs.group:
         raise GroupMismatch("product requires the same grading group")
     pring = product_ring(gr.ring, gs.ring, f"{gr.label} x {gs.label}")
-    n2 = gs.ring.size
     degrees = sorted(set(gr.support) | set(gs.support))
-    components = {
-        g: frozenset(
-            a * n2 + b for a in gr.component(g) for b in gs.component(g)
-        )
-        for g in degrees
-    }
+    components = {g: pairs(gr.component(g), gs.component(g), gs.ring.size) for g in degrees}
     return GradedRing(pring, gr.group, components)
 
 

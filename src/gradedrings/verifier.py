@@ -20,7 +20,7 @@ from .classify import (
     is_graded_strongly_1abs_primary, local_structure, ring_predicates, strongly_1abs_ideal_form,
 )
 from .errors import ShapeMismatch
-from .finring import Cyclic, Record, build_ring, memo
+from .finring import Cyclic, Record, build_ring, memo, pairs
 from .grading import GradedRing, trivial_grading
 from .ideals import (
     IdealSet, colon, combine, enumerate_graded_ideals, graded_radical, ideal_generated,
@@ -141,7 +141,7 @@ def _grad_zero_prime(gr: GradedRing) -> tuple[IdealSet, bool]:
 
 
 def _non_maximal_primes(gr: GradedRing) -> list[IdealSet]:
-    return [p for p in _ideals_where(gr, is_graded_prime) if not is_graded_maximal(gr, p)]
+    return [p for p in _ideals_where(gr, is_graded_prime) if not is_graded_maximal(gr, p)[0]]
 
 
 def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> tuple[int, list[dict]]:
@@ -311,10 +311,7 @@ def _cor_2_8(entry: CorpusEntry) -> VerificationReport:
     for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
         rep.fail(ideal=_names(gr, p))
     left, right = entry.parents
-    n2 = right.ring.size
-    combined = frozenset(
-        a * n2 + b for a in left.graded_nilradical() for b in right.graded_nilradical()
-    )
+    combined = pairs(left.graded_nilradical(), right.graded_nilradical(), right.ring.size)
     if combined != gr.graded_nilradical():
         rep.fail(note="Grad({0}) of product differs from componentwise product")
     else:

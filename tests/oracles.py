@@ -235,13 +235,8 @@ def localize_tables(gr, s):
 
 
 def _inverse(group, g):
-    """The degree h with gh = e: -g in Z, else the one found by trying every
-    degree of the finite group."""
-    if group.kind == "integers":
-        return -g
-    return next(
-        h for h in itertools.product(*map(range, group.factors)) if group.op(g, h) == group.identity
-    )
+    """The degree h with gh = e: -g, coordinate by coordinate."""
+    return group.normalize(tuple(-a for a in g))
 
 
 def localize_grading(gr, s):

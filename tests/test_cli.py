@@ -356,6 +356,24 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             f'{{{CYCLIC4}, "group": {{"kind": "z2", "factor": [2]}}}}', DESCRIBE,
             "$.group.kind: unknown group kind 'z2'", id="unknown-group-kind-before-keys",
         ),
+        pytest.param(  # spaces stand around a sign, never inside a term
+            None, ("ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "1 2"), "'1 2'",
+            id="ideal-cyclic-space-in-term",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "gauss_mod", "n": 4}, "ideals": {"I": ["2 i"]}}', DESCRIBE,
+            "$.ideals['I']: cannot parse '2 i'", id="ideal-gauss-space-in-term",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"kind": "integers"}}, "components": {{"e": ["0", "1", "2", "3"]}}}}',
+            DESCRIBE, "$.components['e']: degree () has wrong rank for factors (0,)",
+            id="integers-degree-e",
+        ),
+        pytest.param(
+            f'{{{CYCLIC4}, "group": {{"kind": "integers"}}, "components": {{"0,0": ["0", "1", "2", "3"]}}}}',
+            DESCRIBE, "$.components['0,0']: degree (0, 0) has wrong rank for factors (0,)",
+            id="integers-degree-rank-2",
+        ),
     ],
 )
 def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):
@@ -367,6 +385,14 @@ def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):
     assert err.startswith("error: MalformedSpec: ")
     assert where in err
     assert "Traceback" not in err
+
+
+def test_spaces_around_a_sign_are_allowed(capsys):
+    code, out, _ = run(
+        capsys, "--format", "json", "ideal", "classify", f"{SPECS}/cyclic9.json", "--ideal", "1 + 2"
+    )
+    assert code == 0
+    assert json.loads(out)["ideal"] == ["0", "3", "6"]
 
 
 def test_unknown_statement_exit_code(capsys):
@@ -418,6 +444,23 @@ def test_json_output_matches_golden(tmp_path, capsys, golden):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert out.encode() == expected
+
+
+# the shipped Z- and Z/3-graded specs, F2[u]/(u^3) and F2[u]/(u^3-1) with
+# deg u = 1, replayed through the CLI
+SPEC_GOLDEN_ARGV = {
+    "describe-f2-u3-z": ("ring", "describe", f"{SPECS}/f2-u3-z.json"),
+    "classify-f2-u3-z-M2": ("ideal", "classify", f"{SPECS}/f2-u3-z.json", "--ideal", "M2"),
+    "describe-f2-u3-z3": ("ring", "describe", f"{SPECS}/f2-u3-z3.json"),
+    "classify-f2-u3-z3-zero": ("ideal", "classify", f"{SPECS}/f2-u3-z3.json", "--ideal", "zero"),
+}
+
+
+@pytest.mark.parametrize("golden", SPEC_GOLDEN_ARGV)
+def test_spec_output_matches_golden(capsys, golden):
+    code, out, _ = run(capsys, "--format", "json", *SPEC_GOLDEN_ARGV[golden])
+    assert code == 0
+    assert out.encode() == (ROOT / f"tests/golden/{golden}.out").read_bytes()
 
 
 def test_shipped_corpus_document_is_the_default_corpus(tmp_path, capsys):

@@ -54,9 +54,27 @@ def parts(gr):
 def test_group_arithmetic():
     assert Z2.op((1,), (1,)) == (0,)
     assert TRIVIAL_GROUP.identity == ()
-    assert Z_GRADING.op(2, -3) == -1
-    g = GradingGroup("finite_abelian", (2, 3))
+    assert Z_GRADING.op((2,), (-3,)) == (-1,)
+    g = GradingGroup((2, 3))
     assert g.op((1, 2), (1, 2)) == (0, 1)
+    # a factor 0 is a copy of Z: reduced by no modulus, beside finite factors
+    zz2 = GradingGroup((0, 2))
+    assert zz2.normalize((-5, 3)) == (-5, 1)
+    assert zz2.op((2, 1), (-7, 1)) == (-5, 0)
+    assert Z_GRADING.describe((-1,)) == "-1" and TRIVIAL_GROUP.describe(()) == "e"
+
+
+@pytest.mark.parametrize("degree", [(2.7,), (True,), ("1",), 1, [1]], ids=repr)
+def test_normalize_rejects_a_degree_that_is_not_a_tuple_of_ints(degree):
+    # int() would read 2.7 as 2; an int is the degree form of no group
+    with pytest.raises(MalformedSpec, match="is not a tuple of ints"):
+        Z_GRADING.normalize(degree)
+
+
+@pytest.mark.parametrize("factors", [(1,), (-2,), (2, 1)])
+def test_grading_group_rejects_factors_that_name_no_cyclic_group(factors):
+    with pytest.raises(MalformedSpec, match="invariant factors"):
+        GradingGroup(factors)
 
 
 def test_gauss4_grading_valid():
@@ -166,12 +184,12 @@ def test_rejects_non_multiplicative():
 def test_integer_grading_out_of_support_products_must_vanish():
     # F2[u]/(u^2): deg(u) = 1, u*u = 0 lands in the empty degree 2
     ring = build_ring(PolyQuotient(Cyclic(2), (0, 0, 1)))
-    gr = attach_grading(ring, Z_GRADING, {0: {0, 1}, 1: {0, ring.parse("u")}})
+    gr = attach_grading(ring, Z_GRADING, {(0,): {0, 1}, (1,): {0, ring.parse("u")}})
     assert gr.ring.mul_rows[ring.parse("u")][ring.parse("u")] == ring.zero
     # genuine violation: u^2 = 1 cannot live in the empty degree 2
     ring2 = build_ring(PolyQuotient(Cyclic(2), (1, 0, 1)))
     with pytest.raises(NotMultiplicative):
-        attach_grading(ring2, Z_GRADING, {0: {0, 1}, 1: {0, ring2.parse("u")}})
+        attach_grading(ring2, Z_GRADING, {(0,): {0, 1}, (1,): {0, ring2.parse("u")}})
 
 
 def test_trivial_grading_matches_attach_grading(corpus):
@@ -190,8 +208,8 @@ PROPOSAL_SPECS = (
 )
 PROPOSAL_GROUPS = (
     (Z2, ((0,), (1,))),
-    (Z_GRADING, (0, 1, 2, -1)),
-    (GradingGroup("finite_abelian", (3,)), ((0,), (1,), (2,))),
+    (Z_GRADING, ((0,), (1,), (2,), (-1,))),
+    (GradingGroup((3,)), ((0,), (1,), (2,))),
 )
 
 

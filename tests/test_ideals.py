@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import oracles
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import graded_ring, z2_graded
 
-from gradedrings.errors import NotAnIdeal, NotGraded
+from gradedrings import ideals
+from gradedrings.cli import main
+from gradedrings.errors import BudgetExceeded, NotAnIdeal, NotGraded
 from gradedrings.finring import MAX_CARRIER, Cyclic, GaussMod, PolyQuotient, build_ring
 from gradedrings.grading import Z2, Z_GRADING, GradingGroup, attach_grading, trivial_grading
 from gradedrings.ideals import (
@@ -25,6 +28,7 @@ from gradedrings.ideals import (
     unit_ideal,
     zero_ideal,
 )
+from gradedrings.specdoc import parse_corpus
 from gradedrings.transport import product
 
 
@@ -134,9 +138,9 @@ def test_is_graded_ideal_matches_oracle_on_ungraded_ideals(corpus):
     # F2[u]/(u^3) (deg u = 1 in Z) and F2[u]/(u^3-1) (deg u = 1 in Z/3) have
     # three supported degrees; the second has ungraded ideals, the first not
     rings = [e.gr for e in corpus if e.gr.group == Z2]
-    z3 = GradingGroup("finite_abelian", (3,))
+    z3 = GradingGroup((3,))
     three_degrees = [
-        (PolyQuotient(Cyclic(2), (0, 0, 0, 1)), Z_GRADING, (0, 1, 2)),
+        (PolyQuotient(Cyclic(2), (0, 0, 0, 1)), Z_GRADING, ((0,), (1,), (2,))),
         (PolyQuotient(Cyclic(2), (1, 0, 0, 1)), z3, ((0,), (1,), (2,))),
     ]
     for spec, group, degrees in three_degrees:
@@ -245,6 +249,27 @@ def test_enumerate_matches_divisor_lattice():
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         assert len(lattice) == len(divisors)
         assert {i.elements for i in lattice} == {frozenset(range(0, n, d)) for d in divisors}
+
+
+# (Z/2)^5 as nested products: its 32 ideals are the sets of coordinates
+F2_POWER_5 = json.dumps(
+    [{"label": "F2^1", "ring": {"kind": "cyclic", "n": 2}}]
+    + [{"label": f"F2^{k}", "kind": "product", "of": [f"F2^{k - 1}", "F2^1"]} for k in range(2, 6)]
+)
+
+
+def test_lattice_cap_raises_budget_exceeded(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ideals, "IDEAL_LATTICE_CAP", 16)
+    gr = parse_corpus(F2_POWER_5)[-1].gr
+    assert gr.ring.size == 32
+    with pytest.raises(BudgetExceeded, match="graded ideal lattice exceeds cap 16"):
+        enumerate_graded_ideals(gr)
+    corpus = tmp_path / "f2-power-5.json"
+    corpus.write_text(F2_POWER_5)
+    assert main(["verify", "THM_2_2", "--corpus", str(corpus)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded: ") and err.count("\n") == 1
 
 
 def test_enumerate_graded_field():

@@ -198,7 +198,7 @@ def test_localize_grading_where_a_shift_leaves_the_support():
     # A = F3[u]/(u^2-1) with deg u = (1,0) and B the same ring with deg u = (0,1),
     # over Z2 x Z2.  S = {1, (u,0), (1,0)} kills B, so B's u, shifted by
     # deg (u,0)^-1, names degree (1,1), where S^-1(A x B) has only 0
-    group = GradingGroup("finite_abelian", (2, 2))
+    group = GradingGroup((2, 2))
     ring = build_ring(PolyQuotient(Cyclic(3), (2, 0, 1)))
     u = ring.parse("u")
     scalars, multiples = range(3), {0, u, ring.mul_rows[u][2]}
