@@ -18,10 +18,10 @@ layer, when they run; `ring describe` and `ideal classify` never load them.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import NoReturn, Optional
 
 from .classify import FLAGS, classify_ideal, local_structure, ring_predicates
@@ -151,44 +151,145 @@ def _cmd_search(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):  # argparse's own drops a failed write
-        (file or sys.stdout).write(self.format_help())
+PROG = "gradedrings"
+SPEC = "JSON spec file: a ring, its grading and named ideals"
+CORPUS = "JSON corpus: ring specs and constructions on them"
+# An option is `--name: (choices or None, required, help)`, a positional
+# `(name, help)`. The root's options come before the command words.
+ROOT = (
+    {"--format": (("text", "json"), False, "report form (default: text)")},
+    "Finite graded commutative rings: ideal classification and theorem replay.",
+)
+# The command table: words -> (handler, positionals, options, help line).
+# `parse_args`, every usage line, help text and usage error are read off it.
+COMMANDS = {
+    ("ring", "describe"): (_cmd_ring_describe, (("spec", SPEC),), {}, "structural summary from a spec file"),
+    ("ideal", "classify"): (
+        _cmd_ideal_classify, (("spec", SPEC),), {"--ideal": (None, True, "named ideal or generator list")},
+        "classification report for one ideal",
+    ),
+    ("verify",): (
+        _cmd_verify,
+        (("statement", "statement id or 'all'; an unknown id lists the statements"),),
+        {"--corpus": (None, False, CORPUS), "--range": (None, False, "n range for COR_2_7, e.g. 2..64")},
+        "replay the statement suite over a corpus",
+    ),
+    ("search",): (
+        _cmd_search, (),
+        {
+            "--hypothesis": (FLAGS, True, "a flag the reported ideals have"),
+            "--conclusion": (FLAGS, True, "a flag they lack"),
+            "--corpus": (None, False, CORPUS),
+        },
+        "find flag-separating witnesses",
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gradedrings",
-        description="Finite graded commutative rings: ideal classification and theorem replay.",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _under(words: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The commands whose words start with `words`."""
+    return [w for w in COMMANDS if w[: len(words)] == words]
 
-    ring = sub.add_parser("ring", help="ring-level operations")
-    ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-    describe = ring_sub.add_parser("describe", help="structural summary from a spec file")
-    describe.add_argument("spec")
-    describe.set_defaults(func=_cmd_ring_describe)
 
-    ideal = sub.add_parser("ideal", help="ideal-level operations")
-    ideal_sub = ideal.add_subparsers(dest="ideal_command", required=True)
-    classify = ideal_sub.add_parser("classify", help="classification report for one ideal")
-    classify.add_argument("spec")
-    classify.add_argument("--ideal", required=True, help="named ideal or generator list")
-    classify.set_defaults(func=_cmd_ideal_classify)
+def _next_words(words: tuple[str, ...]) -> list[str]:
+    return list(dict.fromkeys(w[len(words)] for w in _under(words)))
 
-    ver = sub.add_parser("verify", help="replay the statement suite over a corpus")
-    ver.add_argument("statement", help="statement id or 'all'; an unknown id lists the statements")
-    ver.add_argument("--corpus", help="JSON corpus: ring specs and constructions on them")
-    ver.add_argument("--range", help="n range for COR_2_7, e.g. 2..64")
-    ver.set_defaults(func=_cmd_verify)
 
-    search = sub.add_parser("search", help="find flag-separating witnesses")
-    search.add_argument("--hypothesis", required=True, choices=FLAGS)
-    search.add_argument("--conclusion", required=True, choices=FLAGS)
-    search.add_argument("--corpus", help="JSON corpus: ring specs and constructions on them")
-    search.set_defaults(func=_cmd_search)
-    return parser
+def _form(name: str, choices) -> str:
+    return f"{name} {{{','.join(choices)}}}" if choices else f"{name} {name[2:].upper()}"
+
+
+def _usage(words: tuple[str, ...]) -> str:
+    if words in COMMANDS:
+        _, positionals, options, _ = COMMANDS[words]
+        tail = [p for p, _ in positionals]
+    else:  # the root, or a command word that needs a subcommand
+        options, tail = {} if words else ROOT[0], ["{" + ",".join(_next_words(words)) + "}", "..."]
+    shown = [_form(n, c) if required else f"[{_form(n, c)}]" for n, (c, required, _) in options.items()]
+    return " ".join(["usage:", PROG, *words, "[-h]", *shown, *tail]) + "\n"
+
+
+def _help(words: tuple[str, ...]) -> NoReturn:
+    """Write the help of a command, or of the commands whose words start with `words`."""
+    if words in COMMANDS:
+        _, rows, options, about = COMMANDS[words]
+        title = "positional arguments"
+    else:
+        options, about = ({}, "") if words else ROOT
+        rows, title = [(" ".join(w), COMMANDS[w][3]) for w in _under(words)], "commands"
+    flags = [("-h, --help", "show this help message and exit")]
+    flags += [(_form(n, c), text) for n, (c, _, text) in options.items()]
+    # help texts start in one column, at most the 24th as in argparse; a longer
+    # left part puts its help text on the next line
+    column = min(max(len(left) for left, _ in [*rows, *flags]) + 4, 24)
+    text = _usage(words) + (f"\n{about}\n" if about else "")
+    for heading, section in ((title, rows), ("options", flags)):
+        text += f"\n{heading}:\n" if section else ""
+        for left, right in section:
+            lead = f"  {left}".ljust(column) if len(left) + 4 <= column else f"  {left}\n{'':{column}}"
+            text += (lead + right).rstrip() + "\n"
+    sys.stdout.write(text)  # a failed write raises, and `main` exits 2 through `_fail`
+    raise SystemExit(0)
+
+
+def _error(words: tuple[str, ...], message: str) -> NoReturn:
+    sys.stderr.write(f"{_usage(words)}{PROG}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _choose(words: tuple[str, ...], argument: str, value: str, choices) -> None:
+    if choices and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        _error(words, f"argument {argument}: invalid choice: {value!r} (choose from {listed})")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read `argv` against `COMMANDS`: `[--format F] WORDS... ARGUMENTS...`.
+
+    An option reads `--opt VALUE` or `--opt=VALUE`; VALUE may start with `-`,
+    the last of a repeated option wins, `--` ends the options, and no option
+    is abbreviated. The result holds `func`, `format` and one attribute per
+    positional and option of the command (None for an option not given).
+    `-h`/`--help` writes the help to stdout and raises SystemExit(0); a usage
+    error writes the usage and `gradedrings: error: …` to stderr and raises
+    SystemExit(2).
+    """
+    rest, words, options = argv[::-1], (), ROOT[0]
+    values, found, extra, ended = {"format": "text"}, [], [], False
+    while rest:
+        arg = rest.pop()
+        name, eq, value = arg.partition("=")
+        if ended or not arg.startswith("-") or arg == "-":
+            if words in COMMANDS:
+                (found if len(found) < len(COMMANDS[words][1]) else extra).append(arg)
+                continue
+            _choose(words, "command", arg, _next_words(words))
+            words += (arg,)
+            options = COMMANDS[words][2] if words in COMMANDS else {}
+        elif arg == "--":
+            ended = True
+        elif arg in ("-h", "--help"):
+            _help(words)
+        elif name in options:
+            if not (eq or rest):
+                _error(words, f"argument {name}: expected one argument")
+            values[name[2:]] = value if eq else rest.pop()
+            _choose(words, name, values[name[2:]], options[name][0])
+        elif words in COMMANDS:
+            extra.append(arg)
+        else:
+            _error(words, f"unrecognized arguments: {arg}")
+    if words not in COMMANDS:
+        _error(words, "the following arguments are required: command")
+    func, positionals, options, _ = COMMANDS[words]
+    missing = [p for p, _ in positionals[len(found):]]
+    missing += [n for n, (_, required, _) in options.items() if required and n[2:] not in values]
+    if missing:
+        _error(words, f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        _error(words, f"unrecognized arguments: {' '.join(extra)}")
+    named = {n[2:]: None for n in options} | values
+    return SimpleNamespace(func=func, **named, **{p: v for (p, _), v in zip(positionals, found)})
 
 
 def _fail(exc: GradedRingError | OSError) -> int:
@@ -206,9 +307,9 @@ def _fail(exc: GradedRingError | OSError) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = parse_args(sys.argv[1:] if argv is None else argv)
         except SystemExit as exc:  # a usage error, or the help text of -h
-            status = 2 if exc.code not in (0, None) else 0
+            status = exc.code
         else:
             status = args.func(args)
         sys.stdout.flush()  # so that a full disk or a closed pipe fails here
@@ -230,7 +331,7 @@ def run() -> NoReturn:
     status = main()
     try:
         sys.stdout.flush()
-        sys.stderr.flush()  # e.g. argparse's usage, whose failed write it ignores
+        sys.stderr.flush()  # line-buffered: a write not ended by a newline is still held
     except OSError as exc:
         status = _fail(exc)
     os._exit(status)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gradedrings import verifier
-from gradedrings.cli import main
+from gradedrings.cli import COMMANDS, main, parse_args
 from gradedrings.errors import MalformedSpec
 from gradedrings.specdoc import load_corpus, load_spec
 
@@ -133,6 +133,80 @@ def test_search_no_counterexample(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "verify")[0] == 2
+
+
+C9 = f"{SPECS}/cyclic9.json"
+FLAG_PAIR = ("--hypothesis", "graded_prime", "--conclusion", "graded_maximal")
+# argument lists the command table accepts, and the values they give
+PARSED = {
+    "root-eq": (("--format=json", "ring", "describe", C9), {"format": "json", "spec": C9}),
+    "option-first": (("ideal", "classify", "--ideal", "M", C9), {"spec": C9, "ideal": "M"}),
+    "eq": (("ideal", "classify", C9, "--ideal=2"), {"format": "text", "ideal": "2"}),
+    "last-wins": (("ideal", "classify", C9, "--ideal", "2", "--ideal=3"), {"ideal": "3"}),
+    "root-last-wins": (("--format", "json", "--format", "text", "verify", "all"), {"format": "text"}),
+    "dash-value": (("ideal", "classify", C9, "--ideal", "-1"), {"ideal": "-1"}),
+    "double-dash": (("ring", "describe", "--", "-h"), {"spec": "-h"}),
+    "double-dash-option": (("verify", "--", "--range"), {"statement": "--range", "range": None}),
+    "unset-is-none": (("verify", "all", "--range=2..8"), {"range": "2..8", "corpus": None}),
+    "any-order": (("search", *FLAG_PAIR[2:], *FLAG_PAIR[:2]), {"hypothesis": "graded_prime"}),
+}
+
+
+@pytest.mark.parametrize("case", PARSED)
+def test_parse_args_reads_the_command_table(case):
+    argv, expected = PARSED[case]
+    args = parse_args(list(argv))
+    assert {key: getattr(args, key) for key in expected} == expected
+
+
+def test_an_option_value_may_start_with_a_dash(capsys):
+    code, out, _ = run(capsys, "ideal", "classify", C9, "--ideal", "-3")
+    assert code == 0 and "ideal: {0,3,6}" in out
+
+
+# every command and every prefix of its words prints its help on stdout
+@pytest.mark.parametrize("words", sorted({w[:k] for w in COMMANDS for k in range(len(w) + 1)}))
+@pytest.mark.parametrize("flag", ("-h", "--help"))
+def test_help_of_every_command(capsys, words, flag):
+    code, out, err = run(capsys, *words, flag)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(("usage: gradedrings", *words, "[-h]")))
+    assert all(about in out for w, (*_, about) in COMMANDS.items() if w[: len(words)] == words)
+    if words in COMMANDS:
+        assert all(f"  {name} " in out for name in COMMANDS[words][2])
+
+
+# argument lists the command table refuses, and the start of their error
+REFUSED = {
+    "format-after-command": (("verify", "all", "--format", "json"), "unrecognized arguments: --format json"),
+    "no-subcommand": (("ring",), "the following arguments are required: command"),
+    "bad-subcommand": (("ring", "frob"), "argument command: invalid choice: 'frob' (choose from 'describe')"),
+    "abbreviation": (("ideal", "classify", C9, "--id", "2"), "the following arguments are required: --ideal"),
+    "abbreviation-extra": (
+        ("ideal", "classify", C9, "--ideal", "2", "--id", "3"), "unrecognized arguments: --id 3"
+    ),
+    "root-abbreviation": (("--form", "json", "ring", "describe", C9), "unrecognized arguments: --form"),
+    "extra-positional": (("ring", "describe", C9, "extra"), "unrecognized arguments: extra"),
+    "missing-positional": (("ring", "describe"), "the following arguments are required: spec"),
+    "missing-options": (("search",), "the following arguments are required: --hypothesis, --conclusion"),
+    "missing-value": (("verify", "all", "--range"), "argument --range: expected one argument"),
+    "format-choice": (
+        ("--format", "xml", "verify", "all"),
+        "argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
+    ),
+    "hypothesis-choice": (("search", "--hypothesis", "x"), "argument --hypothesis: invalid choice: 'x'"),
+    "conclusion-choice": (("search", *FLAG_PAIR[:3], "y"), "argument --conclusion: invalid choice: 'y'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_usage_errors_exit_2_with_usage_and_error_lines(capsys, case):
+    argv, message = REFUSED[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: gradedrings ")
+    assert error.startswith(f"gradedrings: error: {message}")
 
 
 CYCLIC_BAD_IDEAL = '{"ring": {"kind": "cyclic", "n": 4}, "ideals": {"I": ["abc"]}}'
@@ -646,6 +720,8 @@ def test_construction_error_exit_code(tmp_path, capsys, content, error, command)
 
 
 LAZY_LAYERS = ("gradedrings.verifier", "gradedrings.transport", "dataclasses", "inspect")
+# what an argparse parser loads; the command table needs none of it
+PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
 def _child_env() -> dict[str, str]:
@@ -677,7 +753,7 @@ def _loaded_modules(*argv: str) -> set[str]:
 def test_ring_and_ideal_commands_skip_verifier_layers(argv):
     loaded = _loaded_modules(*argv)
     assert "gradedrings.cli" in loaded
-    assert not loaded & set(LAZY_LAYERS)
+    assert not loaded & {*LAZY_LAYERS, *PARSER_MODULES}
 
 
 def test_verify_loads_verifier(tmp_path):
@@ -758,8 +834,8 @@ def test_lost_help_text_exits_2(argv, buffered):
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
 @BUFFERING
 def test_lost_usage_error_exits_2(buffered):
-    # argparse drops its failed write of the usage; buffered, the text is still
-    # held, and the last flush before the process ends fails
+    # stderr is line-buffered, or unbuffered under -u, so the usage message
+    # fails as it is written, and `main` exits 2 through `_fail`
     python, env = _python(buffered)
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
