@@ -219,8 +219,8 @@ def _help(words: tuple[str, ...]) -> NoReturn:
         rows, title = [(" ".join(w), COMMANDS[w][3]) for w in _under(words)], "commands"
     flags = [("-h, --help", "show this help message and exit")]
     flags += [(_form(n, c), text) for n, (c, _, text) in options.items()]
-    # help texts start in one column, at most the 24th as in argparse; a longer
-    # left part puts its help text on the next line
+    # help texts start in one column, at most the 24th; a longer left part
+    # puts its help text on the next line
     column = min(max(len(left) for left, _ in [*rows, *flags]) + 4, 24)
     text = _usage(words) + (f"\n{about}\n" if about else "")
     for heading, section in ((title, rows), ("options", flags)):
