@@ -63,7 +63,7 @@ class GaussMod(Record):
 
 
 class PolyQuotient(Record):
-    """(Z/pZ)[u] / (modulus), base Cyclic(p), modulus monic, coefficients ascending."""
+    """(Z/m)[u] / (modulus), base Cyclic(m), modulus monic, coefficients ascending."""
 
     __slots__ = ("base", "modulus")
 
@@ -364,17 +364,6 @@ def _check_carrier(size: int) -> None:
         raise MalformedSpec(f"carrier size {size} exceeds cap {MAX_CARRIER}")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def product_rows(rows1: Sequence[Sequence[int]], rows2: Sequence[Sequence[int]]) -> list[list[int]]:
     """The table of R x S from tables of R and S, the pair (a, b) at index
     a*|S| + b: (a,b) op (c,d) = (a op c, b op d)."""
@@ -547,6 +536,8 @@ def _poly_ring(m: int, modulus: Sequence[int], var: str, label: str) -> FinRing:
     """(Z/m)[var] / (modulus), modulus monic of degree d >= 1 with coefficients
     in range(m), the element sum c_k var^k at index sum c_k m^k."""
     d = len(modulus) - 1
+    if m.bit_length() * d > 64:  # then m^d >= 2^32: past the cap, and never formed
+        raise MalformedSpec(f"carrier size {m}^{d} exceeds cap {MAX_CARRIER}")
     size = m**d
     _check_carrier(size)
     names = None  # for d = 1 the name of c is str(c), FinRing's default
@@ -567,23 +558,20 @@ def _poly_ring(m: int, modulus: Sequence[int], var: str, label: str) -> FinRing:
 def build_ring(spec: RingSpec) -> FinRing:
     """Construct the ring described by `spec`, checking its parameters but not
     the axioms: (Z/m)[v]/(f), m >= 2 and f monic of degree d >= 1, is a
-    commutative ring with 1 != 0 and free Z/m-basis 1, v, ..., v^(d-1)."""
+    commutative ring with 1 != 0 and free Z/m-basis 1, v, ..., v^(d-1).
+    Every kind is read as such an (m, f, v, label) and checked alike."""
     if isinstance(spec, Cyclic):
-        n = spec.n
-        if n < 2:
-            raise MalformedSpec(f"Cyclic({n}): need n >= 2")
-        return _poly_ring(n, (0, 1), "u", f"Z/{n}")
-    if isinstance(spec, GaussMod):
-        n = spec.n
-        if n < 2:
-            raise MalformedSpec(f"GaussMod({n}): need n >= 2")
-        return _poly_ring(n, (1, 0, 1), "i", f"Z/{n}[i]")
-    if isinstance(spec, PolyQuotient):
-        p = spec.base.n
-        if not (p <= MAX_CARRIER and _is_prime(p)):
-            raise MalformedSpec(f"PolyQuotient base Z/{p}: {p} is not a prime <= {MAX_CARRIER}")
-        mod = [c % p for c in spec.modulus]
-        if len(mod) < 2 or mod[-1] != 1:
-            raise MalformedSpec("PolyQuotient modulus must be monic of degree >= 1")
-        return _poly_ring(p, mod, "u", f"Z/{p}[u]/({_poly_name(mod, 'u')})")
-    raise MalformedSpec(f"unknown ring spec {spec!r}")
+        m, f, var, label, need = spec.n, (0, 1), "u", "Z/{m}", f"Cyclic({spec.n}): need n"
+    elif isinstance(spec, GaussMod):
+        m, f, var, label, need = spec.n, (1, 0, 1), "i", "Z/{m}[i]", f"GaussMod({spec.n}): need n"
+    elif isinstance(spec, PolyQuotient):
+        m, f, var = spec.base.n, spec.modulus, "u"
+        label, need = "Z/{m}[u]/({f})", f"PolyQuotient base Z/{m}: need p"
+    else:
+        raise MalformedSpec(f"unknown ring spec {spec!r}")
+    if m < 2:
+        raise MalformedSpec(f"{need} >= 2")
+    mod = [c % m for c in f]
+    if len(mod) < 2 or mod[-1] != 1:
+        raise MalformedSpec("PolyQuotient modulus must be monic of degree >= 1")
+    return _poly_ring(m, mod, var, label.format(m=m, f=_poly_name(mod, var)))

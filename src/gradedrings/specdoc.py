@@ -12,6 +12,8 @@ Schema:
       "ideals": {"<name>": ["<generator expr>", ...], ...}
     }
 
+A poly_quotient is (Z/m)[u]/(modulus) with m = "p", any integer >= 2 (a
+prime gives F_p[u]/(f)), and the modulus monic, coefficients ascending.
 Degrees are comma-separated decimal integers, one per invariant factor
 ("0", "1", "0,1"; "e" or "" under the trivial group), and a single
 integer under Z, the factor 0 ("-1"); two keys of one degree ("0" and "2"

@@ -31,16 +31,18 @@ def z2_graded(spec, label: str = ""):
 @st.composite
 def graded_specs(draw):
     """A ring spec and whether to Z2-grade it: Z/n (n <= 64), Z/n[i] (n <= 8)
-    or F_p[u]/(f) (p^d <= 64); the last two may be Z2-graded by the parity
-    of the power of i or u."""
+    or (Z/m)[u]/(f) (m prime or 4, 6, 8, 9, and m^d <= 64); the last two may
+    be Z2-graded by the parity of the power of i or u."""
     kind = draw(st.sampled_from(("cyclic", "gauss_mod", "poly_quotient")))
     z2 = kind != "cyclic" and draw(st.booleans())
     if kind == "cyclic":
         return Cyclic(draw(st.integers(2, 64))), z2
     if kind == "gauss_mod":
         return GaussMod(draw(st.integers(2, 8))), z2
-    base = draw(st.sampled_from((2, 3, 5, 7)))
-    d = draw(st.integers(2 if z2 else 1, max(k for k in range(1, 7) if base**k <= 64)))
+    base = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9)))
+    top = max(k for k in range(1, 7) if base**k <= 64)
+    z2 = z2 and top >= 2  # a Z2 grading needs u^2 (9^2 > 64)
+    d = draw(st.integers(2 if z2 else 1, top))
     low = draw(st.lists(st.integers(0, base - 1), min_size=d, max_size=d))
     if z2:
         # f = u^d plus terms of d's parity only, so the parity grading is multiplicative

@@ -366,8 +366,36 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             id="ring-n-path",
         ),
         pytest.param(
-            '{"ring": {"kind": "poly_quotient", "p": 4, "modulus": [1, 1]}}', DESCRIBE,
-            "$.ring: PolyQuotient base Z/4: 4 is not a prime", id="ring-p-path",
+            '{"ring": {"kind": "poly_quotient", "p": 1, "modulus": [1, 1]}}', DESCRIBE,
+            "$.ring: PolyQuotient base Z/1: need p >= 2", id="ring-p-path",
+        ),
+        pytest.param(  # the base is checked before any coefficient is reduced by it
+            '{"ring": {"kind": "poly_quotient", "p": 0, "modulus": [1, 1]}}', DESCRIBE,
+            "$.ring: PolyQuotient base Z/0: need p >= 2", id="ring-p-zero",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "poly_quotient", "p": -1, "modulus": [1, 1]}}', DESCRIBE,
+            "$.ring: PolyQuotient base Z/-1: need p >= 2", id="ring-p-negative",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "poly_quotient", "p": "4", "modulus": [1, 1]}}', DESCRIBE,
+            "$.ring.p: expected an integer, got a string", id="ring-p-string",
+        ),
+        pytest.param(
+            '{"ring": {"kind": "poly_quotient", "p": 4, "modulus": []}}', DESCRIBE,
+            "$.ring: PolyQuotient modulus must be monic of degree >= 1", id="ring-modulus-empty",
+        ),
+        pytest.param(  # the leading coefficient 2 is not 1 mod 4
+            '{"ring": {"kind": "poly_quotient", "p": 4, "modulus": [1, 2]}}', DESCRIBE,
+            "$.ring: PolyQuotient modulus must be monic of degree >= 1", id="ring-modulus-not-monic",
+        ),
+        pytest.param(  # n^2 has 8,599 digits, more than an int prints
+            f'{{"ring": {{"kind": "gauss_mod", "n": {10**4299}}}}}', DESCRIBE,
+            f"$.ring: carrier size {10**4299}^2 exceeds cap 1024", id="ring-carrier-unprintable",
+        ),
+        pytest.param(
+            f'{{"ring": {{"kind": "poly_quotient", "p": 2, "modulus": {[0] * 20000 + [1]}}}}}', DESCRIBE,
+            "$.ring: carrier size 2^20000 exceeds cap 1024", id="ring-degree-unprintable",
         ),
         pytest.param(
             '[{"ring": {"kind": "cyclic", "n": 0}}]', CORPUS, "$[0].ring: Cyclic(0): need n >= 2",
@@ -599,6 +627,17 @@ def test_family_file_replays_without_failure(capsys):
     assert not [r for r in reports if r["outcome"] == "FAIL"]
     cor_2_8 = {r["subject"]: r["outcome"] for r in reports if r["statement_id"] == "COR_2_8"}
     assert cor_2_8 == {"Z/2 x Z/3": "PASS", "(Z/2 x Z/3) x Z/5": "PASS"}
+
+
+def test_chain_family_replays_without_failure(capsys):
+    # Z/25 and Z/27[u]/(u^2-1) and Z/8[u]/(u^2-2) graded by Z2, GR(4,2) and
+    # GR(9,2): polynomial quotients over composite Z/m, pinned byte for byte
+    family = SPECS / "family-chain-rings.json"
+    code, out, _ = run(capsys, "--format", "json", "verify", "all", "--corpus", str(family))
+    assert code == 0
+    assert out.encode() == (ROOT / "tests/golden/verify-all-chain.out").read_bytes()
+    outcomes = [r["outcome"] for r in json.loads(out)]
+    assert (outcomes.count("PASS"), outcomes.count("FAIL"), outcomes.count("VACUOUS")) == (86, 0, 6)
 
 
 ZN = '{{"label": "Z/{0}", "ring": {{"kind": "cyclic", "n": {0}}}}}'

@@ -87,9 +87,12 @@ def valid_specs(draw, small: bool = False) -> dict:
         n = draw(st.integers(2, 3 if small else 8))
         ring, words = {"kind": kind, "n": n}, ("1", "2", "i", "1+i", "2i")
     else:
-        p = draw(st.sampled_from((2, 3) if small else (2, 3, 5, 7)))
-        low = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2))
-        ring, words = {"kind": kind, "p": p, "modulus": [*low, 1]}, ("1", "2", "u", "1+u", "u^2")
+        p = draw(st.sampled_from((2, 3, 4, 6, 8, 9) if small else (2, 3, 4, 5, 6, 7, 8, 9)))
+        degree = 2 if p**2 <= (9 if small else 64) else 1
+        low = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=degree))
+        ring = {"kind": kind, "p": p, "modulus": [*low, 1]}
+        # terms of degree below the modulus's only, so that every word names an element
+        words = ("1", "2", "u", "1+u", "2u") if len(low) == 2 else ("1", "2", "-1")
     names = st.sampled_from(("I", "M", "P"))
     ideals = st.dictionaries(names, st.lists(st.sampled_from(words), max_size=2), max_size=2)
     group = st.sampled_from(({"kind": "trivial"}, {"kind": "integers"}))

@@ -101,11 +101,23 @@ def test_poly_quotient_labels(spec, label):
 
 @pytest.mark.parametrize(
     "spec",
-    [Cyclic(1), GaussMod(1), PolyQuotient(Cyclic(4), (1, 1)), PolyQuotient(Cyclic(3), (1, 2))],
+    [
+        Cyclic(1), GaussMod(1), PolyQuotient(Cyclic(3), (1, 2)),
+        PolyQuotient(Cyclic(1), (1, 1)), PolyQuotient(Cyclic(0), (1, 1)), PolyQuotient(Cyclic(-1), (1, 1)),
+    ],
 )
 def test_malformed_specs_rejected(spec):
     with pytest.raises(MalformedSpec):
         build_ring(spec)
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_gauss_mod_is_a_poly_quotient(n):
+    # Z/n[i] is (Z/n)[u]/(u^2+1) but for the variable's name and the label
+    gauss, poly = build_ring(GaussMod(n)), build_ring(PolyQuotient(Cyclic(n), (1, 0, 1)))
+    assert (gauss.add_rows, gauss.mul_rows) == (poly.add_rows, poly.mul_rows)
+    assert [gauss.name(x).replace("i", "u") for x in gauss.elements()] == list(map(poly.name, poly.elements()))
+    assert (gauss.label, poly.label) == (f"Z/{n}[i]", f"Z/{n}[u]/(1+u^2)")
 
 
 def test_unit_sets():
@@ -144,8 +156,11 @@ def test_cyclic_tables_share_one_int_per_value():
 
 @pytest.mark.parametrize(
     "spec",
-    [Cyclic(1031), GaussMod(33), GaussMod(10**6), PolyQuotient(Cyclic(2), (1,) * 41)],
-    ids=["z1031", "gauss33", "gauss-huge", "poly-2^40"],
+    [
+        Cyclic(1031), GaussMod(33), GaussMod(10**6), PolyQuotient(Cyclic(2), (1,) * 41),
+        PolyQuotient(Cyclic(1031), (1, 1)),
+    ],
+    ids=["z1031", "gauss33", "gauss-huge", "poly-2^40", "poly-base-1031"],
 )
 def test_carrier_cap(spec):
     # rejected before any per-element work, however large the carrier

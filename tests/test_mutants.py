@@ -2,11 +2,20 @@
 
 Each mutant replaces one kernel by a wrong one, in `classify` and in
 `verifier`, which imports the kernels by name.  `run_suite()` on a fresh
-default corpus must then report FAIL, and the FAIL reports (counts per
-statement and a digest of their JSON, witnesses included) are pinned, so a
-change to the statement bodies that alters a failure witness shows here.
-PROP_3_3, which checks one localization per kernel K_S, must report as the
-per-set oracle does under the real kernels and under each mutant.
+corpus must then report FAIL, and the FAIL reports (counts per statement
+and a digest of their JSON, witnesses included) are pinned, so a change to
+the statement bodies that alters a failure witness shows here.  PROP_3_3,
+which checks one localization per kernel K_S, must report as the per-set
+oracle does under the real kernels and under each of `MUTANTS`.
+
+`MUTANTS` fail on the default corpus.  A grading-blind kernel is the real
+one run on the same ring graded trivially, over the same element set.  The
+default corpus cannot tell the grading-blind primary and 1-absorbing
+kernels from the real ones; the chain-ring family
+(`specs/family-chain-rings.json`) kills both, through LEMMA_2_18 and
+THM_2_2 (`CHAIN_MUTANTS`).  Grading-blind 2-absorbing still passes: it
+gives 0 FAIL on that family too, so whether it equals the graded kernel on
+every finite graded ring is open.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from gradedrings.classify import (
     is_graded_primary,
     is_graded_prime,
 )
+from gradedrings.finring import memo
+from gradedrings.grading import trivial_grading
 from gradedrings.ideals import graded_radical
 from gradedrings.specdoc import load_corpus
 from gradedrings.transport import enumerate_multiplicative_sets
@@ -67,25 +78,66 @@ MUTANTS = {
 }
 
 
+def grading_blind(kernel):
+    """`kernel` on the ring with every element in degree e: the same ideal,
+    read as an ideal of the ungraded ring."""
+    def blind(gr, p):
+        return kernel(memo(gr.ring, "trivially graded", lambda: trivial_grading(gr.ring)), p)
+
+    return blind
+
+
+NO_FAIL = hashlib.sha256(b"[]").hexdigest()
+
+# the same over the chain-ring family: grading-blind primary fails LEMMA_2_18 on
+# Z/25[u]/(u^2-1)/Z2 and Z/27[u]/(u^2-1)/Z2, grading-blind 1-absorbing THM_2_2 on the latter
+CHAIN_MUTANTS = {
+    "grading-blind primary": (
+        {"is_graded_primary": grading_blind(is_graded_primary)},
+        {"LEMMA_2_18": 2},
+        "640e97816bf607698c74afe9b773142dd4702e03bc4653288369c7365d7a195c",
+    ),
+    "grading-blind 1-absorbing": (
+        {"is_graded_1abs_primary": grading_blind(is_graded_1abs_primary)},
+        {"THM_2_2": 1},
+        "93979f9472508c020e59ebdc42caa38a38002ea47d2835641e5d519da1a0d71e",
+    ),
+}
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
 def _rebind(monkeypatch, rebind):
     for attr, kernel in rebind.items():
         monkeypatch.setattr(classify, attr, kernel)
         monkeypatch.setattr(verifier, attr, kernel)
 
 
-@pytest.mark.parametrize("name", MUTANTS)
-def test_replay_fails_under_kernel_mutant(monkeypatch, name):
-    rebind, counts, digest = MUTANTS[name]
-    _rebind(monkeypatch, rebind)
-    fails = [r for r in verifier.run_suite(corpus=verifier.default_corpus()) if r.outcome == "FAIL"]
+def _replay_fails(corpus, counts, digest):
+    fails = [r for r in verifier.run_suite(corpus=corpus) if r.outcome == "FAIL"]
     assert Counter(r.statement_id for r in fails) == counts
     dump = json.dumps([r.to_dict() for r in fails], sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", MUTANTS)
+def test_replay_fails_under_kernel_mutant(monkeypatch, name):
+    rebind, counts, digest = MUTANTS[name]
+    _rebind(monkeypatch, rebind)
+    _replay_fails(verifier.default_corpus(), counts, digest)
+
+
+@pytest.mark.parametrize("name", CHAIN_MUTANTS)
+def test_chain_family_fails_under_grading_blind_kernel(monkeypatch, name):
+    rebind, counts, digest = CHAIN_MUTANTS[name]
+    _rebind(monkeypatch, rebind)
+    _replay_fails(verifier.default_corpus(), {}, NO_FAIL)  # which lets it pass
+    _replay_fails(load_corpus(SPECS / "family-chain-rings.json"), counts, digest)
+
+
 CORPORA = {
     "default": verifier.default_corpus,
-    "family": lambda: load_corpus(Path(__file__).resolve().parent.parent / "specs/family-three-maximal.json"),
+    "family": lambda: load_corpus(SPECS / "family-three-maximal.json"),
 }
 _MULT_SETS: dict = {}  # (corpus, label) -> the entry's multiplicative sets, which no kernel changes
 

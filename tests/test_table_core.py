@@ -36,6 +36,8 @@ POLY_SPECS = [
         (2, (1, 1)), (7, (3, 1)), (2, (0, 1)), (2, (0, 0, 1)), (2, (1, 0, 1)), (2, (1, 1, 1)),
         (3, (2, 0, 1)), (5, (4, 0, 1)), (3, (1, 2, 0, 1)), (5, (2, 3, 1)),
         (2, (1, 1, 0, 0, 0, 0, 1)), (2, (0,) * 7 + (1,)), (11, (10, 0, 1)),
+        # composite bases: Z/6, a chain ring over Z/8, GR(4,2), GR(9,2), Z/4[u]/(u^3+2)
+        (6, (5, 1)), (8, (6, 0, 1)), (4, (1, 1, 1)), (9, (1, 0, 1)), (4, (2, 0, 0, 1)),
     )
 ]
 SPECS = [Cyclic(n) for n in range(2, 65)] + [GaussMod(n) for n in (2, 3, 4, 5, 6, 9, 11)]
