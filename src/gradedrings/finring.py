@@ -115,13 +115,13 @@ class FinRing:
 
     The ring owns the rows it is given, `add_rows` and `mul_rows`, read
     only: row x holds x+y (resp. x*y) at index y.  `FinRing(...)` checks
-    that a caller's rows are `size` lists of `size` ints in range(size) and
-    that every element has an additive inverse; the library's own builders
-    construct `_BuiltRing`, whose rows are well formed by construction and
-    not scanned again.
+    that a caller's rows are `size` lists of `size` ints in range(size),
+    then runs `check_axioms()` once, so it refuses any table that is not a
+    commutative ring with 1 != 0 and names the first failing law; the
+    library's builders construct `_BuiltRing`, which runs neither check.
     """
 
-    _rows_checked = True  # False on `_BuiltRing`: rows well formed by construction
+    _rows_checked = True  # False on `_BuiltRing`: rows a ring by construction
 
     def __init__(
         self,
@@ -143,12 +143,6 @@ class FinRing:
         if names is not None and len(names) != size:
             raise MalformedSpec(f"{len(names)} names for {size} elements")
         self._names = list(names if names is not None else map(str, range(size)))
-        if self._rows_checked:
-            _check_rows(size, add_rows, "addition")
-            _check_rows(size, mul_rows, "multiplication")
-            for i, row in enumerate(add_rows):
-                if zero not in row:
-                    raise MalformedSpec(f"{self._names[i]} has no additive inverse")
         self.size = size
         self.zero = zero
         self.one = one
@@ -157,6 +151,10 @@ class FinRing:
         self.add_rows = add_rows
         self.mul_rows = mul_rows
         self._cache: dict = {}
+        if self._rows_checked:
+            _check_rows(size, add_rows, "addition")
+            _check_rows(size, mul_rows, "multiplication")
+            self.check_axioms()
 
     def __repr__(self) -> str:
         return f"FinRing({self.label}, size={self.size})"
@@ -219,9 +217,12 @@ class FinRing:
         ))
 
     def check_axioms(self) -> None:
-        """Verify the commutative-ring axioms on the tables, exactly.
+        """Decide every commutative-ring axiom on the tables, exactly, and
+        raise `MalformedSpec` naming the first that fails.  `FinRing(...)`
+        runs it once on a caller's rows; `_BuiltRing` never does.
 
-        The identities and commutativity are checked in full, by whole rows
+        Additive inverses come first: each addition row must hold zero.  The
+        identities and commutativity are checked in full, by whole rows
         and columns.  The three-variable laws are tested only on triples
         that hold an element of G, a set whose closure under x -> x+g
         (g in G), started from G and computed on the table (no law
@@ -242,6 +243,9 @@ class FinRing:
         triple in (i, j, k) order.
         """
         n, add, mul = self.size, self.add_rows, self.mul_rows
+        for i, row in enumerate(add):
+            if self.zero not in row:
+                raise MalformedSpec(f"{self.name(i)} has no additive inverse")
         ids = list(range(n))
         if [row[self.zero] for row in add] != ids or [row[self.one] for row in mul] != ids:
             i = next(i for i in ids if add[i][self.zero] != i or mul[i][self.one] != i)
@@ -271,9 +275,9 @@ class FinRing:
 
 class _BuiltRing(FinRing):
     """A ring whose rows the library built: `FinRing.__init__` skips
-    `_check_rows` and the additive inverses.  Each of the three builders
-    makes `size` rows of `size` cells, every cell read from a list of ints
-    in range(size), and an addition that is a group:
+    `_check_rows` and `check_axioms`, additive inverses included.  Each of
+    the three builders makes `size` rows of `size` cells, every cell read
+    from a list of ints in range(size), and an addition that is a group:
 
     - `_poly_ring`: (Z/m)^d, digit by digit.  Each addition cell is an entry
       of a rotation of range(m) or a pair index of `product_rows`, and each

@@ -12,6 +12,7 @@ from gradedrings.finring import (
     GaussMod,
     PolyQuotient,
     Record,
+    _BuiltRing,
     build_ring,
 )
 from gradedrings.specdoc import RingSpecDocument
@@ -180,14 +181,24 @@ def test_names_shorter_than_carrier_rejected():
 
 
 def test_add_table_without_inverse_rejected():
-    # max(i, j) has 0 as identity, but nothing adds to 0 with 1
-    with pytest.raises(MalformedSpec, match="additive inverse"):
-        FinRing(
-            3,
-            [[max(i, j) for j in range(3)] for i in range(3)],
-            [[i * j % 3 for j in range(3)] for i in range(3)],
-            one=1,
-        )
+    # max(i, j) has 0 as identity, but nothing adds to 0 with 1; the check
+    # that FinRing(...) runs is `check_axioms`, which a `_BuiltRing` skips
+    add = [[max(i, j) for j in range(3)] for i in range(3)]
+    mul = [[i * j % 3 for j in range(3)] for i in range(3)]
+    with pytest.raises(MalformedSpec, match="^1 has no additive inverse$"):
+        FinRing(3, add, mul, one=1)
+    with pytest.raises(MalformedSpec, match="^1 has no additive inverse$"):
+        _BuiltRing(3, add, mul, one=1).check_axioms()
+
+
+def test_a_table_that_is_not_a_ring_rejected():
+    # Z/4 with 2*2 = 2: commutative, with both identities, but
+    # 2(1+1) = 2 while 2*1 + 2*1 = 0
+    add = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    mul = [[i * j % 4 for j in range(4)] for i in range(4)]
+    mul[2][2] = 2
+    with pytest.raises(MalformedSpec, match=r"^distributivity fails at \(2,1,1\)$"):
+        FinRing(4, add, mul, one=1)
 
 
 @pytest.mark.parametrize(
