@@ -1,8 +1,8 @@
 """Ideal- and ring-level predicates, each with explicit witnesses on failure.
 
 Witnesses are the lexicographically least violating tuple of element
-indices, so reports are deterministic.  Results are memoized per graded
-ring and ideal.
+indices, so reports are deterministic.  Every kernel reads one domain per
+graded ring, `_nonunit_classes`; results are memoized per ring and ideal.
 """
 
 from __future__ import annotations
@@ -40,15 +40,21 @@ def _least(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _representatives(gr: GradedRing) -> list[int]:
-    """The least homogeneous generator of each proper principal ideal,
-    ascending, as `principal_graded_ideals` found it: one per class
-    {b : Rb = Ra}.  The kernels read x and y only through Rx and Ry: xy is
-    in P iff R(xy) = (Rx)(Ry) is, x in P (or Grad(I)) iff Rx is, and x is a
-    nonunit iff Rx is proper.  So replacing x, then y, of a violating tuple
-    by its representative, which is no larger, keeps it violating: the
-    least one has representatives as x and y.  z is read off full masks."""
-    return sorted(ra.generators[0] for ra in principal_graded_ideals(gr) if ra.is_proper())
+def _nonunit_classes(gr: GradedRing) -> tuple[list[int], int]:
+    """The one domain of the kernels, memoized per graded ring: the least
+    homogeneous generator of each proper principal ideal, ascending, as
+    `principal_graded_ideals` found it, one per class {b : Rb = Ra}; and the
+    mask of the nonunit homogeneous elements.  The kernels read x and y only
+    through Rx and Ry: xy is in P iff R(xy) = (Rx)(Ry) is, x in P (or
+    Grad(I)) iff Rx is, and x is a nonunit iff Rx is proper.  So replacing
+    x, then y, of a violating tuple by its representative, which is no
+    larger, keeps it violating: the least one has representatives as x and
+    y.  z is read off full masks."""
+    def compute():
+        reps = sorted(ra.generators[0] for ra in principal_graded_ideals(gr) if ra.is_proper())
+        return reps, sum(map((1).__lshift__, gr.homogeneous() - gr.ring.units()))
+
+    return memo(gr, "nonunit_classes", compute)
 
 
 def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple[bool, Witness]:
@@ -56,17 +62,16 @@ def _pair_kernel(gr: GradedRing, p: IdealSet, key: str, escape: Escape) -> tuple
 
     Only nonunits y outside escape() can complete a violation: for a unit y,
     xy in P gives x = xy y^-1 in P.  When there are none, the ideal passes
-    before any colon mask is built.  Likewise only nonunits x: for a unit x,
-    xy in P gives y in P, inside escape(); and only representatives x."""
+    before the scan.  Likewise only nonunits x: for a unit x, xy in P gives
+    y in P, inside escape(); and only representatives x."""
     def compute():
         require_graded(gr, p, proper=True)
-        ring, nonunits = gr.ring, gr.nonunit_homogeneous()
-        one = ring.one  # a set's own mask is its colon (T : 1)
-        allowed = colon_masks(ring, frozenset(nonunits))[one] & ~colon_masks(ring, escape())[one]
+        ring, (reps, nonunits) = gr.ring, _nonunit_classes(gr)
+        allowed = nonunits & ~colon_masks(ring, escape())[ring.one]  # T's own mask is (T : 1)
         if not allowed:
             return True, None
         into_p = colon_masks(ring, p.elements)
-        for x in [x for x in _representatives(gr) if x not in p.elements]:
+        for x in [x for x in reps if x not in p.elements]:
             bad = into_p[x] & allowed
             if bad:
                 return False, (x, _least(bad))
@@ -83,20 +88,18 @@ def _triple_kernel(
     when given, a colon (escape() : x), which holds the ideal escape().
 
     Only z in `kept` can be bad: outside escape(), then outside the escape
-    all elements share.  With none the ideal passes before the
-    representatives are read.  x and y run over the live representatives,
-    whose escape leaves some kept z: a pair with another element has no
-    bad z.  The bad z of a pair: the colon mask (P : xy) on the domain,
-    read from P's one table per ring, minus the shared escape (once per
-    product), then minus the pair's own."""
+    all elements share.  With none the ideal passes before the scan.  x
+    and y run over the live representatives, whose escape leaves some kept
+    z: a pair with another element has no bad z.  The bad z of a pair: the
+    colon mask (P : xy) on the domain, read from P's one table per ring,
+    minus the shared escape (once per product), then minus the pair's own."""
     def compute():
         require_graded(gr, p, proper=True)
-        ring, one = gr.ring, gr.ring.one
-        floor = colon_masks(ring, escape())[one]
-        kept = colon_masks(ring, frozenset(gr.nonunit_homogeneous()))[one] & ~floor
+        ring, (reps, nonunits) = gr.ring, _nonunit_classes(gr)
+        floor = colon_masks(ring, escape())[ring.one]
+        kept = nonunits & ~floor
         if not kept:
             return True, None
-        reps = _representatives(gr)
         esc = dict.fromkeys(reps, floor) if by_x is None else by_x(reps)
         shared = -1  # every bit set
         for x in reps:
@@ -186,12 +189,13 @@ def strongly_1abs_ideal_form(
 
 def is_graded_maximal(gr: GradedRing, m: IdealSet) -> tuple[bool, None]:
     """No graded ideal strictly between M and R: M + Ra = R for every
-    homogeneous a outside M.  A failure has no element witness."""
+    homogeneous a outside M, read at the representatives: a unit gives
+    Ra = R, and associates share Ra.  A failure has no element witness."""
     def compute():
         require_graded(gr, m, proper=True)
         ring = gr.ring
         one_plus_m = {ring.add_rows[ring.one][x] for x in m.elements}  # 1 - ra in M iff ra in 1 + M
-        outside = gr.homogeneous() - m.elements
+        outside = [a for a in _nonunit_classes(gr)[0] if a not in m.elements]
         return all(not one_plus_m.isdisjoint(ring.mul_rows[a]) for a in outside), None
 
     return memo(gr, ("maximal", m), compute)
@@ -222,14 +226,15 @@ class RingProfile(Record):
 def ring_predicates(gr: GradedRing) -> RingProfile:
     """Graded field: (0) is graded maximal, as Ra = R iff a is a unit.  Graded
     domain: (0) is graded prime, by definition.  Every homogeneous element
-    nilpotent or a unit: Grad({0}) holds the nonunit homogeneous elements, as
-    a homogeneous element, its own component, is in Grad({0}) iff nilpotent."""
+    nilpotent or a unit: the ideal Grad({0}) holds the representatives, hence
+    every nonunit homogeneous element, and a homogeneous element, its own
+    component, is in Grad({0}) iff nilpotent."""
     def compute():
         zero = zero_ideal(gr.ring)
         return RingProfile(
             is_graded_maximal(gr, zero)[0],
             is_graded_prime(gr, zero)[0],
-            gr.graded_nilradical().issuperset(gr.nonunit_homogeneous()),
+            gr.graded_nilradical().issuperset(_nonunit_classes(gr)[0]),
         )
 
     return memo(gr, ("ring_profile",), compute)

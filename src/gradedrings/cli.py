@@ -93,8 +93,8 @@ def _cmd_ideal_classify(args) -> int:
     return 0
 
 
-# Largest HI for `verify COR_2_7 --range`: one fresh process took 2.1 s of
-# CPU for 2..512 and 18.9 s for 2..1024 (CPython 3.11.7, 2-vCPU x86_64).
+# Largest HI for `verify COR_2_7 --range`: one fresh process took 1.5 s of
+# CPU for 2..512 and 12.7 s for 2..1024 (CPython 3.11.7, 2-vCPU x86_64).
 MAX_RANGE_HI = 512
 
 

@@ -88,12 +88,6 @@ class GradedRing:
         """h(R): the union of all components."""
         return memo(self, "homog", lambda: frozenset().union(*self.components.values()))
 
-    def nonunit_homogeneous(self) -> tuple[int, ...]:
-        """Nonunit elements of h(R), sorted (includes 0)."""
-        return memo(self, "nonunit_homog", lambda: tuple(
-            sorted(self.homogeneous() - self.ring.units())
-        ))
-
     def radical(self, members: frozenset[int]) -> frozenset[int]:
         """Grad of the graded ideal I = `members`: the elements all of whose
         components have some power in I.  Memoized per element set.

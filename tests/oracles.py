@@ -459,10 +459,19 @@ def is_graded_primary(gr, q):
     return True, None
 
 
+def is_unit(ring, x):
+    return any(ring.mul_rows[x][y] == ring.one for y in ring.elements())
+
+
+def nonunit_homogeneous(gr):
+    """The homogeneous x with no y such that xy = 1, ascending."""
+    return [x for x in sorted(gr.homogeneous()) if not is_unit(gr.ring, x)]
+
+
 def is_graded_1abs_primary(gr, p):
     require_graded(gr, p, proper=True)
     rad = graded_radical(gr, p).elements
-    nonunits = gr.nonunit_homogeneous()
+    nonunits = nonunit_homogeneous(gr)
     mul = gr.ring.mul_rows
     for x in nonunits:
         for y in nonunits:
@@ -478,7 +487,7 @@ def is_graded_1abs_primary(gr, p):
 def is_graded_strongly_1abs_primary(gr, p):
     require_graded(gr, p, proper=True)
     grad_zero = graded_radical(gr, IdealSet(gr.ring, {gr.ring.zero})).elements
-    nonunits = gr.nonunit_homogeneous()
+    nonunits = nonunit_homogeneous(gr)
     mul = gr.ring.mul_rows
     for x in nonunits:
         for y in nonunits:
@@ -535,15 +544,11 @@ def ring_profile(gr):
     ring = gr.ring
     homog = sorted(gr.homogeneous())
     nonzero = [x for x in homog if x != ring.zero]
-
-    def is_unit(x):
-        return any(ring.mul_rows[x][y] == ring.one for y in ring.elements())
-
     return {
-        "graded_field": all(is_unit(x) for x in nonzero),
+        "graded_field": all(is_unit(ring, x) for x in nonzero),
         "graded_domain": all(ring.mul_rows[x][y] != ring.zero for x in nonzero for y in nonzero),
         "every_homogeneous_nilpotent_or_unit": all(
-            is_unit(x) or has_power_in(ring, x, {ring.zero}) for x in homog
+            is_unit(ring, x) or has_power_in(ring, x, {ring.zero}) for x in homog
         ),
     }
 

@@ -640,6 +640,14 @@ def test_chain_family_replays_without_failure(capsys):
     assert (outcomes.count("PASS"), outcomes.count("FAIL"), outcomes.count("VACUOUS")) == (86, 0, 6)
 
 
+def test_cor_2_7_sweep_to_256_matches_golden(capsys):
+    # 255 rings and 70 prime powers, past perfbench's golden of the default
+    # 2..64: every kernel the sweep runs, pinned byte for byte
+    code, out, _ = run(capsys, "--format", "json", "verify", "COR_2_7", "--range", "2..256")
+    assert code == 0
+    assert out.encode() == (ROOT / "tests/golden/verify-cor-2-7-2-256.out").read_bytes()
+
+
 ZN = '{{"label": "Z/{0}", "ring": {{"kind": "cyclic", "n": {0}}}}}'
 G2 = (
     '{"label": "G", "ring": {"kind": "gauss_mod", "n": 2}, '

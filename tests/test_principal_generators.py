@@ -14,7 +14,7 @@ import pytest
 
 from gradedrings.classify import (
     FLAGS,
-    _representatives,
+    _nonunit_classes,
     classify_ideal,
     strongly_1abs_ideal_form,
 )
@@ -163,10 +163,11 @@ def test_flags_witnesses_and_ideal_form_match_oracles(small_rings):
 def test_representatives_are_least_homogeneous_generators(small_rings):
     for gr in small_rings:
         ring = gr.ring
-        by_ideal = {}
-        for a in sorted(gr.homogeneous() - ring.units()):
+        by_ideal, nonunits = {}, oracles.nonunit_homogeneous(gr)
+        for a in nonunits:
             by_ideal.setdefault(frozenset(ring.mul_rows[a]), a)
-        assert _representatives(gr) == sorted(by_ideal.values()), gr.label
+        mask = sum(1 << a for a in nonunits)
+        assert _nonunit_classes(gr) == (sorted(by_ideal.values()), mask), gr.label
 
 
 def test_quotient_labels_name_lattice_sums_by_elements():
