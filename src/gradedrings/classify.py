@@ -12,13 +12,8 @@ from typing import Callable, Optional
 from .finring import Record, memo
 from .grading import GradedRing
 from .ideals import (
-    IdealSet,
-    colon_masks,
-    graded_radical,
-    principal_graded_ideals,
-    proper_graded_ideals,
-    require_graded,
-    zero_ideal,
+    IdealSet, colon_masks, element_names, graded_radical, principal_graded_ideals,
+    proper_graded_ideals, require_graded, zero_ideal,
 )
 
 Witness = Optional[tuple[int, ...]]
@@ -51,7 +46,7 @@ def _nonunit_classes(gr: GradedRing) -> tuple[list[int], int]:
     larger, keeps it violating: the least one has representatives as x and
     y.  z is read off full masks."""
     def compute():
-        reps = sorted(ra.generators[0] for ra in principal_graded_ideals(gr) if ra.is_proper())
+        reps = sorted(ra.spanning[0] for ra in principal_graded_ideals(gr) if ra.is_proper())
         return reps, sum(map((1).__lshift__, gr.homogeneous() - gr.ring.units()))
 
     return memo(gr, "nonunit_classes", compute)
@@ -246,15 +241,13 @@ class ClassificationReport(Record):
     __slots__ = ("ideal", "flags", "witnesses", "radical")
 
     def to_dict(self, gr: GradedRing) -> dict:
-        name = gr.ring.name
+        ring = gr.ring
         return {
             "ring": gr.label,
-            "ideal": sorted(name(x) for x in self.ideal.elements),
+            "ideal": sorted(element_names(ring, self.ideal)),
             "flags": dict(self.flags),
-            "witnesses": {
-                flag: [name(x) for x in w] for flag, w in self.witnesses.items()
-            },
-            "radical": sorted(name(x) for x in self.radical.elements),
+            "witnesses": {flag: element_names(ring, w) for flag, w in self.witnesses.items()},
+            "radical": sorted(element_names(ring, self.radical)),
         }
 
 

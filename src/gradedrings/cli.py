@@ -26,12 +26,8 @@ from typing import NoReturn, Optional
 
 from .classify import FLAGS, classify_ideal, local_structure, ring_predicates
 from .errors import GradedRingError, MalformedSpec
-from .ideals import enumerate_graded_ideals
+from .ideals import braced, element_names, enumerate_graded_ideals
 from .specdoc import decimal, load_corpus, load_spec, resolve_ideal
-
-
-def _names(gr, xs) -> str:
-    return "{" + ",".join(gr.ring.name(x) for x in sorted(xs)) + "}"
 
 
 def _cmd_ring_describe(args) -> int:
@@ -44,13 +40,13 @@ def _cmd_ring_describe(args) -> int:
     info = {
         "ring": gr.label,
         "carrier_size": ring.size,
-        "units": _names(gr, ring.units()),
-        "nilradical": _names(gr, nil),
-        "grad_zero": _names(gr, grad0),
+        "units": braced(element_names(ring, ring.units())),
+        "nilradical": braced(element_names(ring, nil)),
+        "grad_zero": braced(element_names(ring, grad0)),
         "grad_zero_equals_nilradical": grad0 == nil,  # recorded, never asserted
-        "homogeneous_elements": _names(gr, gr.homogeneous()),
-        "graded_ideals": [_names(gr, i.elements) for i in enumerate_graded_ideals(gr)],
-        "graded_maximal_ideals": [_names(gr, m.elements) for m in ls.graded_maximal_ideals],
+        "homogeneous_elements": braced(element_names(ring, gr.homogeneous())),
+        "graded_ideals": [braced(element_names(ring, i)) for i in enumerate_graded_ideals(gr)],
+        "graded_maximal_ideals": [braced(element_names(ring, m)) for m in ls.graded_maximal_ideals],
         "is_graded_local": ls.is_graded_local,
         "profile": ring_predicates(gr).to_dict(),
     }
@@ -82,13 +78,12 @@ def _cmd_ideal_classify(args) -> int:
         print(json.dumps(report.to_dict(gr), indent=2))
     else:
         print(f"ring: {gr.label}")
-        print(f"ideal: {_names(gr, ideal.elements)}")
-        print(f"Grad: {_names(gr, report.radical.elements)}")
+        print(f"ideal: {braced(element_names(gr.ring, ideal))}")
+        print(f"Grad: {braced(element_names(gr.ring, report.radical))}")
         for flag, value in report.flags.items():
             line = f"{flag}: {value}"
             if flag in report.witnesses:
-                witness = ",".join(gr.ring.name(x) for x in report.witnesses[flag])
-                line += f"  (witness: {witness})"
+                line += f"  (witness: {','.join(element_names(gr.ring, report.witnesses[flag]))})"
             print(line)
     return 0
 
@@ -147,7 +142,7 @@ def _cmd_search(args) -> int:
             print(f"no counterexample: {args.hypothesis} => {args.conclusion} on this corpus")
         for w in rows:
             witness = ",".join(w["witness"]) if w["witness"] else "-"
-            print(f"{w['ring']}: ideal {{{','.join(w['ideal'])}}}  witness ({witness})")
+            print(f"{w['ring']}: ideal {braced(w['ideal'])}  witness ({witness})")
     return 0
 
 

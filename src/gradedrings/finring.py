@@ -499,8 +499,8 @@ def _poly_rows(m: int, mod: Sequence[int]) -> tuple[list[list[int]], list[list[i
 
 def _parse_poly(text: str, var: str, p: int, d: int) -> int:
     """Index sum(c_k * p^k) of a signed sum of terms c, c*var, c*var^k with k < d,
-    c and k written in the digits 0-9.  Spaces may stand around a sign, not
-    inside a term: "1 + 2" is 3, "1 2" is an error."""
+    c (1 if left out, "*" only after it) and k in the digits 0-9.  Spaces may
+    stand around a sign, not inside a term: "1 + 2" is 3, "1 2" is an error."""
     s = text.strip().replace("-", "+-")
     if s.startswith("+"):
         s = s[1:]
@@ -509,7 +509,7 @@ def _parse_poly(text: str, var: str, p: int, d: int) -> int:
         sign, term = 1, term.strip()
         if term.startswith("-"):
             sign, term = -1, term[1:].lstrip()
-        m = re.fullmatch(rf"([0-9]*)\*?{var}(?:\^([0-9]+))?", term)
+        m = re.fullmatch(rf"(?:([0-9]+)\*?)?{var}(?:\^([0-9]+))?", term)
         if m:
             c = int(m.group(1)) if m.group(1) else 1
             k = int(m.group(2)) if m.group(2) else 1

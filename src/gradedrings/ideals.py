@@ -15,20 +15,17 @@ IDEAL_LATTICE_CAP = 4096
 
 
 class IdealSet:
-    """An ideal as its full element set, with optional generators (its name
-    in `describe`), and `spanning`, elements that generate it: the
-    generators, a lattice sum's principals' generators, or every member."""
+    """An ideal as its full element set, and `spanning`, the one tuple of
+    elements that generates it: (a,) for Ra, `ideal_generated`'s generators,
+    a lattice sum's principals' generators, () for (0), every member
+    otherwise."""
 
-    __slots__ = ("ring", "elements", "generators", "spanning")
+    __slots__ = ("ring", "elements", "spanning")
 
-    def __init__(self, ring: FinRing, elements: Iterable[int], generators: Optional[tuple[int, ...]] = None,
-                 spanning: Optional[tuple[int, ...]] = None):
+    def __init__(self, ring: FinRing, elements: Iterable[int], spanning: Optional[tuple[int, ...]] = None):
         self.ring = ring
         self.elements = frozenset(elements)
-        self.generators = generators
-        if spanning is None:
-            spanning = self.elements if generators is None else generators
-        self.spanning = spanning
+        self.spanning = self.sorted_elements() if spanning is None else spanning
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IdealSet):
@@ -48,7 +45,7 @@ class IdealSet:
         return self.elements <= other.elements
 
     def __repr__(self) -> str:
-        return f"IdealSet({self.describe()})"
+        return f"IdealSet({braced(element_names(self.ring, self))})"
 
     def is_proper(self) -> bool:
         return self.ring.one not in self.elements
@@ -56,14 +53,18 @@ class IdealSet:
     def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
 
-    def describe(self) -> str:
-        names = [self.ring.name(x) for x in self.sorted_elements()]
-        if len(names) > 8:
-            gens = self.generators
-            if gens:
-                return "(" + ",".join(self.ring.name(g) for g in gens) + ")"
-            names = names[:8] + ["..."]
-        return "{" + ",".join(names) + "}"
+
+def element_names(ring: FinRing, xs) -> list[str]:
+    """The names of an IdealSet's or a set's elements, ascending, or of a
+    witness tuple's or list's, in its own order."""
+    if isinstance(xs, IdealSet):
+        xs = xs.elements
+    return list(map(ring.name, sorted(xs) if isinstance(xs, (set, frozenset)) else xs))
+
+
+def braced(names: Iterable[str]) -> str:
+    """Names written as a set: {a,b,c}."""
+    return "{" + ",".join(names) + "}"
 
 
 def validate_ideal(ring: FinRing, elements: frozenset[int]) -> None:
@@ -90,15 +91,15 @@ def ideal_generated(ring: FinRing, gens: Iterable[int]) -> IdealSet:
     gens = tuple(gens)
     ring.require_elements(gens, NotAnIdeal)
     multiples = {ring.zero}.union(*(ring.mul_rows[g] for g in gens))
-    return IdealSet(ring, additive_closure(ring, multiples), generators=gens)
+    return IdealSet(ring, additive_closure(ring, multiples), gens)
 
 
 def zero_ideal(ring: FinRing) -> IdealSet:
-    return IdealSet(ring, {ring.zero}, generators=())
+    return IdealSet(ring, {ring.zero}, ())
 
 
 def unit_ideal(ring: FinRing) -> IdealSet:
-    return IdealSet(ring, ring.elements(), generators=(ring.one,))
+    return IdealSet(ring, ring.elements(), (ring.one,))
 
 
 def is_graded_ideal(gr: GradedRing, ideal: IdealSet) -> tuple[bool, Optional[int]]:
@@ -238,7 +239,7 @@ def principal_graded_ideals(gr: GradedRing) -> list[IdealSet]:
         for a in sorted(gr.homogeneous()):
             if a not in generated:
                 generated.update(at_units(rows[a]))
-                out.append(IdealSet(ring, rows[a], generators=(a,)))
+                out.append(IdealSet(ring, rows[a], (a,)))
         return sorted(out, key=_lattice_order)
 
     return memo(gr, "principal_graded_ideals", compute)
@@ -282,7 +283,7 @@ def enumerate_graded_ideals(gr: GradedRing) -> list[IdealSet]:
                         break
                 else:
                     s = IdealSet(ring, combine(current, ra, "sum").elements,
-                                 spanning=(*current.spanning, *ra.spanning))
+                                 (*current.spanning, *ra.spanning))
                     frontier.append((s, sum(map((1).__lshift__, s.elements))))
                     of_order.setdefault(order, []).append(frontier[-1][1])
                     members.append(s)

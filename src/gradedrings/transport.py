@@ -27,7 +27,7 @@ from .errors import (
 )
 from .finring import FinRing, Record, gather, induced_ring, memo, pairs, product_ring
 from .grading import GradedRing
-from .ideals import IdealSet, require_graded
+from .ideals import IdealSet, braced, element_names, require_graded
 
 MAX_MULT_SET_SIZE = 8
 
@@ -175,8 +175,8 @@ def quotient(gr: GradedRing, k: IdealSet) -> tuple[GradedRing, GradedHom]:
     ring = gr.ring
     coset_of, reps = _cosets(ring, k.elements)
     qring = induced_ring(
-        ring, reps, coset_of,
-        label=f"{gr.label}/{k.describe()}", names=[f"[{ring.name(r)}]" for r in reps],
+        ring, reps, coset_of, label=f"{gr.label}/{braced(element_names(ring, k.spanning))}",
+        names=[f"[{ring.name(r)}]" for r in reps],
     )
     qgr = GradedRing(qring, gr.group, _images(gr, coset_of))
     return qgr, GradedHom(gr, qgr, tuple(coset_of))
@@ -249,7 +249,7 @@ def localize(gr: GradedRing, s: MultiplicativeSet) -> tuple[GradedRing, GradedHo
     values = [mul[a][inverse[t]] for a, t in reps]
     lring = induced_ring(
         ring, values, canonical,
-        label=f"Localize({gr.label}, {{{','.join(ring.name(t) for t in slist)}}})",
+        label=f"Localize({gr.label}, {braced(element_names(ring, slist))})",
         names=names,
     )
     lgr = GradedRing(lring, gr.group, _images(gr, canonical))

@@ -23,8 +23,9 @@ from .errors import ShapeMismatch
 from .finring import Cyclic, Record, build_ring, memo, pairs
 from .grading import GradedRing, trivial_grading
 from .ideals import (
-    IdealSet, colon, combine, enumerate_graded_ideals, graded_radical, ideal_generated,
-    is_graded_ideal, principal_graded_ideals, product_contained, proper_graded_ideals, zero_ideal,
+    IdealSet, braced, colon, combine, element_names, enumerate_graded_ideals, graded_radical,
+    ideal_generated, is_graded_ideal, principal_graded_ideals, product_contained,
+    proper_graded_ideals, zero_ideal,
 )
 from .specdoc import CorpusEntry, parse_corpus
 from .transport import (
@@ -152,7 +153,7 @@ def _tally(cases: Iterable[tuple[GradedRing, IdealSet, dict]]) -> tuple[int, lis
         count += 1
         ok, witness = is_graded_strongly_1abs_primary(gr, ideal)
         if not ok:
-            failures.append({**where, "witness": _names(gr, witness)})
+            failures.append({**where, "witness": element_names(gr.ring, witness)})
     return count, failures
 
 
@@ -167,7 +168,7 @@ def _epimorphism_tally(gr: GradedRing) -> tuple[int, list[dict]]:
             if above:
                 qgr, proj = quotient(gr, k)
                 for p in above:
-                    where = {"kernel": _names(gr, k), "ideal": _names(gr, p)}
+                    where = {"kernel": element_names(gr.ring, k), "ideal": element_names(gr.ring, p)}
                     yield qgr, hom_transport(proj, p, "image"), where
 
     return memo(gr, "epimorphism_tally", lambda: _tally(cases()))
@@ -180,7 +181,7 @@ def _monomorphism_tally(gr: GradedRing) -> tuple[int, list[dict]]:
         strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
         sub, inc = identity_subring(gr)
         for p in strongly:
-            yield sub, hom_transport(inc, p, "preimage"), {"ideal": _names(gr, p)}
+            yield sub, hom_transport(inc, p, "preimage"), {"ideal": element_names(gr.ring, p)}
 
     return memo(gr, "monomorphism_tally", lambda: _tally(cases()))
 
@@ -191,13 +192,6 @@ def _report_tally(rep: VerificationReport, counter: str, tally: tuple[int, list[
         rep.bump(counter, count)
     for where in failures:
         rep.fail(**where)
-
-
-def _names(gr: GradedRing, xs) -> list[str]:
-    """Element names: an ideal's in increasing order, a witness's as given."""
-    if isinstance(xs, IdealSet):
-        xs = xs.sorted_elements()
-    return [gr.ring.name(x) for x in xs]
 
 
 # ---------------------------------------------------------------- statements
@@ -220,7 +214,7 @@ def _thm_2_2(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
             branch1_instances=cond1, branch2_instances=cond2,
         )
         if strongly != (cond1 or cond2):
-            rep.fail(ideal=_names(gr, p), strongly=strongly, cond1=cond1, cond2=cond2)
+            rep.fail(ideal=element_names(gr.ring, p), strongly=strongly, cond1=cond1, cond2=cond2)
     return rep.finish(
         ["ideals", "strongly_instances", "branch1_instances", "branch2_instances"]
     )
@@ -235,7 +229,7 @@ def _cor_2_4(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
         cond2 = ls.is_graded_local and ls.the_maximal == p
         rep.bump_if(primes=True, branch1_instances=cond1, branch2_instances=cond2)
         if strongly != (cond1 or cond2):
-            rep.fail(ideal=_names(gr, p), strongly=strongly, cond1=cond1, cond2=cond2)
+            rep.fail(ideal=element_names(gr.ring, p), strongly=strongly, cond1=cond1, cond2=cond2)
     return rep.finish(["primes", "branch1_instances", "branch2_instances"])
 
 
@@ -244,7 +238,7 @@ def _lemma_grad_prime(rep: VerificationReport, gr: GradedRing) -> VerificationRe
         rep.bump("one_abs_instances")
         ok, witness = is_graded_prime(gr, graded_radical(gr, p))
         if not ok:
-            rep.fail(ideal=_names(gr, p), witness=_names(gr, witness))
+            rep.fail(ideal=element_names(gr.ring, p), witness=element_names(gr.ring, witness))
     return rep.finish(["one_abs_instances"])
 
 
@@ -256,7 +250,10 @@ def _lemma_2(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
             c = colon(gr.ring, p, k)
             ok, witness = is_graded_ideal(gr, c)
             if not ok:
-                rep.fail(p=_names(gr, p), k=_names(gr, k), witness=gr.ring.name(witness))
+                rep.fail(
+                    p=element_names(gr.ring, p), k=element_names(gr.ring, k),
+                    witness=gr.ring.name(witness),
+                )
     return rep.finish(["pairs"])
 
 
@@ -309,7 +306,7 @@ def _cor_2_8(entry: CorpusEntry) -> VerificationReport:
     rep.bump("product_rings")
     rep.bump("graded_ideals_scanned", len(proper_graded_ideals(gr)))
     for p in _ideals_where(gr, is_graded_strongly_1abs_primary):
-        rep.fail(ideal=_names(gr, p))
+        rep.fail(ideal=element_names(gr.ring, p))
     left, right = entry.parents
     combined = pairs(left.graded_nilradical(), right.graded_nilradical(), right.ring.size)
     if combined != gr.graded_nilradical():
@@ -325,15 +322,18 @@ def _prop_2_9(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
         ideal_form, witness = strongly_1abs_ideal_form(gr, p)
         rep.bump_if(ideals=True, strongly_instances=elem_form)
         if elem_form != ideal_form:
-            w = None if witness is None else [_names(gr, i) for i in witness]
-            rep.fail(ideal=_names(gr, p), elem_form=elem_form, ideal_form=ideal_form, ideals=w)
+            w = None if witness is None else [element_names(gr.ring, i) for i in witness]
+            rep.fail(
+                ideal=element_names(gr.ring, p), elem_form=elem_form, ideal_form=ideal_form, ideals=w
+            )
     return rep.finish(["ideals"])
 
 
 def _prop_2_10(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
     strongly = _ideals_where(gr, is_graded_strongly_1abs_primary)
     _report_tally(rep, "pairs", _tally(
-        (gr, combine(p, k, "intersection"), {"p": _names(gr, p), "k": _names(gr, k)})
+        (gr, combine(p, k, "intersection"),
+         {"p": element_names(gr.ring, p), "k": element_names(gr.ring, k)})
         for p in strongly for k in strongly
     ))
     return rep.finish(["pairs"])
@@ -345,10 +345,11 @@ def _prop_2_11(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
         rep.notes.append("hypothesis (homogeneous elements nilpotent or unit) not met")
         return rep.finish(["principal_instances"])
     _report_tally(rep, "principal_instances", _tally(
-        (gr, ra, {"ideal": _names(gr, ra)}) for ra in principal_graded_ideals(gr) if ra.is_proper()
+        (gr, ra, {"ideal": element_names(gr.ring, ra)})
+        for ra in principal_graded_ideals(gr) if ra.is_proper()
     ))
     _report_tally(rep, "all_proper_instances", _tally(
-        (gr, p, {"ideal": _names(gr, p)}) for p in proper_graded_ideals(gr)
+        (gr, p, {"ideal": element_names(gr.ring, p)}) for p in proper_graded_ideals(gr)
     ))
     return rep.finish(["principal_instances", "all_proper_instances"])
 
@@ -417,7 +418,10 @@ def _lemma_2_18(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
             rep.bump("instances")
             ok, witness = is_graded_primary(gr, colon(gr.ring, p, k))
             if not ok:
-                rep.fail(p=_names(gr, p), k=_names(gr, k), witness=_names(gr, witness))
+                rep.fail(
+                    p=element_names(gr.ring, p), k=element_names(gr.ring, k),
+                    witness=element_names(gr.ring, witness),
+                )
     return rep.finish(["instances"])
 
 
@@ -428,7 +432,8 @@ def _prop_2_19(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
             rad = graded_radical(gr, p)
             for k in lattice:
                 if not k <= rad:
-                    yield gr, colon(gr.ring, p, k), {"p": _names(gr, p), "k": _names(gr, k)}
+                    where = {"p": element_names(gr.ring, p), "k": element_names(gr.ring, k)}
+                    yield gr, colon(gr.ring, p, k), where
 
     _report_tally(rep, "instances", _tally(cases()))
     return rep.finish(["instances"])
@@ -486,9 +491,12 @@ def _prop_3_3(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
             proper, witness = verdicts[p]
             rep.bump("instances")
             if not proper:
-                rep.fail(ideal=_names(gr, p), note="S^-1 P not proper")
+                rep.fail(ideal=element_names(gr.ring, p), note="S^-1 P not proper")
             elif witness is not None:
-                rep.fail(ideal=_names(gr, p), mult_set=_names(gr, sorted(s.elements)), witness=witness)
+                rep.fail(
+                    ideal=element_names(gr.ring, p), mult_set=element_names(gr.ring, s.elements),
+                    witness=witness,
+                )
     return rep.finish(["instances"])
 
 
@@ -500,7 +508,7 @@ def _localized_verdict(lgr: GradedRing, canonical, p: IdealSet) -> tuple[bool, O
     if not sp.is_proper():
         return False, None
     ok, witness = is_graded_strongly_1abs_primary(lgr, sp)
-    return True, None if ok else _names(lgr, witness)
+    return True, None if ok else element_names(lgr.ring, witness)
 
 
 def prop_3_4_reduction(rep: VerificationReport, gr: GradedRing) -> VerificationReport:
@@ -513,7 +521,7 @@ def prop_3_4_reduction(rep: VerificationReport, gr: GradedRing) -> VerificationR
     rep.bump_if(rings=True, grad_zero_prime_instances=prime0)
     verdict = "has" if prime0 else "has no"
     rep.notes.append(
-        f"Grad({{0}}) = {{{','.join(_names(gr, grad_zero))}}} graded prime: {prime0}; "
+        f"Grad({{0}}) = {braced(element_names(gr.ring, grad_zero))} graded prime: {prime0}; "
         f"derived (NOT independently verified): R[X] {verdict} a graded strongly "
         f"1-absorbing primary ideal"
     )
@@ -521,7 +529,7 @@ def prop_3_4_reduction(rep: VerificationReport, gr: GradedRing) -> VerificationR
         if graded_radical(gr, p) == grad_zero:
             rep.bump("statement4_candidates")
             rep.notes.append(
-                f"P = {{{','.join(_names(gr, p))}}}: graded primary with "
+                f"P = {braced(element_names(gr.ring, p))}: graded primary with "
                 f"Grad(P)=Grad({{0}}); derived (NOT independently verified): P[X] is "
                 f"graded strongly 1-absorbing primary"
             )
@@ -609,10 +617,10 @@ def search_counterexample(
                 out.append(
                     {
                         "ring": entry.label,
-                        "ideal": _names(gr, p),
+                        "ideal": element_names(gr.ring, p),
                         "ideal_raw": p,
                         "graded_ring": gr,
-                        "witness": _names(gr, witness) if witness else None,
+                        "witness": element_names(gr.ring, witness) if witness else None,
                         "witness_raw": witness,
                     }
                 )

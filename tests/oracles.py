@@ -35,7 +35,7 @@ from gradedrings.errors import (
     UnitNotPreserved,
 )
 from gradedrings.finring import Cyclic, GaussMod, PolyQuotient
-from gradedrings.ideals import IdealSet, require_graded
+from gradedrings.ideals import IdealSet, element_names, require_graded
 from gradedrings.transport import enumerate_multiplicative_sets, localize
 
 
@@ -324,7 +324,7 @@ def additive_closure(ring, seed):
 def ideal_generated(ring, gens):
     gens = tuple(gens)
     multiples = {ring.zero} | {ring.mul_rows[r][g] for g in gens for r in ring.elements()}
-    return IdealSet(ring, additive_closure(ring, multiples), generators=gens)
+    return IdealSet(ring, additive_closure(ring, multiples), spanning=gens)
 
 
 def combine(i, j, op):
@@ -413,7 +413,7 @@ def principal_graded_ideals(gr):
         multiples = frozenset({ring.zero} | {ring.mul_rows[r][a] for r in ring.elements()})
         if multiples not in closures:
             closures[multiples] = additive_closure(ring, multiples)
-        seen.setdefault(closures[multiples], IdealSet(ring, closures[multiples], generators=(a,)))
+        seen.setdefault(closures[multiples], IdealSet(ring, closures[multiples], spanning=(a,)))
     return sorted(seen.values(), key=_lattice_order)
 
 
@@ -574,12 +574,12 @@ def prop_3_3(rep, gr):
             rep.bump("instances")
             sp = ideal_generated(lgr.ring, tuple(canonical(x) for x in sorted(p.elements)))
             if not sp.is_proper():
-                rep.fail(ideal=verifier._names(gr, p), note="S^-1 P not proper")
+                rep.fail(ideal=element_names(gr.ring, p), note="S^-1 P not proper")
                 continue
             ok, witness = verifier.is_graded_strongly_1abs_primary(lgr, sp)
             if not ok:
                 rep.fail(
-                    ideal=verifier._names(gr, p), mult_set=verifier._names(gr, sorted(s.elements)),
-                    witness=verifier._names(lgr, witness),
+                    ideal=element_names(gr.ring, p), mult_set=element_names(gr.ring, s.elements),
+                    witness=element_names(lgr.ring, witness),
                 )
     return rep.finish(["instances"])

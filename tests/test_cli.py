@@ -12,6 +12,7 @@ import pytest
 from gradedrings import verifier
 from gradedrings.cli import COMMANDS, main, parse_args
 from gradedrings.errors import MalformedSpec
+from gradedrings.ideals import principal_graded_ideals, proper_graded_ideals
 from gradedrings.specdoc import load_corpus, load_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -476,6 +477,15 @@ CORPUS = ("verify", "all", "--corpus", "{file}")
             DESCRIBE, "$.components['0,0']: degree (0, 0) has wrong rank for factors (0,)",
             id="integers-degree-rank-2",
         ),
+        # "*" stands only after a coefficient, as in "3*u"
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/f2-u3-z.json", "--ideal", "*u"),
+            "cannot parse '*u' as a polynomial in u", id="ideal-poly-star-without-coefficient",
+        ),
+        pytest.param(
+            None, ("ideal", "classify", f"{SPECS}/f2-u3-z.json", "--ideal", "*u^2"),
+            "cannot parse '*u^2' as a polynomial in u", id="ideal-poly-star-power-without-coefficient",
+        ),
     ],
 )
 def test_spec_error_exit_code(tmp_path, capsys, content, argv, where):
@@ -549,12 +559,14 @@ def test_json_output_matches_golden(tmp_path, capsys, golden):
 
 
 # the shipped Z- and Z/3-graded specs, F2[u]/(u^3) and F2[u]/(u^3-1) with
-# deg u = 1, replayed through the CLI
+# deg u = 1, replayed through the CLI; and the family whose rings
+# (Z/m)[u]/(u^k) hold non-principal graded ideals such as (2, u)
 SPEC_GOLDEN_ARGV = {
     "describe-f2-u3-z": ("ring", "describe", f"{SPECS}/f2-u3-z.json"),
     "classify-f2-u3-z-M2": ("ideal", "classify", f"{SPECS}/f2-u3-z.json", "--ideal", "M2"),
     "describe-f2-u3-z3": ("ring", "describe", f"{SPECS}/f2-u3-z3.json"),
     "classify-f2-u3-z3-zero": ("ideal", "classify", f"{SPECS}/f2-u3-z3.json", "--ideal", "zero"),
+    "verify-all-nonprincipal": ("verify", "all", "--corpus", f"{SPECS}/family-nonprincipal.json"),
 }
 
 
@@ -638,6 +650,23 @@ def test_chain_family_replays_without_failure(capsys):
     assert out.encode() == (ROOT / "tests/golden/verify-all-chain.out").read_bytes()
     outcomes = [r["outcome"] for r in json.loads(out)]
     assert (outcomes.count("PASS"), outcomes.count("FAIL"), outcomes.count("VACUOUS")) == (86, 0, 6)
+
+
+def test_nonprincipal_family_counts():
+    # (Z/m)[u]/(u^k) graded trivially, by Z and (k = 2) by Z2: the first
+    # shipped graded ideals that no one element generates, such as (2, u);
+    # the replay itself is pinned byte for byte in SPEC_GOLDEN_ARGV
+    corpus = load_corpus(SPECS / "family-nonprincipal.json")
+    proper = nonprincipal = 0
+    for entry in corpus:
+        principal = {ra.elements for ra in principal_graded_ideals(entry.gr)}
+        ideals = proper_graded_ideals(entry.gr)
+        proper += len(ideals)
+        nonprincipal += sum(p.elements not in principal for p in ideals)
+    assert (len(corpus), proper, nonprincipal) == (17, 153, 43)
+    reports = json.loads((ROOT / "tests/golden/verify-all-nonprincipal.out").read_text())
+    outcomes = [r["outcome"] for r in reports]
+    assert (outcomes.count("PASS"), outcomes.count("FAIL"), outcomes.count("VACUOUS")) == (290, 0, 18)
 
 
 def test_cor_2_7_sweep_to_256_matches_golden(capsys):

@@ -286,7 +286,7 @@ def test_enumerate_matches_brute_force(small_corpus):
 
 
 def _snapshot(ideal):
-    return ideal.elements, ideal.generators
+    return ideal.elements, ideal.spanning
 
 
 def test_ideal_algebra_matches_oracle(corpus):

@@ -9,6 +9,8 @@ equal the oracle's, least witnesses included.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import oracles
 import pytest
 
@@ -29,8 +31,11 @@ from gradedrings.ideals import (
     product_contained,
     proper_graded_ideals,
 )
+from gradedrings.specdoc import load_corpus
 from gradedrings.transport import product, quotient
 from strategies import graded_ring
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 TRUNCATED = [  # F_p[u]/(u^k), p^k <= 64
     PolyQuotient(Cyclic(p), (0,) * k + (1,)) for p in (2, 3, 5, 7) for k in range(2, 7) if p**k <= 64
@@ -69,7 +74,7 @@ def test_some_classes_hold_non_homogeneous_elements(small_rings):
     for gr in small_rings:
         units = gr.ring.units()
         for ra in principal_graded_ideals(gr):
-            a = ra.generators[0]
+            a = ra.spanning[0]
             if not {gr.ring.mul_rows[u][a] for u in units} <= gr.homogeneous():
                 mixed.append(gr.label)
                 break
@@ -77,8 +82,10 @@ def test_some_classes_hold_non_homogeneous_elements(small_rings):
 
 
 def test_lattice_members_are_spanned_by_their_generators(small_rings):
+    # the (Z/m)[u]/(u^k) family holds sums of two principals such as (2, u)
+    family = [e.gr for e in load_corpus(SPECS / "family-nonprincipal.json") if e.gr.ring.size <= 64]
     sums = 0
-    for gr in small_rings:
+    for gr in small_rings + family:
         lattice = enumerate_graded_ideals(gr)
         assert [i.elements for i in lattice] == [
             i.elements for i in oracles.enumerate_graded_ideals(gr)
@@ -86,7 +93,7 @@ def test_lattice_members_are_spanned_by_their_generators(small_rings):
         for member in lattice:
             assert ideal_generated(gr.ring, member.spanning) == member, (gr.label, member)
             sums += len(member.spanning) > 1
-    assert sums >= 4  # the products of parity-graded rings have sums
+    assert sums >= 26  # 8 in the products of parity-graded rings, 18 in the family
 
 
 @pytest.mark.parametrize("n", [*range(65, 301), 720])
@@ -124,7 +131,7 @@ def test_colon_over_generators_matches_colon_over_elements(small_rings):
         for p in lattice:
             for k in lattice:
                 by_elements = IdealSet(ring, k.elements)
-                assert by_elements.spanning == k.elements
+                assert by_elements.spanning == k.sorted_elements()
                 got = colon(ring, p, k)
                 assert got == colon(ring, p, by_elements), (gr.label, p, k)
                 if ring.size <= 100:
@@ -170,12 +177,9 @@ def test_representatives_are_least_homogeneous_generators(small_rings):
         assert _nonunit_classes(gr) == (sorted(by_ideal.values()), mask), gr.label
 
 
-def test_quotient_labels_name_lattice_sums_by_elements():
-    # a sum over 8 elements spans itself by generators, yet is still named
-    # by its elements, as before the lattice recorded them
+def test_quotient_labels_name_lattice_sums_by_spanning():
+    # a sum of two principals is named by its spanning tuple, the least
+    # generators of the principals in the order the lattice added them
     gr = _parity_products()[1]
     k = next(i for i in enumerate_graded_ideals(gr) if len(i) == 32 and len(i.spanning) > 1)
-    assert quotient(gr, k)[0].label == (
-        "Z/2[u]/(u^3)/Z2 x Z/2[u]/(u^3)/Z2/"
-        "{(0,0),(0,1),(0,u),(0,1+u),(0,u^2),(0,1+u^2),(0,u+u^2),(0,1+u+u^2),...}"
-    )
+    assert quotient(gr, k)[0].label == "Z/2[u]/(u^3)/Z2 x Z/2[u]/(u^3)/Z2/{(u,u),(0,1)}"
