@@ -31,8 +31,7 @@ from .specdoc import decimal, load_corpus, load_spec, resolve_ideal
 
 
 def _cmd_ring_describe(args) -> int:
-    spec = load_spec(args.spec)
-    gr = spec.graded_ring
+    gr = load_spec(args.spec).gr
     ring = gr.ring
     ls = local_structure(gr)
     nil = ring.nilradical()
@@ -70,9 +69,9 @@ def _cmd_ring_describe(args) -> int:
 
 
 def _cmd_ideal_classify(args) -> int:
-    spec = load_spec(args.spec)
-    gr = spec.graded_ring
-    ideal = resolve_ideal(spec, args.ideal)
+    entry = load_spec(args.spec)
+    gr = entry.gr
+    ideal = resolve_ideal(entry, args.ideal)
     report = classify_ideal(gr, ideal)
     if args.format == "json":
         print(json.dumps(report.to_dict(gr), indent=2))

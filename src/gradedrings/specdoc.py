@@ -49,23 +49,19 @@ from .grading import GradedRing, GradingGroup, TRIVIAL_GROUP, Z_GRADING, attach_
 from .ideals import IdealSet, ideal_generated
 
 
-class RingSpecDocument(Record):
-    """`ideals` maps each name to an IdealSet."""
-
-    __slots__ = ("graded_ring", "ideals")
-
-
 class CorpusEntry(Record):
-    """A graded ring under the label its reports name.  A product R1 x R2
-    carries its factors as `parents` (R1, R2), and COR_2_8 runs on exactly
-    the entries that have them."""
+    """A graded ring under the label its reports name, with the ideals its
+    document names (`ideals` maps each name to an IdealSet).  A product
+    R1 x R2 carries its factors as `parents` (R1, R2), and COR_2_8 runs on
+    exactly the entries that have them."""
 
-    __slots__ = ("label", "gr", "parents")
+    __slots__ = ("label", "gr", "parents", "ideals")
 
-    def __init__(self, label: str, gr: GradedRing, parents: tuple = ()):
+    def __init__(self, label: str, gr: GradedRing, parents: tuple = (), ideals: dict | None = None):
         self.label = label
         self.gr = gr
         self.parents = parents
+        self.ideals = {} if ideals is None else ideals
 
 
 @contextmanager
@@ -200,7 +196,7 @@ def _json(source: str | Path, text: str | None = None):
         raise MalformedSpec(f"{source}: JSON nested too deeply") from None
 
 
-def load_spec(path: str | Path) -> RingSpecDocument:
+def load_spec(path: str | Path) -> CorpusEntry:
     return parse_spec(_json(path), label=Path(path).stem)
 
 
@@ -208,9 +204,9 @@ def load_corpus(path: str | Path) -> list[CorpusEntry]:
     return parse_corpus(_expect(_json(path), list, "$"))
 
 
-def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument:
-    """The document `doc`; MalformedSpec names the JSON path of any fault,
-    rooted at `where`."""
+def parse_spec(doc: dict, label: str = "", where: str = "$") -> CorpusEntry:
+    """The document `doc` as an entry with its named ideals; MalformedSpec
+    names the JSON path of any fault, rooted at `where`."""
     _only(_expect(doc, dict, where), _SPEC_KEYS, where)
     ring = _build_ring(_field(doc, "ring", dict, where), f"{where}.ring")
     group = _build_group(_expect(doc.get("group", {}), dict, f"{where}.group"), f"{where}.group")
@@ -236,7 +232,7 @@ def parse_spec(doc: dict, label: str = "", where: str = "$") -> RingSpecDocument
         name: ideal_generated(ring, _elements(ring, gens, f"{at}[{name!r}]"))
         for name, gens in _expect(doc.get("ideals", {}), dict, at).items()
     }
-    return RingSpecDocument(graded_ring=gr, ideals=ideals)
+    return CorpusEntry(gr.label, gr, ideals=ideals)
 
 
 def parse_corpus(docs) -> list[CorpusEntry]:
@@ -255,7 +251,7 @@ def parse_corpus(docs) -> list[CorpusEntry]:
         else:
             _only(doc, ("label", *_SPEC_KEYS), where)
             spec = {k: v for k, v in doc.items() if k != "label"}
-            entries[label] = CorpusEntry(label, parse_spec(spec, label, where).graded_ring)
+            entries[label] = parse_spec(spec, label, where)
     if not entries:
         raise MalformedSpec("$: the corpus is empty")
     return list(entries.values())
@@ -289,15 +285,15 @@ def _construction(doc: dict, label: str, earlier: dict[str, CorpusEntry], where:
         return CorpusEntry(label, transport.localize(gr, transport.MultiplicativeSet.create(gr, elements))[0])
 
 
-def resolve_ideal(spec: RingSpecDocument, text: str) -> IdealSet:
+def resolve_ideal(entry: CorpusEntry, text: str) -> IdealSet:
     """An ideal by document name or by comma-separated generator expressions.
 
     An empty generator (`''`, `,`, `2,,3`) is MalformedSpec: read as no
     generator, an unset shell variable would classify (0)."""
-    if text in spec.ideals:
-        return spec.ideals[text]
+    if text in entry.ideals:
+        return entry.ideals[text]
     parts = text.split(",")
     if not all(part.strip() for part in parts):
         raise MalformedSpec(f"--ideal {text!r}: empty generator; give a name or generators, e.g. 2,3")
-    ring = spec.graded_ring.ring
+    ring = entry.gr.ring
     return ideal_generated(ring, tuple(ring.parse(part) for part in parts))

@@ -13,8 +13,9 @@ every pair of ideals found so far; radicals, Grad({0}) included, search
 the powers x, x^2, ..., x^|R| one by one; colons test every product. Each
 predicate scans its quantifier domain in lexicographic order and returns
 the first violating tuple, exactly as the predicates did before they were
-merged into shared kernels. The ring flags test their definitions on
-pairs of elements. Nothing here is memoized, so a comparison never reads
+merged into shared kernels; the triple predicates test every z of a pair
+(x, y) at once, as one AND of masks built from the table rows. The ring
+flags test their definitions on pairs of elements. Nothing here is memoized, so a comparison never reads
 back a value the library cached.  The one exception is PROP_3_3, replayed
 on the library's kernels and localizations as it was before they were
 shared: one localization for each multiplicative set.
@@ -468,56 +469,54 @@ def nonunit_homogeneous(gr):
     return [x for x in sorted(gr.homogeneous()) if not is_unit(gr.ring, x)]
 
 
-def is_graded_1abs_primary(gr, p):
-    require_graded(gr, p, proper=True)
-    rad = graded_radical(gr, p).elements
-    nonunits = nonunit_homogeneous(gr)
+def _mask(elements):
+    """The int whose bit z is set for each z in `elements`."""
+    return sum(1 << z for z in elements)
+
+
+def _triple_scan(gr, p, domain, escape):
+    """The least (x, y, z) over `domain` with xy not in P, xyz in P and z in
+    neither of the masks `escape[x]`, `escape[y]`.  For each pair the bad z
+    are one AND of masks read from the table rows, and the least is the
+    witness."""
     mul = gr.ring.mul_rows
-    for x in nonunits:
-        for y in nonunits:
-            xy = mul[x][y]
+    into_p = {}  # w -> the z of the domain with wz in P
+    for x in domain:
+        row, out_x = mul[x], escape[x]
+        for y in domain:
+            xy = row[y]
             if xy in p.elements:
                 continue
-            for z in nonunits:
-                if mul[xy][z] in p.elements and z not in rad:
-                    return False, (x, y, z)
+            if xy not in into_p:
+                into_p[xy] = _mask(z for z in domain if mul[xy][z] in p.elements)
+            bad = into_p[xy] & ~(out_x | escape[y])
+            if bad:
+                return False, (x, y, (bad & -bad).bit_length() - 1)
     return True, None
+
+
+def is_graded_1abs_primary(gr, p):
+    require_graded(gr, p, proper=True)
+    nonunits = nonunit_homogeneous(gr)
+    rad = _mask(graded_radical(gr, p).elements)
+    return _triple_scan(gr, p, nonunits, dict.fromkeys(nonunits, rad))
 
 
 def is_graded_strongly_1abs_primary(gr, p):
     require_graded(gr, p, proper=True)
-    grad_zero = graded_radical(gr, IdealSet(gr.ring, {gr.ring.zero})).elements
     nonunits = nonunit_homogeneous(gr)
-    mul = gr.ring.mul_rows
-    for x in nonunits:
-        for y in nonunits:
-            xy = mul[x][y]
-            if xy in p.elements:
-                continue
-            for z in nonunits:
-                if mul[xy][z] in p.elements and z not in grad_zero:
-                    return False, (x, y, z)
-    return True, None
+    grad_zero = _mask(graded_radical(gr, IdealSet(gr.ring, {gr.ring.zero})).elements)
+    return _triple_scan(gr, p, nonunits, dict.fromkeys(nonunits, grad_zero))
 
 
 def is_graded_2abs_primary(gr, i):
+    """The escaping z of a pair (x, y) are those with xz or yz in Grad(I)."""
     require_graded(gr, i, proper=True)
     rad = graded_radical(gr, i).elements
     homog = sorted(gr.homogeneous())
     mul = gr.ring.mul_rows
-    for x in homog:
-        for y in homog:
-            xy = mul[x][y]
-            if xy in i.elements:
-                continue
-            for z in homog:
-                if (
-                    mul[xy][z] in i.elements
-                    and mul[x][z] not in rad
-                    and mul[y][z] not in rad
-                ):
-                    return False, (x, y, z)
-    return True, None
+    into_rad = {w: _mask(z for z in homog if mul[w][z] in rad) for w in homog}
+    return _triple_scan(gr, i, homog, into_rad)
 
 
 def strongly_1abs_ideal_form(gr, p):

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import oracles
 import pytest
+import shipped
 from hypothesis import given, settings
 
 from gradedrings import classify, ideals, verifier
@@ -32,7 +32,6 @@ from gradedrings.ideals import (
     proper_graded_ideals,
     unit_ideal,
 )
-from gradedrings.specdoc import load_corpus
 from gradedrings.transport import identity_subring, quotient
 from strategies import graded_rings, z2_graded
 
@@ -348,32 +347,14 @@ EXIT_SPECS = [
 Z2_EXIT_SPECS = [PolyQuotient(Cyclic(p), (p - 1, 0, 1)) for p in (2, 7)]
 
 
-# Z/210, products, a quotient, a localization, Z2-graded chain rings over
-# composite bases and Galois rings, and (Z/m)[u]/(u^k) with non-principal
-# graded ideals such as (2, u), as the shipped family documents build them
-FAMILIES = ("family-three-maximal.json", "family-chain-rings.json", "family-nonprincipal.json")
-SPECS = Path(__file__).resolve().parent.parent / "specs"
-# left out for time, each measured over the ring's proper graded ideals:
-# Z/210's 2-absorbing oracle scans 210^3 triples per ideal, 2.7 s over its
-# 15; the trivially graded Z/16[u]/(u^2) (256 elements) takes 13.6 s in the
-# 2-absorbing oracle, 1.3 s in the 1-absorbing and 1.0 s in the strongly
-# one, and the trivially graded Z/25[u]/(u^2) (625 elements) 82 s in the
-# 2-absorbing oracle
-LEFT_OUT = {
-    ("Z/210", "is_graded_2abs_primary"),
-    ("Z/16[u]/(u^2)", "is_graded_2abs_primary"),
-    ("Z/16[u]/(u^2)", "is_graded_1abs_primary"),
-    ("Z/16[u]/(u^2)", "is_graded_strongly_1abs_primary"),
-    ("Z/25[u]/(u^2)", "is_graded_2abs_primary"),
-}
-
-
-def test_kernels_match_definitional_oracles(corpus):
-    cyclic = [trivial_grading(build_ring(Cyclic(n))) for n in range(2, 65)]
-    rings = [e.gr for e in corpus] + cyclic
+def test_kernels_match_definitional_oracles():
+    # every shipped corpus: Z/210, products, a quotient, a localization,
+    # Z2-graded chain rings over composite bases, Galois rings, and
+    # (Z/m)[u]/(u^k) with non-principal graded ideals such as (2, u)
+    rings = [e.gr for document in shipped.DOCUMENTS for e in shipped.corpus(document)]
+    rings += [trivial_grading(build_ring(Cyclic(n))) for n in range(2, 65)]
     rings += [trivial_grading(build_ring(spec)) for spec in EXIT_SPECS]
     rings += [z2_graded(spec, f"{spec}/Z2") for spec in Z2_EXIT_SPECS]
-    rings += [e.gr for family in FAMILIES for e in load_corpus(SPECS / family)]
     for gr in rings:
         for p in proper_graded_ideals(gr):
             for name in (
@@ -383,9 +364,8 @@ def test_kernels_match_definitional_oracles(corpus):
                 "is_graded_strongly_1abs_primary",
                 "is_graded_2abs_primary",
             ):
-                if (gr.label, name) not in LEFT_OUT:
-                    expected = getattr(oracles, name)(gr, p)
-                    assert getattr(classify, name)(gr, p) == expected, (gr.label, p, name)
+                expected = getattr(oracles, name)(gr, p)
+                assert getattr(classify, name)(gr, p) == expected, (gr.label, p, name)
             assert is_graded_maximal(gr, p) == (maximal_by_lattice(gr, p), None), (gr.label, p)
 
 

@@ -5,20 +5,19 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+import shipped
+from shipped import GOLDENS, ROOT, SPECS
 
 from gradedrings import verifier
+from gradedrings.classify import FLAGS, flag_value
 from gradedrings.cli import COMMANDS, main, parse_args
 from gradedrings.errors import MalformedSpec
 from gradedrings.ideals import principal_graded_ideals, proper_graded_ideals
-from gradedrings.specdoc import load_corpus, load_spec
-
-ROOT = Path(__file__).resolve().parent.parent
-SPECS = ROOT / "specs"
-# the spec's file stem is the ring label, which the golden outputs print
-Z256 = '{"ring": {"kind": "cyclic", "n": 256}, "group": {"kind": "trivial"}}'
+from gradedrings.specdoc import load_spec
 
 
 def run(capsys, *argv):
@@ -525,12 +524,8 @@ def test_unknown_statement_exit_code(capsys):
 )
 def test_shipped_documents_load(document):
     # every key a shipped document holds is one its object reads
-    if document == "DEFAULT_CORPUS":
-        assert verifier.parse_corpus(verifier.DEFAULT_CORPUS)
-    elif (SPECS / document).read_text().lstrip().startswith("["):
-        assert load_corpus(SPECS / document)
-    else:
-        assert load_spec(SPECS / document).graded_ring.ring.size >= 2
+    entries = shipped.corpus(document) if document in shipped.DOCUMENTS else [load_spec(SPECS / document)]
+    assert all(e.gr.ring.size >= 2 for e in entries)
 
 
 def test_output_is_deterministic(capsys):
@@ -539,42 +534,43 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-GOLDEN_ARGV = {
-    "verify-all": ("verify", "all"),
-    "describe-z256": ("ring", "describe", "{z256}"),
-    "classify-z256-2": ("ideal", "classify", "{z256}", "--ideal", "2"),
-    "classify-z256-16": ("ideal", "classify", "{z256}", "--ideal", "16"),
-}
-
-
-@pytest.mark.parametrize("golden", GOLDEN_ARGV)
-def test_json_output_matches_golden(tmp_path, capsys, golden):
+def _z256(tmp_path) -> str:
     z256 = tmp_path / "z256.json"
-    z256.write_text(Z256)
-    expected = (ROOT / f"perfbench/golden/{golden}.out").read_bytes()
-    argv = (a.replace("{z256}", str(z256)) for a in GOLDEN_ARGV[golden])
-    code, out, _ = run(capsys, "--format", "json", *argv)
+    z256.write_text(shipped.Z256)
+    return str(z256)
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda golden: Path(golden).stem)
+def test_json_output_matches_golden(tmp_path, capsys, golden):
+    code, out, _ = run(capsys, *shipped.arguments(golden, _z256(tmp_path)))
     assert code == 0
-    assert out.encode() == expected
+    assert out.encode() == (ROOT / golden).read_bytes()
 
 
-# the shipped Z- and Z/3-graded specs, F2[u]/(u^3) and F2[u]/(u^3-1) with
-# deg u = 1, replayed through the CLI; and the family whose rings
-# (Z/m)[u]/(u^k) hold non-principal graded ideals such as (2, u)
-SPEC_GOLDEN_ARGV = {
-    "describe-f2-u3-z": ("ring", "describe", f"{SPECS}/f2-u3-z.json"),
-    "classify-f2-u3-z-M2": ("ideal", "classify", f"{SPECS}/f2-u3-z.json", "--ideal", "M2"),
-    "describe-f2-u3-z3": ("ring", "describe", f"{SPECS}/f2-u3-z3.json"),
-    "classify-f2-u3-z3-zero": ("ideal", "classify", f"{SPECS}/f2-u3-z3.json", "--ideal", "zero"),
-    "verify-all-nonprincipal": ("verify", "all", "--corpus", f"{SPECS}/family-nonprincipal.json"),
-}
+@pytest.mark.parametrize("document", shipped.DOCUMENTS)
+def test_document_pins(document):
+    entries = shipped.corpus(document)
+    ideals = [(e.gr, p) for e in entries for p in proper_graded_ideals(e.gr)]
+    principal = {(id(e.gr), ra.elements) for e in entries for ra in principal_graded_ideals(e.gr)}
+    outcomes = Counter(r.outcome for r in verifier.run_suite(corpus=entries))
+    patterns = Counter("".join("01"[flag_value(gr, p, flag)[0]] for flag in FLAGS) for gr, p in ideals)
+    assert shipped.Pins(
+        len(entries), len(ideals), sum((id(gr), p.elements) not in principal for gr, p in ideals),
+        (outcomes["PASS"], outcomes["FAIL"], outcomes["VACUOUS"]), dict(patterns),
+    ) == shipped.DOCUMENTS[document]
 
 
-@pytest.mark.parametrize("golden", SPEC_GOLDEN_ARGV)
-def test_spec_output_matches_golden(capsys, golden):
-    code, out, _ = run(capsys, "--format", "json", *SPEC_GOLDEN_ARGV[golden])
-    assert code == 0
-    assert out.encode() == (ROOT / f"tests/golden/{golden}.out").read_bytes()
+def test_every_shipped_file_is_registered():
+    # a golden or a corpus document outside the registry is checked by no gate
+    goldens = {p.relative_to(ROOT).as_posix() for d in shipped.GOLDEN_DIRS for p in (ROOT / d).iterdir()}
+    corpora = {p.name for p in SPECS.glob("*.json") if isinstance(json.loads(p.read_text()), list)}
+    assert goldens == set(GOLDENS)
+    assert {"DEFAULT_CORPUS", *corpora} == set(shipped.DOCUMENTS)
+
+
+def test_corpus_entries_keep_their_named_ideals():
+    (entry,) = verifier.parse_corpus('[{"ring": {"kind": "cyclic", "n": 9}, "ideals": {"M": ["3"]}}]')
+    assert entry.ideals["M"].elements == {0, 3, 6}
 
 
 def test_shipped_corpus_document_is_the_default_corpus(tmp_path, capsys):
@@ -582,7 +578,7 @@ def test_shipped_corpus_document_is_the_default_corpus(tmp_path, capsys):
     # document, read from a file, replays byte-identically to the golden
     document = tmp_path / "default-corpus.json"
     document.write_text(verifier.DEFAULT_CORPUS)
-    expected = (Path(__file__).resolve().parent.parent / "perfbench/golden/verify-all.out").read_bytes()
+    (expected,) = [(ROOT / g).read_bytes() for g, argv in GOLDENS.items() if argv == ("verify", "all")]
     code, out, _ = run(capsys, "--format", "json", "verify", "all", "--corpus", str(document))
     assert code == 0
     assert out.encode() == expected
@@ -626,55 +622,6 @@ def test_cor_2_8_without_a_product_is_vacuous(tmp_path, capsys, statement):
     code, out, _ = run(capsys, "verify", statement, "--corpus", str(corpus))
     assert "COR_2_8 [corpus] -> VACUOUS" in out
     assert out.endswith("0 FAIL, 1 VACUOUS\n" if statement == "COR_2_8" else "0 FAIL, 2 VACUOUS\n")
-
-
-def test_family_file_replays_without_failure(capsys):
-    # Z/30, Z/60, Z/210 and (Z/2 x Z/3) x Z/5 have three or more maximal ideals;
-    # the output is pinned byte for byte, as the default corpus's is
-    family = SPECS / "family-three-maximal.json"
-    code, out, _ = run(capsys, "--format", "json", "verify", "all", "--corpus", str(family))
-    assert code == 0
-    assert out.encode() == (ROOT / "tests/golden/verify-all-family.out").read_bytes()
-    reports = json.loads(out)
-    assert not [r for r in reports if r["outcome"] == "FAIL"]
-    cor_2_8 = {r["subject"]: r["outcome"] for r in reports if r["statement_id"] == "COR_2_8"}
-    assert cor_2_8 == {"Z/2 x Z/3": "PASS", "(Z/2 x Z/3) x Z/5": "PASS"}
-
-
-def test_chain_family_replays_without_failure(capsys):
-    # Z/25 and Z/27[u]/(u^2-1) and Z/8[u]/(u^2-2) graded by Z2, GR(4,2) and
-    # GR(9,2): polynomial quotients over composite Z/m, pinned byte for byte
-    family = SPECS / "family-chain-rings.json"
-    code, out, _ = run(capsys, "--format", "json", "verify", "all", "--corpus", str(family))
-    assert code == 0
-    assert out.encode() == (ROOT / "tests/golden/verify-all-chain.out").read_bytes()
-    outcomes = [r["outcome"] for r in json.loads(out)]
-    assert (outcomes.count("PASS"), outcomes.count("FAIL"), outcomes.count("VACUOUS")) == (86, 0, 6)
-
-
-def test_nonprincipal_family_counts():
-    # (Z/m)[u]/(u^k) graded trivially, by Z and (k = 2) by Z2: the first
-    # shipped graded ideals that no one element generates, such as (2, u);
-    # the replay itself is pinned byte for byte in SPEC_GOLDEN_ARGV
-    corpus = load_corpus(SPECS / "family-nonprincipal.json")
-    proper = nonprincipal = 0
-    for entry in corpus:
-        principal = {ra.elements for ra in principal_graded_ideals(entry.gr)}
-        ideals = proper_graded_ideals(entry.gr)
-        proper += len(ideals)
-        nonprincipal += sum(p.elements not in principal for p in ideals)
-    assert (len(corpus), proper, nonprincipal) == (17, 153, 43)
-    reports = json.loads((ROOT / "tests/golden/verify-all-nonprincipal.out").read_text())
-    outcomes = [r["outcome"] for r in reports]
-    assert (outcomes.count("PASS"), outcomes.count("FAIL"), outcomes.count("VACUOUS")) == (290, 0, 18)
-
-
-def test_cor_2_7_sweep_to_256_matches_golden(capsys):
-    # 255 rings and 70 prime powers, past perfbench's golden of the default
-    # 2..64: every kernel the sweep runs, pinned byte for byte
-    code, out, _ = run(capsys, "--format", "json", "verify", "COR_2_7", "--range", "2..256")
-    assert code == 0
-    assert out.encode() == (ROOT / "tests/golden/verify-cor-2-7-2-256.out").read_bytes()
 
 
 ZN = '{{"label": "Z/{0}", "ring": {{"kind": "cyclic", "n": {0}}}}}'
@@ -839,12 +786,11 @@ def test_verify_loads_verifier(tmp_path):
     assert {"gradedrings.verifier", "gradedrings.transport"} <= loaded
 
 
-# `--format json` commands whose output, a golden file, is larger than a
-# one-page pipe holds
-OUTPUT_ARGV = {
-    "describe-z256": ("--format", "json", "ring", "describe", "{z256}"),
-    "verify-all": ("--format", "json", "verify", "all"),
-}
+# the benchmark's commands, each run by a fresh process, by golden name; and
+# those whose output is larger than a one-page pipe holds (a missing golden
+# fails `test_every_shipped_file_is_registered`)
+BENCHMARK = {Path(g).stem: g for g in GOLDENS if g.startswith("perfbench/")}
+OUTPUTS = [n for n, g in BENCHMARK.items() if (ROOT / g).is_file() and (ROOT / g).stat().st_size > 4096]
 
 
 def _python(buffered: bool) -> tuple[list[str], dict[str, str]]:
@@ -857,13 +803,13 @@ def _python(buffered: bool) -> tuple[list[str], dict[str, str]]:
 BUFFERING = pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
 
 
-def _cli(tmp_path, golden: str, stdout, stderr=subprocess.PIPE, *, buffered: bool) -> subprocess.Popen:
-    z256 = tmp_path / "z256.json"
-    z256.write_text(Z256)
-    argv = [a.replace("{z256}", str(z256)) for a in OUTPUT_ARGV[golden]]
+def _cli(tmp_path, golden: str, stdout, stderr=subprocess.PIPE, *, buffered: bool, text=True):
+    """A fresh process running the benchmark command of `golden` in `--format json`."""
     python, env = _python(buffered)
+    argv = shipped.arguments(BENCHMARK[golden], _z256(tmp_path))
     return subprocess.Popen(
-        [*python, "-m", "gradedrings.cli", *argv], env=env, stdout=stdout, stderr=stderr, text=True,
+        [*python, "-m", "gradedrings.cli", *argv],
+        env=env, stdout=stdout, stderr=stderr, text=text,
     )
 
 
@@ -876,7 +822,7 @@ def _one_error_line(err: str, name: str) -> None:
 # output fails at the final flush and not at a write
 OUTPUT_BUFFERING = [
     pytest.param(golden, buffered, id=f"{golden}-buffered" if buffered else golden)
-    for golden in OUTPUT_ARGV
+    for golden in OUTPUTS
     for buffered in (False, True)
 ]
 
@@ -930,7 +876,7 @@ def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, 
         pytest.skip("the pipe's capacity cannot be set")
     read_end, write_end = os.pipe()
     capacity = fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
-    if capacity + 1 >= (ROOT / f"perfbench/golden/{golden}.out").stat().st_size:
+    if capacity + 1 >= (ROOT / BENCHMARK[golden]).stat().st_size:
         os.close(read_end)
         os.close(write_end)
         pytest.skip(f"a pipe of {capacity} bytes holds the whole output")
@@ -950,18 +896,12 @@ def test_pipe_closed_after_one_byte_exits_2_without_traceback(tmp_path, golden, 
 # Buffered, every output but verify-all's fits in the 8 KB buffer and stays
 # there until flushed, and the process ends without the interpreter's exit-time
 # flush: each output, error and status below is there only if the CLI flushed it.
-@pytest.mark.parametrize("golden", GOLDEN_ARGV)
+@pytest.mark.parametrize("golden", BENCHMARK)
 def test_buffered_process_writes_golden_into_a_pipe(tmp_path, golden):
-    z256 = tmp_path / "z256.json"
-    z256.write_text(Z256)
-    argv = [a.replace("{z256}", str(z256)) for a in GOLDEN_ARGV[golden]]
-    python, env = _python(buffered=True)
-    proc = subprocess.run(
-        [*python, "-m", "gradedrings.cli", "--format", "json", *argv],
-        env=env, capture_output=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == (ROOT / f"perfbench/golden/{golden}.out").read_bytes()
+    proc = _cli(tmp_path, golden, subprocess.PIPE, buffered=True, text=False)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out == (ROOT / BENCHMARK[golden]).read_bytes()
 
 
 def test_buffered_process_reports_errors_with_status_2(tmp_path):

@@ -15,7 +15,6 @@ from gradedrings.finring import (
     _BuiltRing,
     build_ring,
 )
-from gradedrings.specdoc import RingSpecDocument
 from gradedrings.transport import MultiplicativeSet
 
 
@@ -257,8 +256,7 @@ def test_gauss_rings_pass_axioms(n):
 
 
 RECORDS = (
-    Cyclic, GaussMod, PolyQuotient, LocalStructure, RingProfile, ClassificationReport,
-    RingSpecDocument, MultiplicativeSet,
+    Cyclic, GaussMod, PolyQuotient, LocalStructure, RingProfile, ClassificationReport, MultiplicativeSet,
 )
 
 

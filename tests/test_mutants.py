@@ -12,7 +12,7 @@ oracle does under the real kernels and under each of `MUTANTS`.
 one run on the same ring graded trivially, over the same element set.  The
 default corpus cannot tell the grading-blind primary and 1-absorbing
 kernels from the real ones; the chain-ring family
-(`specs/family-chain-rings.json`) kills both, through LEMMA_2_18 and
+(`shipped.CHAIN_RINGS`) kills both, through LEMMA_2_18 and
 THM_2_2 (`CHAIN_MUTANTS`).  Grading-blind 2-absorbing still passes: it
 gives 0 FAIL on that family too, so whether it equals the graded kernel on
 every finite graded ring is open.
@@ -23,10 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from pathlib import Path
 
 import oracles
 import pytest
+import shipped
 
 from gradedrings import classify, verifier
 from gradedrings.classify import (
@@ -37,7 +37,6 @@ from gradedrings.classify import (
 from gradedrings.finring import memo
 from gradedrings.grading import trivial_grading
 from gradedrings.ideals import graded_radical
-from gradedrings.specdoc import load_corpus
 from gradedrings.transport import enumerate_multiplicative_sets
 
 
@@ -104,8 +103,6 @@ CHAIN_MUTANTS = {
     ),
 }
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
-
 
 def _rebind(monkeypatch, rebind):
     for attr, kernel in rebind.items():
@@ -132,12 +129,12 @@ def test_chain_family_fails_under_grading_blind_kernel(monkeypatch, name):
     rebind, counts, digest = CHAIN_MUTANTS[name]
     _rebind(monkeypatch, rebind)
     _replay_fails(verifier.default_corpus(), {}, NO_FAIL)  # which lets it pass
-    _replay_fails(load_corpus(SPECS / "family-chain-rings.json"), counts, digest)
+    _replay_fails(shipped.corpus(shipped.CHAIN_RINGS), counts, digest)
 
 
 CORPORA = {
     "default": verifier.default_corpus,
-    "family": lambda: load_corpus(SPECS / "family-three-maximal.json"),
+    "family": lambda: shipped.corpus(shipped.THREE_MAXIMAL),
 }
 _MULT_SETS: dict = {}  # (corpus, label) -> the entry's multiplicative sets, which no kernel changes
 

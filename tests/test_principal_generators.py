@@ -9,10 +9,9 @@ equal the oracle's, least witnesses included.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import oracles
 import pytest
+import shipped
 
 from gradedrings.classify import (
     FLAGS,
@@ -31,11 +30,8 @@ from gradedrings.ideals import (
     product_contained,
     proper_graded_ideals,
 )
-from gradedrings.specdoc import load_corpus
 from gradedrings.transport import product, quotient
 from strategies import graded_ring
-
-SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 TRUNCATED = [  # F_p[u]/(u^k), p^k <= 64
     PolyQuotient(Cyclic(p), (0,) * k + (1,)) for p in (2, 3, 5, 7) for k in range(2, 7) if p**k <= 64
@@ -83,7 +79,7 @@ def test_some_classes_hold_non_homogeneous_elements(small_rings):
 
 def test_lattice_members_are_spanned_by_their_generators(small_rings):
     # the (Z/m)[u]/(u^k) family holds sums of two principals such as (2, u)
-    family = [e.gr for e in load_corpus(SPECS / "family-nonprincipal.json") if e.gr.ring.size <= 64]
+    family = [e.gr for e in shipped.corpus(shipped.NONPRINCIPAL) if e.gr.ring.size <= 64]
     sums = 0
     for gr in small_rings + family:
         lattice = enumerate_graded_ideals(gr)
